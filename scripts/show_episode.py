@@ -33,7 +33,7 @@ def _describe_action(action: dict) -> str:
     if kind == "reposition":
         return f"back up {action['back_up']:.1f}m"
     if kind == "rotate_base":
-        return f"rotate base by {action['yaw']:.2f}rad"
+        return f"rotate base by {action['angle']:.2f}rad"
     return kind
 
 
@@ -47,7 +47,7 @@ def _describe_event(event: dict) -> str:
         return "silence (timeout)"
     if kind == "found":
         return f"bottle spotted at {event['roi']}"
-    if kind == "not_found":
+    if kind == "miss":
         return f"nothing at {event['roi']}"
     return kind.replace("_", " ")
 

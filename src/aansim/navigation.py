@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import geometry, world
-from .geometry import PlaneFit, RigidTransform
+from .geometry import PlaneFit
 from .world import (
     CellState,
     DetectionResult,
@@ -281,7 +281,13 @@ def dwa_step(
     wrapped with IEEE remainder), clearance (worst (254 - cost) / 254 along
     the arc), and velocity terms, each min-max normalized over the
     admissible set, weighted and summed.  Exact score ties fall to lower
-    |omega|, then lower v.
+    |omega|, then lower v, then earlier enumeration.
+
+    The rollout heading theta0 + omega * tau does not depend on v, so its
+    sine and cosine are evaluated once on the (n_omega, K) grid and shared
+    by every v; each lattice point still sees the same IEEE inputs.  The
+    endpoint pose is the last rollout column, which is the same arithmetic
+    as ``world.unicycle_arc`` at the horizon.
 
     Raises AllBlocked when every candidate collides.
     """
@@ -291,68 +297,59 @@ def dwa_step(
     w_hi = min(params.omega_max, robot.omega + params.accel_omega * dt)
     vs = np.linspace(v_lo, v_hi, params.n_v)
     ws = np.linspace(w_lo, w_hi, params.n_omega)
-    vv, ww = np.meshgrid(vs, ws, indexing="ij")
-    v_flat = vv.ravel()
-    w_flat = ww.ravel()
-
     n_steps = max(1, int(round(params.horizon / dt)))
     tau = dt * np.arange(1, n_steps + 1)
 
     theta0 = robot.heading
-    theta = theta0 + np.outer(w_flat, tau)  # (M, K)
-    straight = np.abs(w_flat) < 1e-12
+    theta = theta0 + np.outer(ws, tau)  # (n_omega, K), shared across v
+    straight = np.abs(ws) < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
-        radius = np.where(straight, 0.0, v_flat / np.where(straight, 1.0, w_flat))
-    x_arc = robot.x + radius[:, None] * (np.sin(theta) - math.sin(theta0))
-    y_arc = robot.y - radius[:, None] * (np.cos(theta) - math.cos(theta0))
-    x_str = robot.x + np.outer(v_flat, tau) * math.cos(theta0)
-    y_str = robot.y + np.outer(v_flat, tau) * math.sin(theta0)
-    xs = np.where(straight[:, None], x_str, x_arc)
-    ys = np.where(straight[:, None], y_str, y_arc)
+        radius = np.where(straight, 0.0, vs[:, None] / np.where(straight, 1.0, ws))
+    # Rollouts are (n_v, n_omega, K); straight columns are overwritten.
+    xs = robot.x + radius[:, :, None] * (np.sin(theta) - math.sin(theta0))
+    ys = robot.y - radius[:, :, None] * (np.cos(theta) - math.cos(theta0))
+    vt = np.outer(vs, tau)[:, None, :]
+    xs[:, straight] = robot.x + vt * math.cos(theta0)
+    ys[:, straight] = robot.y + vt * math.sin(theta0)
 
     ox, oy = costmap.origin
     ci = np.floor((xs - ox) / costmap.resolution).astype(np.int64)
     cj = np.floor((ys - oy) / costmap.resolution).astype(np.int64)
-    inside = (ci >= 0) & (ci < costmap.width) & (cj >= 0) & (cj < costmap.height)
-    cell_cost = np.full(ci.shape, LETHAL_COST)
-    cell_cost[inside] = costmap.cost[cj[inside], ci[inside]]
-    collides = (cell_cost >= INSCRIBED_COST).any(axis=1)
-    admissible = ~collides
+    # Viewed as unsigned, negative indices are huge, so one compare per axis.
+    inside = (ci.view(np.uint64) < costmap.width) & (cj.view(np.uint64) < costmap.height)
+    flat = np.where(inside, cj * costmap.width + ci, 0)
+    worst = np.where(inside, costmap.cost.ravel()[flat], LETHAL_COST).max(axis=2)
+    admissible = worst < INSCRIBED_COST
     if not admissible.any():
         raise AllBlocked("every dynamic-window arc collides")
 
-    idx = np.nonzero(admissible)[0]
+    iv, iw = np.nonzero(admissible)  # v-major, the enumeration order
     lx, ly = lookahead_point(path, robot.x, robot.y, params.lookahead)
-    t_end = float(tau[-1])
-    # Scoring runs in scalar math on purpose: the per-candidate terms are
-    # part of the planner's reproducibility contract, and scalar libm calls
-    # are bit-stable where some vectorized transcendentals are not.
-    raw_heading = np.empty(len(idx))
-    raw_velocity = np.empty(len(idx))
-    for m, i in enumerate(idx):
-        v_i, w_i = float(v_flat[i]), float(w_flat[i])
-        ex, ey, eth = world.unicycle_arc(robot.x, robot.y, theta0, v_i, w_i, t_end)
-        bearing = math.atan2(ly - ey, lx - ex)
-        raw_heading[m] = math.pi - abs(math.remainder(bearing - eth, 2.0 * math.pi))
-        raw_velocity[m] = v_i
-    raw_clearance = ((254.0 - cell_cost[idx]) / 254.0).min(axis=1)
+    # A straight arc keeps theta0 exactly, as unicycle_arc does for tiny omega.
+    end_heading = np.where(straight, theta0, theta[:, -1])[iw]
+    # The bearing stays in scalar libm math on purpose: np.arctan2 differs
+    # from math.atan2 in the last bit for some inputs, and the heading term
+    # is part of the planner's reproducibility contract.
+    two_pi = 2.0 * math.pi
+    bearing_error = [
+        math.remainder(math.atan2(dy, dx) - eth, two_pi)
+        for dy, dx, eth in zip(
+            (ly - ys[iv, iw, -1]).tolist(), (lx - xs[iv, iw, -1]).tolist(), end_heading.tolist()
+        )
+    ]
+    raw_heading = math.pi - np.abs(bearing_error)
+    # Rounding is monotone, so the worst cost gives the worst clearance exactly.
+    raw_clearance = (254.0 - worst[iv, iw]) / 254.0
+    v_adm, w_adm = vs[iv], ws[iw]
 
     score = (
         params.heading_weight * _normalize(raw_heading)
         + params.clearance_weight * _normalize(raw_clearance)
-        + params.velocity_weight * _normalize(raw_velocity)
+        + params.velocity_weight * _normalize(v_adm)
     )
-
-    best = 0
-    for m in range(1, len(idx)):
-        s, bs = score[m], score[best]
-        if s > bs:
-            best = m
-        elif s == bs:
-            wm, wb = abs(w_flat[idx[m]]), abs(w_flat[idx[best]])
-            if wm < wb or (wm == wb and v_flat[idx[m]] < v_flat[idx[best]]):
-                best = m
-    return (float(v_flat[idx[best]]), float(w_flat[idx[best]]))
+    top = np.flatnonzero(score == score.max())
+    best = top[np.lexsort((top, v_adm[top], np.abs(w_adm[top])))[0]]
+    return (float(v_adm[best]), float(w_adm[best]))
 
 
 class Clock:
@@ -532,24 +529,13 @@ def _scan_with_timing(session: NavSession) -> DetectionResult | None:
 def _localize(session: NavSession, det: DetectionResult) -> FoundTarget | None:
     """Run the perception pipeline on the frame that produced a detection."""
     robot = session.robot
-    original_pan = robot.head_pan
-    robot.head_pan = det.pan
+    depth = world.add_depth_noise(det.depth, session.depth_noise_sigma, session.depth_noise_rng)
     try:
-        depth = world.render_depth(
-            session.scene,
-            robot,
-            session.intrinsics,
-            max_range=session.detector.max_range,
-            noise_sigma=session.depth_noise_sigma,
-            rng=session.depth_noise_rng,
-        )
         est = geometry.localize_target(
-            depth, det.box, session.intrinsics, robot.base_from_camera()
+            depth, det.box, session.intrinsics, replace(robot, head_pan=det.pan).base_from_camera()
         )
     except geometry.GeometryError:
         return None
-    finally:
-        robot.head_pan = original_pan
     return FoundTarget(
         detection=det,
         target_base=est.target_base,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -330,13 +331,18 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """A detector hit: claimed kind plus ground truth for evaluation."""
+    """A detector hit: claimed kind plus ground truth for evaluation.
+
+    ``depth`` is the noise-free depth of the frame that fired, so the
+    perception pipeline can localize on it without rendering it again.
+    """
 
     box: BoundingBox
     claimed_kind: ObjectKind
     true_kind: ObjectKind
     object_index: int
     pan: float = 0.0
+    depth: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 # Ray ids for non-object hits in the instance buffer.
@@ -344,25 +350,28 @@ NO_HIT = -1
 WALL_HIT = -2
 
 
-def _ray_box(origins, dirs, lo, hi) -> np.ndarray:
-    """Slab-method ray/AABB intersection; returns hit parameter or inf."""
+def _ray_box(origin, dirs, lo, hi) -> np.ndarray:
+    """Slab-method ray/AABB intersection; returns hit parameter or inf.
+
+    ``origin`` is the (3,) point every ray leaves from and ``dirs`` is (3, N),
+    one row per axis.  A zero direction component with the origin on that
+    slab plane gives 0/0 = nan for the axis; np.minimum/np.maximum keep the
+    nan and fmax/fmin then skip it, so the axis never constrains.
+    """
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (lo - origins) / dirs
-        t2 = (hi - origins) / dirs
-    # d == 0 inside the slab gives 0/0 = nan; the axis then never constrains.
-    t_low = np.nan_to_num(np.minimum(t1, t2), nan=-np.inf)
-    t_high = np.nan_to_num(np.maximum(t1, t2), nan=np.inf)
-    t_near = t_low.max(axis=1)
-    t_far = t_high.min(axis=1)
+        t1 = (lo - origin)[:, None] / dirs
+        t2 = (hi - origin)[:, None] / dirs
+    t_near = np.fmax.reduce(np.minimum(t1, t2))
+    t_far = np.fmin.reduce(np.maximum(t1, t2))
     hit = (t_far >= t_near) & (t_far > _RAY_EPS) & (t_near > _RAY_EPS)
     return np.where(hit, t_near, np.inf)
 
 
-def _ray_cylinder(origins, dirs, center, radius, z0, z1) -> np.ndarray:
+def _ray_cylinder(origin, dirs, center, radius, z0, z1) -> np.ndarray:
     """Ray/vertical-cylinder intersection (lateral surface and caps)."""
-    ox = origins[:, 0] - center[0]
-    oy = origins[:, 1] - center[1]
-    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    ox = origin[0] - center[0]
+    oy = origin[1] - center[1]
+    dx, dy, dz = dirs
     a = dx * dx + dy * dy
     b = 2.0 * (ox * dx + oy * dy)
     c = ox * ox + oy * oy - radius * radius
@@ -370,16 +379,14 @@ def _ray_cylinder(origins, dirs, center, radius, z0, z1) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
         s_lat = (-b - sqrt_disc) / (2.0 * a)
-    z_at = origins[:, 2] + s_lat * dz
+    z_at = origin[2] + s_lat * dz
     lat_ok = (disc >= 0.0) & (a > 1e-30) & (s_lat > _RAY_EPS) & (z_at >= z0) & (z_at <= z1)
-    s_lateral = np.where(lat_ok, s_lat, np.inf)
-
-    best = s_lateral
+    best = np.where(lat_ok, s_lat, np.inf)
     for z_cap in (z0, z1):
         with np.errstate(divide="ignore", invalid="ignore"):
-            s_cap = (z_cap - origins[:, 2]) / dz
-        px = origins[:, 0] + s_cap * dirs[:, 0] - center[0]
-        py = origins[:, 1] + s_cap * dirs[:, 1] - center[1]
+            s_cap = (z_cap - origin[2]) / dz
+        px = origin[0] + s_cap * dx - center[0]
+        py = origin[1] + s_cap * dy - center[1]
         cap_ok = (
             np.isfinite(s_cap)
             & (s_cap > _RAY_EPS)
@@ -387,6 +394,23 @@ def _ray_cylinder(origins, dirs, center, radius, z0, z1) -> np.ndarray:
         )
         best = np.minimum(best, np.where(cap_ok, s_cap, np.inf))
     return best
+
+
+@lru_cache(maxsize=8)
+def _camera_rays(intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Camera-frame pixel rays (N, 3), scaled so the ray parameter is camera Z."""
+    h, w = intrinsics.height, intrinsics.width
+    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    rays = np.stack(
+        [
+            (us - intrinsics.cx) / intrinsics.fx,
+            (vs - intrinsics.cy) / intrinsics.fy,
+            np.ones_like(us),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    rays.flags.writeable = False
+    return rays
 
 
 def render_depth_ids(
@@ -400,60 +424,45 @@ def render_depth_ids(
     Depth is the camera-frame Z of the nearest hit (object or 2 m tall grid
     wall); pixels with no hit within ``max_range`` hold 0.  Ids are object
     indices, WALL_HIT for grid walls, NO_HIT otherwise.
+
+    The camera-frame rays are cached per intrinsics.  Each frame rotates
+    them into the world with one (N, 3) matrix product, then casts them in
+    a per-axis (3, N) layout against the single camera origin.  Every slab
+    and cylinder term is the same IEEE expression as with one origin row
+    per pixel, so depth and ids are bit-equal to that formulation.
     """
-    h, w = intrinsics.height, intrinsics.width
-    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
-    # Rays parameterized so that the parameter s equals camera-frame Z.
-    dirs_cam = np.stack(
-        [
-            (us - intrinsics.cx) / intrinsics.fx,
-            (vs - intrinsics.cy) / intrinsics.fy,
-            np.ones_like(us),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
     cam_pose = robot.world_from_camera()
-    dirs = dirs_cam @ cam_pose.rotation.T
-    origins = np.broadcast_to(cam_pose.translation, dirs.shape)
+    dirs = np.ascontiguousarray((_camera_rays(intrinsics) @ cam_pose.rotation.T).T)
+    origin = cam_pose.translation
 
-    best = np.full(dirs.shape[0], np.inf)
-    ids = np.full(dirs.shape[0], NO_HIT, dtype=np.int32)
-
+    best = np.full(dirs.shape[1], np.inf)
+    ids = np.full(dirs.shape[1], NO_HIT, dtype=np.int32)
     for idx, obj in enumerate(scene.objects):
         if isinstance(obj.shape, BoxShape):
-            lo, hi = obj.aabb()
-            s = _ray_box(origins, dirs, lo, hi)
+            s = _ray_box(origin, dirs, *obj.aabb())
         else:
             cx, cy, cz = obj.position
-            s = _ray_cylinder(
-                origins, dirs, (cx, cy), obj.shape.radius, cz, cz + obj.shape.height
-            )
+            s = _ray_cylinder(origin, dirs, (cx, cy), obj.shape.radius, cz, cz + obj.shape.height)
         closer = s < best
-        best = np.where(closer, s, best)
-        ids = np.where(closer, idx, ids)
-
+        best[closer] = s[closer]
+        ids[closer] = idx
     for lo, hi in scene.wall_rects:
-        s = _ray_box(origins, dirs, lo, hi)
+        s = _ray_box(origin, dirs, lo, hi)
         closer = s < best
-        best = np.where(closer, s, best)
-        ids = np.where(closer, WALL_HIT, ids)
+        best[closer] = s[closer]
+        ids[closer] = WALL_HIT
 
     out_of_range = ~np.isfinite(best) | (best > max_range)
     depth = np.where(out_of_range, 0.0, best)
-    ids = np.where(out_of_range, NO_HIT, ids)
-    return depth.reshape(h, w), ids.reshape(h, w)
+    ids[out_of_range] = NO_HIT
+    shape = (intrinsics.height, intrinsics.width)
+    return depth.reshape(shape), ids.reshape(shape)
 
 
-def render_depth(
-    scene: Scene,
-    robot: RobotState,
-    intrinsics: CameraIntrinsics,
-    max_range: float = 10.0,
-    noise_sigma: float = 0.0,
-    rng: np.random.Generator | None = None,
+def add_depth_noise(
+    depth: np.ndarray, noise_sigma: float, rng: np.random.Generator | None
 ) -> DepthImage:
-    """Depth image of the scene, optionally with additive Gaussian noise."""
-    depth, _ = render_depth_ids(scene, robot, intrinsics, max_range)
+    """Depth image from a noise-free render plus clamped additive Gaussian noise."""
     if noise_sigma > 0.0:
         if rng is None:
             raise ValueError("noise_sigma > 0 requires an rng")
@@ -506,7 +515,7 @@ def detect(
     order is fixed (visibility roll first, then the false-positive roll), so
     a seeded rng reproduces results exactly.
     """
-    _, ids = render_depth_ids(scene, robot, intrinsics, model.max_range)
+    depth, ids = render_depth_ids(scene, robot, intrinsics, model.max_range)
     bottle_idx = scene.pill_bottle_index()
     if bottle_idx is not None:
         area, box = _visible_pixel_box(ids, bottle_idx)
@@ -521,6 +530,7 @@ def detect(
                     true_kind=ObjectKind.PILL_BOTTLE,
                     object_index=bottle_idx,
                     pan=robot.head_pan,
+                    depth=depth,
                 )
     # False-positive path: the largest visible distractor, if any.
     best_area, best_idx, best_box = 0, None, None
@@ -540,6 +550,7 @@ def detect(
             true_kind=ObjectKind.DISTRACTOR,
             object_index=best_idx,
             pan=robot.head_pan,
+            depth=depth,
         )
     return None
 

@@ -3,7 +3,9 @@
 These mirror the documented planner contracts with deliberately different
 code: plain-Python Dijkstra for global path costs, and a scalar dynamic-window
 scorer.  They share only input data (costmaps, parameter dataclasses) with
-the library, never its planning code.
+the library, never its planning code.  ``render_reference`` keeps the
+straightforward (N, 3) ray caster that the library's per-axis renderer must
+match bit for bit.
 """
 
 import heapq
@@ -186,3 +188,93 @@ def max_offtask_gap(
             continue
         out.append((t0, t1))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Depth rendering reference: every ray carries its own copy of the camera
+# origin in an (N, 3) array, and nan slabs are patched with nan_to_num.
+
+_RAY_EPS = 1e-9
+
+
+def _ray_box_reference(origins, dirs, lo, hi) -> np.ndarray:
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (lo - origins) / dirs
+        t2 = (hi - origins) / dirs
+    # d == 0 inside the slab gives 0/0 = nan; the axis then never constrains.
+    t_low = np.nan_to_num(np.minimum(t1, t2), nan=-np.inf)
+    t_high = np.nan_to_num(np.maximum(t1, t2), nan=np.inf)
+    t_near = t_low.max(axis=1)
+    t_far = t_high.min(axis=1)
+    hit = (t_far >= t_near) & (t_far > _RAY_EPS) & (t_near > _RAY_EPS)
+    return np.where(hit, t_near, np.inf)
+
+
+def _ray_cylinder_reference(origins, dirs, center, radius, z0, z1) -> np.ndarray:
+    ox = origins[:, 0] - center[0]
+    oy = origins[:, 1] - center[1]
+    dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
+    a = dx * dx + dy * dy
+    b = 2.0 * (ox * dx + oy * dy)
+    c = ox * ox + oy * oy - radius * radius
+    disc = b * b - 4.0 * a * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sqrt_disc = np.sqrt(np.maximum(disc, 0.0))
+        s_lat = (-b - sqrt_disc) / (2.0 * a)
+    z_at = origins[:, 2] + s_lat * dz
+    lat_ok = (disc >= 0.0) & (a > 1e-30) & (s_lat > _RAY_EPS) & (z_at >= z0) & (z_at <= z1)
+    best = np.where(lat_ok, s_lat, np.inf)
+    for z_cap in (z0, z1):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s_cap = (z_cap - origins[:, 2]) / dz
+        px = origins[:, 0] + s_cap * dirs[:, 0] - center[0]
+        py = origins[:, 1] + s_cap * dirs[:, 1] - center[1]
+        cap_ok = (
+            np.isfinite(s_cap)
+            & (s_cap > _RAY_EPS)
+            & (px * px + py * py <= radius * radius)
+        )
+        best = np.minimum(best, np.where(cap_ok, s_cap, np.inf))
+    return best
+
+
+def render_reference(scene, robot, intrinsics, max_range=10.0):
+    """Depth and instance ids, ray-cast with one (N, 3) origin row per pixel."""
+    h, w = intrinsics.height, intrinsics.width
+    us, vs = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    dirs_cam = np.stack(
+        [
+            (us - intrinsics.cx) / intrinsics.fx,
+            (vs - intrinsics.cy) / intrinsics.fy,
+            np.ones_like(us),
+        ],
+        axis=-1,
+    ).reshape(-1, 3)
+    cam_pose = robot.world_from_camera()
+    dirs = dirs_cam @ cam_pose.rotation.T
+    origins = np.broadcast_to(cam_pose.translation, dirs.shape)
+
+    best = np.full(dirs.shape[0], np.inf)
+    ids = np.full(dirs.shape[0], world.NO_HIT, dtype=np.int32)
+    for idx, obj in enumerate(scene.objects):
+        if isinstance(obj.shape, world.BoxShape):
+            lo, hi = obj.aabb()
+            s = _ray_box_reference(origins, dirs, lo, hi)
+        else:
+            cx, cy, cz = obj.position
+            s = _ray_cylinder_reference(
+                origins, dirs, (cx, cy), obj.shape.radius, cz, cz + obj.shape.height
+            )
+        closer = s < best
+        best = np.where(closer, s, best)
+        ids = np.where(closer, idx, ids)
+    for lo, hi in scene.wall_rects:
+        s = _ray_box_reference(origins, dirs, lo, hi)
+        closer = s < best
+        best = np.where(closer, s, best)
+        ids = np.where(closer, world.WALL_HIT, ids)
+
+    out_of_range = ~np.isfinite(best) | (best > max_range)
+    depth = np.where(out_of_range, 0.0, best)
+    ids = np.where(out_of_range, world.NO_HIT, ids)
+    return depth.reshape(h, w), ids.reshape(h, w)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aansim import geometry
@@ -291,6 +291,7 @@ def test_pointing_angles_oracle_values():
     dy=st.floats(-3, 3),
     dz=st.floats(-2, 2),
 )
+@example(dx=-1.0, dy=-2.220446049250313e-16, dz=0.0)  # atan2 gives -pi here
 def test_pointing_angles_match_direct_formula(dx, dy, dz):
     origin = np.array([0.2, -0.1, 0.8])
     target = origin + np.array([dx, dy, dz])
@@ -299,7 +300,11 @@ def test_pointing_angles_match_direct_formula(dx, dy, dz):
     if norm < 1e-6:
         return
     cmd = geometry.pointing_angles(target, origin)
-    assert cmd.yaw == pytest.approx(math.atan2(ey, ex), abs=1e-9)
+    # yaw is wrapped to (-pi, pi], so atan2's -pi comes back as pi.
+    assert -math.pi < cmd.yaw <= math.pi
+    assert math.remainder(cmd.yaw - math.atan2(ey, ex), 2.0 * math.pi) == pytest.approx(
+        0.0, abs=1e-9
+    )
     assert cmd.pitch == pytest.approx(math.atan2(ez, math.hypot(ex, ey)), abs=1e-9)
     assert np.allclose(cmd.direction * norm, [ex, ey, ez], atol=1e-9)
 

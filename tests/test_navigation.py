@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,8 +263,12 @@ def test_dwa_matches_scalar_oracle_on_random_states():
     params = nav.DwaParams()
     agreements = 0
     blocked = 0
-    for _ in range(25):
+    for k in range(40):
         robot, path, cm = _random_dwa_case(rng)
+        if k >= 25:
+            # At rest the window is symmetric about omega = 0: the middle
+            # column is a straight line and every +omega ties a -omega on |omega|.
+            robot = replace(robot, v=0.0, omega=0.0)
         try:
             expected = dwa_reference(robot, path, cm, params, dt=0.1)
         except OracleBlocked:
@@ -274,7 +279,23 @@ def test_dwa_matches_scalar_oracle_on_random_states():
         got = nav.dwa_step(robot, path, cm, params, 0.1)
         assert got == expected  # bitwise equality on (v, omega)
         agreements += 1
-    assert agreements >= 15
+    assert agreements >= 24
+
+
+@pytest.mark.parametrize(
+    "heading, lookahead",
+    [(0.0, (4.0, 3.0)), (0.0, (1.0, 3.0)), (math.pi / 2, (2.0, 1.5)), (math.pi, (4.0, 3.0))],
+)
+def test_dwa_at_rest_on_open_floor_matches_oracle(heading, lookahead):
+    # On open floor with the path dead ahead or dead behind, mirrored +/-omega
+    # arcs can score exactly alike; the lower index wins the remaining tie.
+    cm = nav.build_costmap(open_grid(60, 60), inflation_radius=0.3, cost_decay=1.0)
+    robot = RobotState(x=2.0, y=3.0, heading=heading, v=0.0, omega=0.0)
+    path = nav.GlobalPath(waypoints=np.array([[2.0, 3.0], lookahead]), cells=[], cost=0.0)
+    params = nav.DwaParams()
+    assert nav.dwa_step(robot, path, cm, params, 0.1) == dwa_reference(
+        robot, path, cm, params, dt=0.1
+    )
 
 
 def test_dwa_open_space_drives_at_goal():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from aansim.world import (
     SceneObject,
     standard_camera_mount,
 )
+
+from oracles import render_reference
 
 INTR = CameraIntrinsics(fx=130.0, fy=130.0, cx=79.5, cy=59.5, width=160, height=120)
 
@@ -160,14 +163,77 @@ def test_render_depth_noise_is_seeded_and_clamped():
     g = _open_room()
     scene = Scene(grid=g, objects=[])
     robot = _robot_at(2.0, 3.0, 0.0)
-    d1 = world.render_depth(scene, robot, INTR, 10.0, noise_sigma=0.01,
-                            rng=np.random.default_rng(5)).depth
-    d2 = world.render_depth(scene, robot, INTR, 10.0, noise_sigma=0.01,
-                            rng=np.random.default_rng(5)).depth
+    clean, _ = world.render_depth_ids(scene, robot, INTR, 10.0)
+    d1 = world.add_depth_noise(clean, 0.01, np.random.default_rng(5)).depth
+    d2 = world.add_depth_noise(clean, 0.01, np.random.default_rng(5)).depth
     assert np.array_equal(d1, d2)
     valid = d1 > 0
     assert valid.any()
+    assert np.array_equal(valid, clean > 0)
     assert d1[valid].min() >= 1e-3
+    assert world.add_depth_noise(clean, 0.0, None).depth is clean
+    with pytest.raises(ValueError):
+        world.add_depth_noise(clean, 0.01, None)
+
+
+def _assert_bitwise_equal(got, want):
+    (d_got, ids_got), (d_want, ids_want) = got, want
+    assert d_got.dtype == d_want.dtype and ids_got.dtype == ids_want.dtype
+    assert np.array_equal(d_got.view(np.uint64), d_want.view(np.uint64))
+    assert np.array_equal(ids_got, ids_want)
+
+
+def test_render_matches_reference_on_random_lab_poses(lab_scenario):
+    # Half-resolution camera keeps the (N, 3) reference affordable.
+    intr = CameraIntrinsics(fx=65.0, fy=65.0, cx=39.5, cy=29.5, width=80, height=60)
+    rng = np.random.default_rng(2024)
+    grid = lab_scenario.grid
+    free = np.argwhere(grid.cells == CellState.FREE)
+    scenes = [lab_scenario.build_scene(k) for k in range(len(lab_scenario.bottle_candidates))]
+    hits = set()
+    for k in range(200):
+        j, i = free[rng.integers(len(free))]
+        x, y = grid.cell_center(int(i), int(j))
+        robot = replace(
+            lab_scenario.robot_state(),
+            x=x + float(rng.uniform(-0.04, 0.04)),
+            y=y + float(rng.uniform(-0.04, 0.04)),
+            heading=float(rng.uniform(-math.pi, math.pi)),
+            head_pan=float(rng.uniform(-0.6, 0.6)),
+        )
+        scene = scenes[k % len(scenes)]
+        for max_range in (3.5, 10.0):
+            got = world.render_depth_ids(scene, robot, intr, max_range)
+            _assert_bitwise_equal(got, render_reference(scene, robot, intr, max_range))
+            hits.update(np.unique(got[1]).tolist())
+    # The poses see objects, walls, and empty range alike.
+    assert {world.NO_HIT, world.WALL_HIT, 0} <= hits
+
+
+def test_render_zero_direction_on_slab_plane_matches_reference():
+    # Integer principal point: the centre pixel's ray is exactly +X in the
+    # world, so its y and z components are 0.  The camera origin lies on the
+    # box's y = 3.0 and z = 1.0 faces, which makes those slab terms 0/0.
+    intr = CameraIntrinsics(fx=130.0, fy=130.0, cx=80.0, cy=60.0, width=160, height=120)
+    box = SceneObject(
+        kind=ObjectKind.SUPPORT,
+        position=(4.0, 3.25, 1.25),
+        shape=BoxShape(size=(0.5, 0.5, 0.5)),
+        name="corner",
+    )
+    scene = Scene(grid=_open_room(), objects=[box])
+    robot = _robot_at(2.0, 3.0, 0.0, height=1.0)
+    cam = robot.world_from_camera()
+    ray = cam.rotation @ np.array([0.0, 0.0, 1.0])
+    lo, _ = box.aabb()
+    assert ray[1] == 0.0 and ray[2] == 0.0
+    assert cam.translation[1] == lo[1] and cam.translation[2] == lo[2]
+    for max_range in (1.0, 10.0):
+        got = world.render_depth_ids(scene, robot, intr, max_range)
+        _assert_bitwise_equal(got, render_reference(scene, robot, intr, max_range))
+    depth, ids = world.render_depth_ids(scene, robot, intr, 10.0)
+    assert ids[60, 80] == 0
+    assert depth[60, 80] == 1.75
 
 
 # ---------------------------------------------------------------------------
