@@ -19,12 +19,8 @@ import statistics
 import sys
 from pathlib import Path
 
-from aansim import metrics
-from aansim.episode import run_episode
+from aansim import cli, metrics
 from aansim.scenario import ScenarioInvalid, load_scenario
-from aansim.session import write_log
-
-CONDITIONS = ("A", "B")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -42,44 +38,33 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    sessions: list[metrics.SessionMetrics] = []
-    confusion: dict[str, list[int]] = {c: [] for c in CONDITIONS}
-    pairs: list[dict[str, metrics.SessionMetrics]] = []
-    for seed in range(args.seed_start, args.seed_start + args.seeds):
-        pair: dict[str, metrics.SessionMetrics] = {}
-        for condition in CONDITIONS:
-            result = run_episode(scenario, condition, seed)
-            name = f"{scenario.name}_{condition}_seed{seed:04d}.jsonl"
-            write_log(result.log, out_dir / name)
-            sm = metrics.session_metrics(result.log)
-            sessions.append(sm)
-            confusion[condition].append(len(result.confusion_events))
-            pair[condition] = sm
-        pairs.append(pair)
+    sessions, confusion_counts, report = cli.run_batch(
+        scenario, range(args.seed_start, args.seed_start + args.seeds), out_dir
+    )
+    pairs: dict[int, dict[str, metrics.SessionMetrics]] = {}
+    confusion: dict[str, list[int]] = {c: [] for c in cli.CONDITIONS}
+    for sm, count in zip(sessions, confusion_counts):
+        pairs.setdefault(sm.seed, {})[sm.condition] = sm
+        confusion[sm.condition].append(count)
+    for pair in pairs.values():
         a, b = pair["A"], pair["B"]
         print(
-            f"seed {seed:3d}: locate {a.time_to_locate_s:6.1f}s -> "
+            f"seed {a.seed:3d}: locate {a.time_to_locate_s:6.1f}s -> "
             f"{b.time_to_locate_s:6.1f}s   rounds {a.interaction_rounds} -> "
             f"{b.interaction_rounds}"
         )
-
-    metrics.write_summary_csv(sessions, out_dir / "summary.csv")
-    report = metrics.render_report(sessions)
-    (out_dir / "report.txt").write_text(report, encoding="utf-8")
 
     print()
     print(report, end="")
     print()
     print("paired analysis")
     print("---------------")
-    faster = sum(1 for p in pairs if p["B"].time_to_locate_s < p["A"].time_to_locate_s)
+    faster = sum(1 for p in pairs.values() if p["B"].time_to_locate_s < p["A"].time_to_locate_s)
     chattier = sum(
-        1 for p in pairs if p["B"].interaction_rounds > p["A"].interaction_rounds
+        1 for p in pairs.values() if p["B"].interaction_rounds > p["A"].interaction_rounds
     )
     n = len(pairs)
-    for cond in CONDITIONS:
+    for cond in cli.CONDITIONS:
         mine = [s for s in sessions if s.condition == cond]
         med_t = statistics.median(s.time_to_locate_s for s in mine)
         med_r = statistics.median(s.interaction_rounds for s in mine)

@@ -13,12 +13,14 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .episode import run_episode
-from .scenario import ScenarioInvalid, load_scenario
+from .scenario import Scenario, ScenarioInvalid, load_scenario
 from .session import LogInvalid, read_log, validate_log, write_log
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCOMPLETE = 2
+
+CONDITIONS = ("A", "B")
 
 
 def _log_name(scenario_name: str, condition: str, seed: int) -> str:
@@ -47,6 +49,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if m.completed else EXIT_INCOMPLETE
 
 
+def run_batch(
+    scenario: Scenario, seeds: range, out_dir: Path
+) -> tuple[list[metrics_mod.SessionMetrics], list[int], str]:
+    """Run conditions A and B for every seed; write each log, summary.csv and report.txt.
+
+    Returns the session metrics and confusion-event counts, both in
+    (seed, condition) order, and the report text.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    sessions = []
+    confusion = []
+    for seed in seeds:
+        for condition in CONDITIONS:
+            result = run_episode(scenario, condition, seed)
+            write_log(result.log, out_dir / _log_name(scenario.name, condition, seed))
+            sessions.append(metrics_mod.session_metrics(result.log))
+            confusion.append(len(result.confusion_events))
+    metrics_mod.write_summary_csv(sessions, out_dir / "summary.csv")
+    report = metrics_mod.render_report(sessions)
+    (out_dir / "report.txt").write_text(report, encoding="utf-8")
+    return sessions, confusion, report
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -54,16 +79,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    sessions = []
-    for seed in range(args.seed_start, args.seed_start + args.seeds):
-        for condition in ("A", "B"):
-            result = run_episode(scenario, condition, seed)
-            write_log(result.log, out_dir / _log_name(scenario.name, condition, seed))
-            sessions.append(metrics_mod.session_metrics(result.log))
-    metrics_mod.write_summary_csv(sessions, out_dir / "summary.csv")
-    report = metrics_mod.render_report(sessions)
-    (out_dir / "report.txt").write_text(report, encoding="utf-8")
+    sessions, _, report = run_batch(
+        scenario, range(args.seed_start, args.seed_start + args.seeds), out_dir
+    )
     print(report, end="")
     print(f"\n{len(sessions)} sessions -> {out_dir}/summary.csv, {out_dir}/report.txt")
     return EXIT_OK
@@ -117,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a single episode and write its log")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
-    p_run.add_argument("--condition", required=True, choices=("A", "B"))
+    p_run.add_argument("--condition", required=True, choices=CONDITIONS)
     p_run.add_argument("--seed", type=int, default=0)
     p_run.add_argument("--out", default="runs", help="output directory")
     p_run.set_defaults(func=_cmd_run)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import navigation, seeding, usersim, world
 from .orchestrator import (
     Action,
@@ -29,7 +31,7 @@ from .orchestrator import (
 )
 from .scenario import Scenario
 from .session import LOG_FORMAT, SessionLog
-from .usersim import ConfusionEvent, GazeSample, GazeTimeline, GazeWindow, Prompt
+from .usersim import ConfusionEvent, GazeTimeline, GazeWindow, Prompt
 
 logger = logging.getLogger(__name__)
 
@@ -43,8 +45,7 @@ class EpisodeResult:
     log: SessionLog
     final_state: OrchestratorState
     bottle_roi_index: int
-    gaze_samples: list[GazeSample]
-    inserted_confusion: list[tuple[float, float]]
+    gaze_codes: np.ndarray  # usersim.Aoi codes; sample k at k / GAZE_SAMPLE_RATE_HZ
     confusion_events: list[ConfusionEvent]
 
     @property
@@ -89,23 +90,24 @@ def _run_passive(engine: _Engine, user_rng) -> None:
     """Condition A: the user searches alone, asking for hints now and then."""
     profile = engine.scenario.profile
     cap = engine.scenario.session.time_cap_s
+    hint_interval = engine.scenario.session.hint_interval_s
     engine.apply(AssistEvent.schedule_due(engine.clock.t))
     search_s = usersim.search_behavior(profile, user_rng, guided=False)
     search_end = min(search_s, cap)
 
-    t_hint = profile.hint_interval_s
+    t_hint = hint_interval
     while t_hint < search_end and not engine.state.terminal:
         engine.advance_to(t_hint)
         engine.apply(
             AssistEvent.record_pressed(engine.clock.t, "where is my medicine?")
         )
         window_start = t_hint + _ATTENTION_SPAN_S + 1.0
-        window_end = min(t_hint + profile.hint_interval_s - 1.0, search_end)
+        window_end = min(t_hint + hint_interval - 1.0, search_end)
         if window_end - window_start > 8.0:
             engine.windows.append(
                 GazeWindow("confusion_candidate", window_start, window_end)
             )
-        t_hint += profile.hint_interval_s
+        t_hint += hint_interval
 
     if engine.state.terminal:
         return
@@ -319,16 +321,16 @@ def run_episode(scenario: Scenario, condition: str, seed: int) -> EpisodeResult:
 
     duration = engine.clock.t + 1.0
     gaze_rng = seeding.stream(seed, condition, "gaze")
-    samples, inserted = usersim.gaze_stream(
+    codes, inserted = usersim.gaze_stream(
         GazeTimeline(duration_s=duration, windows=tuple(engine.windows)),
         scenario.profile,
         gaze_rng,
     )
-    confusion = usersim.detect_confusion(samples, engine.action_times)
+    confusion = usersim.detect_confusion(codes, engine.action_times)
     log.add_note(
         duration,
         "gaze_summary",
-        n_samples=len(samples),
+        n_samples=len(codes),
         inserted_runs=[[round(a, 6), round(b, 6)] for a, b in inserted],
         confusion_events=[[round(e.t_start, 6), round(e.t_end, 6)] for e in confusion],
     )
@@ -336,7 +338,6 @@ def run_episode(scenario: Scenario, condition: str, seed: int) -> EpisodeResult:
         log=log,
         final_state=engine.state,
         bottle_roi_index=bottle_index,
-        gaze_samples=samples,
-        inserted_confusion=inserted,
+        gaze_codes=codes,
         confusion_events=confusion,
     )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .session import SessionLog
 
@@ -223,6 +222,10 @@ def summarize(values) -> Summary:
     q1, q3 = (float(q) for q in np.percentile(xs, [25.0, 75.0]))
     ci: tuple[float, float] | None = None
     if xs.size > 1:
+        # Imported here, not at module load: scipy.stats adds about 44 MB to
+        # the resident set of every process, and only reports need it.
+        from scipy import stats
+
         sem = float(xs.std(ddof=1)) / math.sqrt(xs.size)
         half = float(stats.t.ppf(0.975, xs.size - 1)) * sem
         ci = (mean - half, mean + half)

@@ -56,36 +56,10 @@ class RoiUnreachable(NavigationError):
 
 
 @dataclass
-class Costmap:
-    """Float cost grid sharing geometry with the source occupancy grid."""
+class Costmap(OccupancyGrid):
+    """Float cost grid over the cells and geometry of an occupancy grid."""
 
-    cost: np.ndarray
-    resolution: float
-    origin: tuple[float, float]
-    inflation_radius: float
-    cost_decay: float
-    robot_radius: float
-
-    @property
-    def height(self) -> int:
-        return int(self.cost.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.cost.shape[1])
-
-    def world_to_cell(self, x: float, y: float) -> tuple[int, int] | None:
-        i = math.floor((x - self.origin[0]) / self.resolution)
-        j = math.floor((y - self.origin[1]) / self.resolution)
-        if 0 <= i < self.width and 0 <= j < self.height:
-            return (i, j)
-        return None
-
-    def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        return (
-            self.origin[0] + (i + 0.5) * self.resolution,
-            self.origin[1] + (j + 0.5) * self.resolution,
-        )
+    cost: np.ndarray = field(kw_only=True)
 
     def cost_at(self, x: float, y: float) -> float:
         """Cost at a world point; off-map counts as lethal."""
@@ -120,14 +94,7 @@ def build_costmap(
         band = ~lethal & (dist <= inflation_radius)
         inflated = 254.0 * np.exp(-cost_decay * (dist - robot_radius))
         cost[band] = np.clip(inflated[band], 1.0, 253.0)
-    return Costmap(
-        cost=cost,
-        resolution=grid.resolution,
-        origin=grid.origin,
-        inflation_radius=inflation_radius,
-        cost_decay=cost_decay,
-        robot_radius=robot_radius,
-    )
+    return Costmap(grid.cells, grid.resolution, grid.origin, cost=cost)
 
 
 @dataclass

@@ -12,13 +12,11 @@ ends Done only after the final intake confirmation.
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
-from typing import Callable
 
 import numpy as np
 
@@ -55,7 +53,6 @@ class Phase(Enum):
     REMINDING = "reminding"
     NAVIGATING = "navigating"
     SCANNING = "scanning"
-    POINTING = "pointing"  # transient: lives inside the Found transition
     STEP_GUIDANCE = "step_guidance"
     AWAITING_FINAL_CONFIRM = "awaiting_final_confirm"
     DONE = "done"
@@ -97,14 +94,12 @@ class EventKind(Enum):
     SCHEDULE_DUE = "schedule_due"
     START_NAVIGATION_PRESSED = "start_navigation_pressed"
     RECORD_PRESSED = "record_pressed"
-    INTENT = "intent"
     TIMEOUT = "timeout"
     FOUND = "found"
     MISS = "miss"
     EXHAUSTED = "exhausted"
     ROI_UNREACHABLE = "roi_unreachable"
     USER_ACTION = "user_action"
-    GAZE_CONFUSION = "gaze_confusion"
 
 
 @dataclass(frozen=True)
@@ -114,7 +109,6 @@ class AssistEvent:
     kind: EventKind
     t: float
     transcript: str | None = None
-    intent: IntentKind | None = None
     roi: str | None = None
     target: object | None = None  # navigation.FoundTarget on FOUND events
     action: UserActionKind | None = None
@@ -131,10 +125,6 @@ class AssistEvent:
     @classmethod
     def record_pressed(cls, t: float, transcript: str) -> "AssistEvent":
         return cls(EventKind.RECORD_PRESSED, t, transcript=transcript)
-
-    @classmethod
-    def intent_of(cls, t: float, intent: IntentKind) -> "AssistEvent":
-        return cls(EventKind.INTENT, t, intent=intent)
 
     @classmethod
     def timeout(cls, t: float, phase: Phase) -> "AssistEvent":
@@ -160,16 +150,10 @@ class AssistEvent:
     def user_action(cls, t: float, action: UserActionKind) -> "AssistEvent":
         return cls(EventKind.USER_ACTION, t, action=action)
 
-    @classmethod
-    def gaze_confusion(cls, t: float) -> "AssistEvent":
-        return cls(EventKind.GAZE_CONFUSION, t)
-
     def describe(self) -> dict:
         out: dict = {"kind": self.kind.value}
         if self.transcript is not None:
             out["transcript"] = self.transcript
-        if self.intent is not None:
-            out["intent"] = self.intent.value
         if self.roi is not None:
             out["roi"] = self.roi
         if self.action is not None:
@@ -303,9 +287,7 @@ class OrchestratorConfig:
     start_level: AssistLevel = AssistLevel.L1
     escalation_threshold: int = 2
     max_repeats: int = 2
-    timeout_s: float = 20.0
     min_standoff: float = 0.6
-    gaze_confusion_enabled: bool = False
     strict: bool = False
     arm_origin: tuple[float, float, float] = (0.0, 0.0, 0.8)
     roi_ids: tuple[str, ...] = ()
@@ -411,24 +393,6 @@ def interpret(transcript: str) -> IntentKind:
             elif kw in padded:
                 return intent
     return IntentKind.UNKNOWN
-
-
-IntentBackend = Callable[[str], IntentKind]
-
-
-def with_timeout(backend: IntentBackend, timeout_s: float = 2.0) -> IntentBackend:
-    """Wrap an intent backend so slow or failing calls degrade to Unknown."""
-    executor = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-
-    def guarded(transcript: str) -> IntentKind:
-        future = executor.submit(backend, transcript)
-        try:
-            return future.result(timeout=timeout_s)
-        except Exception:  # noqa: BLE001 - any backend failure degrades the same way
-            logger.warning("intent backend failed or timed out; substituting Unknown")
-            return IntentKind.UNKNOWN
-
-    return guarded
 
 
 # ---------------------------------------------------------------------------
@@ -633,8 +597,8 @@ def _passive_step(
     state: OrchestratorState, event: AssistEvent, config: OrchestratorConfig
 ) -> tuple[OrchestratorState, list[Action]]:
     """Condition A: answer location questions, otherwise stay out of the way."""
-    if event.kind in (EventKind.RECORD_PRESSED, EventKind.INTENT):
-        intent = event.intent if event.intent is not None else interpret(event.transcript or "")
+    if event.kind is EventKind.RECORD_PRESSED:
+        intent = interpret(event.transcript or "")
         if intent is IntentKind.REFUSAL:
             return _register_refusal(state, config)
         if intent is IntentKind.REPEAT_REQUEST and state.hint_index > 0:
@@ -680,21 +644,6 @@ def step(
 
     kind = event.kind
 
-    if kind is EventKind.GAZE_CONFUSION:
-        if not config.gaze_confusion_enabled:
-            logger.debug("gaze confusion event ignored (disabled)")
-            return state, []
-        if state.phase in (Phase.STEP_GUIDANCE, Phase.AWAITING_FINAL_CONFIRM):
-            assert state.step is not None
-            return _rephrase_or_fail(
-                state,
-                config,
-                "You seem unsure. " + prompt_for(state.step, state.assist_level, rephrase=True),
-            )
-        if state.phase is Phase.REMINDING:
-            return _rephrase_or_fail(state, config, REMINDER_TEXT[state.assist_level])
-        return state, []
-
     if state.phase is Phase.IDLE:
         if kind is EventKind.SCHEDULE_DUE:
             nxt = replace(state, phase=Phase.REMINDING, repeat_count=0, failure_count=0)
@@ -710,8 +659,8 @@ def step(
             if event.timeout_phase not in (None, Phase.REMINDING):
                 return _invalid(state, event, config)
             return _register_failure(state, config)
-        if kind in (EventKind.RECORD_PRESSED, EventKind.INTENT):
-            intent = event.intent if event.intent is not None else interpret(event.transcript or "")
+        if kind is EventKind.RECORD_PRESSED:
+            intent = interpret(event.transcript or "")
             return _handle_intent(state, intent, config)
         if kind is EventKind.USER_ACTION:
             return state, []
@@ -736,8 +685,8 @@ def step(
                 "medicine bottle not found at any known location",
                 "I could not find your medicine. I will ask your caregiver.",
             )
-        if kind in (EventKind.RECORD_PRESSED, EventKind.INTENT):
-            intent = event.intent if event.intent is not None else interpret(event.transcript or "")
+        if kind is EventKind.RECORD_PRESSED:
+            intent = interpret(event.transcript or "")
             if intent is IntentKind.REFUSAL:
                 return _register_refusal(state, config)
             if state.repeat_count < config.max_repeats:
@@ -761,8 +710,8 @@ def step(
                     [Action.speak(prompt_for(state.step, state.assist_level, rephrase=True))],
                 )
             return _escalate_or_abort(state, config)
-        if kind in (EventKind.RECORD_PRESSED, EventKind.INTENT):
-            intent = event.intent if event.intent is not None else interpret(event.transcript or "")
+        if kind is EventKind.RECORD_PRESSED:
+            intent = interpret(event.transcript or "")
             return _handle_intent(state, intent, config)
         if kind is EventKind.USER_ACTION:
             if event.action is EXPECTED_ACTION[state.step]:

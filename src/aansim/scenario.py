@@ -194,7 +194,6 @@ class Scenario:
             start_level=AssistLevel.L3 if condition == "B" else AssistLevel.L1,
             escalation_threshold=self.session.escalation_threshold,
             max_repeats=self.session.max_repeats,
-            timeout_s=self.session.timeout_s,
             min_standoff=self.session.min_standoff,
             roi_ids=tuple(r.id for r in self.rois),
             roi_labels=tuple(r.label for r in self.rois),

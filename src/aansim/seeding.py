@@ -31,14 +31,3 @@ def stream(seed: int, condition: str | None, name: str) -> np.random.Generator:
     """Philox-backed generator for one named component of one run."""
     entropy = [int(seed), CONDITION_INDEX[condition], STREAMS[name]]
     return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy)))
-
-
-def substream(seed: int, condition: str | None, name: str, index: int) -> np.random.Generator:
-    """Indexed substream, for per-frame or per-leg draws.
-
-    The index is offset by one because SeedSequence zero-pads its entropy:
-    [s, c, n] and [s, c, n, 0] hash identically, so a raw index of 0 would
-    alias the parent stream.
-    """
-    entropy = [int(seed), CONDITION_INDEX[condition], STREAMS[name], int(index) + 1]
-    return np.random.Generator(np.random.Philox(seed=np.random.SeedSequence(entropy)))

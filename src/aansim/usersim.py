@@ -3,16 +3,17 @@
 User profiles capture how often a simulated participant ignores reminders,
 how far the bottle drifts from its usual spot, and how much they struggle
 with individual guidance steps.  Responses are drawn from dedicated RNG
-streams so episodes replay bit-for-bit.  Gaze is emitted as a fixed-rate
-sample stream over areas of interest; sustained off-task runs that contain
-no robot action are flagged as confusion events.
+streams so episodes replay bit-for-bit.  Gaze is emitted as a 180 Hz
+stream of area-of-interest codes (a ``uint8`` array whose sample k sits at
+t = k / 180); sustained off-task runs that contain no robot action are
+flagged as confusion events.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -22,18 +23,12 @@ GAZE_SAMPLE_RATE_HZ = 180.0
 DEFAULT_CONFUSION_THRESHOLD_S = 3.0
 
 
-class Aoi(Enum):
-    """Area of interest a gaze sample lands on."""
+class Aoi(IntEnum):
+    """Area of interest a gaze sample lands on; the value is its stream code."""
 
-    BOTTLE = "bottle"
-    ROBOT = "robot"
-    ELSEWHERE = "elsewhere"
-
-
-@dataclass(frozen=True)
-class GazeSample:
-    t: float
-    aoi: Aoi
+    BOTTLE = 0
+    ROBOT = 1
+    ELSEWHERE = 2
 
 
 @dataclass(frozen=True)
@@ -48,10 +43,6 @@ class ConfusionEvent:
         return self.t_end - self.t_start
 
 
-class UnorderedStream(ValueError):
-    """Gaze sample timestamps must be strictly increasing."""
-
-
 @dataclass(frozen=True)
 class UserProfile:
     """Behavioral parameters of a simulated participant."""
@@ -64,7 +55,6 @@ class UserProfile:
     latency_sd_s: float = 1.5
     base_search_s: float = 42.0
     search_sd_s: float = 8.0
-    hint_interval_s: float = 30.0
 
     def __post_init__(self) -> None:
         for attr in ("p_forget", "p_misplace", "p_struggle"):
@@ -253,38 +243,39 @@ def gaze_stream(
     timeline: GazeTimeline,
     profile: UserProfile,
     rng: np.random.Generator,
-    sample_rate_hz: float = GAZE_SAMPLE_RATE_HZ,
-    confusion_threshold_s: float = DEFAULT_CONFUSION_THRESHOLD_S,
-) -> tuple[list[GazeSample], list[tuple[float, float]]]:
+) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """Synthesize a fixed-rate gaze stream for one episode.
 
-    Samples are placed at t = k / rate for k = 0 .. ceil(duration * rate) - 1,
-    so every full second holds exactly ``rate`` samples.  Fixation blocks
-    alternate between areas of interest with durations short enough that
-    organic off-task runs never cross the confusion threshold; confusion is
-    injected only inside candidate windows (with probability equal to the
-    profile's struggle rate) as a contiguous off-task run slightly longer
-    than the threshold.  Returns the samples and the injected run spans.
+    Returns a ``uint8`` array of ``Aoi`` codes, one per sample, where sample
+    k sits at t = k / GAZE_SAMPLE_RATE_HZ for k = 0 .. ceil(duration * rate)
+    - 1, so every full second holds exactly ``rate`` samples.  Fixation
+    blocks alternate between areas of interest with durations short enough
+    that organic off-task runs never cross the confusion threshold;
+    confusion is injected only inside candidate windows (with probability
+    equal to the profile's struggle rate) as a contiguous off-task run
+    slightly longer than the threshold.  Also returns the injected run
+    spans.
     """
+    rate = GAZE_SAMPLE_RATE_HZ
     if timeline.duration_s <= 0:
-        return [], []
-    n = int(math.ceil(timeline.duration_s * sample_rate_hz))
-    times = np.arange(n, dtype=np.float64) / sample_rate_hz
+        return np.empty(0, dtype=np.uint8), []
+    n = int(math.ceil(timeline.duration_s * rate))
+    codes = np.empty(n, dtype=np.uint8)
 
     # Fixation blocks: draw AOI per block, never repeating ELSEWHERE so
     # natural runs stay below one block length.
-    aois: list[Aoi] = []
+    k = 0
     prev: Aoi | None = None
     t_block = 0.0
-    while len(aois) < n:
+    while k < n:
         forbid = Aoi.ELSEWHERE if prev is Aoi.ELSEWHERE else None
         aoi = _draw_aoi(_weights_at(t_block, timeline), forbid, rng)
         dur = rng.uniform(_MIN_BLOCK_S, _MAX_BLOCK_S)
-        count = max(1, int(round(dur * sample_rate_hz)))
-        aois.extend([aoi] * count)
+        count = max(1, int(round(dur * rate)))
+        codes[k : k + count] = aoi
+        k += count
         prev = aoi
-        t_block += count / sample_rate_hz
-    aois = aois[:n]
+        t_block += count / rate
 
     # Inject sustained off-task runs inside candidate windows.
     inserted: list[tuple[float, float]] = []
@@ -293,53 +284,39 @@ def gaze_stream(
             continue
         if rng.random() >= profile.p_struggle:
             continue
-        run_s = confusion_threshold_s + 1.0 + rng.uniform(0.0, 1.0)
+        run_s = DEFAULT_CONFUSION_THRESHOLD_S + 1.0 + rng.uniform(0.0, 1.0)
         start_t = window.t_start + rng.uniform(
             0.0, max(0.0, (window.t_end - window.t_start) - run_s)
         )
-        k0 = int(math.ceil(start_t * sample_rate_hz))
-        k1 = min(n - 1, k0 + int(round(run_s * sample_rate_hz)) - 1)
+        k0 = int(math.ceil(start_t * rate))
+        k1 = min(n - 1, k0 + int(round(run_s * rate)) - 1)
         if k1 - k0 < 1:
             continue
-        for k in range(k0, k1 + 1):
-            aois[k] = Aoi.ELSEWHERE
-        inserted.append((float(times[k0]), float(times[k1])))
-
-    samples = [GazeSample(float(t), a) for t, a in zip(times, aois)]
-    return samples, inserted
+        codes[k0 : k1 + 1] = Aoi.ELSEWHERE
+        inserted.append((k0 / rate, k1 / rate))
+    return codes, inserted
 
 
 def detect_confusion(
-    samples: list[GazeSample],
+    codes: np.ndarray,
     action_times: list[float] | tuple[float, ...] = (),
     threshold_s: float = DEFAULT_CONFUSION_THRESHOLD_S,
 ) -> list[ConfusionEvent]:
-    """Find maximal off-task gaze runs spanning at least the threshold.
+    """Find maximal off-task runs in a gaze code stream spanning at least the threshold.
 
-    A run is confusion only if no robot action timestamp falls inside its
-    closed time span; an action mid-run means the user was plausibly
-    reacting to the robot rather than lost.  Raises UnorderedStream when
-    sample timestamps are not strictly increasing.
+    ``codes`` is a stream as ``gaze_stream`` returns it: sample k sits at
+    t = k / GAZE_SAMPLE_RATE_HZ.  A run is confusion only if no robot action
+    timestamp falls inside its closed time span; an action mid-run means the
+    user was plausibly reacting to the robot rather than lost.
     """
     if threshold_s <= 0:
         raise ValueError("threshold must be positive")
-    for a, b in zip(samples, samples[1:]):
-        if b.t <= a.t:
-            raise UnorderedStream(
-                f"gaze timestamps must be strictly increasing; saw {a.t} then {b.t}"
-            )
+    off = codes == Aoi.ELSEWHERE
+    edges = np.flatnonzero(np.diff(off, prepend=False, append=False))
+    t0 = edges[0::2] / GAZE_SAMPLE_RATE_HZ
+    t1 = (edges[1::2] - 1) / GAZE_SAMPLE_RATE_HZ
     events: list[ConfusionEvent] = []
-    i = 0
-    n = len(samples)
-    while i < n:
-        if samples[i].aoi is not Aoi.ELSEWHERE:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and samples[j + 1].aoi is Aoi.ELSEWHERE:
-            j += 1
-        t0, t1 = samples[i].t, samples[j].t
-        if t1 - t0 >= threshold_s and not any(t0 <= a <= t1 for a in action_times):
-            events.append(ConfusionEvent(t0, t1))
-        i = j + 1
+    for a, b in zip(t0.tolist(), t1.tolist()):
+        if b - a >= threshold_s and not any(a <= t <= b for t in action_times):
+            events.append(ConfusionEvent(a, b))
     return events

@@ -27,6 +27,9 @@ from .geometry import (
 # Occupied grid cells block camera rays up to this height (meters).
 WALL_HEIGHT = 2.0
 
+# Visible pixels an object needs before the detector can fire on it.
+MIN_PIXEL_AREA = 25
+
 # Minimum ray parameter considered a hit, to avoid self-intersections.
 _RAY_EPS = 1e-9
 
@@ -316,7 +319,6 @@ class DetectorModel:
     false_positive_rate: float = 0.02
     box_noise_sigma: float = 1.0
     max_range: float = 4.0
-    min_pixel_area: int = 25
 
     def __post_init__(self) -> None:
         for name in ("true_positive_rate", "false_positive_rate"):
@@ -508,7 +510,7 @@ def detect(
     """One detector frame from the robot's current camera pose.
 
     If the pill bottle is visible (nearest-hit pixel count at or above
-    ``min_pixel_area``), a true positive fires with probability
+    ``MIN_PIXEL_AREA``), a true positive fires with probability
     ``true_positive_rate`` and returns the bottle's visible-pixel box
     perturbed by ``box_noise_sigma``.  Otherwise a visible distractor may
     yield a false positive with probability ``false_positive_rate``.  Draw
@@ -519,7 +521,7 @@ def detect(
     bottle_idx = scene.pill_bottle_index()
     if bottle_idx is not None:
         area, box = _visible_pixel_box(ids, bottle_idx)
-        if area >= model.min_pixel_area and box is not None:
+        if area >= MIN_PIXEL_AREA and box is not None:
             if rng.random() < model.true_positive_rate:
                 box = _perturb_box(
                     box, model.box_noise_sigma, intrinsics.width, intrinsics.height, rng
@@ -538,7 +540,7 @@ def detect(
         if obj.kind is not ObjectKind.DISTRACTOR:
             continue
         area, box = _visible_pixel_box(ids, idx)
-        if box is not None and area >= model.min_pixel_area and area > best_area:
+        if box is not None and area >= MIN_PIXEL_AREA and area > best_area:
             best_area, best_idx, best_box = area, idx, box
     if best_idx is not None and rng.random() < model.false_positive_rate:
         box = _perturb_box(

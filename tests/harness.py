@@ -156,7 +156,7 @@ def check_invariants(trace, config: orc.OrchestratorConfig) -> None:
         # Completion only follows the explicit final confirmation.
         if after.phase is orc.Phase.DONE and before.phase is not orc.Phase.DONE:
             assert before.phase is orc.Phase.AWAITING_FINAL_CONFIRM
-            assert event.kind in (orc.EventKind.RECORD_PRESSED, orc.EventKind.INTENT)
+            assert event.kind is orc.EventKind.RECORD_PRESSED
         # Aborts always hand over to the caregiver.
         if after.phase is orc.Phase.ABORTED and before.phase is not orc.Phase.ABORTED:
             assert any(a.kind is orc.ActionKind.NOTIFY_CAREGIVER for a in actions)

@@ -15,6 +15,7 @@ import numpy as np
 
 from aansim import world
 from aansim.navigation import Costmap, DwaParams, GlobalPath, lookahead_point
+from aansim.usersim import Aoi
 
 _SQRT2 = math.sqrt(2.0)
 _MOVES = [
@@ -160,23 +161,23 @@ def dwa_reference(
 
 
 def max_offtask_gap(
-    times: list[float], aois: list[str], action_times: list[float], threshold: float
+    times: list[float], aois: list[int], action_times: list[float], threshold: float
 ) -> list[tuple[float, float]]:
     """Quadratic-time reference for confusion detection.
 
     For every pair of sample indices, check whether the whole closed range is
     off-task, spans at least the threshold, and contains no action time; keep
-    the maximal such runs.
+    the maximal such runs.  ``aois`` holds one ``Aoi`` code per sample.
     """
     n = len(times)
     runs = []
     i = 0
     while i < n:
-        if aois[i] != "elsewhere":
+        if aois[i] != Aoi.ELSEWHERE:
             i += 1
             continue
         j = i
-        while j + 1 < n and aois[j + 1] == "elsewhere":
+        while j + 1 < n and aois[j + 1] == Aoi.ELSEWHERE:
             j += 1
         runs.append((times[i], times[j]))
         i = j + 1

@@ -332,35 +332,31 @@ def test_criterion_7_confusion_oracle_and_sample_rate(lab_scenario):
             r = np.random.default_rng(10_000 + seed)
             dt = 1.0 / 180.0
             n = int(r.integers(50, 2500))
-            aois = r.choice(
+            codes = r.choice(
                 [us.Aoi.BOTTLE, us.Aoi.ROBOT, us.Aoi.ELSEWHERE],
                 size=n,
                 p=[0.15, 0.15, 0.7],
-            )
+            ).astype(np.uint8)
             stretch = int(r.integers(1, 900))
-            aois[: min(stretch, n)] = us.Aoi.ELSEWHERE
-            samples = [us.GazeSample(t=k * dt, aoi=a) for k, a in enumerate(aois)]
+            codes[: min(stretch, n)] = us.Aoi.ELSEWHERE
             action_times = sorted(
                 float(r.uniform(0, n * dt)) for _ in range(int(r.integers(0, 4)))
             )
             threshold = float(r.uniform(0.5, 4.0))
-            got = us.detect_confusion(samples, tuple(action_times), threshold)
+            got = us.detect_confusion(codes, tuple(action_times), threshold)
             want = max_offtask_gap(
-                [s.t for s in samples],
-                [s.aoi.value for s in samples],
-                action_times,
-                threshold,
+                [k / 180.0 for k in range(n)], codes.tolist(), action_times, threshold
             )
             assert [(e.t_start, e.t_end) for e in got] == want
 
-        # A one-second stream holds exactly 180 samples on the k/180 grid.
-        samples, _ = us.gaze_stream(
+        # A one-second stream holds exactly 180 samples on the k/180 grid;
+        # the oracle comparison above pins the detector's times to k / 180.
+        codes, _ = us.gaze_stream(
             GazeTimeline(duration_s=1.0, windows=()),
             lab_scenario.profile,
             np.random.default_rng(0),
         )
-        assert len(samples) == 180
-        assert all(s.t == k / 180.0 for k, s in enumerate(samples))
+        assert len(codes) == 180
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import csv
 import hashlib
 import json
+import math
 import shutil
 
+import numpy as np
 import pytest
 
 from aansim import cli
 from aansim import metrics as m
 from aansim.episode import run_episode
 from aansim.orchestrator import MOTION_ACTION_KINDS
+from aansim.scenario import load_scenario
 from aansim.session import read_log, validate_log, write_log
 from oracles import max_offtask_gap
 
@@ -53,6 +56,20 @@ def test_passive_episode_never_commands_motion(lab_scenario):
     assert sm.interaction_rounds <= 4  # occasional hints, no step dialogue
 
 
+def test_passive_hints_follow_session_hint_interval(tmp_path):
+    doc = json.loads(SCENARIO_PATH.read_text())
+    doc["session"]["hint_interval_s"] = 12
+    shutil.copy(SCENARIO_PATH.parent / "lab.map", tmp_path / "lab.map")
+    path = tmp_path / "hints12.json"
+    path.write_text(json.dumps(doc))
+    log = run_episode(load_scenario(path), "A", 0).log
+    hints = [
+        r["t"] for r in log.records
+        if r["kind"] == "event" and r["event"]["kind"] == "record_pressed"
+    ]
+    assert hints[0] == 12.0
+
+
 def test_episode_rejects_unknown_condition(lab_scenario):
     with pytest.raises(ValueError):
         run_episode(lab_scenario, "C", 0)
@@ -64,7 +81,7 @@ def test_episode_is_deterministic_per_key(lab_scenario):
         b = run_episode(lab_scenario, condition, 7)
         assert log_digest(a.log) == log_digest(b.log)
         assert a.bottle_roi_index == b.bottle_roi_index
-        assert len(a.gaze_samples) == len(b.gaze_samples)
+        assert np.array_equal(a.gaze_codes, b.gaze_codes)
     assert log_digest(run_episode(lab_scenario, "B", 8).log) != log_digest(
         run_episode(lab_scenario, "B", 7).log
     )
@@ -88,24 +105,24 @@ def test_episode_meta_carries_reproduction_key(lab_scenario):
 
 
 def test_episode_gaze_stream_present_with_confusion_accounting(lab_scenario):
-    result = run_episode(lab_scenario, "A", 1)
-    assert result.gaze_samples, "episodes must carry a gaze stream"
-    rate_check = [s for s in result.gaze_samples if s.t < 1.0]
-    assert len(rate_check) == 180
-    notes = [r for r in result.log.records if r["kind"] == "note"]
-    assert any(n["note"] == "gaze_summary" for n in notes)
-    # The detected events must be exactly what the brute-force reference finds
-    # given the samples and the action times the engine actually logged.
-    action_times = [
-        r["t"] for r in result.log.records if r["kind"] == "event" and r["actions"]
-    ]
-    expected = max_offtask_gap(
-        [s.t for s in result.gaze_samples],
-        [s.aoi for s in result.gaze_samples],
-        action_times,
-        3.0,
-    )
-    assert [(e.t_start, e.t_end) for e in result.confusion_events] == expected
+    # Seed 1 logs no confusion event; seed 7 logs one.
+    for seed, n_events in ((1, 0), (7, 1)):
+        result = run_episode(lab_scenario, "A", seed)
+        codes = result.gaze_codes
+        assert codes.size, "episodes must carry a gaze stream"
+        (summary,) = [r for r in result.log.records if r.get("note") == "gaze_summary"]
+        # 180 samples per simulated second, up to the summary's time stamp.
+        assert len(codes) == summary["data"]["n_samples"] == math.ceil(summary["t"] * 180)
+        # The detected events must be exactly what the brute-force reference
+        # finds given the codes and the action times the engine actually logged.
+        action_times = [
+            r["t"] for r in result.log.records if r["kind"] == "event" and r["actions"]
+        ]
+        expected = max_offtask_gap(
+            [k / 180.0 for k in range(len(codes))], codes.tolist(), action_times, 3.0
+        )
+        assert [(e.t_start, e.t_end) for e in result.confusion_events] == expected
+        assert len(expected) == n_events
 
 
 # ---------------------------------------------------------------------------

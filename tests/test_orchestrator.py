@@ -298,17 +298,6 @@ def test_terminal_states_absorb_events():
         orc.step(state, AssistEvent.schedule_due(70.0), guided_config(strict=True))
 
 
-def test_gaze_confusion_disabled_is_ignored_enabled_rephrases():
-    config = guided_config(start_level=AssistLevel.L3)
-    state = _guidance_state(config)
-    nxt, actions = orc.step(state, AssistEvent.gaze_confusion(50.0), config)
-    assert actions == [] and nxt.repeat_count == state.repeat_count
-    enabled = guided_config(start_level=AssistLevel.L3, gaze_confusion_enabled=True)
-    nxt, actions = orc.step(state, AssistEvent.gaze_confusion(50.0), enabled)
-    assert kinds(actions) == [ActionKind.SPEAK]
-    assert nxt.repeat_count == state.repeat_count + 1
-
-
 # ---------------------------------------------------------------------------
 # Intent interpretation
 
@@ -345,21 +334,6 @@ def test_interpret_precedence_repeat_beats_deny():
 def test_interpret_requires_word_boundaries():
     # "know" contains "no"; must not read as a denial.
     assert orc.interpret("know") is IntentKind.UNKNOWN
-
-
-def test_with_timeout_wraps_failures_to_unknown():
-    def hangs(text):
-        import time
-
-        time.sleep(0.3)
-        return IntentKind.CONFIRM
-
-    def raises(text):
-        raise RuntimeError("backend exploded")
-
-    assert orc.with_timeout(hangs, timeout_s=0.05)("yes") is IntentKind.UNKNOWN
-    assert orc.with_timeout(raises)("yes") is IntentKind.UNKNOWN
-    assert orc.with_timeout(orc.interpret)("yes") is IntentKind.CONFIRM
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Smoke tests for the scripts under ``scripts/``: they run to completion on
-logs the simulator produces and describe every event and action they meet."""
+logs the simulator produces and describe every event and action they meet,
+and ``run_study.py`` writes the same files as ``aansim batch``."""
 
 import importlib.util
 import json
@@ -7,13 +8,21 @@ import shutil
 
 import pytest
 
+from aansim import cli
 from conftest import SCENARIO_PATH
 
-_SPEC = importlib.util.spec_from_file_location(
-    "show_episode", SCENARIO_PATH.parent.parent / "scripts" / "show_episode.py"
-)
-show_episode = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(show_episode)
+
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(
+        name, SCENARIO_PATH.parent.parent / "scripts" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+show_episode = _load_script("show_episode")
+run_study = _load_script("run_study")
 
 
 @pytest.mark.parametrize("condition, seed", [("A", 0), ("A", 1), ("B", 0), ("B", 1)])
@@ -38,3 +47,16 @@ def test_show_episode_describes_rotate_base(tmp_path, capsys):
     scenario.write_text(json.dumps(doc))
     assert show_episode.main(["--scenario", str(scenario), "--condition", "B", "--seed", "0"]) == 0
     assert "rotate base by" in capsys.readouterr().out
+
+
+def test_run_study_writes_what_aansim_batch_writes(tmp_path, capsys):
+    args = ["--scenario", str(SCENARIO_PATH), "--seeds", "2", "--seed-start", "3"]
+    assert run_study.main(args + ["--out", str(tmp_path / "study")]) == 0
+    out = capsys.readouterr().out
+    assert "seed   3: locate" in out and "paired analysis" in out
+    assert cli.main(["batch"] + args + ["--out", str(tmp_path / "batch")]) == 0
+    study = sorted(p.name for p in (tmp_path / "study").iterdir())
+    assert study == sorted(p.name for p in (tmp_path / "batch").iterdir())
+    assert len(study) == 2 * 2 + 2  # one log per session, summary.csv, report.txt
+    for name in study:
+        assert (tmp_path / "study" / name).read_bytes() == (tmp_path / "batch" / name).read_bytes()

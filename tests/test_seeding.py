@@ -30,15 +30,6 @@ def test_condition_none_is_shared_across_paired_runs():
     assert pa != draws(seeding.stream(3, "B", "placement"))
 
 
-def test_substreams_are_independent_of_parent_and_each_other():
-    parent = draws(seeding.stream(5, "B", "detector"))
-    s0 = draws(seeding.substream(5, "B", "detector", 0))
-    s1 = draws(seeding.substream(5, "B", "detector", 1))
-    assert s0 != s1
-    assert s0 != parent and s1 != parent
-    assert draws(seeding.substream(5, "B", "detector", 0)) == s0
-
-
 def test_consuming_one_stream_does_not_shift_another():
     a1 = seeding.stream(11, "A", "user")
     g1 = seeding.stream(11, "A", "gaze")

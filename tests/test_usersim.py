@@ -156,14 +156,12 @@ def test_choose_bottle_roi_bounds_and_bias():
 
 def test_gaze_stream_exact_sample_rate():
     timeline = us.GazeTimeline(duration_s=1.0)
-    samples, _ = us.gaze_stream(timeline, profile(), rng(0))
-    assert len(samples) == 180
-    ts = [s.t for s in samples]
-    assert ts[0] == 0.0
-    for k, t in enumerate(ts):
-        assert t == k / 180.0  # exact grid, not cumulative float drift
-    samples10, _ = us.gaze_stream(us.GazeTimeline(duration_s=10.0), profile(), rng(0))
-    assert len(samples10) == 1800
+    codes, _ = us.gaze_stream(timeline, profile(), rng(0))
+    assert codes.dtype == np.uint8
+    assert len(codes) == 180  # sample k sits at k / 180 s
+    assert set(codes.tolist()) <= {int(a) for a in us.Aoi}
+    codes10, _ = us.gaze_stream(us.GazeTimeline(duration_s=10.0), profile(), rng(0))
+    assert len(codes10) == 1800
 
 
 def test_gaze_stream_natural_runs_stay_below_threshold():
@@ -171,9 +169,9 @@ def test_gaze_stream_natural_runs_stay_below_threshold():
     # detection threshold, whatever the profile.
     p = profile(p_struggle=1.0)
     timeline = us.GazeTimeline(duration_s=60.0)
-    samples, inserted = us.gaze_stream(timeline, p, rng(11))
+    codes, inserted = us.gaze_stream(timeline, p, rng(11))
     assert inserted == []
-    events = us.detect_confusion(samples, (), threshold_s=3.0)
+    events = us.detect_confusion(codes, (), threshold_s=3.0)
     assert events == []
 
 
@@ -184,9 +182,9 @@ def test_gaze_stream_inserts_detectable_confusion_runs():
         us.GazeWindow("confusion_candidate", 30.0, 50.0),
     )
     timeline = us.GazeTimeline(duration_s=60.0, windows=windows)
-    samples, inserted = us.gaze_stream(timeline, p, rng(4))
+    codes, inserted = us.gaze_stream(timeline, p, rng(4))
     assert len(inserted) == 2
-    events = us.detect_confusion(samples, (), threshold_s=3.0)
+    events = us.detect_confusion(codes, (), threshold_s=3.0)
     assert len(events) >= 2
     for t0, t1 in inserted:
         # The maximal detected run contains the injected span (it may extend
@@ -213,35 +211,25 @@ def test_gaze_stream_is_deterministic():
     a, ia = us.gaze_stream(timeline, profile(p_struggle=0.7), rng(9))
     b, ib = us.gaze_stream(timeline, profile(p_struggle=0.7), rng(9))
     assert ia == ib
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
 # Confusion detection vs brute-force oracle
 
 
-def _stream_from(segments, dt=1.0 / 180.0):
-    out = []
-    t = 0.0
-    for aoi, n in segments:
-        for _ in range(n):
-            out.append(us.GazeSample(t=t, aoi=aoi))
-            t += dt
-    return out
+def _stream_from(segments):
+    """Code stream of (aoi, sample count) segments; sample k sits at k / 180 s."""
+    return np.concatenate([np.full(n, aoi, dtype=np.uint8) for aoi, n in segments])
 
 
 def test_confusion_requires_full_threshold_span():
-    # Exactly-representable sample spacing so the span comparison is sharp:
-    # 384 gaps of 1/128 s span exactly 3.0 s; 383 gaps fall just short.
-    dt = 1.0 / 128.0
-    samples = _stream_from(
-        [(us.Aoi.ROBOT, 10), (us.Aoi.ELSEWHERE, 384), (us.Aoi.BOTTLE, 10)], dt=dt
-    )
-    assert us.detect_confusion(samples, (), 3.0) == []
-    samples = _stream_from(
-        [(us.Aoi.ROBOT, 10), (us.Aoi.ELSEWHERE, 385), (us.Aoi.BOTTLE, 10)], dt=dt
-    )
-    events = us.detect_confusion(samples, (), 3.0)
+    # On the k / 180 grid a run from k = 0 to k = 540 spans exactly 3.0 s;
+    # one sample fewer falls just short.
+    codes = _stream_from([(us.Aoi.ELSEWHERE, 540), (us.Aoi.BOTTLE, 10)])
+    assert us.detect_confusion(codes, (), 3.0) == []
+    codes = _stream_from([(us.Aoi.ELSEWHERE, 541), (us.Aoi.BOTTLE, 10)])
+    events = us.detect_confusion(codes, (), 3.0)
     assert len(events) == 1
     assert events[0].duration == 3.0
 
@@ -249,39 +237,25 @@ def test_confusion_requires_full_threshold_span():
 def test_confusion_suppressed_by_action_inside_closed_interval():
     dt = 1.0 / 180.0
     n = int(4.0 / dt) + 1
-    samples = _stream_from([(us.Aoi.ROBOT, 10), (us.Aoi.ELSEWHERE, n), (us.Aoi.ROBOT, 5)])
-    run_start = samples[10].t
-    run_end = samples[10 + n - 1].t
-    assert us.detect_confusion(samples, (run_start + 1.0,), 3.0) == []
+    codes = _stream_from([(us.Aoi.ROBOT, 10), (us.Aoi.ELSEWHERE, n), (us.Aoi.ROBOT, 5)])
+    run_start = 10 / 180.0
+    run_end = (10 + n - 1) / 180.0
+    assert us.detect_confusion(codes, (run_start + 1.0,), 3.0) == []
     # Actions exactly on the closed endpoints also suppress.
-    assert us.detect_confusion(samples, (run_start,), 3.0) == []
-    assert us.detect_confusion(samples, (run_end,), 3.0) == []
+    assert us.detect_confusion(codes, (run_start,), 3.0) == []
+    assert us.detect_confusion(codes, (run_end,), 3.0) == []
     # An action just outside does not.
-    assert len(us.detect_confusion(samples, (run_end + dt / 2,), 3.0)) == 1
+    assert len(us.detect_confusion(codes, (run_end + dt / 2,), 3.0)) == 1
 
 
 def test_confusion_maximal_runs_not_split():
     # One long run must yield one event, not several overlapping ones.
-    dt = 1.0 / 180.0
-    n = int(10.0 / dt)
-    samples = _stream_from([(us.Aoi.ELSEWHERE, n)])
-    events = us.detect_confusion(samples, (), 3.0)
+    n = 1800
+    codes = _stream_from([(us.Aoi.ELSEWHERE, n)])
+    events = us.detect_confusion(codes, (), 3.0)
     assert len(events) == 1
-    assert events[0].t_start == samples[0].t
-    assert events[0].t_end == samples[-1].t
-
-
-def test_confusion_rejects_unordered_streams():
-    samples = [
-        us.GazeSample(t=0.0, aoi=us.Aoi.ROBOT),
-        us.GazeSample(t=0.2, aoi=us.Aoi.ROBOT),
-        us.GazeSample(t=0.1, aoi=us.Aoi.ROBOT),
-    ]
-    with pytest.raises(us.UnorderedStream):
-        us.detect_confusion(samples, (), 3.0)
-    dup = [us.GazeSample(t=0.0, aoi=us.Aoi.ROBOT), us.GazeSample(t=0.0, aoi=us.Aoi.ROBOT)]
-    with pytest.raises(us.UnorderedStream):
-        us.detect_confusion(dup, (), 3.0)
+    assert events[0].t_start == 0.0
+    assert events[0].t_end == (n - 1) / 180.0
 
 
 def test_confusion_matches_bruteforce_oracle_on_random_streams():
@@ -289,23 +263,19 @@ def test_confusion_matches_bruteforce_oracle_on_random_streams():
         r = np.random.default_rng(seed)
         dt = 1.0 / 180.0
         n = int(r.integers(50, 2500))
-        aois = r.choice(
+        codes = r.choice(
             [us.Aoi.BOTTLE, us.Aoi.ROBOT, us.Aoi.ELSEWHERE],
             size=n,
             p=[0.15, 0.15, 0.7],
-        )
+        ).astype(np.uint8)
         # Random run lengths make long off-task stretches likely.
         stretch = int(r.integers(1, 900))
-        aois[: min(stretch, n)] = us.Aoi.ELSEWHERE
-        samples = [us.GazeSample(t=k * dt, aoi=a) for k, a in enumerate(aois)]
+        codes[: min(stretch, n)] = us.Aoi.ELSEWHERE
         n_actions = int(r.integers(0, 4))
         action_times = sorted(float(r.uniform(0, n * dt)) for _ in range(n_actions))
         threshold = float(r.uniform(0.5, 4.0))
-        got = us.detect_confusion(samples, tuple(action_times), threshold)
+        got = us.detect_confusion(codes, tuple(action_times), threshold)
         want = max_offtask_gap(
-            [s.t for s in samples],
-            [s.aoi.value for s in samples],
-            action_times,
-            threshold,
+            [k / 180.0 for k in range(n)], codes.tolist(), action_times, threshold
         )
         assert [(e.t_start, e.t_end) for e in got] == want
