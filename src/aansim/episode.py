@@ -133,9 +133,7 @@ def _make_nav_session(
     engine: _Engine, scene: world.Scene, robot: world.RobotState, seed: int, condition: str
 ) -> navigation.NavSession:
     sc = engine.scenario
-    costmap = navigation.build_costmap(
-        sc.nav_grid, sc.inflation_radius, sc.cost_decay, sc.robot_radius
-    )
+    costmap = navigation.build_costmap(sc.nav_grid, sc.nav)
 
     def on_progress(kind: str, payload: dict) -> None:
         t = float(payload.pop("t", engine.clock.t))
@@ -162,20 +160,12 @@ def _make_nav_session(
     )
 
 
-_ROI_EVENT_KINDS = {
-    "miss": EventKind.MISS,
-    "found": EventKind.FOUND,
-    "roi_unreachable": EventKind.ROI_UNREACHABLE,
-    "exhausted": EventKind.EXHAUSTED,
-}
-
-
 def _pump_navigation(engine: _Engine, nav_session: navigation.NavSession) -> None:
     """Run the search sequencer, feeding its outcomes to the orchestrator."""
     for roi_event in navigation.roi_sequencer(nav_session):
         roi_id = roi_event.roi.id if roi_event.roi is not None else None
         event = AssistEvent(
-            kind=_ROI_EVENT_KINDS[roi_event.kind],
+            kind=EventKind(roi_event.kind),
             t=roi_event.t,
             roi=roi_id,
             target=roi_event.target,

@@ -68,14 +68,17 @@ class ZeroDirection(GeometryError):
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Pinhole intrinsics. Focal lengths and principal point in pixels."""
+    """Pinhole intrinsics. Focal lengths and principal point in pixels.
 
-    fx: float
-    fy: float
+    Field metadata ``lo``/``hi`` are the scenario loader's bounds.
+    """
+
+    fx: float = field(metadata={"lo": 1e-6})
+    fy: float = field(metadata={"lo": 1e-6})
     cx: float
     cy: float
-    width: int
-    height: int
+    width: int = field(metadata={"lo": 1})
+    height: int = field(metadata={"lo": 1})
 
     def __post_init__(self) -> None:
         if not (self.fx > 0.0 and self.fy > 0.0):

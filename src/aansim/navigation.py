@@ -33,6 +33,11 @@ from .world import (
 LETHAL_COST = 255.0
 # Cells at or above this cost are untraversable (inscribed or lethal).
 INSCRIBED_COST = 253.0
+# navigate_to arrives within this distance (m) and heading error (rad).
+ARRIVAL_POS_TOL = 0.3
+ARRIVAL_ANG_TOL = math.radians(15.0)
+# Seconds spent spinning in place after the first AllBlocked.
+RECOVERY_SPIN_TIME = 2.0
 
 
 class NavigationError(Exception):
@@ -72,27 +77,36 @@ class Costmap(OccupancyGrid):
         return self.cost[j, i] < INSCRIBED_COST
 
 
-def build_costmap(
-    grid: OccupancyGrid,
-    inflation_radius: float,
-    cost_decay: float = 1.0,
-    robot_radius: float = 0.2,
-) -> Costmap:
+@dataclass(frozen=True)
+class NavParams:
+    """Costmap inflation parameters.
+
+    Field metadata ``lo``/``hi`` are the scenario loader's bounds.
+    """
+
+    inflation_radius: float = field(default=0.45, metadata={"lo": 0.0})
+    cost_decay: float = field(default=1.0, metadata={"lo": 0.0})
+    robot_radius: float = field(default=0.2, metadata={"lo": 0.0})
+
+    def __post_init__(self) -> None:
+        if self.inflation_radius < 0.0:
+            raise ValueError("inflation_radius must be >= 0")
+
+
+def build_costmap(grid: OccupancyGrid, params: NavParams) -> Costmap:
     """Inflate lethal cells into a smooth cost field.
 
     Occupied and Unknown cells are lethal (255).  Within the inflation
     radius, cost decays exponentially with the Euclidean distance to the
     nearest lethal cell; beyond it, cost is 0.
     """
-    if inflation_radius < 0.0:
-        raise ValueError("inflation_radius must be >= 0")
     lethal = (grid.cells == CellState.OCCUPIED) | (grid.cells == CellState.UNKNOWN)
     cost = np.zeros(grid.cells.shape, dtype=np.float64)
     cost[lethal] = LETHAL_COST
-    if inflation_radius > 0.0 and lethal.any():
+    if params.inflation_radius > 0.0 and lethal.any():
         dist = ndimage.distance_transform_edt(~lethal, sampling=grid.resolution)
-        band = ~lethal & (dist <= inflation_radius)
-        inflated = 254.0 * np.exp(-cost_decay * (dist - robot_radius))
+        band = ~lethal & (dist <= params.inflation_radius)
+        inflated = 254.0 * np.exp(-params.cost_decay * (dist - params.robot_radius))
         cost[band] = np.clip(inflated[band], 1.0, 253.0)
     return Costmap(grid.cells, grid.resolution, grid.origin, cost=cost)
 
@@ -352,16 +366,12 @@ class NavSession:
     params: DwaParams
     clock: Clock
     detector_rng: np.random.Generator
+    dt: float
+    frame_time: float
+    depth_noise_sigma: float
+    pose_noise_sigma: float
     depth_noise_rng: np.random.Generator | None = None
     pose_noise_rng: np.random.Generator | None = None
-    dt: float = 0.1
-    arrival_pos_tol: float = 0.3
-    arrival_ang_tol: float = math.radians(15.0)
-    pan_schedule: list[float] = field(default_factory=world.default_pan_schedule)
-    frame_time: float = 0.6
-    depth_noise_sigma: float = 0.0
-    pose_noise_sigma: float = 0.0
-    recovery_spin_time: float = 2.0
     on_progress: Callable[[str, dict], None] | None = None
 
     def note(self, kind: str, **payload) -> None:
@@ -392,11 +402,7 @@ def _spin_in_place(session: NavSession, duration: float) -> None:
         session.clock.advance(session.dt)
 
 
-def navigate_to(
-    session: NavSession,
-    goal_pose: tuple[float, float, float],
-    max_ticks: int | None = None,
-) -> NavResult:
+def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> NavResult:
     """Drive to a goal pose: DWA to the position, then rotate to the heading.
 
     On AllBlocked the robot spins in place for up to the recovery time and
@@ -410,15 +416,14 @@ def navigate_to(
     except NavigationError as exc:
         return NavResult(arrived=False, reason=f"no_path: {exc}", ticks=0)
 
-    if max_ticks is None:
-        travel = path.cost / max(params.v_max, 1e-6) + 4.0 * math.pi / max(params.omega_max, 1e-6)
-        max_ticks = int(math.ceil(4.0 * travel / dt)) + 200
+    travel = path.cost / max(params.v_max, 1e-6) + 4.0 * math.pi / max(params.omega_max, 1e-6)
+    max_ticks = int(math.ceil(4.0 * travel / dt)) + 200
 
     ticks = 0
     collisions = 0
     recovery_used = False
     while ticks < max_ticks:
-        if math.hypot(session.robot.x - gx, session.robot.y - gy) <= session.arrival_pos_tol:
+        if math.hypot(session.robot.x - gx, session.robot.y - gy) <= ARRIVAL_POS_TOL:
             break
         try:
             cmd = dwa_step(_observed_pose(session), path, session.costmap, params, dt)
@@ -426,8 +431,8 @@ def navigate_to(
             if recovery_used:
                 return NavResult(False, "all_blocked", ticks, collisions)
             session.note("recovery_spin", t=session.clock.t)
-            _spin_in_place(session, session.recovery_spin_time)
-            ticks += int(round(session.recovery_spin_time / dt))
+            _spin_in_place(session, RECOVERY_SPIN_TIME)
+            ticks += int(round(RECOVERY_SPIN_TIME / dt))
             recovery_used = True
             try:
                 path = plan_global(
@@ -447,7 +452,7 @@ def navigate_to(
     # Align to the approach heading with bounded rotation commands.
     while ticks < max_ticks:
         err = geometry.normalize_angle(gh - session.robot.heading)
-        if abs(err) <= session.arrival_ang_tol:
+        if abs(err) <= ARRIVAL_ANG_TOL:
             return NavResult(True, "arrived", ticks, collisions)
         omega = max(-params.omega_max, min(params.omega_max, err / dt))
         session.robot, _ = world.step_kinematics(session.robot, (0.0, omega), dt, session.grid)
@@ -470,7 +475,8 @@ class FoundTarget:
 
 @dataclass(frozen=True)
 class RoiEvent:
-    """Sequencer output: miss / found / roi_unreachable / exhausted."""
+    """Sequencer output: miss / found / roi_unreachable / exhausted, the
+    values of the matching orchestrator ``EventKind``s."""
 
     kind: str
     t: float
@@ -488,7 +494,6 @@ def _scan_with_timing(session: NavSession) -> DetectionResult | None:
         session.detector,
         session.intrinsics,
         session.detector_rng,
-        pan_schedule=session.pan_schedule,
         on_frame=on_frame,
     )
 

@@ -59,7 +59,6 @@ class Phase(Enum):
     ABORTED = "aborted"
 
 TERMINAL_PHASES = (Phase.DONE, Phase.ABORTED)
-PROMPTING_PHASES = (Phase.REMINDING, Phase.STEP_GUIDANCE, Phase.AWAITING_FINAL_CONFIRM)
 
 
 class IntentKind(Enum):
@@ -235,10 +234,6 @@ class Action:
         return {"kind": self.kind.value, **self.payload}
 
 
-class InvalidEvent(Exception):
-    """An event arrived in a phase where it has no meaning (strict mode)."""
-
-
 REMINDER_TEXT = {
     AssistLevel.L1: "It's time to take your medicine.",
     AssistLevel.L2: "It's time to take your medicine. Please come, I can help you.",
@@ -281,15 +276,14 @@ def prompt_for(step: GuidanceStep, level: AssistLevel, rephrase: bool = False) -
 
 @dataclass(frozen=True)
 class OrchestratorConfig:
-    """Tunables for the guidance policy."""
+    """Tunables for the guidance policy; ``Scenario.orchestrator_config``
+    fills them from the scenario."""
 
-    condition: str = "B"  # "A": passive hint-giver; "B"/adaptive: guided
-    start_level: AssistLevel = AssistLevel.L1
-    escalation_threshold: int = 2
-    max_repeats: int = 2
-    min_standoff: float = 0.6
-    strict: bool = False
-    arm_origin: tuple[float, float, float] = (0.0, 0.0, 0.8)
+    condition: str  # "A": passive hint-giver; "B"/adaptive: guided
+    start_level: AssistLevel
+    escalation_threshold: int
+    max_repeats: int
+    min_standoff: float
     roi_ids: tuple[str, ...] = ()
     roi_labels: tuple[str, ...] = ()
 
@@ -398,6 +392,9 @@ def interpret(transcript: str) -> IntentKind:
 # ---------------------------------------------------------------------------
 # Deictic gesture assembly
 
+# Base-frame origin of the pointing arm (m).
+ARM_ORIGIN = (0.0, 0.0, 0.8)
+
 
 def gesture_actions(target_base, config: OrchestratorConfig) -> list[Action]:
     """Pointing action sequence for a base-frame target.
@@ -407,7 +404,7 @@ def gesture_actions(target_base, config: OrchestratorConfig) -> list[Action]:
     executed pointing yaw satisfies |yaw| <= 90 deg.
     """
     target = np.asarray(target_base, dtype=np.float64).reshape(3)
-    origin = np.asarray(config.arm_origin, dtype=np.float64)
+    origin = np.asarray(ARM_ORIGIN, dtype=np.float64)
     actions: list[Action] = []
     try:
         cmd = pointing_angles(target, origin)
@@ -432,10 +429,8 @@ def gesture_actions(target_base, config: OrchestratorConfig) -> list[Action]:
 
 
 def _invalid(
-    state: OrchestratorState, event: AssistEvent, config: OrchestratorConfig
+    state: OrchestratorState, event: AssistEvent
 ) -> tuple[OrchestratorState, list[Action]]:
-    if config.strict:
-        raise InvalidEvent(f"{event.kind.value} not valid in phase {state.phase.value}")
     logger.debug("ignoring %s in phase %s", event.kind.value, state.phase.value)
     return state, []
 
@@ -462,10 +457,7 @@ def _start_navigation(
 
 
 def _enter_step(
-    state: OrchestratorState,
-    step: GuidanceStep,
-    config: OrchestratorConfig,
-    rephrase: bool = False,
+    state: OrchestratorState, step: GuidanceStep
 ) -> tuple[OrchestratorState, list[Action]]:
     phase = (
         Phase.AWAITING_FINAL_CONFIRM
@@ -475,18 +467,16 @@ def _enter_step(
     nxt = replace(
         state, phase=phase, step=step, repeat_count=0, failure_count=0
     )
-    return nxt, [Action.speak(prompt_for(step, state.assist_level, rephrase))]
+    return nxt, [Action.speak(prompt_for(step, state.assist_level))]
 
 
-def _advance_step(
-    state: OrchestratorState, config: OrchestratorConfig
-) -> tuple[OrchestratorState, list[Action]]:
+def _advance_step(state: OrchestratorState) -> tuple[OrchestratorState, list[Action]]:
     assert state.step is not None
     pos = STEP_ORDER.index(state.step)
     if state.step is GuidanceStep.CONFIRM_INTAKE:
         done = replace(state, phase=Phase.DONE)
         return done, [Action.speak("Well done! You have taken your medicine.")]
-    return _enter_step(state, STEP_ORDER[pos + 1], config)
+    return _enter_step(state, STEP_ORDER[pos + 1])
 
 
 def _abort(
@@ -532,9 +522,7 @@ def _register_failure(
     ]
 
 
-def _register_refusal(
-    state: OrchestratorState, config: OrchestratorConfig
-) -> tuple[OrchestratorState, list[Action]]:
+def _register_refusal(state: OrchestratorState) -> tuple[OrchestratorState, list[Action]]:
     bumped = replace(state, refusal_count=state.refusal_count + 1)
     if bumped.refusal_count >= 2:
         return _abort(
@@ -561,12 +549,12 @@ def _handle_intent(
 ) -> tuple[OrchestratorState, list[Action]]:
     """Intent handling shared by the Reminding and step-guidance phases."""
     if intent is IntentKind.REFUSAL:
-        return _register_refusal(state, config)
+        return _register_refusal(state)
     if state.phase is Phase.REMINDING:
         if intent is IntentKind.CONFIRM:
             if state.assist_level is AssistLevel.L3:
                 return _start_navigation(state, config)
-            return _enter_step(state, GuidanceStep.LOCATE_BOTTLE, config)
+            return _enter_step(state, GuidanceStep.LOCATE_BOTTLE)
         if intent is IntentKind.DENY:
             return _register_failure(state, config)
         if intent is IntentKind.REPEAT_REQUEST:
@@ -578,7 +566,7 @@ def _handle_intent(
     # Step guidance phases.
     assert state.step is not None
     if intent is IntentKind.CONFIRM:
-        return _advance_step(state, config)
+        return _advance_step(state)
     if intent is IntentKind.DENY:
         return _register_failure(state, config)
     if intent in (IntentKind.REPEAT_REQUEST, IntentKind.HELP_REQUEST):
@@ -600,7 +588,7 @@ def _passive_step(
     if event.kind is EventKind.RECORD_PRESSED:
         intent = interpret(event.transcript or "")
         if intent is IntentKind.REFUSAL:
-            return _register_refusal(state, config)
+            return _register_refusal(state)
         if intent is IntentKind.REPEAT_REQUEST and state.hint_index > 0:
             label = _hint_label(config, state.hint_index - 1)
             return state, [Action.speak(f"I said: it might be {label}.")]
@@ -612,7 +600,7 @@ def _passive_step(
             done = replace(state, phase=Phase.DONE)
             return done, [Action.speak("You found your medicine, great.")]
         return state, []
-    return _invalid(state, event, config)
+    return _invalid(state, event)
 
 
 def _hint_label(config: OrchestratorConfig, index: int) -> str:
@@ -626,9 +614,8 @@ def step(
 ) -> tuple[OrchestratorState, list[Action]]:
     """Apply one event; returns the successor state and the robot actions.
 
-    Unknown or phase-inconsistent events raise InvalidEvent in strict mode
-    and are logged-and-ignored otherwise.  Event timestamps must not run
-    backward.
+    Unknown or phase-inconsistent events are logged and ignored: the state
+    only takes the event's time.  Event timestamps must not run backward.
     """
     if event.t < state.clock - 1e-9:
         raise ValueError(
@@ -637,7 +624,7 @@ def step(
     state = replace(state, clock=event.t)
 
     if state.terminal:
-        return _invalid(state, event, config)
+        return _invalid(state, event)
 
     if config.passive:
         return _passive_step(state, event, config)
@@ -648,23 +635,23 @@ def step(
         if kind is EventKind.SCHEDULE_DUE:
             nxt = replace(state, phase=Phase.REMINDING, repeat_count=0, failure_count=0)
             return nxt, _reminder_actions(state.assist_level)
-        return _invalid(state, event, config)
+        return _invalid(state, event)
 
     if state.phase is Phase.REMINDING:
         if kind is EventKind.START_NAVIGATION_PRESSED:
             if state.assist_level is AssistLevel.L3:
                 return _start_navigation(state, config)
-            return _invalid(state, event, config)
+            return _invalid(state, event)
         if kind is EventKind.TIMEOUT:
             if event.timeout_phase not in (None, Phase.REMINDING):
-                return _invalid(state, event, config)
+                return _invalid(state, event)
             return _register_failure(state, config)
         if kind is EventKind.RECORD_PRESSED:
             intent = interpret(event.transcript or "")
             return _handle_intent(state, intent, config)
         if kind is EventKind.USER_ACTION:
             return state, []
-        return _invalid(state, event, config)
+        return _invalid(state, event)
 
     if state.phase in (Phase.NAVIGATING, Phase.SCANNING):
         if kind is EventKind.MISS or kind is EventKind.ROI_UNREACHABLE:
@@ -677,7 +664,7 @@ def step(
             actions = [Action.speak("I found your medicine bottle!")]
             if event.target is not None:
                 actions.extend(gesture_actions(event.target.target_base, config))
-            nxt, prompt = _enter_step(state, GuidanceStep.LOCATE_BOTTLE, config)
+            nxt, prompt = _enter_step(state, GuidanceStep.LOCATE_BOTTLE)
             return nxt, actions + prompt
         if kind is EventKind.EXHAUSTED:
             return _abort(
@@ -688,7 +675,7 @@ def step(
         if kind is EventKind.RECORD_PRESSED:
             intent = interpret(event.transcript or "")
             if intent is IntentKind.REFUSAL:
-                return _register_refusal(state, config)
+                return _register_refusal(state)
             if state.repeat_count < config.max_repeats:
                 return (
                     replace(state, repeat_count=state.repeat_count + 1),
@@ -697,13 +684,13 @@ def step(
             return state, []  # stop chattering; navigation events drive progress
         if kind is EventKind.USER_ACTION:
             return state, []
-        return _invalid(state, event, config)
+        return _invalid(state, event)
 
     if state.phase in (Phase.STEP_GUIDANCE, Phase.AWAITING_FINAL_CONFIRM):
         assert state.step is not None
         if kind is EventKind.TIMEOUT:
             if event.timeout_phase not in (None, state.phase):
-                return _invalid(state, event, config)
+                return _invalid(state, event)
             if state.repeat_count < config.max_repeats:
                 return (
                     replace(state, repeat_count=state.repeat_count + 1),
@@ -717,6 +704,6 @@ def step(
             if event.action is EXPECTED_ACTION[state.step]:
                 return state, []  # physical progress noted; await verbal confirm
             return _register_failure(state, config)
-        return _invalid(state, event, config)
+        return _invalid(state, event)
 
-    return _invalid(state, event, config)
+    return _invalid(state, event)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from . import usersim, world
 from .geometry import CameraIntrinsics
+from .navigation import NavParams
 from .orchestrator import AssistLevel, OrchestratorConfig
 from .world import (
     BoxShape,
@@ -69,6 +70,33 @@ def _str(value, path: str) -> str:
     return value
 
 
+def _section(raw: dict, key: str, cls):
+    """Load the numeric object ``raw[key]`` into the dataclass ``cls``.
+
+    Each field's default and its ``lo``/``hi`` bounds (field metadata) come
+    from ``cls``; a missing key takes the default, and the section itself
+    may be omitted when every field has one.  ``int`` fields truncate the
+    validated number.  Unknown keys are rejected.
+    """
+    path = f"$.{key}"
+    specs = fields(cls)
+    required = any(f.default is MISSING for f in specs)
+    obj = _get(raw, key, "$", required=required, default={})
+    _expect(isinstance(obj, dict), path, "expected an object")
+    names = [f.name for f in specs]
+    for name in obj:
+        _expect(name in names, f"{path}.{name}", f"unknown key; known: {names}")
+    values = {}
+    for f in specs:
+        if f.name in obj or f.default is MISSING:
+            v = _num(_get(obj, f.name, path), f"{path}.{f.name}", f.metadata.get("lo"), f.metadata.get("hi"))
+            values[f.name] = int(v) if f.type in (int, "int") else v
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioInvalid(f"{path}: {exc}") from exc
+
+
 _OBJECT_KINDS = {
     "water_bottle": ObjectKind.WATER_BOTTLE,
     "distractor": ObjectKind.DISTRACTOR,
@@ -91,23 +119,27 @@ def _shape(value, path: str):
 
 @dataclass(frozen=True)
 class SessionParams:
-    """Episode-level knobs that are not part of the orchestrator policy."""
+    """Session timing and the orchestrator's escalation budget.
 
-    timeout_s: float = 20.0
-    escalation_threshold: int = 2
-    max_repeats: int = 2
-    min_standoff: float = 0.6
-    frame_time_s: float = 0.6
-    dt: float = 0.1
-    time_cap_s: float = 600.0
-    hint_interval_s: float = 30.0
-    gesture_time_s: float = 2.0
+    Field metadata ``lo``/``hi`` are the scenario loader's bounds, here and
+    in ``NoiseParams``.
+    """
+
+    timeout_s: float = field(default=20.0, metadata={"lo": 1.0})
+    escalation_threshold: int = field(default=2, metadata={"lo": 1})
+    max_repeats: int = field(default=2, metadata={"lo": 0})
+    min_standoff: float = field(default=0.6, metadata={"lo": 0.0})
+    frame_time_s: float = field(default=0.6, metadata={"lo": 0.0})
+    dt: float = field(default=0.1, metadata={"lo": 1e-3})
+    time_cap_s: float = field(default=600.0, metadata={"lo": 10.0})
+    hint_interval_s: float = field(default=30.0, metadata={"lo": 1.0})
+    gesture_time_s: float = field(default=2.0, metadata={"lo": 0.0})
 
 
 @dataclass(frozen=True)
 class NoiseParams:
-    depth_sigma: float = 0.0
-    pose_sigma: float = 0.0
+    depth_sigma: float = field(default=0.0, metadata={"lo": 0.0})
+    pose_sigma: float = field(default=0.0, metadata={"lo": 0.0})
 
 
 def stamp_footprints(grid: OccupancyGrid, objects: list[SceneObject]) -> OccupancyGrid:
@@ -152,9 +184,7 @@ class Scenario:
     camera_pitch: float
     intrinsics: CameraIntrinsics
     detector: DetectorModel
-    inflation_radius: float
-    cost_decay: float
-    robot_radius: float
+    nav: NavParams
     session: SessionParams
     noise: NoiseParams
     scenario_hash: str
@@ -168,10 +198,7 @@ class Scenario:
 
     def robot_state(self) -> RobotState:
         x, y, heading = self.robot_start
-        return RobotState(
-            x=x, y=y, heading=heading, camera_mount=self.camera_mount(),
-            v_limit=2.0, omega_limit=3.0,
-        )
+        return RobotState(x=x, y=y, heading=heading, camera_mount=self.camera_mount())
 
     def build_scene(self, bottle_roi_index: int) -> Scene:
         """World with the pill bottle placed at the given region's candidate spot."""
@@ -255,25 +282,8 @@ def load_scenario(path: str | Path) -> Scenario:
         _num(_get(camera, "pitch_deg", "$.robot.camera", required=False, default=0.0), "$.robot.camera.pitch_deg")
     )
 
-    intr = _get(raw, "intrinsics", "$")
-    _expect(isinstance(intr, dict), "$.intrinsics", "expected an object")
-    intrinsics = CameraIntrinsics(
-        fx=_num(_get(intr, "fx", "$.intrinsics"), "$.intrinsics.fx", lo=1e-6),
-        fy=_num(_get(intr, "fy", "$.intrinsics"), "$.intrinsics.fy", lo=1e-6),
-        cx=_num(_get(intr, "cx", "$.intrinsics"), "$.intrinsics.cx"),
-        cy=_num(_get(intr, "cy", "$.intrinsics"), "$.intrinsics.cy"),
-        width=int(_num(_get(intr, "width", "$.intrinsics"), "$.intrinsics.width", lo=1)),
-        height=int(_num(_get(intr, "height", "$.intrinsics"), "$.intrinsics.height", lo=1)),
-    )
-
-    det = _get(raw, "detector", "$", required=False, default={})
-    _expect(isinstance(det, dict), "$.detector", "expected an object")
-    detector = DetectorModel(
-        true_positive_rate=_num(_get(det, "true_positive_rate", "$.detector", required=False, default=0.9), "$.detector.true_positive_rate", 0.0, 1.0),
-        false_positive_rate=_num(_get(det, "false_positive_rate", "$.detector", required=False, default=0.02), "$.detector.false_positive_rate", 0.0, 1.0),
-        box_noise_sigma=_num(_get(det, "box_noise_sigma", "$.detector", required=False, default=1.0), "$.detector.box_noise_sigma", lo=0.0),
-        max_range=_num(_get(det, "max_range", "$.detector", required=False, default=4.0), "$.detector.max_range", lo=0.1),
-    )
+    intrinsics = _section(raw, "intrinsics", CameraIntrinsics)
+    detector = _section(raw, "detector", DetectorModel)
 
     rois_raw = _get(raw, "rois", "$")
     _expect(isinstance(rois_raw, list) and len(rois_raw) >= 1, "$.rois", "expected a non-empty array")
@@ -328,32 +338,9 @@ def load_scenario(path: str | Path) -> Scenario:
             )
         )
 
-    nav = _get(raw, "nav", "$", required=False, default={})
-    _expect(isinstance(nav, dict), "$.nav", "expected an object")
-    inflation_radius = _num(_get(nav, "inflation_radius", "$.nav", required=False, default=0.45), "$.nav.inflation_radius", lo=0.0)
-    cost_decay = _num(_get(nav, "cost_decay", "$.nav", required=False, default=1.0), "$.nav.cost_decay", lo=0.0)
-    robot_radius = _num(_get(nav, "robot_radius", "$.nav", required=False, default=0.2), "$.nav.robot_radius", lo=0.0)
-
-    sess = _get(raw, "session", "$", required=False, default={})
-    _expect(isinstance(sess, dict), "$.session", "expected an object")
-    session = SessionParams(
-        timeout_s=_num(_get(sess, "timeout_s", "$.session", required=False, default=20.0), "$.session.timeout_s", lo=1.0),
-        escalation_threshold=int(_num(_get(sess, "escalation_threshold", "$.session", required=False, default=2), "$.session.escalation_threshold", lo=1)),
-        max_repeats=int(_num(_get(sess, "max_repeats", "$.session", required=False, default=2), "$.session.max_repeats", lo=0)),
-        min_standoff=_num(_get(sess, "min_standoff", "$.session", required=False, default=0.6), "$.session.min_standoff", lo=0.0),
-        frame_time_s=_num(_get(sess, "frame_time_s", "$.session", required=False, default=0.6), "$.session.frame_time_s", lo=0.0),
-        dt=_num(_get(sess, "dt", "$.session", required=False, default=0.1), "$.session.dt", lo=1e-3),
-        time_cap_s=_num(_get(sess, "time_cap_s", "$.session", required=False, default=600.0), "$.session.time_cap_s", lo=10.0),
-        hint_interval_s=_num(_get(sess, "hint_interval_s", "$.session", required=False, default=30.0), "$.session.hint_interval_s", lo=1.0),
-        gesture_time_s=_num(_get(sess, "gesture_time_s", "$.session", required=False, default=2.0), "$.session.gesture_time_s", lo=0.0),
-    )
-
-    noise_raw = _get(raw, "noise", "$", required=False, default={})
-    _expect(isinstance(noise_raw, dict), "$.noise", "expected an object")
-    noise = NoiseParams(
-        depth_sigma=_num(_get(noise_raw, "depth_sigma", "$.noise", required=False, default=0.0), "$.noise.depth_sigma", lo=0.0),
-        pose_sigma=_num(_get(noise_raw, "pose_sigma", "$.noise", required=False, default=0.0), "$.noise.pose_sigma", lo=0.0),
-    )
+    nav = _section(raw, "nav", NavParams)
+    session = _section(raw, "session", SessionParams)
+    noise = _section(raw, "noise", NoiseParams)
 
     nav_grid = stamp_footprints(grid, objects)
     _expect(
@@ -384,9 +371,7 @@ def load_scenario(path: str | Path) -> Scenario:
         camera_pitch=cam_pitch,
         intrinsics=intrinsics,
         detector=detector,
-        inflation_radius=inflation_radius,
-        cost_decay=cost_decay,
-        robot_radius=robot_radius,
+        nav=nav,
         session=session,
         noise=noise,
         scenario_hash=_hash_bytes(canonical, map_bytes),

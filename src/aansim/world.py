@@ -288,10 +288,7 @@ class RobotState:
         return self.world_from_base().compose(self.base_from_camera())
 
 
-def standard_camera_mount(
-    xyz: tuple[float, float, float] = (0.05, 0.0, 1.15),
-    pitch: float = 0.0,
-) -> RigidTransform:
+def standard_camera_mount(xyz: tuple[float, float, float], pitch: float) -> RigidTransform:
     """base<-camera transform for a forward-looking camera.
 
     Camera axes map to the base frame as X_cam -> -Y_base, Y_cam -> -Z_base,
@@ -313,12 +310,15 @@ def standard_camera_mount(
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Parametric single-class detector for the pill bottle."""
+    """Parametric single-class detector for the pill bottle.
 
-    true_positive_rate: float = 0.9
-    false_positive_rate: float = 0.02
-    box_noise_sigma: float = 1.0
-    max_range: float = 4.0
+    Field metadata ``lo``/``hi`` are the scenario loader's bounds.
+    """
+
+    true_positive_rate: float = field(default=0.9, metadata={"lo": 0.0, "hi": 1.0})
+    false_positive_rate: float = field(default=0.02, metadata={"lo": 0.0, "hi": 1.0})
+    box_noise_sigma: float = field(default=1.0, metadata={"lo": 0.0})
+    max_range: float = field(default=4.0, metadata={"lo": 0.1})
 
     def __post_init__(self) -> None:
         for name in ("true_positive_rate", "false_positive_rate"):
@@ -557,14 +557,8 @@ def detect(
     return None
 
 
-def default_pan_schedule(
-    pan_min: float = math.radians(-30.0),
-    pan_max: float = math.radians(30.0),
-    pan_step: float = math.radians(15.0),
-) -> list[float]:
-    """Head pan sweep, low to high inclusive (default -30..30 deg by 15)."""
-    n = int(round((pan_max - pan_min) / pan_step))
-    return [pan_min + k * pan_step for k in range(n + 1)]
+# Head pan sweep of one scan, low to high: -30..30 deg in 15 deg steps.
+PAN_SCHEDULE = tuple(math.radians(-30.0) + k * math.radians(15.0) for k in range(5))
 
 
 def scan_at_roi(
@@ -573,21 +567,18 @@ def scan_at_roi(
     model: DetectorModel,
     intrinsics: CameraIntrinsics,
     rng: np.random.Generator,
-    pan_schedule: list[float] | None = None,
     on_frame=None,
 ) -> DetectionResult | None:
-    """Sweep the head through the pan schedule and return the first hit.
+    """Sweep the head through ``PAN_SCHEDULE`` and return the first hit.
 
     Each pan angle is visited at most once; the robot's head pan is restored
     afterward.  The returned detection records the pan at which it fired.
     ``on_frame(pan)``, if given, runs once per attempted frame so callers can
     account for dwell time.
     """
-    if pan_schedule is None:
-        pan_schedule = default_pan_schedule()
     original_pan = robot.head_pan
     try:
-        for pan in pan_schedule:
+        for pan in PAN_SCHEDULE:
             robot.head_pan = pan
             if on_frame is not None:
                 on_frame(pan)

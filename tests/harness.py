@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from aansim import orchestrator as orc
+from aansim.scenario import SessionParams
 
 ROI_IDS = ("roi_a", "roi_b", "roi_c")
 ROI_LABELS = ("on the kitchen counter", "on the hall shelf", "on the side table")
@@ -28,9 +29,13 @@ _TRANSCRIPTS = {
 
 
 def guided_config(**over) -> orc.OrchestratorConfig:
+    session = SessionParams()
     defaults = dict(
         condition="B",
         start_level=orc.AssistLevel.L1,
+        escalation_threshold=session.escalation_threshold,
+        max_repeats=session.max_repeats,
+        min_standoff=session.min_standoff,
         roi_ids=ROI_IDS,
         roi_labels=ROI_LABELS,
     )

@@ -164,7 +164,7 @@ def test_criterion_3_planning_oracles():
         compared = 0
         for _ in range(100):
             grid = _random_grid(rng, 20, 20, p=0.3)
-            cm = nav.build_costmap(grid, inflation_radius=0.25, cost_decay=1.0)
+            cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.25, cost_decay=1.0))
             free = np.argwhere(cm.cost < 253.0)
             if len(free) < 2:
                 continue
@@ -187,7 +187,7 @@ def test_criterion_3_planning_oracles():
         dwa_rng = np.random.default_rng(99)
         for _ in range(50):
             grid = _random_grid(dwa_rng, 30, 30, p=0.06)
-            cm = nav.build_costmap(grid, inflation_radius=0.25, cost_decay=1.0)
+            cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.25, cost_decay=1.0))
             free = np.argwhere(cm.cost < 253.0)
             j, i = free[dwa_rng.integers(len(free))]
             x, y = cm.cell_center(int(i), int(j))
@@ -220,7 +220,7 @@ def test_criterion_3_planning_oracles():
             lethal = grid.cells != 0
             if not lethal.any() or lethal.all():
                 continue
-            cm = nav.build_costmap(grid, inflation_radius=0.6, cost_decay=1.0)
+            cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.6, cost_decay=1.0))
             dist = ndimage.distance_transform_edt(~lethal, sampling=grid.resolution)
             d = dist[~lethal]
             c = cm.cost[~lethal]

@@ -41,7 +41,7 @@ def test_costmap_exact_exponential_ring():
     cells = np.zeros((9, 9), dtype=np.uint8)
     cells[4, 4] = CellState.OCCUPIED
     grid = OccupancyGrid(cells=cells, resolution=1.0)
-    cm = nav.build_costmap(grid, inflation_radius=3.0, cost_decay=1.0, robot_radius=0.2)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=3.0, cost_decay=1.0, robot_radius=0.2))
     assert cm.cost[4, 4] == 255.0
     expect_d1 = min(253.0, max(1.0, 254.0 * math.exp(-(1.0 - 0.2))))
     expect_d2 = 254.0 * math.exp(-(2.0 - 0.2))
@@ -60,7 +60,7 @@ def test_costmap_exact_exponential_ring():
 
 def test_costmap_unknown_cells_are_lethal():
     grid = grid_from(["...", ".?.", "..."], resolution=1.0)
-    cm = nav.build_costmap(grid, inflation_radius=0.0)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.0))
     assert cm.cost[1, 1] == 255.0
     assert not cm.traversable(1, 1)
     assert cm.traversable(0, 0)
@@ -69,7 +69,7 @@ def test_costmap_unknown_cells_are_lethal():
 def test_costmap_inflated_band_clipped_to_1_253():
     rng = np.random.default_rng(1)
     grid = random_grid(rng, 30, 30, p=0.25)
-    cm = nav.build_costmap(grid, inflation_radius=0.45, cost_decay=1.0, robot_radius=0.2)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.45, cost_decay=1.0, robot_radius=0.2))
     lethal = cm.cost == 255.0
     band = (cm.cost > 0.0) & ~lethal
     assert band.any()
@@ -86,7 +86,7 @@ def test_costmap_monotone_in_distance_to_lethal():
         grid = random_grid(rng, 25, 25, p=0.2)
         if not (grid.cells != 0).any():
             continue
-        cm = nav.build_costmap(grid, inflation_radius=0.6, cost_decay=1.0)
+        cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.6, cost_decay=1.0))
         lethal = grid.cells != CellState.FREE
         if lethal.all():
             continue
@@ -99,7 +99,7 @@ def test_costmap_monotone_in_distance_to_lethal():
 
 
 def test_costmap_off_map_cost_is_lethal():
-    cm = nav.build_costmap(open_grid(10, 10), inflation_radius=0.0)
+    cm = nav.build_costmap(open_grid(10, 10), nav.NavParams(inflation_radius=0.0))
     assert cm.cost_at(-5.0, 0.5) == 255.0
 
 
@@ -122,7 +122,7 @@ def test_astar_equals_dijkstra_on_fixed_grid():
         ],
         resolution=0.5,
     )
-    cm = nav.build_costmap(grid, inflation_radius=0.75, cost_decay=1.0)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.75, cost_decay=1.0))
     start, goal = (0.25, 0.25), (4.75, 4.25)
     s_cell = cm.world_to_cell(*start)
     g_cell = cm.world_to_cell(*goal)
@@ -140,7 +140,7 @@ def test_astar_equals_dijkstra_on_random_grids():
     unreachable = 0
     for _ in range(60):
         grid = random_grid(rng, 20, 20, p=0.3)
-        cm = nav.build_costmap(grid, inflation_radius=0.25, cost_decay=1.0)
+        cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.25, cost_decay=1.0))
         free = np.argwhere(cm.cost < 253.0)
         if len(free) < 2:
             continue
@@ -175,7 +175,7 @@ def test_astar_equals_dijkstra_on_random_grids():
 
 def test_astar_straight_line_cost_on_empty_map():
     cells = np.zeros((10, 10), dtype=np.uint8)
-    cm = nav.build_costmap(OccupancyGrid(cells=cells, resolution=0.1), inflation_radius=0.0)
+    cm = nav.build_costmap(OccupancyGrid(cells=cells, resolution=0.1), nav.NavParams(inflation_radius=0.0))
     plan = nav.plan_global(cm, (0.05, 0.05), (0.95, 0.05))
     assert plan.cost == pytest.approx(9 * 0.1, abs=1e-12)
     assert len(plan.cells) == 10
@@ -196,7 +196,7 @@ def test_astar_prefers_longer_low_cost_route():
         ".........",
     ]
     grid = grid_from(rows, resolution=1.0)
-    cm = nav.build_costmap(grid, inflation_radius=2.0, cost_decay=1.0, robot_radius=0.2)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=2.0, cost_decay=1.0, robot_radius=0.2))
     start, goal = (4.5, 0.5), (4.5, 6.5)
     plan = nav.plan_global(cm, start, goal)
     dist = dijkstra_costs(cm, cm.world_to_cell(*start))
@@ -205,7 +205,7 @@ def test_astar_prefers_longer_low_cost_route():
 
 
 def test_astar_trivial_same_cell():
-    cm = nav.build_costmap(open_grid(10, 10), inflation_radius=0.0)
+    cm = nav.build_costmap(open_grid(10, 10), nav.NavParams(inflation_radius=0.0))
     plan = nav.plan_global(cm, (0.52, 0.53), (0.55, 0.58))
     assert plan.cost == 0.0
     assert plan.cells == [cm.world_to_cell(0.52, 0.53)]
@@ -213,7 +213,7 @@ def test_astar_trivial_same_cell():
 
 def test_astar_lethal_endpoints_raise():
     grid = open_grid(10, 10)
-    cm = nav.build_costmap(grid, inflation_radius=0.0)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.0))
     with pytest.raises(nav.LethalEndpoint):
         nav.plan_global(cm, (0.05, 0.05), (0.5, 0.5))  # start inside wall
     with pytest.raises(nav.LethalEndpoint):
@@ -230,7 +230,7 @@ def test_astar_no_path_through_solid_wall():
         "#...#...#",
         "#########",
     ]
-    cm = nav.build_costmap(grid_from(rows, resolution=0.5), inflation_radius=0.0)
+    cm = nav.build_costmap(grid_from(rows, resolution=0.5), nav.NavParams(inflation_radius=0.0))
     with pytest.raises(nav.NoPath):
         nav.plan_global(cm, (0.75, 1.25), (3.75, 1.25))
 
@@ -241,7 +241,7 @@ def test_astar_no_path_through_solid_wall():
 
 def _random_dwa_case(rng):
     grid = random_grid(rng, 30, 30, p=0.06, resolution=0.1)
-    cm = nav.build_costmap(grid, inflation_radius=0.25, cost_decay=1.0)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.25, cost_decay=1.0))
     free = np.argwhere(cm.cost < 253.0)
     j, i = free[rng.integers(len(free))]
     x, y = cm.cell_center(int(i), int(j))
@@ -289,7 +289,7 @@ def test_dwa_matches_scalar_oracle_on_random_states():
 def test_dwa_at_rest_on_open_floor_matches_oracle(heading, lookahead):
     # On open floor with the path dead ahead or dead behind, mirrored +/-omega
     # arcs can score exactly alike; the lower index wins the remaining tie.
-    cm = nav.build_costmap(open_grid(60, 60), inflation_radius=0.3, cost_decay=1.0)
+    cm = nav.build_costmap(open_grid(60, 60), nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
     robot = RobotState(x=2.0, y=3.0, heading=heading, v=0.0, omega=0.0)
     path = nav.GlobalPath(waypoints=np.array([[2.0, 3.0], lookahead]), cells=[], cost=0.0)
     params = nav.DwaParams()
@@ -300,7 +300,7 @@ def test_dwa_at_rest_on_open_floor_matches_oracle(heading, lookahead):
 
 def test_dwa_open_space_drives_at_goal():
     grid = open_grid(60, 60)
-    cm = nav.build_costmap(grid, inflation_radius=0.3, cost_decay=1.0)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
     robot = RobotState(x=1.5, y=3.0, heading=0.0, v=0.5, omega=0.0)
     path = nav.GlobalPath(
         waypoints=np.array([[1.5, 3.0], [2.5, 3.0], [4.0, 3.0]]), cells=[], cost=0.0
@@ -312,7 +312,7 @@ def test_dwa_open_space_drives_at_goal():
 
 def test_dwa_turns_toward_offset_goal():
     grid = open_grid(60, 60)
-    cm = nav.build_costmap(grid, inflation_radius=0.3, cost_decay=1.0)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
     robot = RobotState(x=3.0, y=3.0, heading=0.0, v=0.2, omega=0.0)
     path = nav.GlobalPath(
         waypoints=np.array([[3.0, 3.0], [3.0, 4.5]]), cells=[], cost=0.0
@@ -325,7 +325,7 @@ def test_dwa_all_blocked_in_tight_pocket():
     cells = np.ones((7, 7), dtype=np.uint8)
     cells[3, 3] = 0
     grid = OccupancyGrid(cells=cells, resolution=0.1)
-    cm = nav.build_costmap(grid, inflation_radius=0.0)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.0))
     robot = RobotState(x=0.35, y=0.35, heading=0.0, v=0.3, omega=0.0)
     params = nav.DwaParams(v_min=0.2)  # cannot choose to stand still
     path = nav.GlobalPath(waypoints=np.array([[0.65, 0.35]]), cells=[], cost=0.0)
@@ -348,7 +348,7 @@ def test_lookahead_point_selection():
 
 
 def _session(grid, robot, **over):
-    cm = nav.build_costmap(grid, inflation_radius=0.3, cost_decay=1.0)
+    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
     scene = world.Scene(grid=grid, objects=[])
     defaults = dict(
         scene=scene,
@@ -362,6 +362,9 @@ def _session(grid, robot, **over):
         clock=nav.Clock(),
         detector_rng=np.random.default_rng(0),
         dt=0.1,
+        frame_time=0.6,
+        depth_noise_sigma=0.0,
+        pose_noise_sigma=0.0,
     )
     defaults.update(over)
     return nav.NavSession(**defaults)
@@ -392,7 +395,8 @@ def test_navigate_to_reports_unreachable_goal():
     ]
     grid = grid_from(rows, resolution=0.5)
     robot = RobotState(x=1.0, y=1.25, heading=0.0)
-    session = _session(grid, robot, costmap=nav.build_costmap(grid, inflation_radius=0.0))
+    costmap = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.0))
+    session = _session(grid, robot, costmap=costmap)
     res = nav.navigate_to(session, (3.75, 1.25, 0.0))
     assert not res.arrived
     assert res.reason.startswith("no_path")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +14,6 @@ from aansim.orchestrator import (
     EventKind,
     GuidanceStep,
     IntentKind,
-    InvalidEvent,
     Phase,
     UserActionKind,
 )
@@ -105,9 +105,10 @@ def test_start_navigation_below_l3_is_invalid():
     state, _ = orc.step(state, AssistEvent.schedule_due(0.0), config)
     nxt, actions = orc.step(state, AssistEvent.start_navigation(1.0), config)
     assert nxt.phase is Phase.REMINDING and actions == []
-    strict = guided_config(strict=True)
-    with pytest.raises(InvalidEvent):
-        orc.step(state, AssistEvent.start_navigation(2.0), strict)
+    # Ignored: the state only takes the event's time.
+    assert nxt == replace(state, clock=1.0)
+    again, actions = orc.step(nxt, AssistEvent.start_navigation(2.0), config)
+    assert again == replace(state, clock=2.0) and actions == []
 
 
 def test_l3_abort_notifies_caregiver():
@@ -294,8 +295,10 @@ def test_terminal_states_absorb_events():
     assert state.terminal
     nxt, actions = orc.step(state, AssistEvent.schedule_due(60.0), config)
     assert nxt.phase is state.phase and actions == []
-    with pytest.raises(InvalidEvent):
-        orc.step(state, AssistEvent.schedule_due(70.0), guided_config(strict=True))
+    # Ignored: the state only takes the event's time.
+    assert nxt == replace(state, clock=60.0)
+    again, actions = orc.step(nxt, AssistEvent.schedule_due(70.0), config)
+    assert again == replace(state, clock=70.0) and actions == []
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +363,8 @@ def test_gesture_actions_behind_target_rotates_base():
 
 
 def test_gesture_actions_degenerate_direction_only_aligns_gaze():
-    config = guided_config(arm_origin=(0.0, 0.0, 0.8))
-    actions = orc.gesture_actions(np.array([0.0, 0.0, 0.8]), config)
+    config = guided_config()
+    actions = orc.gesture_actions(np.array(orc.ARM_ORIGIN), config)
     assert kinds(actions) == [ActionKind.ALIGN_GAZE]
 
 

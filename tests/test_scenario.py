@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 
 from aansim import scenario as sc
-from aansim.world import CellState
+from aansim.episode import run_episode
+from aansim.navigation import NavParams
+from aansim.session import validate_log
+from aansim.world import CellState, DetectorModel
 
 from conftest import SCENARIO_PATH
 
@@ -105,6 +108,75 @@ def test_missing_map_file_reported(workdir):
     doc["map"] = "nowhere.map"
     msg = load_errors(workdir, doc)
     assert "nowhere.map" in msg
+
+
+REQUIRED_KEYS = ("name", "map", "profile", "robot", "intrinsics", "rois", "bottle_candidates")
+
+
+def minimal_doc():
+    """lab_study reduced to its required keys: no furniture, no optional section."""
+    doc = {key: base_doc()[key] for key in REQUIRED_KEYS}
+    doc["robot"] = {"x": doc["robot"]["x"], "y": doc["robot"]["y"]}
+    return doc
+
+
+def test_minimal_scenario_takes_dataclass_defaults(workdir):
+    scenario = sc.load_scenario(write_doc(workdir, minimal_doc()))
+    assert scenario.session == sc.SessionParams()
+    assert scenario.noise == sc.NoiseParams()
+    assert scenario.detector == DetectorModel()
+    assert scenario.nav == NavParams()
+    assert isinstance(scenario.session.max_repeats, int)
+    for condition in ("A", "B"):
+        log = run_episode(scenario, condition, 0).log
+        validate_log(log)
+        assert log.meta["scenario_hash"] == scenario.scenario_hash
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("session", "time_cap_s", 5.0, "$.session.time_cap_s: must be >= 10.0"),
+        ("detector", "true_positive_rate", 1.5, "$.detector.true_positive_rate: must be <= 1.0"),
+        ("intrinsics", "fx", 0.0, "$.intrinsics.fx: must be >= 1e-06"),
+        ("nav", "inflation_radius", -0.1, "$.nav.inflation_radius: must be >= 0.0"),
+        ("noise", "depth_sigma", -0.001, "$.noise.depth_sigma: must be >= 0.0"),
+    ],
+)
+def test_out_of_bounds_value_names_json_path(workdir, section, key, value, message):
+    doc = base_doc()
+    doc[section][key] = value
+    assert load_errors(workdir, doc) == message
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("session", "time_cap"),
+        ("detector", "tpr"),
+        ("intrinsics", "f"),
+        ("nav", "inflation"),
+        ("noise", "depth"),
+    ],
+)
+def test_unknown_section_key_rejected(workdir, section, key):
+    doc = base_doc()
+    doc[section][key] = 60
+    assert load_errors(workdir, doc).startswith(f"$.{section}.{key}: unknown key")
+
+
+def test_int_fields_truncate_validated_numbers(workdir):
+    doc = base_doc()
+    doc["session"]["max_repeats"] = 3.0
+    scenario = sc.load_scenario(write_doc(workdir, doc))
+    assert scenario.session.max_repeats == 3
+    assert isinstance(scenario.session.max_repeats, int)
+
+
+def test_dataclass_guard_error_names_section(workdir):
+    doc = base_doc()
+    doc["intrinsics"]["cx"] = 200.0  # passes its own bounds, but lies outside the image
+    assert load_errors(workdir, doc) == "$.intrinsics: cx=200.0 outside [0, 160)"
 
 
 # ---------------------------------------------------------------------------

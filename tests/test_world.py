@@ -338,7 +338,7 @@ def test_scan_at_roi_restores_pan_and_counts_frames():
 
 
 def test_default_pan_schedule_values():
-    sched = world.default_pan_schedule()
+    sched = world.PAN_SCHEDULE
     assert [round(math.degrees(p)) for p in sched] == [-30, -15, 0, 15, 30]
 
 
