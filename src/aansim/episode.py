@@ -141,13 +141,11 @@ def _make_nav_session(
 
     return navigation.NavSession(
         scene=scene,
-        grid=sc.nav_grid,
         costmap=costmap,
         robot=robot,
         rois=sc.rois,
         intrinsics=sc.intrinsics,
         detector=sc.detector,
-        params=navigation.DwaParams(),
         clock=engine.clock,
         detector_rng=seeding.stream(seed, condition, "detector"),
         depth_noise_rng=seeding.stream(seed, condition, "depth_noise"),
@@ -162,21 +160,12 @@ def _make_nav_session(
 
 def _pump_navigation(engine: _Engine, nav_session: navigation.NavSession) -> None:
     """Run the search sequencer, feeding its outcomes to the orchestrator."""
-    for roi_event in navigation.roi_sequencer(nav_session):
-        roi_id = roi_event.roi.id if roi_event.roi is not None else None
-        event = AssistEvent(
-            kind=EventKind(roi_event.kind),
-            t=roi_event.t,
-            roi=roi_id,
-            target=roi_event.target,
-        )
+    for event in navigation.roi_sequencer(nav_session):
         engine.apply(event)
-        if roi_event.kind == "found":
+        if event.kind is EventKind.FOUND:
             # Gaze alignment plus the deictic gesture take real time.
             engine.clock.advance(engine.scenario.session.gesture_time_s)
-            engine.windows.append(
-                GazeWindow("bottle", roi_event.t, roi_event.t + _BOTTLE_SPAN_S)
-            )
+            engine.windows.append(GazeWindow("bottle", event.t, event.t + _BOTTLE_SPAN_S))
         if engine.state.phase not in (Phase.NAVIGATING, Phase.SCANNING):
             return
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -136,10 +136,6 @@ class BoundingBox:
         """Integer center pixel (u, v)."""
         return ((self.u_min + self.u_max) // 2, (self.v_min + self.v_max) // 2)
 
-    @property
-    def area(self) -> int:
-        return (self.u_max - self.u_min + 1) * (self.v_max - self.v_min + 1)
-
     def clipped(self, width: int, height: int) -> "BoundingBox":
         return BoundingBox(
             max(0, min(self.u_min, width - 1)),
@@ -151,8 +147,9 @@ class BoundingBox:
 
 @dataclass
 class ForegroundMask:
-    """Connected set of pixels kept by depth-band foreground extraction.
+    """Connected pixels kept by depth-band foreground extraction.
 
+    ``pixels`` is an (N, 2) int array of (u, v), sorted by u, then v.
     ``z_m`` is the (lower) median depth of the valid pixels in the source
     box; the mask keeps pixels whose depth lies within ``band_halfwidth`` of
     it.  ``center_fallback`` is flagged when the box center pixel did not
@@ -160,7 +157,7 @@ class ForegroundMask:
     instead.
     """
 
-    pixels: set[tuple[int, int]]
+    pixels: np.ndarray
     z_m: float
     band_halfwidth: float
     center_fallback: bool = False
@@ -211,27 +208,6 @@ class RigidTransform:
     def inverse(self) -> "RigidTransform":
         rot_inv = self.rotation.T
         return RigidTransform(rot_inv, -rot_inv @ self.translation)
-
-
-@dataclass
-class PointCloud:
-    """Point set (N, 3) tagged with the frame it lives in."""
-
-    points: np.ndarray
-    frame: str
-    centroid: np.ndarray = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if self.centroid is None:
-            self.centroid = (
-                self.points.mean(axis=0) if len(self.points) else np.zeros(3)
-            )
-        else:
-            self.centroid = np.asarray(self.centroid, dtype=np.float64).reshape(3)
-
-    def __len__(self) -> int:
-        return int(self.points.shape[0])
 
 
 @dataclass(frozen=True)
@@ -360,39 +336,27 @@ def extract_foreground(
             cu, cv, int(sizes[center_label - 1]),
         )
 
-    vs, us = np.nonzero(labels == center_label)
-    pixels = {
-        (int(u + clipped.u_min), int(v + clipped.v_min)) for u, v in zip(us, vs)
-    }
     return ForegroundMask(
-        pixels=pixels,
+        pixels=np.argwhere(labels.T == center_label) + (clipped.u_min, clipped.v_min),
         z_m=z_m,
         band_halfwidth=band_halfwidth,
         center_fallback=center_fallback,
     )
 
 
-def to_base(cloud: PointCloud, base_from_cloud: RigidTransform, frame: str = "base") -> PointCloud:
-    """Transform every point (and the centroid) into the target frame."""
-    pts = base_from_cloud.apply(cloud.points)
-    return PointCloud(points=pts, frame=frame)
-
-
 def centroid_patch(
-    cloud: PointCloud, radius_scale: float = DEFAULT_PATCH_RADIUS_SCALE
-) -> PointCloud:
-    """Points of ``cloud`` within ``radius_scale`` x RMS radius of the centroid."""
+    cloud: np.ndarray, radius_scale: float = DEFAULT_PATCH_RADIUS_SCALE
+) -> np.ndarray:
+    """Rows of the (N, 3) ``cloud`` within ``radius_scale`` x RMS radius of its centroid."""
     if len(cloud) == 0:
         return cloud
-    offsets = cloud.points - cloud.centroid
-    radii = np.linalg.norm(offsets, axis=1)
+    radii = np.linalg.norm(cloud - cloud.mean(axis=0), axis=1)
     rms = math.sqrt(float(np.mean(radii**2)))
-    keep = radii <= radius_scale * rms + 1e-12
-    return PointCloud(points=cloud.points[keep], frame=cloud.frame)
+    return cloud[radii <= radius_scale * rms + 1e-12]
 
 
-def fit_plane(patch: PointCloud, camera_axis=None) -> PlaneFit:
-    """Least-squares plane through a patch via the covariance eigenvector.
+def fit_plane(patch: np.ndarray, camera_axis=None) -> PlaneFit:
+    """Least-squares plane through an (N, 3) patch via the covariance eigenvector.
 
     The normal is the eigenvector of the population covariance (divide by N,
     centered on the mean) with the smallest eigenvalue.  Exact eigenvalue
@@ -402,7 +366,7 @@ def fit_plane(patch: PointCloud, camera_axis=None) -> PlaneFit:
 
     Raises DegeneratePatch for fewer than 3 points or a (near-)collinear set.
     """
-    pts = patch.points
+    pts = np.asarray(patch, dtype=np.float64).reshape(-1, 3)
     if len(pts) < 3:
         raise DegeneratePatch(f"plane fit needs >= 3 points, got {len(pts)}")
     centroid = pts.mean(axis=0)
@@ -467,7 +431,6 @@ def pointing_angles(target, arm_origin) -> PointingCommand:
 class TargetEstimate:
     """Output of the detection-to-pointing localization pipeline."""
 
-    cloud_base: PointCloud
     target_base: np.ndarray
     plane: PlaneFit | None
     mask: ForegroundMask
@@ -490,21 +453,14 @@ def localize_target(
     than failing the whole localization.
     """
     mask = extract_foreground(depth, box, band_halfwidth)
-    pixel_list = sorted(mask.pixels)
-    pix = np.array(pixel_list, dtype=np.float64)
-    depths = depth.depth[pix[:, 1].astype(int), pix[:, 0].astype(int)]
-    cloud_cam = PointCloud(points=backproject_pixels(pix, depths, intrinsics), frame="camera")
-    cloud_base = to_base(cloud_cam, base_from_camera)
-    patch = centroid_patch(cloud_base, patch_radius_scale)
+    pix = mask.pixels
+    depths = depth.depth[pix[:, 1], pix[:, 0]]
+    cloud = base_from_camera.apply(backproject_pixels(pix, depths, intrinsics))
+    patch = centroid_patch(cloud, patch_radius_scale)
     camera_axis_base = base_from_camera.rotation @ np.array([0.0, 0.0, 1.0])
     try:
         plane: PlaneFit | None = fit_plane(patch, camera_axis_base)
     except DegeneratePatch:
         logger.warning("plane fit degenerate for %d-point patch; using centroid only", len(patch))
         plane = None
-    return TargetEstimate(
-        cloud_base=cloud_base,
-        target_base=cloud_base.centroid,
-        plane=plane,
-        mask=mask,
-    )
+    return TargetEstimate(target_base=cloud.mean(axis=0), plane=plane, mask=mask)

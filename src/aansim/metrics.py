@@ -208,10 +208,6 @@ class Summary:
     q3: float
     ci95: tuple[float, float] | None  # Student-t; None when n == 1
 
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
 
 def summarize(values) -> Summary:
     xs = np.asarray(list(values), dtype=np.float64)
@@ -230,9 +226,6 @@ def summarize(values) -> Summary:
         half = float(stats.t.ppf(0.975, xs.size - 1)) * sem
         ci = (mean - half, mean + half)
     return Summary(n=int(xs.size), mean=mean, median=median, q1=q1, q3=q3, ci95=ci)
-
-
-MEASURES = ("time_to_locate_s", "interaction_rounds", "completed")
 
 
 def aggregate(sessions: list[SessionMetrics]) -> dict[str, dict[str, Summary]]:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from . import geometry, world
-from .geometry import PlaneFit
+from .orchestrator import AssistEvent
 from .world import (
     CellState,
     DetectionResult,
@@ -226,6 +226,10 @@ class DwaParams:
     lookahead: float = 0.6
 
 
+# The local planner's settings in every navigation session.
+DWA_PARAMS = DwaParams()
+
+
 def lookahead_point(path: GlobalPath, x: float, y: float, dist: float) -> tuple[float, float]:
     """First waypoint at least ``dist`` ahead of the nearest one to (x, y)."""
     wps = path.waypoints
@@ -357,32 +361,29 @@ class NavSession:
     """Everything the search sequencer needs to move, look, and keep time."""
 
     scene: Scene
-    grid: OccupancyGrid
-    costmap: Costmap
+    costmap: Costmap  # also the collision grid: same cells as the planning grid
     robot: RobotState
     rois: list[RegionOfInterest]
     intrinsics: "geometry.CameraIntrinsics"
     detector: DetectorModel
-    params: DwaParams
     clock: Clock
     detector_rng: np.random.Generator
+    depth_noise_rng: np.random.Generator
+    pose_noise_rng: np.random.Generator
     dt: float
     frame_time: float
     depth_noise_sigma: float
     pose_noise_sigma: float
-    depth_noise_rng: np.random.Generator | None = None
-    pose_noise_rng: np.random.Generator | None = None
-    on_progress: Callable[[str, dict], None] | None = None
+    on_progress: Callable[[str, dict], None]
 
     def note(self, kind: str, **payload) -> None:
-        if self.on_progress is not None:
-            self.on_progress(kind, payload)
+        self.on_progress(kind, payload)
 
 
 def _observed_pose(session: NavSession) -> RobotState:
     """Robot state as the planner sees it (optionally noise-injected)."""
     robot = session.robot
-    if session.pose_noise_sigma <= 0.0 or session.pose_noise_rng is None:
+    if session.pose_noise_sigma <= 0.0:
         return robot
     noise = session.pose_noise_rng.normal(0.0, session.pose_noise_sigma, size=3)
     return replace(
@@ -397,7 +398,7 @@ def _spin_in_place(session: NavSession, duration: float) -> None:
     ticks = int(round(duration / session.dt))
     for _ in range(ticks):
         session.robot, _ = world.step_kinematics(
-            session.robot, (0.0, session.params.omega_max), session.dt, session.grid
+            session.robot, (0.0, DWA_PARAMS.omega_max), session.dt, session.costmap
         )
         session.clock.advance(session.dt)
 
@@ -409,7 +410,7 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
     replans once; a second AllBlocked (or a failed replan) abandons the goal.
     """
     gx, gy, gh = goal_pose
-    params = session.params
+    params = DWA_PARAMS
     dt = session.dt
     try:
         path = plan_global(session.costmap, (session.robot.x, session.robot.y), (gx, gy))
@@ -441,7 +442,7 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
             except NavigationError:
                 return NavResult(False, "all_blocked", ticks, collisions)
             continue
-        session.robot, hit = world.step_kinematics(session.robot, cmd, dt, session.grid)
+        session.robot, hit = world.step_kinematics(session.robot, cmd, dt, session.costmap)
         if hit:
             collisions += 1
         session.clock.advance(dt)
@@ -455,51 +456,14 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
         if abs(err) <= ARRIVAL_ANG_TOL:
             return NavResult(True, "arrived", ticks, collisions)
         omega = max(-params.omega_max, min(params.omega_max, err / dt))
-        session.robot, _ = world.step_kinematics(session.robot, (0.0, omega), dt, session.grid)
+        session.robot, _ = world.step_kinematics(session.robot, (0.0, omega), dt, session.costmap)
         session.clock.advance(dt)
         ticks += 1
     return NavResult(False, "tick_cap", ticks, collisions)
 
 
-@dataclass(frozen=True)
-class FoundTarget:
-    """Detection enriched with the base-frame pointing target."""
-
-    detection: DetectionResult
-    target_base: np.ndarray
-    plane: PlaneFit | None
-    center_fallback: bool
-    robot_pose: tuple[float, float, float]
-    roi_id: str
-
-
-@dataclass(frozen=True)
-class RoiEvent:
-    """Sequencer output: miss / found / roi_unreachable / exhausted, the
-    values of the matching orchestrator ``EventKind``s."""
-
-    kind: str
-    t: float
-    roi: RegionOfInterest | None = None
-    target: FoundTarget | None = None
-
-
-def _scan_with_timing(session: NavSession) -> DetectionResult | None:
-    def on_frame(_pan: float) -> None:
-        session.clock.advance(session.frame_time)
-
-    return world.scan_at_roi(
-        session.scene,
-        session.robot,
-        session.detector,
-        session.intrinsics,
-        session.detector_rng,
-        on_frame=on_frame,
-    )
-
-
-def _localize(session: NavSession, det: DetectionResult) -> FoundTarget | None:
-    """Run the perception pipeline on the frame that produced a detection."""
+def _localize(session: NavSession, det: DetectionResult) -> np.ndarray | None:
+    """Base-frame pointing target from the frame that produced a detection."""
     robot = session.robot
     depth = world.add_depth_noise(det.depth, session.depth_noise_sigma, session.depth_noise_rng)
     try:
@@ -508,41 +472,42 @@ def _localize(session: NavSession, det: DetectionResult) -> FoundTarget | None:
         )
     except geometry.GeometryError:
         return None
-    return FoundTarget(
-        detection=det,
-        target_base=est.target_base,
-        plane=est.plane,
-        center_fallback=est.mask.center_fallback,
-        robot_pose=robot.pose,
-        roi_id="",
-    )
+    return est.target_base
 
 
-def roi_sequencer(session: NavSession) -> Iterator[RoiEvent]:
+def roi_sequencer(session: NavSession) -> Iterator[AssistEvent]:
     """Visit search locations in order, scanning each until a hit.
 
-    Yields Miss(roi) / Found(roi) / RoiUnreachable(roi) per location, each at
-    most once, then Exhausted if nothing was found.  The generator advances
-    the shared clock as it drives and scans.
+    Yields a miss, found or roi_unreachable event per location, each at most
+    once, then exhausted if nothing was found.  A found event carries the
+    bottle as a base-frame (3,) point.  The generator advances the shared
+    clock as it drives and scans: one ``frame_time`` per camera frame.
     """
+
+    def on_frame(_pan: float) -> None:
+        session.clock.advance(session.frame_time)
+
     for roi in session.rois:
         session.note("navigating", roi=roi.id, t=session.clock.t)
         nav = navigate_to(session, roi.pose)
         if not nav.arrived:
             session.note("unreachable", roi=roi.id, reason=nav.reason, t=session.clock.t)
-            yield RoiEvent("roi_unreachable", session.clock.t, roi=roi)
+            yield AssistEvent.roi_unreachable(session.clock.t, roi.id)
             continue
         session.note("scanning", roi=roi.id, t=session.clock.t)
-        det = _scan_with_timing(session)
-        if det is None:
-            yield RoiEvent("miss", session.clock.t, roi=roi)
-            continue
-        target = _localize(session, det)
+        det = world.scan_at_roi(
+            session.scene,
+            session.robot,
+            session.detector,
+            session.intrinsics,
+            session.detector_rng,
+            on_frame=on_frame,
+        )
+        # A failed localization on the detection frame counts as a miss.
+        target = None if det is None else _localize(session, det)
         if target is None:
-            # Localization on the detection frame failed; count as a miss.
-            yield RoiEvent("miss", session.clock.t, roi=roi)
+            yield AssistEvent.miss(session.clock.t, roi.id)
             continue
-        target = replace(target, roi_id=roi.id)
-        yield RoiEvent("found", session.clock.t, roi=roi, target=target)
+        yield AssistEvent.found(session.clock.t, roi.id, target)
         return
-    yield RoiEvent("exhausted", session.clock.t)
+    yield AssistEvent.exhausted(session.clock.t)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -109,7 +109,7 @@ class AssistEvent:
     t: float
     transcript: str | None = None
     roi: str | None = None
-    target: object | None = None  # navigation.FoundTarget on FOUND events
+    target: np.ndarray | None = None  # base-frame bottle point on FOUND events
     action: UserActionKind | None = None
     timeout_phase: Phase | None = None
 
@@ -130,7 +130,7 @@ class AssistEvent:
         return cls(EventKind.TIMEOUT, t, timeout_phase=phase)
 
     @classmethod
-    def found(cls, t: float, roi: str, target: object) -> "AssistEvent":
+    def found(cls, t: float, roi: str, target: np.ndarray) -> "AssistEvent":
         return cls(EventKind.FOUND, t, roi=roi, target=target)
 
     @classmethod
@@ -284,8 +284,8 @@ class OrchestratorConfig:
     escalation_threshold: int
     max_repeats: int
     min_standoff: float
-    roi_ids: tuple[str, ...] = ()
-    roi_labels: tuple[str, ...] = ()
+    roi_ids: tuple[str, ...]
+    roi_labels: tuple[str, ...]
 
     @property
     def passive(self) -> bool:
@@ -448,8 +448,7 @@ def _start_navigation(
     actions = []
     if announce:
         actions.append(Action.speak("Looking for your medicine bottle."))
-    if config.roi_ids:
-        actions.append(Action.navigate_to(config.roi_ids[0]))
+    actions.append(Action.navigate_to(config.roi_ids[0]))
     nxt = replace(
         state, phase=Phase.NAVIGATING, roi_index=0, repeat_count=0, failure_count=0
     )
@@ -604,8 +603,6 @@ def _passive_step(
 
 
 def _hint_label(config: OrchestratorConfig, index: int) -> str:
-    if not config.roi_labels:
-        return "one of your usual spots"
     return config.roi_labels[index % len(config.roi_labels)]
 
 
@@ -662,8 +659,7 @@ def step(
             return nxt, []
         if kind is EventKind.FOUND:
             actions = [Action.speak("I found your medicine bottle!")]
-            if event.target is not None:
-                actions.extend(gesture_actions(event.target.target_base, config))
+            actions.extend(gesture_actions(event.target, config))
             nxt, prompt = _enter_step(state, GuidanceStep.LOCATE_BOTTLE)
             return nxt, actions + prompt
         if kind is EventKind.EXHAUSTED:

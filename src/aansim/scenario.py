@@ -70,6 +70,12 @@ def _str(value, path: str) -> str:
     return value
 
 
+def _known(obj: dict, path: str, names: list[str]) -> None:
+    """Reject the first key of ``obj`` that is not in ``names``."""
+    for name in obj:
+        _expect(name in names, f"{path}.{name}", f"unknown key; known: {names}")
+
+
 def _section(raw: dict, key: str, cls):
     """Load the numeric object ``raw[key]`` into the dataclass ``cls``.
 
@@ -83,9 +89,7 @@ def _section(raw: dict, key: str, cls):
     required = any(f.default is MISSING for f in specs)
     obj = _get(raw, key, "$", required=required, default={})
     _expect(isinstance(obj, dict), path, "expected an object")
-    names = [f.name for f in specs]
-    for name in obj:
-        _expect(name in names, f"{path}.{name}", f"unknown key; known: {names}")
+    _known(obj, path, [f.name for f in specs])
     values = {}
     for f in specs:
         if f.name in obj or f.default is MISSING:
@@ -108,8 +112,10 @@ def _shape(value, path: str):
     _expect(isinstance(value, dict), path, "expected an object")
     kind = _str(_get(value, "type", path), f"{path}.type")
     if kind == "box":
+        _known(value, path, ["type", "size"])
         return BoxShape(size=_vec(_get(value, "size", path), f"{path}.size", 3))
     if kind == "cylinder":
+        _known(value, path, ["type", "radius", "height"])
         return CylinderShape(
             radius=_num(_get(value, "radius", path), f"{path}.radius", lo=1e-6),
             height=_num(_get(value, "height", path), f"{path}.height", lo=1e-6),
@@ -235,6 +241,12 @@ def _hash_bytes(scenario_json: bytes, map_bytes: bytes) -> str:
     return digest.hexdigest()
 
 
+_TOP_LEVEL_KEYS = [
+    "name", "map", "profile", "robot", "intrinsics", "detector", "rois",
+    "bottle_candidates", "bottle", "objects", "nav", "session", "noise",
+]
+
+
 def load_scenario(path: str | Path) -> Scenario:
     """Parse and validate a scenario file; the map path resolves next to it."""
     path = Path(path)
@@ -243,6 +255,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid(f"$: not valid JSON ({exc})") from exc
     _expect(isinstance(raw, dict), "$", "top level must be a JSON object")
+    _known(raw, "$", _TOP_LEVEL_KEYS)
 
     name = _str(_get(raw, "name", "$"), "$.name")
     map_rel = _str(_get(raw, "map", "$"), "$.map")
@@ -264,6 +277,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     robot = _get(raw, "robot", "$")
     _expect(isinstance(robot, dict), "$.robot", "expected an object")
+    _known(robot, "$.robot", ["x", "y", "heading_deg", "camera"])
     rx = _num(_get(robot, "x", "$.robot"), "$.robot.x")
     ry = _num(_get(robot, "y", "$.robot"), "$.robot.y")
     rheading = math.radians(
@@ -276,6 +290,7 @@ def load_scenario(path: str | Path) -> Scenario:
     )
     camera = _get(robot, "camera", "$.robot", required=False, default={})
     _expect(isinstance(camera, dict), "$.robot.camera", "expected an object")
+    _known(camera, "$.robot.camera", ["forward", "height", "pitch_deg"])
     cam_forward = _num(_get(camera, "forward", "$.robot.camera", required=False, default=0.05), "$.robot.camera.forward")
     cam_height = _num(_get(camera, "height", "$.robot.camera", required=False, default=1.15), "$.robot.camera.height", lo=0.1)
     cam_pitch = math.radians(
@@ -292,6 +307,7 @@ def load_scenario(path: str | Path) -> Scenario:
     for i, r in enumerate(rois_raw):
         p = f"$.rois[{i}]"
         _expect(isinstance(r, dict), p, "expected an object")
+        _known(r, p, ["id", "label", "pose"])
         rid = _str(_get(r, "id", p), f"{p}.id")
         _expect(rid not in seen_ids, f"{p}.id", f"duplicate id {rid!r}")
         seen_ids.add(rid)
@@ -316,6 +332,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     bottle_raw = _get(raw, "bottle", "$", required=False, default={})
     _expect(isinstance(bottle_raw, dict), "$.bottle", "expected an object")
+    _known(bottle_raw, "$.bottle", ["radius", "height"])
     bottle_shape = CylinderShape(
         radius=_num(_get(bottle_raw, "radius", "$.bottle", required=False, default=0.035), "$.bottle.radius", lo=1e-3),
         height=_num(_get(bottle_raw, "height", "$.bottle", required=False, default=0.12), "$.bottle.height", lo=1e-3),
@@ -327,6 +344,7 @@ def load_scenario(path: str | Path) -> Scenario:
     for i, o in enumerate(objects_raw):
         p = f"$.objects[{i}]"
         _expect(isinstance(o, dict), p, "expected an object")
+        _known(o, p, ["kind", "name", "position", "shape"])
         kind_key = _str(_get(o, "kind", p), f"{p}.kind")
         _expect(kind_key in _OBJECT_KINDS, f"{p}.kind", f"unknown kind {kind_key!r}; known: {sorted(_OBJECT_KINDS)}")
         objects.append(

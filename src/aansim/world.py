@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from functools import lru_cache
-from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -126,10 +126,6 @@ class OccupancyGrid:
         ]
         return "\n".join([header, *rows]) + "\n"
 
-    @classmethod
-    def load(cls, path: str | Path, origin: tuple[float, float] = (0.0, 0.0)) -> "OccupancyGrid":
-        return cls.from_ascii(Path(path).read_text(), origin=origin)
-
 
 @dataclass(frozen=True)
 class RegionOfInterest:
@@ -187,15 +183,10 @@ class Scene:
 
     grid: OccupancyGrid
     objects: list[SceneObject]
-    _wall_rects: list[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)  # type: ignore[assignment]
+    wall_rects: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self._wall_rects is None:
-            self._wall_rects = _merge_occupied_rects(self.grid)
-
-    @property
-    def wall_rects(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return self._wall_rects
+        self.wall_rects = _merge_occupied_rects(self.grid)
 
     def pill_bottle_index(self) -> int | None:
         for idx, obj in enumerate(self.objects):
@@ -492,12 +483,7 @@ def _perturb_box(
     v1 = int(round(box.v_max + noise[3]))
     u0, u1 = sorted((u0, u1))
     v0, v1 = sorted((v0, v1))
-    return BoundingBox(
-        max(0, min(u0, width - 1)),
-        max(0, min(v0, height - 1)),
-        max(0, min(u1, width - 1)),
-        max(0, min(v1, height - 1)),
-    )
+    return BoundingBox(u0, v0, u1, v1).clipped(width, height)
 
 
 def detect(
@@ -567,21 +553,20 @@ def scan_at_roi(
     model: DetectorModel,
     intrinsics: CameraIntrinsics,
     rng: np.random.Generator,
-    on_frame=None,
+    on_frame: Callable[[float], None],
 ) -> DetectionResult | None:
     """Sweep the head through ``PAN_SCHEDULE`` and return the first hit.
 
     Each pan angle is visited at most once; the robot's head pan is restored
     afterward.  The returned detection records the pan at which it fired.
-    ``on_frame(pan)``, if given, runs once per attempted frame so callers can
-    account for dwell time.
+    ``on_frame(pan)`` runs once per attempted frame so callers can account
+    for dwell time.
     """
     original_pan = robot.head_pan
     try:
         for pan in PAN_SCHEDULE:
             robot.head_pan = pan
-            if on_frame is not None:
-                on_frame(pan)
+            on_frame(pan)
             result = detect(scene, robot, model, intrinsics, rng)
             if result is not None:
                 return result

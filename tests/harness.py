@@ -7,7 +7,6 @@ tests and the acceptance suite share one definition.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -48,10 +47,10 @@ def passive_config(**over) -> orc.OrchestratorConfig:
     return guided_config(**over)
 
 
-def _fake_target(rng) -> SimpleNamespace:
+def _fake_target(rng) -> np.ndarray:
     vec = rng.uniform(-2.0, 2.0, size=3)
     vec[2] = rng.uniform(0.0, 1.5)
-    return SimpleNamespace(target_base=np.asarray(vec))
+    return vec
 
 
 def _say(rng, pool: str, t: float) -> orc.AssistEvent:

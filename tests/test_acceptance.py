@@ -21,7 +21,7 @@ from aansim import metrics as m
 from aansim import navigation as nav
 from aansim import usersim as us
 from aansim.episode import run_episode
-from aansim.geometry import CameraIntrinsics, PointCloud
+from aansim.geometry import CameraIntrinsics
 from aansim.orchestrator import MOTION_ACTION_KINDS, AssistLevel, Phase
 from aansim.session import write_log
 from aansim.usersim import GazeTimeline
@@ -89,7 +89,7 @@ def _plane_cloud(normal, offset, n=400, extent=0.5, seed=3, noise=0.0):
     pts = -offset * normal + uv[:, :1] * b1 + uv[:, 1:] * b2
     if noise > 0.0:
         pts = pts + rng.normal(0.0, noise, (n, 1)) * normal
-    return PointCloud(points=pts, frame="base")
+    return pts
 
 
 def _angle_deg(a, b):

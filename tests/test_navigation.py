@@ -6,6 +6,8 @@ import pytest
 
 from aansim import navigation as nav
 from aansim import world
+from aansim.geometry import CameraIntrinsics
+from aansim.orchestrator import AssistEvent, EventKind
 from aansim.world import CellState, OccupancyGrid, RobotState
 
 from oracles import (
@@ -352,19 +354,20 @@ def _session(grid, robot, **over):
     scene = world.Scene(grid=grid, objects=[])
     defaults = dict(
         scene=scene,
-        grid=grid,
         costmap=cm,
         robot=robot,
         rois=[],
         intrinsics=None,
         detector=None,
-        params=nav.DwaParams(),
         clock=nav.Clock(),
         detector_rng=np.random.default_rng(0),
+        depth_noise_rng=np.random.default_rng(1),
+        pose_noise_rng=np.random.default_rng(2),
         dt=0.1,
         frame_time=0.6,
         depth_noise_sigma=0.0,
         pose_noise_sigma=0.0,
+        on_progress=lambda kind, payload: None,
     )
     defaults.update(over)
     return nav.NavSession(**defaults)
@@ -413,3 +416,75 @@ def test_navigate_to_is_deterministic():
         return (res.arrived, res.ticks, session.robot.x, session.robot.y, session.robot.heading)
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# roi_sequencer
+
+BOTTLE = (7.0, 3.0, 0.9)
+SEARCH_ROIS = [
+    # roi_a looks at the south wall; only roi_b faces the bottle, 1 m ahead.
+    world.RegionOfInterest("roi_a", (2.0, 1.5, -math.pi / 2), "by the south wall"),
+    world.RegionOfInterest("roi_b", (6.0, 3.0, 0.0), "by the east shelf"),
+]
+
+
+def _search_session(with_bottle):
+    objects = []
+    if with_bottle:
+        objects.append(
+            world.SceneObject(
+                kind=world.ObjectKind.PILL_BOTTLE,
+                position=BOTTLE,
+                shape=world.CylinderShape(radius=0.04, height=0.16),
+            )
+        )
+    grid = open_grid(80, 60)
+    robot = RobotState(
+        x=1.0, y=3.0, heading=0.0,
+        camera_mount=world.standard_camera_mount((0.0, 0.0, 1.0), 0.0),
+    )
+    return _session(
+        grid,
+        robot,
+        scene=world.Scene(grid=grid, objects=objects),
+        rois=SEARCH_ROIS,
+        intrinsics=CameraIntrinsics(fx=130.0, fy=130.0, cx=79.5, cy=59.5, width=160, height=120),
+        detector=world.DetectorModel(
+            true_positive_rate=1.0, false_positive_rate=0.0, box_noise_sigma=0.0, max_range=4.0
+        ),
+    )
+
+
+def _drain(session):
+    """Every sequencer event, checking its time against the clock as it is yielded."""
+    events = []
+    for event in nav.roi_sequencer(session):
+        assert isinstance(event, AssistEvent)
+        assert event.t == session.clock.t
+        events.append(event)
+    return events
+
+
+def test_roi_sequencer_misses_then_finds_the_bottle():
+    session = _search_session(with_bottle=True)
+    miss, found = _drain(session)
+    assert miss == AssistEvent.miss(miss.t, "roi_a")
+    assert (found.kind, found.roi) == (EventKind.FOUND, "roi_b")
+    assert found.t > miss.t
+    target = found.target
+    assert isinstance(target, np.ndarray)
+    assert target.dtype == np.float64 and target.shape == (3,)
+    # The base-frame point lies on the bottle, seen from where the robot stopped.
+    x, y, _ = session.robot.world_from_base().apply(target)
+    assert math.hypot(x - BOTTLE[0], y - BOTTLE[1]) < 0.1
+
+
+def test_roi_sequencer_ends_exhausted_without_a_bottle():
+    session = _search_session(with_bottle=False)
+    events = _drain(session)
+    assert [(e.kind, e.roi) for e in events] == [
+        (EventKind.MISS, "roi_a"),
+        (EventKind.MISS, "roi_b"),
+        (EventKind.EXHAUSTED, None),
+    ]

@@ -1,6 +1,5 @@
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -170,7 +169,7 @@ def test_exhausted_search_aborts_with_notification():
 def test_found_points_at_the_bottle_and_prompts():
     config = guided_config(start_level=AssistLevel.L3)
     state = _navigating_state(config)
-    target = SimpleNamespace(target_base=np.array([1.2, 0.4, 0.85]))
+    target = np.array([1.2, 0.4, 0.85])
     state, actions = orc.step(state, AssistEvent.found(40.0, "roi_a", target), config)
     assert state.phase is Phase.STEP_GUIDANCE
     assert state.step is GuidanceStep.LOCATE_BOTTLE
@@ -203,7 +202,7 @@ def test_chatter_during_search_is_budgeted():
 
 def _guidance_state(config):
     state = _navigating_state(config)
-    target = SimpleNamespace(target_base=np.array([1.0, 0.0, 0.8]))
+    target = np.array([1.0, 0.0, 0.8])
     state, _ = orc.step(state, AssistEvent.found(40.0, "roi_a", target), config)
     return state
 

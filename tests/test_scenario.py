@@ -165,6 +165,30 @@ def test_unknown_section_key_rejected(workdir, section, key):
     assert load_errors(workdir, doc).startswith(f"$.{section}.{key}: unknown key")
 
 
+UNKNOWN_KEY_CASES = [
+    # (keys down to the object, misspelt key, reported JSON path)
+    (("robot", "camera"), "pitch", "$.robot.camera.pitch"),
+    (("bottle",), "radius_m", "$.bottle.radius_m"),
+    ((), "time_cap_s", "$.time_cap_s"),
+    (("robot",), "heading", "$.robot.heading"),
+    (("rois", 1), "heading_deg", "$.rois[1].heading_deg"),
+    (("objects", 2), "size", "$.objects[2].size"),
+    (("objects", 5, "shape"), "size", "$.objects[5].shape.size"),
+]
+
+
+@pytest.mark.parametrize(
+    "parents, key, path", UNKNOWN_KEY_CASES, ids=[case[2] for case in UNKNOWN_KEY_CASES]
+)
+def test_unknown_key_rejected_outside_sections(workdir, parents, key, path):
+    doc = base_doc()
+    obj = doc
+    for parent in parents:
+        obj = obj[parent]
+    obj[key] = 1.0
+    assert load_errors(workdir, doc).startswith(f"{path}: unknown key; known: [")
+
+
 def test_int_fields_truncate_validated_numbers(workdir):
     doc = base_doc()
     doc["session"]["max_repeats"] = 3.0
