@@ -133,15 +133,9 @@ def _make_nav_session(
     engine: _Engine, scene: world.Scene, robot: world.RobotState, seed: int, condition: str
 ) -> navigation.NavSession:
     sc = engine.scenario
-    costmap = navigation.build_costmap(sc.nav_grid, sc.nav)
-
-    def on_progress(kind: str, payload: dict) -> None:
-        t = float(payload.pop("t", engine.clock.t))
-        engine.log.add_note(t, kind, **payload)
-
     return navigation.NavSession(
         scene=scene,
-        costmap=costmap,
+        costmap=navigation.build_costmap(sc.nav_grid, sc.nav),
         robot=robot,
         rois=sc.rois,
         intrinsics=sc.intrinsics,
@@ -154,7 +148,7 @@ def _make_nav_session(
         frame_time=sc.session.frame_time_s,
         depth_noise_sigma=sc.noise.depth_sigma,
         pose_noise_sigma=sc.noise.pose_sigma,
-        on_progress=on_progress,
+        log=engine.log,
     )
 
 
@@ -173,7 +167,7 @@ def _pump_navigation(engine: _Engine, nav_session: navigation.NavSession) -> Non
 def _run_guided(
     engine: _Engine, seed: int, condition: str, user_rng, bottle_index: int
 ) -> None:
-    """Condition B (or adaptive): reminder, search, then step-by-step guidance."""
+    """Condition B: reminder, search, then step-by-step guidance."""
     sc = engine.scenario
     profile = sc.profile
     timeout = sc.session.timeout_s
@@ -193,70 +187,50 @@ def _run_guided(
             attempt, attempt_key = 0, key
 
         phase = engine.state.phase
-        if phase is Phase.REMINDING:
-            reply = usersim.respond(
-                profile,
-                Prompt("reminder", int(engine.state.assist_level), attempt=attempt),
-                user_rng,
-            )
-            attempt += 1
-            if reply.silent:
-                t0 = engine.clock.t
-                engine.windows.append(
-                    GazeWindow("confusion_candidate", t0 + 2.0, t0 + timeout - 1.0)
-                )
-                engine.clock.advance(timeout)
-                engine.apply(AssistEvent.timeout(engine.clock.t, Phase.REMINDING))
-            elif reply.pressed_start:
-                engine.clock.advance(reply.latency_s)
-                engine.apply(AssistEvent.start_navigation(engine.clock.t))
-            else:
-                engine.clock.advance(reply.latency_s)
-                engine.apply(
-                    AssistEvent.record_pressed(engine.clock.t, reply.transcript or "")
-                )
-        elif phase in (Phase.NAVIGATING, Phase.SCANNING):
+        if phase in (Phase.NAVIGATING, Phase.SCANNING):
             _pump_navigation(engine, nav_session)
+            continue
+        level = int(engine.state.assist_level)
+        if phase is Phase.REMINDING:
+            prompt = Prompt("reminder", level, attempt=attempt)
         elif phase in (Phase.STEP_GUIDANCE, Phase.AWAITING_FINAL_CONFIRM):
-            step = engine.state.step
-            assert step is not None
-            reply = usersim.respond(
-                profile,
-                Prompt("step", int(engine.state.assist_level), step=step, attempt=attempt),
-                user_rng,
-            )
-            attempt += 1
-            if reply.silent:
-                t0 = engine.clock.t
-                engine.windows.append(
-                    GazeWindow("confusion_candidate", t0 + 2.0, t0 + timeout - 1.0)
-                )
-                engine.clock.advance(timeout)
-                engine.apply(AssistEvent.timeout(engine.clock.t, phase))
-            elif reply.action is None:
-                engine.clock.advance(reply.latency_s)
-                engine.apply(
-                    AssistEvent.record_pressed(engine.clock.t, reply.transcript or "")
-                )
-            else:
-                latency = reply.latency_s
-                if step is GuidanceStep.LOCATE_BOTTLE:
-                    latency = usersim.search_behavior(profile, user_rng, guided=True)
-                engine.clock.advance(latency)
-                engine.apply(AssistEvent.user_action(engine.clock.t, reply.action))
-                if step is GuidanceStep.LOCATE_BOTTLE:
-                    engine.windows.append(
-                        GazeWindow(
-                            "bottle", engine.clock.t, engine.clock.t + _BOTTLE_SPAN_S
-                        )
-                    )
-                engine.clock.advance(_ACTION_TO_CONFIRM_S)
-                engine.apply(
-                    AssistEvent.record_pressed(engine.clock.t, reply.transcript or "")
-                )
+            prompt = Prompt("step", level, step=engine.state.step, attempt=attempt)
         else:
             logger.warning("episode stalled in phase %s; stopping", phase.value)
             break
+
+        reply = usersim.respond(profile, prompt, user_rng)
+        attempt += 1
+        if reply.silent:
+            t0 = engine.clock.t
+            engine.windows.append(
+                GazeWindow("confusion_candidate", t0 + 2.0, t0 + timeout - 1.0)
+            )
+            engine.clock.advance(timeout)
+            engine.apply(AssistEvent.timeout(engine.clock.t, phase))
+        elif reply.pressed_start:
+            engine.clock.advance(reply.latency_s)
+            engine.apply(AssistEvent.start_navigation(engine.clock.t))
+        elif reply.action is None:
+            engine.clock.advance(reply.latency_s)
+            engine.apply(
+                AssistEvent.record_pressed(engine.clock.t, reply.transcript or "")
+            )
+        else:
+            locating = prompt.step is GuidanceStep.LOCATE_BOTTLE
+            latency = reply.latency_s
+            if locating:
+                latency = usersim.search_behavior(profile, user_rng, guided=True)
+            engine.clock.advance(latency)
+            engine.apply(AssistEvent.user_action(engine.clock.t, reply.action))
+            if locating:
+                engine.windows.append(
+                    GazeWindow("bottle", engine.clock.t, engine.clock.t + _BOTTLE_SPAN_S)
+                )
+            engine.clock.advance(_ACTION_TO_CONFIRM_S)
+            engine.apply(
+                AssistEvent.record_pressed(engine.clock.t, reply.transcript or "")
+            )
 
     if not engine.state.terminal and engine.clock.t >= cap:
         engine.log.add_note(engine.clock.t, "time_cap_reached", cap_s=cap)

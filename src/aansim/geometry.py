@@ -46,14 +46,6 @@ class NonPositiveDepth(GeometryError):
     """Back-projection was asked for a pixel with depth <= 0."""
 
 
-class OutOfBounds(GeometryError):
-    """Pixel coordinates fall outside the image."""
-
-
-class BehindCamera(GeometryError):
-    """Projection was asked for a point with Z <= 0."""
-
-
 class EmptyBox(GeometryError):
     """A bounding box contains no valid depth pixels."""
 
@@ -89,9 +81,6 @@ class CameraIntrinsics:
             raise ValueError(f"cy={self.cy} outside [0, {self.height})")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
-
-    def contains(self, u: float, v: float) -> bool:
-        return 0 <= u < self.width and 0 <= v < self.height
 
 
 @dataclass
@@ -205,10 +194,6 @@ class RigidTransform:
             self.rotation @ other.translation + self.translation,
         )
 
-    def inverse(self) -> "RigidTransform":
-        rot_inv = self.rotation.T
-        return RigidTransform(rot_inv, -rot_inv @ self.translation)
-
 
 @dataclass(frozen=True)
 class PlaneFit:
@@ -239,29 +224,14 @@ class PointingCommand:
     direction: np.ndarray
 
 
-def backproject(
-    u: int, v: int, z: float, intrinsics: CameraIntrinsics
-) -> tuple[float, float, float]:
-    """Back-project pixel (u, v) at depth ``z`` into the camera frame.
-
-    X = (u - cx) * z / fx, Y = (v - cy) * z / fy, Z = z.
-
-    Raises NonPositiveDepth for z <= 0 and OutOfBounds for pixels outside
-    the image.
-    """
-    if not intrinsics.contains(u, v):
-        raise OutOfBounds(f"pixel ({u}, {v}) outside {intrinsics.width}x{intrinsics.height}")
-    if z <= 0.0:
-        raise NonPositiveDepth(f"depth {z} at pixel ({u}, {v})")
-    x = (u - intrinsics.cx) * z / intrinsics.fx
-    y = (v - intrinsics.cy) * z / intrinsics.fy
-    return (x, y, z)
-
-
 def backproject_pixels(
     pixels: np.ndarray, depths: np.ndarray, intrinsics: CameraIntrinsics
 ) -> np.ndarray:
-    """Vectorized back-projection of an (N, 2) array of (u, v) pixels."""
+    """Back-project an (N, 2) array of (u, v) pixels at ``depths`` into the camera frame.
+
+    X = (u - cx) * z / fx, Y = (v - cy) * z / fy, Z = z.  Raises
+    NonPositiveDepth when any z <= 0.
+    """
     pix = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     z = np.asarray(depths, dtype=np.float64).reshape(-1)
     if np.any(z <= 0.0):
@@ -269,22 +239,6 @@ def backproject_pixels(
     x = (pix[:, 0] - intrinsics.cx) * z / intrinsics.fx
     y = (pix[:, 1] - intrinsics.cy) * z / intrinsics.fy
     return np.column_stack([x, y, z])
-
-
-def project(
-    point, intrinsics: CameraIntrinsics
-) -> tuple[float, float]:
-    """Project a camera-frame point to (possibly sub-pixel) image coordinates.
-
-    Raises BehindCamera for points with Z <= 0.  The result may fall outside
-    the image bounds; callers decide whether that matters.
-    """
-    x, y, z = (float(c) for c in np.asarray(point, dtype=np.float64).reshape(3))
-    if z <= 0.0:
-        raise BehindCamera(f"point with Z={z} cannot be projected")
-    u = intrinsics.fx * x / z + intrinsics.cx
-    v = intrinsics.fy * y / z + intrinsics.cy
-    return (u, v)
 
 
 # 4-connected structuring element for component labeling.
@@ -441,8 +395,6 @@ def localize_target(
     box: BoundingBox,
     intrinsics: CameraIntrinsics,
     base_from_camera: RigidTransform,
-    band_halfwidth: float = DEFAULT_BAND_HALFWIDTH,
-    patch_radius_scale: float = DEFAULT_PATCH_RADIUS_SCALE,
 ) -> TargetEstimate:
     """Full pipeline from a detection box to a base-frame pointing target.
 
@@ -452,11 +404,11 @@ def localize_target(
     patch (for example a sliver mask) downgrades the plane to None rather
     than failing the whole localization.
     """
-    mask = extract_foreground(depth, box, band_halfwidth)
+    mask = extract_foreground(depth, box)
     pix = mask.pixels
     depths = depth.depth[pix[:, 1], pix[:, 0]]
     cloud = base_from_camera.apply(backproject_pixels(pix, depths, intrinsics))
-    patch = centroid_patch(cloud, patch_radius_scale)
+    patch = centroid_patch(cloud)
     camera_axis_base = base_from_camera.rotation @ np.array([0.0, 0.0, 1.0])
     try:
         plane: PlaneFit | None = fit_plane(patch, camera_axis_base)

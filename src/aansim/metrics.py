@@ -137,7 +137,7 @@ class SessionMetrics:
     condition: str
     seed: int
     time_to_locate_s: float
-    censored: bool  # bottle never located; time is the episode end
+    censored: bool  # bottle never located; time is the session's last record
     interaction_rounds: int
     completed: bool
 
@@ -171,7 +171,12 @@ def session_metrics(log: SessionLog) -> SessionMetrics:
             break
     located = _locate_time(log)
     censored = located is None
-    time_to_locate = (log.end_time if censored else located) - t0
+    if censored:
+        # The gaze summary is stamped after the session ends, so it does not count.
+        located = next(
+            (float(r["t"]) for r in reversed(log.records) if r.get("note") != "gaze_summary"), 0.0
+        )
+    time_to_locate = located - t0
     rounds = 0
     completed = False
     for record in log.records:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 from scipy import ndimage
 
 from . import geometry, world
 from .orchestrator import AssistEvent
+from .session import SessionLog
 from .world import (
     CellState,
     DetectionResult,
@@ -56,22 +57,11 @@ class AllBlocked(NavigationError):
     """Every sampled dynamic-window arc collides; recovery required."""
 
 
-class RoiUnreachable(NavigationError):
-    """Navigation to a search location failed after recovery."""
-
-
 @dataclass
 class Costmap(OccupancyGrid):
     """Float cost grid over the cells and geometry of an occupancy grid."""
 
     cost: np.ndarray = field(kw_only=True)
-
-    def cost_at(self, x: float, y: float) -> float:
-        """Cost at a world point; off-map counts as lethal."""
-        cell = self.world_to_cell(x, y)
-        if cell is None:
-            return LETHAL_COST
-        return float(self.cost[cell[1], cell[0]])
 
     def traversable(self, i: int, j: int) -> bool:
         return self.cost[j, i] < INSCRIBED_COST
@@ -352,8 +342,6 @@ class Clock:
 class NavResult:
     arrived: bool
     reason: str
-    ticks: int
-    collisions: int = 0
 
 
 @dataclass
@@ -374,10 +362,10 @@ class NavSession:
     frame_time: float
     depth_noise_sigma: float
     pose_noise_sigma: float
-    on_progress: Callable[[str, dict], None]
+    log: SessionLog  # the episode's log; progress notes go here
 
     def note(self, kind: str, **payload) -> None:
-        self.on_progress(kind, payload)
+        self.log.add_note(self.clock.t, kind, **payload)
 
 
 def _observed_pose(session: NavSession) -> RobotState:
@@ -415,13 +403,12 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
     try:
         path = plan_global(session.costmap, (session.robot.x, session.robot.y), (gx, gy))
     except NavigationError as exc:
-        return NavResult(arrived=False, reason=f"no_path: {exc}", ticks=0)
+        return NavResult(arrived=False, reason=f"no_path: {exc}")
 
     travel = path.cost / max(params.v_max, 1e-6) + 4.0 * math.pi / max(params.omega_max, 1e-6)
     max_ticks = int(math.ceil(4.0 * travel / dt)) + 200
 
     ticks = 0
-    collisions = 0
     recovery_used = False
     while ticks < max_ticks:
         if math.hypot(session.robot.x - gx, session.robot.y - gy) <= ARRIVAL_POS_TOL:
@@ -430,8 +417,8 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
             cmd = dwa_step(_observed_pose(session), path, session.costmap, params, dt)
         except AllBlocked:
             if recovery_used:
-                return NavResult(False, "all_blocked", ticks, collisions)
-            session.note("recovery_spin", t=session.clock.t)
+                return NavResult(False, "all_blocked")
+            session.note("recovery_spin")
             _spin_in_place(session, RECOVERY_SPIN_TIME)
             ticks += int(round(RECOVERY_SPIN_TIME / dt))
             recovery_used = True
@@ -440,26 +427,24 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
                     session.costmap, (session.robot.x, session.robot.y), (gx, gy)
                 )
             except NavigationError:
-                return NavResult(False, "all_blocked", ticks, collisions)
+                return NavResult(False, "all_blocked")
             continue
-        session.robot, hit = world.step_kinematics(session.robot, cmd, dt, session.costmap)
-        if hit:
-            collisions += 1
+        session.robot, _ = world.step_kinematics(session.robot, cmd, dt, session.costmap)
         session.clock.advance(dt)
         ticks += 1
     else:
-        return NavResult(False, "tick_cap", ticks, collisions)
+        return NavResult(False, "tick_cap")
 
     # Align to the approach heading with bounded rotation commands.
     while ticks < max_ticks:
         err = geometry.normalize_angle(gh - session.robot.heading)
         if abs(err) <= ARRIVAL_ANG_TOL:
-            return NavResult(True, "arrived", ticks, collisions)
+            return NavResult(True, "arrived")
         omega = max(-params.omega_max, min(params.omega_max, err / dt))
         session.robot, _ = world.step_kinematics(session.robot, (0.0, omega), dt, session.costmap)
         session.clock.advance(dt)
         ticks += 1
-    return NavResult(False, "tick_cap", ticks, collisions)
+    return NavResult(False, "tick_cap")
 
 
 def _localize(session: NavSession, det: DetectionResult) -> np.ndarray | None:
@@ -488,13 +473,13 @@ def roi_sequencer(session: NavSession) -> Iterator[AssistEvent]:
         session.clock.advance(session.frame_time)
 
     for roi in session.rois:
-        session.note("navigating", roi=roi.id, t=session.clock.t)
+        session.note("navigating", roi=roi.id)
         nav = navigate_to(session, roi.pose)
         if not nav.arrived:
-            session.note("unreachable", roi=roi.id, reason=nav.reason, t=session.clock.t)
+            session.note("unreachable", roi=roi.id, reason=nav.reason)
             yield AssistEvent.roi_unreachable(session.clock.t, roi.id)
             continue
-        session.note("scanning", roi=roi.id, t=session.clock.t)
+        session.note("scanning", roi=roi.id)
         det = world.scan_at_roi(
             session.scene,
             session.robot,

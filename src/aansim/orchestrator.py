@@ -12,7 +12,6 @@ ends Done only after the final intake confirmation.
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from dataclasses import dataclass, replace
@@ -21,8 +20,6 @@ from enum import Enum, IntEnum
 import numpy as np
 
 from .geometry import RigidTransform, ZeroDirection, pointing_angles
-
-logger = logging.getLogger(__name__)
 
 
 class AssistLevel(IntEnum):
@@ -279,7 +276,7 @@ class OrchestratorConfig:
     """Tunables for the guidance policy; ``Scenario.orchestrator_config``
     fills them from the scenario."""
 
-    condition: str  # "A": passive hint-giver; "B"/adaptive: guided
+    condition: str  # "A": passive hint-giver; "B": guided
     start_level: AssistLevel
     escalation_threshold: int
     max_repeats: int
@@ -359,7 +356,7 @@ _INTENT_RULES: tuple[tuple[IntentKind, tuple[str, ...]], ...] = (
         (
             "yes", "yeah", "yep", "ok", "okay", "done", "took", "taken",
             "finished", "got it", "opened", "swallowed", "drank", "see it",
-            "i see", "found", "sure", "alright", "ready", "coming",
+            "i see", "found", "sure", "alright", "all right", "ready", "coming",
         ),
     ),
     (
@@ -401,7 +398,8 @@ def gesture_actions(target_base, config: OrchestratorConfig) -> list[Action]:
 
     Prepends a Reposition when the target is closer than the minimum
     standoff, and a base rotation when the target is behind the robot so the
-    executed pointing yaw satisfies |yaw| <= 90 deg.
+    executed pointing yaw satisfies |yaw| <= 90 deg.  A target at the arm
+    origin gets gaze alignment only.
     """
     target = np.asarray(target_base, dtype=np.float64).reshape(3)
     origin = np.asarray(ARM_ORIGIN, dtype=np.float64)
@@ -409,7 +407,6 @@ def gesture_actions(target_base, config: OrchestratorConfig) -> list[Action]:
     try:
         cmd = pointing_angles(target, origin)
     except ZeroDirection:
-        logger.warning("pointing target coincides with the arm origin; gaze only")
         return [Action.align_gaze(target)]
 
     standoff = math.hypot(target[0], target[1])
@@ -428,10 +425,8 @@ def gesture_actions(target_base, config: OrchestratorConfig) -> list[Action]:
 # Transition function
 
 
-def _invalid(
-    state: OrchestratorState, event: AssistEvent
-) -> tuple[OrchestratorState, list[Action]]:
-    logger.debug("ignoring %s in phase %s", event.kind.value, state.phase.value)
+def _invalid(state: OrchestratorState) -> tuple[OrchestratorState, list[Action]]:
+    """Ignore an event: the log shows it as a record with no actions."""
     return state, []
 
 
@@ -599,7 +594,7 @@ def _passive_step(
             done = replace(state, phase=Phase.DONE)
             return done, [Action.speak("You found your medicine, great.")]
         return state, []
-    return _invalid(state, event)
+    return _invalid(state)
 
 
 def _hint_label(config: OrchestratorConfig, index: int) -> str:
@@ -611,8 +606,9 @@ def step(
 ) -> tuple[OrchestratorState, list[Action]]:
     """Apply one event; returns the successor state and the robot actions.
 
-    Unknown or phase-inconsistent events are logged and ignored: the state
-    only takes the event's time.  Event timestamps must not run backward.
+    Unknown or phase-inconsistent events are ignored: the state only takes
+    the event's time, and no action follows.  Event timestamps must not run
+    backward.
     """
     if event.t < state.clock - 1e-9:
         raise ValueError(
@@ -621,7 +617,7 @@ def step(
     state = replace(state, clock=event.t)
 
     if state.terminal:
-        return _invalid(state, event)
+        return _invalid(state)
 
     if config.passive:
         return _passive_step(state, event, config)
@@ -632,23 +628,23 @@ def step(
         if kind is EventKind.SCHEDULE_DUE:
             nxt = replace(state, phase=Phase.REMINDING, repeat_count=0, failure_count=0)
             return nxt, _reminder_actions(state.assist_level)
-        return _invalid(state, event)
+        return _invalid(state)
 
     if state.phase is Phase.REMINDING:
         if kind is EventKind.START_NAVIGATION_PRESSED:
             if state.assist_level is AssistLevel.L3:
                 return _start_navigation(state, config)
-            return _invalid(state, event)
+            return _invalid(state)
         if kind is EventKind.TIMEOUT:
             if event.timeout_phase not in (None, Phase.REMINDING):
-                return _invalid(state, event)
+                return _invalid(state)
             return _register_failure(state, config)
         if kind is EventKind.RECORD_PRESSED:
             intent = interpret(event.transcript or "")
             return _handle_intent(state, intent, config)
         if kind is EventKind.USER_ACTION:
             return state, []
-        return _invalid(state, event)
+        return _invalid(state)
 
     if state.phase in (Phase.NAVIGATING, Phase.SCANNING):
         if kind is EventKind.MISS or kind is EventKind.ROI_UNREACHABLE:
@@ -680,13 +676,13 @@ def step(
             return state, []  # stop chattering; navigation events drive progress
         if kind is EventKind.USER_ACTION:
             return state, []
-        return _invalid(state, event)
+        return _invalid(state)
 
     if state.phase in (Phase.STEP_GUIDANCE, Phase.AWAITING_FINAL_CONFIRM):
         assert state.step is not None
         if kind is EventKind.TIMEOUT:
             if event.timeout_phase not in (None, state.phase):
-                return _invalid(state, event)
+                return _invalid(state)
             if state.repeat_count < config.max_repeats:
                 return (
                     replace(state, repeat_count=state.repeat_count + 1),
@@ -700,6 +696,6 @@ def step(
             if event.action is EXPECTED_ACTION[state.step]:
                 return state, []  # physical progress noted; await verbal confirm
             return _register_failure(state, config)
-        return _invalid(state, event)
+        return _invalid(state)
 
-    return _invalid(state, event)
+    return _invalid(state)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from . import usersim, world
@@ -76,23 +76,26 @@ def _known(obj: dict, path: str, names: list[str]) -> None:
         _expect(name in names, f"{path}.{name}", f"unknown key; known: {names}")
 
 
-def _section(raw: dict, key: str, cls):
-    """Load the numeric object ``raw[key]`` into the dataclass ``cls``.
+def _section(raw: dict, key: str, cls, parent: str = "$"):
+    """Load the numeric object ``raw[key]`` at JSON path ``parent`` into the dataclass ``cls``.
 
     Each field's default and its ``lo``/``hi`` bounds (field metadata) come
     from ``cls``; a missing key takes the default, and the section itself
     may be omitted when every field has one.  ``int`` fields truncate the
-    validated number.  Unknown keys are rejected.
+    validated number.  A field whose default factory is a dataclass is a
+    nested section.  Unknown keys are rejected.
     """
-    path = f"$.{key}"
+    path = f"{parent}.{key}"
     specs = fields(cls)
-    required = any(f.default is MISSING for f in specs)
-    obj = _get(raw, key, "$", required=required, default={})
+    required = any(f.default is MISSING and f.default_factory is MISSING for f in specs)
+    obj = _get(raw, key, parent, required=required, default={})
     _expect(isinstance(obj, dict), path, "expected an object")
     _known(obj, path, [f.name for f in specs])
     values = {}
     for f in specs:
-        if f.name in obj or f.default is MISSING:
+        if is_dataclass(f.default_factory):
+            values[f.name] = _section(obj, f.name, f.default_factory, path)
+        elif f.name in obj or f.default is MISSING:
             v = _num(_get(obj, f.name, path), f"{path}.{f.name}", f.metadata.get("lo"), f.metadata.get("hi"))
             values[f.name] = int(v) if f.type in (int, "int") else v
     try:
@@ -128,7 +131,7 @@ class SessionParams:
     """Session timing and the orchestrator's escalation budget.
 
     Field metadata ``lo``/``hi`` are the scenario loader's bounds, here and
-    in ``NoiseParams``.
+    in the parameter dataclasses below.
     """
 
     timeout_s: float = field(default=20.0, metadata={"lo": 1.0})
@@ -146,6 +149,33 @@ class SessionParams:
 class NoiseParams:
     depth_sigma: float = field(default=0.0, metadata={"lo": 0.0})
     pose_sigma: float = field(default=0.0, metadata={"lo": 0.0})
+
+
+@dataclass(frozen=True)
+class CameraParams:
+    """Camera mount on the robot base: offsets (m) and tilt (degrees)."""
+
+    forward: float = 0.05
+    height: float = field(default=1.15, metadata={"lo": 0.1})
+    pitch_deg: float = 0.0
+
+
+@dataclass(frozen=True)
+class RobotParams:
+    """Robot start pose in the world frame (heading in degrees) and its camera."""
+
+    x: float
+    y: float
+    heading_deg: float = 0.0
+    camera: CameraParams = field(default_factory=CameraParams)
+
+
+@dataclass(frozen=True)
+class BottleParams:
+    """Cylinder size of the pill bottle (m)."""
+
+    radius: float = field(default=0.035, metadata={"lo": 1e-3})
+    height: float = field(default=0.12, metadata={"lo": 1e-3})
 
 
 def stamp_footprints(grid: OccupancyGrid, objects: list[SceneObject]) -> OccupancyGrid:
@@ -181,13 +211,10 @@ class Scenario:
     nav_grid: OccupancyGrid
     rois: list[RegionOfInterest]
     bottle_candidates: list[tuple[float, float, float]]
-    bottle_shape: CylinderShape
+    bottle: BottleParams
     objects: list[SceneObject]
     profile: usersim.UserProfile
-    robot_start: tuple[float, float, float]
-    camera_forward: float
-    camera_height: float
-    camera_pitch: float
+    robot: RobotParams
     intrinsics: CameraIntrinsics
     detector: DetectorModel
     nav: NavParams
@@ -197,14 +224,11 @@ class Scenario:
 
     # ----- builders -------------------------------------------------------
 
-    def camera_mount(self):
-        return standard_camera_mount(
-            (self.camera_forward, 0.0, self.camera_height), self.camera_pitch
-        )
-
     def robot_state(self) -> RobotState:
-        x, y, heading = self.robot_start
-        return RobotState(x=x, y=y, heading=heading, camera_mount=self.camera_mount())
+        """The robot at its start pose; degrees become radians here."""
+        r, cam = self.robot, self.robot.camera
+        mount = standard_camera_mount((cam.forward, 0.0, cam.height), math.radians(cam.pitch_deg))
+        return RobotState(x=r.x, y=r.y, heading=math.radians(r.heading_deg), camera_mount=mount)
 
     def build_scene(self, bottle_roi_index: int) -> Scene:
         """World with the pill bottle placed at the given region's candidate spot."""
@@ -216,7 +240,7 @@ class Scenario:
         bottle = SceneObject(
             kind=ObjectKind.PILL_BOTTLE,
             position=self.bottle_candidates[bottle_roi_index],
-            shape=self.bottle_shape,
+            shape=CylinderShape(radius=self.bottle.radius, height=self.bottle.height),
             name="pill_bottle",
         )
         return Scene(grid=self.grid, objects=[bottle] + list(self.objects))
@@ -275,26 +299,11 @@ def load_scenario(path: str | Path) -> Scenario:
     )
     profile = usersim.PROFILE_PRESETS[profile_key]
 
-    robot = _get(raw, "robot", "$")
-    _expect(isinstance(robot, dict), "$.robot", "expected an object")
-    _known(robot, "$.robot", ["x", "y", "heading_deg", "camera"])
-    rx = _num(_get(robot, "x", "$.robot"), "$.robot.x")
-    ry = _num(_get(robot, "y", "$.robot"), "$.robot.y")
-    rheading = math.radians(
-        _num(_get(robot, "heading_deg", "$.robot", required=False, default=0.0), "$.robot.heading_deg")
-    )
+    robot = _section(raw, "robot", RobotParams)
     _expect(
-        grid.state_at(rx, ry) == world.CellState.FREE,
+        grid.state_at(robot.x, robot.y) == world.CellState.FREE,
         "$.robot",
-        f"start ({rx}, {ry}) is not in free space",
-    )
-    camera = _get(robot, "camera", "$.robot", required=False, default={})
-    _expect(isinstance(camera, dict), "$.robot.camera", "expected an object")
-    _known(camera, "$.robot.camera", ["forward", "height", "pitch_deg"])
-    cam_forward = _num(_get(camera, "forward", "$.robot.camera", required=False, default=0.05), "$.robot.camera.forward")
-    cam_height = _num(_get(camera, "height", "$.robot.camera", required=False, default=1.15), "$.robot.camera.height", lo=0.1)
-    cam_pitch = math.radians(
-        _num(_get(camera, "pitch_deg", "$.robot.camera", required=False, default=0.0), "$.robot.camera.pitch_deg")
+        f"start ({robot.x}, {robot.y}) is not in free space",
     )
 
     intrinsics = _section(raw, "intrinsics", CameraIntrinsics)
@@ -330,13 +339,7 @@ def load_scenario(path: str | Path) -> Scenario:
     )
     candidates = [_vec(c, f"$.bottle_candidates[{i}]", 3) for i, c in enumerate(cand_raw)]
 
-    bottle_raw = _get(raw, "bottle", "$", required=False, default={})
-    _expect(isinstance(bottle_raw, dict), "$.bottle", "expected an object")
-    _known(bottle_raw, "$.bottle", ["radius", "height"])
-    bottle_shape = CylinderShape(
-        radius=_num(_get(bottle_raw, "radius", "$.bottle", required=False, default=0.035), "$.bottle.radius", lo=1e-3),
-        height=_num(_get(bottle_raw, "height", "$.bottle", required=False, default=0.12), "$.bottle.height", lo=1e-3),
-    )
+    bottle = _section(raw, "bottle", BottleParams)
 
     objects_raw = _get(raw, "objects", "$", required=False, default=[])
     _expect(isinstance(objects_raw, list), "$.objects", "expected an array")
@@ -362,9 +365,9 @@ def load_scenario(path: str | Path) -> Scenario:
 
     nav_grid = stamp_footprints(grid, objects)
     _expect(
-        nav_grid.state_at(rx, ry) == world.CellState.FREE,
+        nav_grid.state_at(robot.x, robot.y) == world.CellState.FREE,
         "$.robot",
-        f"start ({rx}, {ry}) collides with furniture",
+        f"start ({robot.x}, {robot.y}) collides with furniture",
     )
     for i, roi in enumerate(rois):
         _expect(
@@ -380,13 +383,10 @@ def load_scenario(path: str | Path) -> Scenario:
         nav_grid=nav_grid,
         rois=rois,
         bottle_candidates=candidates,
-        bottle_shape=bottle_shape,
+        bottle=bottle,
         objects=objects,
         profile=profile,
-        robot_start=(rx, ry, rheading),
-        camera_forward=cam_forward,
-        camera_height=cam_height,
-        camera_pitch=cam_pitch,
+        robot=robot,
         intrinsics=intrinsics,
         detector=detector,
         nav=nav,

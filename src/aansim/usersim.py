@@ -22,6 +22,13 @@ from .orchestrator import EXPECTED_ACTION, GuidanceStep, UserActionKind
 GAZE_SAMPLE_RATE_HZ = 180.0
 DEFAULT_CONFUSION_THRESHOLD_S = 3.0
 
+# Reply latency (s): normal with this mean and spread, floored at 0.5 s.
+LATENCY_MEAN_S = 4.0
+LATENCY_SD_S = 1.5
+# Unaided search time (s) for a bottle that never drifts, and its spread.
+BASE_SEARCH_S = 42.0
+SEARCH_SD_S = 8.0
+
 
 class Aoi(IntEnum):
     """Area of interest a gaze sample lands on; the value is its stream code."""
@@ -38,10 +45,6 @@ class ConfusionEvent:
     t_start: float
     t_end: float
 
-    @property
-    def duration(self) -> float:
-        return self.t_end - self.t_start
-
 
 @dataclass(frozen=True)
 class UserProfile:
@@ -51,18 +54,12 @@ class UserProfile:
     p_forget: float = 0.1  # chance of not answering a reminder
     p_misplace: float = 0.1  # bottle drift: placement odds and search slowdown
     p_struggle: float = 0.1  # chance of failing a guidance step attempt
-    latency_mean_s: float = 4.0
-    latency_sd_s: float = 1.5
-    base_search_s: float = 42.0
-    search_sd_s: float = 8.0
 
     def __post_init__(self) -> None:
         for attr in ("p_forget", "p_misplace", "p_struggle"):
             p = getattr(self, attr)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{attr} must be a probability, got {p}")
-        if self.latency_mean_s <= 0 or self.base_search_s <= 0:
-            raise ValueError("latencies and search times must be positive")
 
 
 PROFILE_PRESETS: dict[str, UserProfile] = {
@@ -116,8 +113,8 @@ _STEP_OK: dict[GuidanceStep, tuple[str, ...]] = {
 _STEP_DENY = ("not yet", "no, not yet", "no")
 
 
-def _latency(profile: UserProfile, rng: np.random.Generator) -> float:
-    return max(0.5, profile.latency_mean_s + profile.latency_sd_s * rng.standard_normal())
+def _latency(rng: np.random.Generator) -> float:
+    return max(0.5, LATENCY_MEAN_S + LATENCY_SD_S * rng.standard_normal())
 
 
 def _pick(options: tuple[str, ...], rng: np.random.Generator) -> str:
@@ -135,7 +132,7 @@ def respond(profile: UserProfile, prompt: Prompt, rng: np.random.Generator) -> U
         p_silent = profile.p_forget * (0.5 ** prompt.attempt)
         if rng.random() < p_silent:
             return UserReply()
-        latency = _latency(profile, rng)
+        latency = _latency(rng)
         if prompt.level >= 3:
             return UserReply(latency_s=latency, pressed_start=True)
         return UserReply(latency_s=latency, transcript=_pick(_REMINDER_OK, rng))
@@ -146,12 +143,12 @@ def respond(profile: UserProfile, prompt: Prompt, rng: np.random.Generator) -> U
         if rng.random() < p_fail:
             if rng.random() < 0.5:
                 return UserReply(
-                    latency_s=_latency(profile, rng),
+                    latency_s=_latency(rng),
                     transcript=_pick(_STEP_DENY, rng),
                 )
             return UserReply()
         return UserReply(
-            latency_s=_latency(profile, rng),
+            latency_s=_latency(rng),
             transcript=_pick(_STEP_OK[prompt.step], rng),
             action=EXPECTED_ACTION[prompt.step],
         )
@@ -170,7 +167,7 @@ def search_behavior(
     if guided:
         return max(1.0, 4.0 + 1.0 * rng.standard_normal())
     slowdown = 1.0 + 2.0 * profile.p_misplace
-    return max(5.0, profile.base_search_s * slowdown + profile.search_sd_s * rng.standard_normal())
+    return max(5.0, BASE_SEARCH_S * slowdown + SEARCH_SD_S * rng.standard_normal())
 
 
 def choose_bottle_roi(n_rois: int, profile: UserProfile, rng: np.random.Generator) -> int:

@@ -33,6 +33,10 @@ MIN_PIXEL_AREA = 25
 # Minimum ray parameter considered a hit, to avoid self-intersections.
 _RAY_EPS = 1e-9
 
+# Base speed limits (m/s, rad/s); step_kinematics clamps commands to them.
+V_LIMIT = 2.0
+OMEGA_LIMIT = 3.0
+
 
 class CellState(IntEnum):
     FREE = 0
@@ -41,7 +45,6 @@ class CellState(IntEnum):
 
 
 _ASCII_TO_CELL = {".": CellState.FREE, "#": CellState.OCCUPIED, "?": CellState.UNKNOWN}
-_CELL_TO_ASCII = {v: k for k, v in _ASCII_TO_CELL.items()}
 
 
 @dataclass
@@ -117,14 +120,6 @@ class OccupancyGrid:
                     raise ValueError(f"map row {j} col {i}: unknown cell char {ch!r}")
                 cells[j, i] = _ASCII_TO_CELL[ch]
         return cls(cells=cells, resolution=resolution, origin=origin)
-
-    def to_ascii(self) -> str:
-        header = f"{self.width} {self.height} {self.resolution:g}"
-        rows = [
-            "".join(_CELL_TO_ASCII[CellState(int(c))] for c in self.cells[j])
-            for j in range(self.height)
-        ]
-        return "\n".join([header, *rows]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -250,18 +245,12 @@ class RobotState:
     omega: float = 0.0
     head_pan: float = 0.0
     camera_mount: RigidTransform = field(default_factory=RigidTransform.identity)
-    v_limit: float = 2.0
-    omega_limit: float = 3.0
 
     def __post_init__(self) -> None:
-        if abs(self.v) > self.v_limit + 1e-12:
-            raise ValueError(f"|v|={abs(self.v)} exceeds limit {self.v_limit}")
-        if abs(self.omega) > self.omega_limit + 1e-12:
-            raise ValueError(f"|omega|={abs(self.omega)} exceeds limit {self.omega_limit}")
-
-    @property
-    def pose(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.heading)
+        if abs(self.v) > V_LIMIT + 1e-12:
+            raise ValueError(f"|v|={abs(self.v)} exceeds limit {V_LIMIT}")
+        if abs(self.omega) > OMEGA_LIMIT + 1e-12:
+            raise ValueError(f"|omega|={abs(self.omega)} exceeds limit {OMEGA_LIMIT}")
 
     def world_from_base(self) -> RigidTransform:
         return RigidTransform.from_yaw(self.heading, (self.x, self.y, 0.0))
@@ -324,14 +313,14 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """A detector hit: claimed kind plus ground truth for evaluation.
+    """A detector hit on what the detector takes for the pill bottle.
 
-    ``depth`` is the noise-free depth of the frame that fired, so the
-    perception pipeline can localize on it without rendering it again.
+    ``true_kind`` is the ground truth, for evaluation.  ``depth`` is the
+    noise-free depth of the frame that fired, so the perception pipeline can
+    localize on it without rendering it again.
     """
 
     box: BoundingBox
-    claimed_kind: ObjectKind
     true_kind: ObjectKind
     object_index: int
     pan: float = 0.0
@@ -410,7 +399,7 @@ def render_depth_ids(
     scene: Scene,
     robot: RobotState,
     intrinsics: CameraIntrinsics,
-    max_range: float = 10.0,
+    max_range: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free depth plus per-pixel instance ids via analytic ray casting.
 
@@ -452,13 +441,9 @@ def render_depth_ids(
     return depth.reshape(shape), ids.reshape(shape)
 
 
-def add_depth_noise(
-    depth: np.ndarray, noise_sigma: float, rng: np.random.Generator | None
-) -> DepthImage:
+def add_depth_noise(depth: np.ndarray, noise_sigma: float, rng: np.random.Generator) -> DepthImage:
     """Depth image from a noise-free render plus clamped additive Gaussian noise."""
     if noise_sigma > 0.0:
-        if rng is None:
-            raise ValueError("noise_sigma > 0 requires an rng")
         noisy = depth + rng.normal(0.0, noise_sigma, size=depth.shape)
         depth = np.where(depth > 0.0, np.maximum(noisy, 1e-3), 0.0)
     return DepthImage(depth=depth)
@@ -514,7 +499,6 @@ def detect(
                 )
                 return DetectionResult(
                     box=box,
-                    claimed_kind=ObjectKind.PILL_BOTTLE,
                     true_kind=ObjectKind.PILL_BOTTLE,
                     object_index=bottle_idx,
                     pan=robot.head_pan,
@@ -534,7 +518,6 @@ def detect(
         )
         return DetectionResult(
             box=box,
-            claimed_kind=ObjectKind.PILL_BOTTLE,
             true_kind=ObjectKind.DISTRACTOR,
             object_index=best_idx,
             pan=robot.head_pan,
@@ -603,8 +586,8 @@ def step_kinematics(
     off the map, motion stops at the last free sample, velocities drop to
     zero, and the collision flag is returned True.
     """
-    v = max(-robot.v_limit, min(robot.v_limit, cmd[0]))
-    omega = max(-robot.omega_limit, min(robot.omega_limit, cmd[1]))
+    v = max(-V_LIMIT, min(V_LIMIT, cmd[0]))
+    omega = max(-OMEGA_LIMIT, min(OMEGA_LIMIT, cmd[1]))
     arc_len = abs(v) * dt
     n = max(
         1,

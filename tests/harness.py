@@ -6,8 +6,6 @@ timing.  Invariant checks over whole traces live here too so the module
 tests and the acceptance suite share one definition.
 """
 
-import math
-
 import numpy as np
 
 from aansim import orchestrator as orc

@@ -5,7 +5,8 @@ code: plain-Python Dijkstra for global path costs, and a scalar dynamic-window
 scorer.  They share only input data (costmaps, parameter dataclasses) with
 the library, never its planning code.  ``render_reference`` keeps the
 straightforward (N, 3) ray caster that the library's per-axis renderer must
-match bit for bit.
+match bit for bit, and ``project`` is the pinhole projection that
+back-projection must invert.
 """
 
 import heapq
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from aansim import world
+from aansim.geometry import GeometryError
 from aansim.navigation import Costmap, DwaParams, GlobalPath, lookahead_point
 from aansim.usersim import Aoi
 
@@ -279,3 +281,19 @@ def render_reference(scene, robot, intrinsics, max_range=10.0):
     depth = np.where(out_of_range, 0.0, best)
     ids = np.where(out_of_range, world.NO_HIT, ids)
     return depth.reshape(h, w), ids.reshape(h, w)
+
+
+class BehindCamera(GeometryError):
+    """Projection was asked for a point with Z <= 0."""
+
+
+def project(point, intrinsics) -> tuple[float, float]:
+    """Project a camera-frame point to (possibly sub-pixel) image coordinates.
+
+    Raises BehindCamera for points with Z <= 0.  The result may fall outside
+    the image bounds.
+    """
+    x, y, z = (float(c) for c in np.asarray(point, dtype=np.float64).reshape(3))
+    if z <= 0.0:
+        raise BehindCamera(f"point with Z={z} cannot be projected")
+    return (intrinsics.fx * x / z + intrinsics.cx, intrinsics.fy * y / z + intrinsics.cy)

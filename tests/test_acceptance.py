@@ -22,7 +22,7 @@ from aansim import navigation as nav
 from aansim import usersim as us
 from aansim.episode import run_episode
 from aansim.geometry import CameraIntrinsics
-from aansim.orchestrator import MOTION_ACTION_KINDS, AssistLevel, Phase
+from aansim.orchestrator import MOTION_ACTION_KINDS, AssistLevel
 from aansim.session import write_log
 from aansim.usersim import GazeTimeline
 from aansim.world import OccupancyGrid, RobotState
@@ -34,7 +34,7 @@ from harness import (
     passive_config,
     random_walk,
 )
-from oracles import OracleBlocked, dijkstra_costs, dwa_reference, max_offtask_gap
+from oracles import OracleBlocked, dijkstra_costs, dwa_reference, max_offtask_gap, project
 
 INTR = CameraIntrinsics(fx=130.0, fy=130.0, cx=79.5, cy=59.5, width=160, height=120)
 
@@ -107,7 +107,7 @@ def test_criterion_2_geometry_oracles():
         zs = rng.uniform(0.05, 9.5, n)
         pts = geometry.backproject_pixels(np.column_stack([us_px, vs_px]), zs, INTR)
         for k in range(n):
-            u, v = geometry.project(pts[k], INTR)
+            u, v = project(pts[k], INTR)
             assert abs(u - us_px[k]) <= 1e-9 * max(1.0, abs(us_px[k]))
             assert abs(v - vs_px[k]) <= 1e-9 * max(1.0, abs(vs_px[k]))
             assert pts[k, 2] == zs[k]

@@ -12,7 +12,7 @@ from aansim import metrics as m
 from aansim.episode import run_episode
 from aansim.orchestrator import MOTION_ACTION_KINDS
 from aansim.scenario import load_scenario
-from aansim.session import read_log, validate_log, write_log
+from aansim.session import read_log, validate_log
 from oracles import max_offtask_gap
 
 from conftest import SCENARIO_PATH

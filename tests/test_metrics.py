@@ -1,5 +1,4 @@
 import csv
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -242,9 +241,11 @@ def test_session_metrics_censored_when_never_located():
             (600.0, _ev("exhausted"), [], {"phase": "aborted", "assist_level": 3}),
         ]
     )
+    log.add_note(601.0, "gaze_summary", n_samples=0, inserted_runs=[], confusion_events=[])
     sm = m.session_metrics(log)
     assert sm.censored
-    # Censored sessions carry the episode end as a lower bound on the time.
+    # Censored sessions carry the session's end as a lower bound on the time;
+    # the gaze summary stamped after it does not count.
     assert sm.time_to_locate_s == pytest.approx(599.0)
     assert not sm.completed
 

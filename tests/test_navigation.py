@@ -8,6 +8,7 @@ from aansim import navigation as nav
 from aansim import world
 from aansim.geometry import CameraIntrinsics
 from aansim.orchestrator import AssistEvent, EventKind
+from aansim.session import SessionLog
 from aansim.world import CellState, OccupancyGrid, RobotState
 
 from oracles import (
@@ -101,8 +102,16 @@ def test_costmap_monotone_in_distance_to_lethal():
 
 
 def test_costmap_off_map_cost_is_lethal():
-    cm = nav.build_costmap(open_grid(10, 10), nav.NavParams(inflation_radius=0.0))
-    assert cm.cost_at(-5.0, 0.5) == 255.0
+    # A wall-free 1 x 1 m map: every cell costs 0, so only the edge can block.
+    cm = nav.build_costmap(grid_from(["." * 10] * 10), nav.NavParams(inflation_radius=0.0))
+    assert not cm.cost.any()
+    with pytest.raises(nav.LethalEndpoint):
+        nav.plan_global(cm, (0.5, 0.5), (-5.0, 0.5))
+    # Every arc from the east edge at full speed leaves the map.
+    robot = RobotState(x=0.95, y=0.5, heading=0.0, v=0.5)
+    path = nav.GlobalPath(waypoints=np.array([[0.5, 0.5]]), cells=[(5, 5)], cost=0.0)
+    with pytest.raises(nav.AllBlocked):
+        nav.dwa_step(robot, path, cm, nav.DwaParams(), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +376,22 @@ def _session(grid, robot, **over):
         frame_time=0.6,
         depth_noise_sigma=0.0,
         pose_noise_sigma=0.0,
-        on_progress=lambda kind, payload: None,
+        log=SessionLog(meta={}),
     )
     defaults.update(over)
     return nav.NavSession(**defaults)
 
 
-def test_navigate_to_arrives_within_tolerances():
+def test_navigate_to_arrives_within_tolerances(monkeypatch):
+    real_step = world.step_kinematics
+    hits = []
+
+    def step_kinematics(*args):
+        moved, hit = real_step(*args)
+        hits.append(hit)
+        return moved, hit
+
+    monkeypatch.setattr(world, "step_kinematics", step_kinematics)
     grid = open_grid(80, 60)  # 8 x 6 m room
     robot = RobotState(x=1.0, y=1.0, heading=0.0)
     session = _session(grid, robot)
@@ -384,8 +402,9 @@ def test_navigate_to_arrives_within_tolerances():
     from aansim.geometry import normalize_angle
 
     assert abs(normalize_angle(math.pi / 2 - session.robot.heading)) <= math.radians(15.0) + 1e-9
-    assert res.collisions == 0
-    assert session.clock.t == pytest.approx(res.ticks * 0.1)
+    assert hits and not any(hits)
+    # The clock advances one dt per kinematics step.
+    assert session.clock.t == pytest.approx(len(hits) * 0.1)
 
 
 def test_navigate_to_reports_unreachable_goal():
@@ -403,7 +422,7 @@ def test_navigate_to_reports_unreachable_goal():
     res = nav.navigate_to(session, (3.75, 1.25, 0.0))
     assert not res.arrived
     assert res.reason.startswith("no_path")
-    assert res.ticks == 0
+    assert session.clock.t == 0.0
 
 
 def test_navigate_to_is_deterministic():
@@ -413,7 +432,7 @@ def test_navigate_to_is_deterministic():
         robot = RobotState(x=1.0, y=1.0, heading=0.0)
         session = _session(grid, robot)
         res = nav.navigate_to(session, (6.0, 4.5, 0.0))
-        return (res.arrived, res.ticks, session.robot.x, session.robot.y, session.robot.heading)
+        return (res.arrived, session.clock.t, session.robot.x, session.robot.y, session.robot.heading)
 
     assert run() == run()
 
@@ -478,6 +497,12 @@ def test_roi_sequencer_misses_then_finds_the_bottle():
     # The base-frame point lies on the bottle, seen from where the robot stopped.
     x, y, _ = session.robot.world_from_base().apply(target)
     assert math.hypot(x - BOTTLE[0], y - BOTTLE[1]) < 0.1
+    # Progress notes go to the session log, stamped with the clock.
+    notes = [(r["t"], r["note"], r["data"]["roi"]) for r in session.log.records]
+    assert [n[1:] for n in notes] == [
+        ("navigating", "roi_a"), ("scanning", "roi_a"), ("navigating", "roi_b"), ("scanning", "roi_b"),
+    ]
+    assert notes[0][0] == 0.0 and notes[2][0] == miss.t
 
 
 def test_roi_sequencer_ends_exhausted_without_a_bottle():

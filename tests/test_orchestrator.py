@@ -6,11 +6,9 @@ import pytest
 
 from aansim import orchestrator as orc
 from aansim.orchestrator import (
-    Action,
     ActionKind,
     AssistEvent,
     AssistLevel,
-    EventKind,
     GuidanceStep,
     IntentKind,
     Phase,
@@ -309,6 +307,7 @@ def test_terminal_states_absorb_events():
     [
         ("Yes", IntentKind.CONFIRM),
         ("okay, done!", IntentKind.CONFIRM),
+        ("all right", IntentKind.CONFIRM),
         ("no", IntentKind.DENY),
         ("not yet", IntentKind.DENY),
         ("could you say that again", IntentKind.REPEAT_REQUEST),

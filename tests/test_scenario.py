@@ -9,7 +9,7 @@ from aansim import scenario as sc
 from aansim.episode import run_episode
 from aansim.navigation import NavParams
 from aansim.session import validate_log
-from aansim.world import CellState, DetectorModel
+from aansim.world import CellState, CylinderShape, DetectorModel
 
 from conftest import SCENARIO_PATH
 
@@ -45,7 +45,7 @@ def test_reference_scenario_loads(lab_scenario):
     assert lab_scenario.profile.name == "misplaces"
     assert lab_scenario.grid.resolution == 0.1
     assert lab_scenario.session.timeout_s == 20.0
-    assert lab_scenario.camera_pitch == pytest.approx(math.radians(-10.0))
+    assert lab_scenario.robot.camera == sc.CameraParams(forward=0.05, height=1.15, pitch_deg=-10.0)
 
 
 def test_roi_headings_converted_to_radians(lab_scenario):
@@ -56,8 +56,7 @@ def test_roi_headings_converted_to_radians(lab_scenario):
 def test_missing_field_error_names_json_path(workdir):
     doc = base_doc()
     del doc["robot"]["x"]
-    msg = load_errors(workdir, doc)
-    assert "$.robot.x" in msg
+    assert load_errors(workdir, doc) == "$.robot.x: missing required key"
 
 
 def test_bad_type_error_names_json_path(workdir):
@@ -127,6 +126,13 @@ def test_minimal_scenario_takes_dataclass_defaults(workdir):
     assert scenario.detector == DetectorModel()
     assert scenario.nav == NavParams()
     assert isinstance(scenario.session.max_repeats, int)
+    # Without robot.camera and bottle, their defaults reach the built world.
+    assert scenario.robot == sc.RobotParams(x=1.0, y=1.0)
+    mount = scenario.robot_state().camera_mount
+    assert mount.translation.tolist() == [0.05, 0.0, 1.15]
+    assert mount.rotation @ [0.0, 0.0, 1.0] == pytest.approx([1.0, 0.0, 0.0])  # level
+    scene = scenario.build_scene(0)
+    assert scene.objects[scene.pill_bottle_index()].shape == CylinderShape(radius=0.035, height=0.12)
     for condition in ("A", "B"):
         log = run_episode(scenario, condition, 0).log
         validate_log(log)
@@ -141,11 +147,16 @@ def test_minimal_scenario_takes_dataclass_defaults(workdir):
         ("intrinsics", "fx", 0.0, "$.intrinsics.fx: must be >= 1e-06"),
         ("nav", "inflation_radius", -0.1, "$.nav.inflation_radius: must be >= 0.0"),
         ("noise", "depth_sigma", -0.001, "$.noise.depth_sigma: must be >= 0.0"),
+        ("robot.camera", "height", 0.05, "$.robot.camera.height: must be >= 0.1"),
+        ("bottle", "radius", 1e-4, "$.bottle.radius: must be >= 0.001"),
     ],
 )
 def test_out_of_bounds_value_names_json_path(workdir, section, key, value, message):
     doc = base_doc()
-    doc[section][key] = value
+    obj = doc
+    for name in section.split("."):
+        obj = obj[name]
+    obj[key] = value
     assert load_errors(workdir, doc) == message
 
 
