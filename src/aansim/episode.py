@@ -11,7 +11,6 @@ and the confusion events detected in it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +32,6 @@ from .scenario import Scenario
 from .session import LOG_FORMAT, SessionLog
 from .usersim import ConfusionEvent, GazeTimeline, GazeWindow, Prompt
 
-logger = logging.getLogger(__name__)
-
 _ATTENTION_SPAN_S = 4.0
 _BOTTLE_SPAN_S = 8.0
 _ACTION_TO_CONFIRM_S = 1.0
@@ -43,14 +40,9 @@ _ACTION_TO_CONFIRM_S = 1.0
 @dataclass
 class EpisodeResult:
     log: SessionLog
-    final_state: OrchestratorState
     bottle_roi_index: int
     gaze_codes: np.ndarray  # usersim.Aoi codes; sample k at k / GAZE_SAMPLE_RATE_HZ
     confusion_events: list[ConfusionEvent]
-
-    @property
-    def completed(self) -> bool:
-        return self.final_state.phase is Phase.DONE
 
 
 @dataclass
@@ -193,11 +185,10 @@ def _run_guided(
         level = int(engine.state.assist_level)
         if phase is Phase.REMINDING:
             prompt = Prompt("reminder", level, attempt=attempt)
-        elif phase in (Phase.STEP_GUIDANCE, Phase.AWAITING_FINAL_CONFIRM):
-            prompt = Prompt("step", level, step=engine.state.step, attempt=attempt)
         else:
-            logger.warning("episode stalled in phase %s; stopping", phase.value)
-            break
+            # A guided IDLE always leaves on SCHEDULE_DUE, so no other phase is live here.
+            assert phase in (Phase.STEP_GUIDANCE, Phase.AWAITING_FINAL_CONFIRM), phase
+            prompt = Prompt("step", level, step=engine.state.step, attempt=attempt)
 
         reply = usersim.respond(profile, prompt, user_rng)
         attempt += 1
@@ -289,7 +280,6 @@ def run_episode(scenario: Scenario, condition: str, seed: int) -> EpisodeResult:
     )
     return EpisodeResult(
         log=log,
-        final_state=engine.state,
         bottle_roi_index=bottle_index,
         gaze_codes=codes,
         confusion_events=confusion,

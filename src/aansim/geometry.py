@@ -73,14 +73,10 @@ class CameraIntrinsics:
     height: int = field(metadata={"lo": 1})
 
     def __post_init__(self) -> None:
-        if not (self.fx > 0.0 and self.fy > 0.0):
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if not (0.0 <= self.cx < self.width):
             raise ValueError(f"cx={self.cx} outside [0, {self.width})")
         if not (0.0 <= self.cy < self.height):
             raise ValueError(f"cy={self.cy} outside [0, {self.height})")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
 
 
 @dataclass

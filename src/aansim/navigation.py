@@ -78,10 +78,6 @@ class NavParams:
     cost_decay: float = field(default=1.0, metadata={"lo": 0.0})
     robot_radius: float = field(default=0.2, metadata={"lo": 0.0})
 
-    def __post_init__(self) -> None:
-        if self.inflation_radius < 0.0:
-            raise ValueError("inflation_radius must be >= 0")
-
 
 def build_costmap(grid: OccupancyGrid, params: NavParams) -> Costmap:
     """Inflate lethal cells into a smooth cost field.

@@ -371,18 +371,14 @@ def interpret(transcript: str) -> IntentKind:
     Refusal > RepeatRequest > HelpRequest > Deny > Confirm > OffTopic, with
     empty or unmatched transcripts mapping to Unknown."""
     # Punctuation must not glue to keywords ("done!" is still a confirm);
-    # apostrophes stay because several keywords carry contractions.
-    text = " ".join(re.sub(r"[^a-z0-9']+", " ", transcript.lower()).split())
-    if not text:
-        return IntentKind.UNKNOWN
-    padded = f" {text} "
+    # apostrophes stay because several keywords carry contractions.  Every
+    # keyword begins and ends with a letter or digit, so a match between the
+    # spaces of the padded text is a whole-word match.
+    words = re.sub(r"[^a-z0-9']+", " ", transcript.lower()).split()
+    padded = f" {' '.join(words)} "
     for intent, keywords in _INTENT_RULES:
-        for kw in keywords:
-            if kw[0].isalnum() and kw[-1].isalnum():
-                if f" {kw} " in padded or padded.startswith(f" {kw} ") or padded.endswith(f" {kw} "):
-                    return intent
-            elif kw in padded:
-                return intent
+        if any(f" {kw} " in padded for kw in keywords):
+            return intent
     return IntentKind.UNKNOWN
 
 
@@ -425,11 +421,6 @@ def gesture_actions(target_base, config: OrchestratorConfig) -> list[Action]:
 # Transition function
 
 
-def _invalid(state: OrchestratorState) -> tuple[OrchestratorState, list[Action]]:
-    """Ignore an event: the log shows it as a record with no actions."""
-    return state, []
-
-
 def _reminder_actions(level: AssistLevel) -> list[Action]:
     actions = [Action.speak(REMINDER_TEXT[level])]
     if level >= AssistLevel.L2:
@@ -437,40 +428,29 @@ def _reminder_actions(level: AssistLevel) -> list[Action]:
     return actions
 
 
+def _again(state: OrchestratorState) -> str:
+    """What a repeat says: the reminder, or the current step's rephrased prompt."""
+    if state.phase is Phase.REMINDING:
+        return REMINDER_TEXT[state.assist_level]
+    return prompt_for(state.step, state.assist_level, rephrase=True)
+
+
 def _start_navigation(
-    state: OrchestratorState, config: OrchestratorConfig, announce: bool = True
+    state: OrchestratorState,
+    config: OrchestratorConfig,
+    text: str = "Looking for your medicine bottle.",
 ) -> tuple[OrchestratorState, list[Action]]:
-    actions = []
-    if announce:
-        actions.append(Action.speak("Looking for your medicine bottle."))
-    actions.append(Action.navigate_to(config.roi_ids[0]))
-    nxt = replace(
-        state, phase=Phase.NAVIGATING, roi_index=0, repeat_count=0, failure_count=0
-    )
-    return nxt, actions
+    nxt = replace(state, phase=Phase.NAVIGATING, roi_index=0, repeat_count=0, failure_count=0)
+    return nxt, [Action.speak(text), Action.navigate_to(config.roi_ids[0])]
 
 
 def _enter_step(
     state: OrchestratorState, step: GuidanceStep
 ) -> tuple[OrchestratorState, list[Action]]:
-    phase = (
-        Phase.AWAITING_FINAL_CONFIRM
-        if step is GuidanceStep.CONFIRM_INTAKE
-        else Phase.STEP_GUIDANCE
-    )
-    nxt = replace(
-        state, phase=phase, step=step, repeat_count=0, failure_count=0
-    )
+    final = step is GuidanceStep.CONFIRM_INTAKE
+    phase = Phase.AWAITING_FINAL_CONFIRM if final else Phase.STEP_GUIDANCE
+    nxt = replace(state, phase=phase, step=step, repeat_count=0, failure_count=0)
     return nxt, [Action.speak(prompt_for(step, state.assist_level))]
-
-
-def _advance_step(state: OrchestratorState) -> tuple[OrchestratorState, list[Action]]:
-    assert state.step is not None
-    pos = STEP_ORDER.index(state.step)
-    if state.step is GuidanceStep.CONFIRM_INTAKE:
-        done = replace(state, phase=Phase.DONE)
-        return done, [Action.speak("Well done! You have taken your medicine.")]
-    return _enter_step(state, STEP_ORDER[pos + 1])
 
 
 def _abort(
@@ -492,14 +472,12 @@ def _escalate_or_abort(
         )
     level = AssistLevel(int(state.assist_level) + 1)
     esc = replace(state, assist_level=level, failure_count=0, repeat_count=0)
-    if state.phase is Phase.REMINDING:
-        if level is AssistLevel.L3:
-            nxt, actions = _start_navigation(esc, config, announce=False)
-            return nxt, [Action.speak(REMINDER_TEXT[level])] + actions
-        return esc, _reminder_actions(level)
-    # Step guidance: re-deliver the current prompt with the richer level.
-    assert esc.step is not None
-    return esc, [Action.speak(prompt_for(esc.step, level, rephrase=True))]
+    if state.phase is not Phase.REMINDING:
+        # Step guidance: re-deliver the current prompt with the richer level.
+        return esc, [Action.speak(_again(esc))]
+    if level is AssistLevel.L3:
+        return _start_navigation(esc, config, _again(esc))
+    return esc, _reminder_actions(level)
 
 
 def _register_failure(
@@ -508,12 +486,7 @@ def _register_failure(
     bumped = replace(state, failure_count=state.failure_count + 1)
     if bumped.failure_count >= config.escalation_threshold:
         return _escalate_or_abort(bumped, config)
-    if bumped.phase is Phase.REMINDING:
-        return bumped, [Action.speak(REMINDER_TEXT[bumped.assist_level])]
-    assert bumped.step is not None
-    return bumped, [
-        Action.speak(prompt_for(bumped.step, bumped.assist_level, rephrase=True))
-    ]
+    return bumped, [Action.speak(_again(bumped))]
 
 
 def _register_refusal(state: OrchestratorState) -> tuple[OrchestratorState, list[Action]]:
@@ -529,76 +502,32 @@ def _register_refusal(state: OrchestratorState) -> tuple[OrchestratorState, list
     ]
 
 
-def _rephrase_or_fail(
+def _repeat(
     state: OrchestratorState, config: OrchestratorConfig, text: str
-) -> tuple[OrchestratorState, list[Action]]:
-    """Spend the repeat budget on a rephrase; failures follow once spent."""
+) -> tuple[OrchestratorState, list[Action]] | None:
+    """Spend one repeat of the budget on saying ``text``; None once it is spent."""
     if state.repeat_count < config.max_repeats:
         return replace(state, repeat_count=state.repeat_count + 1), [Action.speak(text)]
-    return _register_failure(state, config)
-
-
-def _handle_intent(
-    state: OrchestratorState, intent: IntentKind, config: OrchestratorConfig
-) -> tuple[OrchestratorState, list[Action]]:
-    """Intent handling shared by the Reminding and step-guidance phases."""
-    if intent is IntentKind.REFUSAL:
-        return _register_refusal(state)
-    if state.phase is Phase.REMINDING:
-        if intent is IntentKind.CONFIRM:
-            if state.assist_level is AssistLevel.L3:
-                return _start_navigation(state, config)
-            return _enter_step(state, GuidanceStep.LOCATE_BOTTLE)
-        if intent is IntentKind.DENY:
-            return _register_failure(state, config)
-        if intent is IntentKind.REPEAT_REQUEST:
-            return _rephrase_or_fail(state, config, REMINDER_TEXT[state.assist_level])
-        # HelpRequest, OffTopic, Unknown all earn a clarification.
-        return _rephrase_or_fail(
-            state, config, "I am here to help you take your medicine. " + REMINDER_TEXT[state.assist_level]
-        )
-    # Step guidance phases.
-    assert state.step is not None
-    if intent is IntentKind.CONFIRM:
-        return _advance_step(state)
-    if intent is IntentKind.DENY:
-        return _register_failure(state, config)
-    if intent in (IntentKind.REPEAT_REQUEST, IntentKind.HELP_REQUEST):
-        return _rephrase_or_fail(
-            state, config, prompt_for(state.step, state.assist_level, rephrase=True)
-        )
-    # OffTopic / Unknown.
-    return _rephrase_or_fail(
-        state,
-        config,
-        "Let's focus on your medicine. " + prompt_for(state.step, state.assist_level, rephrase=True),
-    )
+    return None
 
 
 def _passive_step(
-    state: OrchestratorState, event: AssistEvent, config: OrchestratorConfig
+    state: OrchestratorState,
+    event: AssistEvent,
+    intent: IntentKind | None,
+    config: OrchestratorConfig,
 ) -> tuple[OrchestratorState, list[Action]]:
     """Condition A: answer location questions, otherwise stay out of the way."""
-    if event.kind is EventKind.RECORD_PRESSED:
-        intent = interpret(event.transcript or "")
-        if intent is IntentKind.REFUSAL:
-            return _register_refusal(state)
-        if intent is IntentKind.REPEAT_REQUEST and state.hint_index > 0:
-            label = _hint_label(config, state.hint_index - 1)
-            return state, [Action.speak(f"I said: it might be {label}.")]
-        label = _hint_label(config, state.hint_index)
+    labels = config.roi_labels
+    if intent is IntentKind.REPEAT_REQUEST and state.hint_index > 0:
+        label = labels[(state.hint_index - 1) % len(labels)]
+        return state, [Action.speak(f"I said: it might be {label}.")]
+    if intent is not None:
         nxt = replace(state, hint_index=state.hint_index + 1)
-        return nxt, [Action.speak(f"You could check {label}.")]
-    if event.kind is EventKind.USER_ACTION:
-        if event.action is UserActionKind.OPENS_BOTTLE:
-            done = replace(state, phase=Phase.DONE)
-            return done, [Action.speak("You found your medicine, great.")]
-        return state, []
-    return _invalid(state)
-
-
-def _hint_label(config: OrchestratorConfig, index: int) -> str:
-    return config.roi_labels[index % len(config.roi_labels)]
+        return nxt, [Action.speak(f"You could check {labels[state.hint_index % len(labels)]}.")]
+    if event.kind is EventKind.USER_ACTION and event.action is UserActionKind.OPENS_BOTTLE:
+        return replace(state, phase=Phase.DONE), [Action.speak("You found your medicine, great.")]
+    return state, []
 
 
 def step(
@@ -615,38 +544,21 @@ def step(
             f"event at t={event.t} precedes orchestrator clock {state.clock}"
         )
     state = replace(state, clock=event.t)
-
     if state.terminal:
-        return _invalid(state)
+        return state, []
 
+    kind, phase = event.kind, state.phase
+    intent = interpret(event.transcript or "") if kind is EventKind.RECORD_PRESSED else None
+    if intent is IntentKind.REFUSAL and (config.passive or phase is not Phase.IDLE):
+        return _register_refusal(state)
     if config.passive:
-        return _passive_step(state, event, config)
+        return _passive_step(state, event, intent, config)
 
-    kind = event.kind
-
-    if state.phase is Phase.IDLE:
+    if phase is Phase.IDLE:
         if kind is EventKind.SCHEDULE_DUE:
             nxt = replace(state, phase=Phase.REMINDING, repeat_count=0, failure_count=0)
             return nxt, _reminder_actions(state.assist_level)
-        return _invalid(state)
-
-    if state.phase is Phase.REMINDING:
-        if kind is EventKind.START_NAVIGATION_PRESSED:
-            if state.assist_level is AssistLevel.L3:
-                return _start_navigation(state, config)
-            return _invalid(state)
-        if kind is EventKind.TIMEOUT:
-            if event.timeout_phase not in (None, Phase.REMINDING):
-                return _invalid(state)
-            return _register_failure(state, config)
-        if kind is EventKind.RECORD_PRESSED:
-            intent = interpret(event.transcript or "")
-            return _handle_intent(state, intent, config)
-        if kind is EventKind.USER_ACTION:
-            return state, []
-        return _invalid(state)
-
-    if state.phase in (Phase.NAVIGATING, Phase.SCANNING):
+    elif phase in (Phase.NAVIGATING, Phase.SCANNING):
         if kind is EventKind.MISS or kind is EventKind.ROI_UNREACHABLE:
             next_index = state.roi_index + 1
             nxt = replace(state, phase=Phase.SCANNING, roi_index=next_index)
@@ -664,38 +576,46 @@ def step(
                 "medicine bottle not found at any known location",
                 "I could not find your medicine. I will ask your caregiver.",
             )
-        if kind is EventKind.RECORD_PRESSED:
-            intent = interpret(event.transcript or "")
-            if intent is IntentKind.REFUSAL:
-                return _register_refusal(state)
-            if state.repeat_count < config.max_repeats:
-                return (
-                    replace(state, repeat_count=state.repeat_count + 1),
-                    [Action.speak("Please follow me while I look for your medicine.")],
-                )
-            return state, []  # stop chattering; navigation events drive progress
-        if kind is EventKind.USER_ACTION:
-            return state, []
-        return _invalid(state)
-
-    if state.phase in (Phase.STEP_GUIDANCE, Phase.AWAITING_FINAL_CONFIRM):
-        assert state.step is not None
-        if kind is EventKind.TIMEOUT:
-            if event.timeout_phase not in (None, state.phase):
-                return _invalid(state)
-            if state.repeat_count < config.max_repeats:
-                return (
-                    replace(state, repeat_count=state.repeat_count + 1),
-                    [Action.speak(prompt_for(state.step, state.assist_level, rephrase=True))],
-                )
-            return _escalate_or_abort(state, config)
-        if kind is EventKind.RECORD_PRESSED:
-            intent = interpret(event.transcript or "")
-            return _handle_intent(state, intent, config)
-        if kind is EventKind.USER_ACTION:
-            if event.action is EXPECTED_ACTION[state.step]:
-                return state, []  # physical progress noted; await verbal confirm
+        # Chatter while searching spends the repeat budget, then goes unanswered.
+        follow = "Please follow me while I look for your medicine."
+        if intent is not None and (said := _repeat(state, config, follow)):
+            return said
+    else:
+        # Reminding and the two step phases share one dispatch, first by event
+        # kind and then by intent, because they share the escalation ladder:
+        # failures climb it, repeats rephrase at the current level, and a
+        # confirm moves on.
+        reminding = phase is Phase.REMINDING
+        if kind is EventKind.START_NAVIGATION_PRESSED:
+            if reminding and state.assist_level is AssistLevel.L3:
+                return _start_navigation(state, config)
+        elif kind is EventKind.TIMEOUT:
+            if event.timeout_phase in (None, phase):
+                if reminding:
+                    return _register_failure(state, config)
+                return _repeat(state, config, _again(state)) or _escalate_or_abort(state, config)
+        elif kind is EventKind.USER_ACTION:
+            # The expected action is physical progress; the verbal confirm follows.
+            if not reminding and event.action is not EXPECTED_ACTION[state.step]:
+                return _register_failure(state, config)
+        elif intent is IntentKind.CONFIRM:
+            if reminding and state.assist_level is AssistLevel.L3:
+                return _start_navigation(state, config)
+            if reminding:
+                return _enter_step(state, GuidanceStep.LOCATE_BOTTLE)
+            if state.step is GuidanceStep.CONFIRM_INTAKE:
+                done = replace(state, phase=Phase.DONE)
+                return done, [Action.speak("Well done! You have taken your medicine.")]
+            return _enter_step(state, STEP_ORDER[STEP_ORDER.index(state.step) + 1])
+        elif intent is IntentKind.DENY:
             return _register_failure(state, config)
-        return _invalid(state)
-
-    return _invalid(state)
+        elif intent is not None:
+            # Repeat, help, off-topic and unknown replies are rephrased while
+            # repeats last; anything but a plain request is steered back first.
+            text = _again(state)
+            if reminding and intent is not IntentKind.REPEAT_REQUEST:
+                text = "I am here to help you take your medicine. " + text
+            elif intent not in (IntentKind.REPEAT_REQUEST, IntentKind.HELP_REQUEST):
+                text = "Let's focus on your medicine. " + text
+            return _repeat(state, config, text) or _register_failure(state, config)
+    return state, []

@@ -53,6 +53,7 @@ def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
 def _num(value, path: str, lo: float | None = None, hi: float | None = None) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
     v = float(value)
+    _expect(math.isfinite(v), path, "expected a finite number")
     if lo is not None:
         _expect(v >= lo, path, f"must be >= {lo}")
     if hi is not None:
@@ -60,9 +61,9 @@ def _num(value, path: str, lo: float | None = None, hi: float | None = None) -> 
     return v
 
 
-def _vec(value, path: str, n: int) -> tuple[float, ...]:
+def _vec(value, path: str, n: int, lo: float | None = None) -> tuple[float, ...]:
     _expect(isinstance(value, list) and len(value) == n, path, f"expected {n} numbers")
-    return tuple(_num(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return tuple(_num(v, f"{path}[{i}]", lo) for i, v in enumerate(value))
 
 
 def _str(value, path: str) -> str:
@@ -116,7 +117,7 @@ def _shape(value, path: str):
     kind = _str(_get(value, "type", path), f"{path}.type")
     if kind == "box":
         _known(value, path, ["type", "size"])
-        return BoxShape(size=_vec(_get(value, "size", path), f"{path}.size", 3))
+        return BoxShape(size=_vec(_get(value, "size", path), f"{path}.size", 3, lo=1e-6))
     if kind == "cylinder":
         _known(value, path, ["type", "radius", "height"])
         return CylinderShape(

@@ -300,16 +300,6 @@ class DetectorModel:
     box_noise_sigma: float = field(default=1.0, metadata={"lo": 0.0})
     max_range: float = field(default=4.0, metadata={"lo": 0.1})
 
-    def __post_init__(self) -> None:
-        for name in ("true_positive_rate", "false_positive_rate"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name}={p} outside [0, 1]")
-        if self.box_noise_sigma < 0.0:
-            raise ValueError("box_noise_sigma must be >= 0")
-        if self.max_range <= 0.0:
-            raise ValueError("max_range must be positive")
-
 
 @dataclass(frozen=True)
 class DetectionResult:

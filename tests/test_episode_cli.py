@@ -33,9 +33,9 @@ def log_digest(log) -> str:
 
 def test_guided_episode_completes_and_validates(lab_scenario):
     result = run_episode(lab_scenario, "B", 0)
-    assert result.completed
     validate_log(result.log)
     sm = m.session_metrics(result.log)
+    assert sm.completed
     assert not sm.censored
     assert sm.time_to_locate_s < 120.0
     assert sm.interaction_rounds >= 5  # one verbal confirm per guidance step

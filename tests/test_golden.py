@@ -1,31 +1,46 @@
-"""Golden log lock: the canonical log bytes of a fixed seed set.
+"""Golden locks: the canonical log bytes of a fixed seed set, and the
+policy's exact outputs on random event walks.
 
 ``tests/golden/lab_study.json`` holds the SHA-256 of the ``write_log`` bytes
-for seeds 0-11 under conditions A and B.  A change that only makes the
-simulator faster or smaller must leave every hash as it is; see the README
-for when a behaviour change may regenerate the file, which
+for seeds 0-11 under conditions A and B.  ``tests/golden/orchestrator_walks.json``
+holds, per orchestrator config, the SHA-256 of the ``harness.random_walk``
+traces for seeds 0-39.  A change that only makes the simulator faster or
+smaller must leave every hash as it is; see the README for when a behaviour
+change may regenerate the files, which
 
     python tests/test_golden.py --write
 
-does with the same replay code as the test.
+does with the same replay code as the tests.
 """
 
 import argparse
 import hashlib
+import itertools
 import json
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import harness
 from aansim.episode import run_episode
+from aansim.orchestrator import AssistLevel
 from aansim.scenario import load_scenario
 from aansim.session import write_log
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "tests" / "golden" / "lab_study.json"
+WALKS_PATH = ROOT / "tests" / "golden" / "orchestrator_walks.json"
 SCENARIO = "scenarios/lab_study.json"
 KEYS = [f"{cond}/{seed}" for cond in ("A", "B") for seed in range(12)]
+WALK_SEEDS = range(40)
+# Condition × start level × escalation_threshold × max_repeats: 72 configs.
+WALK_CONFIGS = {
+    f"{cond}/L{level}/esc{esc}/rep{rep}": dict(
+        condition=cond, start_level=AssistLevel(level), escalation_threshold=esc, max_repeats=rep
+    )
+    for cond, level, esc, rep in itertools.product("AB", (1, 2, 3), (1, 2, 3), range(4))
+}
 
 
 def log_sha256(scenario, key: str, path: Path) -> str:
@@ -33,6 +48,32 @@ def log_sha256(scenario, key: str, path: Path) -> str:
     cond, seed = key.split("/")
     write_log(run_episode(scenario, cond, int(seed)).log, path)
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def walks_sha256(key: str) -> str:
+    """Hash the random-walk traces of one walk config over ``WALK_SEEDS``.
+
+    Each step contributes one canonical JSON line: the event, its actions,
+    the described state and every counter ``describe`` leaves out.
+    """
+    config = harness.guided_config(**WALK_CONFIGS[key])
+    digest = hashlib.sha256()
+    for seed in WALK_SEEDS:
+        _, trace = harness.random_walk(seed, config)
+        for event, _, after, actions in trace:
+            row = [
+                event.describe(),
+                [a.describe() for a in actions],
+                after.describe(),
+                after.repeat_count,
+                after.failure_count,
+                after.refusal_count,
+                after.roi_index,
+                after.hint_index,
+                after.clock,
+            ]
+            digest.update(json.dumps(row, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -50,17 +91,28 @@ def test_log_bytes_match_golden(lab_scenario, tmp_path, golden, key):
     assert log_sha256(lab_scenario, key, tmp_path / "episode.jsonl") == golden["sha256"][key]
 
 
+def test_orchestrator_walks_match_golden():
+    walks = json.loads(WALKS_PATH.read_text())
+    assert walks["seeds"] == len(WALK_SEEDS)
+    assert sorted(walks["sha256"]) == sorted(WALK_CONFIGS)
+    mismatched = [key for key in WALK_CONFIGS if walks_sha256(key) != walks["sha256"][key]]
+    assert mismatched == []
+
+
 def write_golden() -> None:
     scenario = load_scenario(ROOT / SCENARIO)
     with tempfile.TemporaryDirectory() as tmp:
         sha256 = {key: log_sha256(scenario, key, Path(tmp) / "episode.jsonl") for key in KEYS}
     text = json.dumps({"scenario": SCENARIO, "sha256": sha256}, indent=2) + "\n"
     GOLDEN_PATH.write_text(text, encoding="utf-8")
+    walks = {key: walks_sha256(key) for key in WALK_CONFIGS}
+    text = json.dumps({"seeds": len(WALK_SEEDS), "sha256": walks}, indent=2) + "\n"
+    WALKS_PATH.write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help=f"regenerate {GOLDEN_PATH.relative_to(ROOT)}")
+    parser.add_argument("--write", action="store_true", help="regenerate both golden files")
     if not parser.parse_args().write:
-        parser.error("nothing to do; pass --write to regenerate the golden file")
+        parser.error("nothing to do; pass --write to regenerate the golden files")
     write_golden()

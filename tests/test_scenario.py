@@ -149,13 +149,17 @@ def test_minimal_scenario_takes_dataclass_defaults(workdir):
         ("noise", "depth_sigma", -0.001, "$.noise.depth_sigma: must be >= 0.0"),
         ("robot.camera", "height", 0.05, "$.robot.camera.height: must be >= 0.1"),
         ("bottle", "radius", 1e-4, "$.bottle.radius: must be >= 0.001"),
+        ("robot", "x", math.nan, "$.robot.x: expected a finite number"),
+        ("robot.camera", "pitch_deg", math.nan, "$.robot.camera.pitch_deg: expected a finite number"),
+        ("session", "time_cap_s", math.inf, "$.session.time_cap_s: expected a finite number"),
+        ("objects.0.shape", "size", [-0.5, 0.5, 0.5], "$.objects[0].shape.size[0]: must be >= 1e-06"),
     ],
 )
 def test_out_of_bounds_value_names_json_path(workdir, section, key, value, message):
     doc = base_doc()
     obj = doc
     for name in section.split("."):
-        obj = obj[name]
+        obj = obj[int(name) if isinstance(obj, list) else name]
     obj[key] = value
     assert load_errors(workdir, doc) == message
 
