@@ -127,7 +127,7 @@ def _make_nav_session(
     sc = engine.scenario
     return navigation.NavSession(
         scene=scene,
-        costmap=navigation.build_costmap(sc.nav_grid, sc.nav),
+        costmap=sc.costmap,
         robot=robot,
         rois=sc.rois,
         intrinsics=sc.intrinsics,

@@ -62,6 +62,8 @@ class Costmap(OccupancyGrid):
     """Float cost grid over the cells and geometry of an occupancy grid."""
 
     cost: np.ndarray = field(kw_only=True)
+    # navigate_to's noise-free legs, keyed by start state, goal pose and dt.
+    legs: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
 
     def traversable(self, i: int, j: int) -> bool:
         return self.cost[j, i] < INSCRIBED_COST
@@ -334,7 +336,7 @@ class Clock:
         return self.t
 
 
-@dataclass
+@dataclass(frozen=True)
 class NavResult:
     arrived: bool
     reason: str
@@ -364,9 +366,19 @@ class NavSession:
         self.log.add_note(self.clock.t, kind, **payload)
 
 
-def _observed_pose(session: NavSession) -> RobotState:
+@dataclass(frozen=True)
+class _Leg:
+    """One drive's effect on a session: its clock ticks, the tick of each
+    recovery spin, the end (x, y, heading, v, omega) and the result."""
+
+    ticks: int
+    spins: tuple[int, ...]
+    end: tuple[float, float, float, float, float]
+    result: NavResult
+
+
+def _observed_pose(session: NavSession, robot: RobotState) -> RobotState:
     """Robot state as the planner sees it (optionally noise-injected)."""
-    robot = session.robot
     if session.pose_noise_sigma <= 0.0:
         return robot
     noise = session.pose_noise_rng.normal(0.0, session.pose_noise_sigma, size=3)
@@ -378,69 +390,87 @@ def _observed_pose(session: NavSession) -> RobotState:
     )
 
 
-def _spin_in_place(session: NavSession, duration: float) -> None:
-    ticks = int(round(duration / session.dt))
-    for _ in range(ticks):
-        session.robot, _ = world.step_kinematics(
-            session.robot, (0.0, DWA_PARAMS.omega_max), session.dt, session.costmap
-        )
-        session.clock.advance(session.dt)
+def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> _Leg:
+    """Drive a local copy of the robot to a goal pose; the clock and log stay as they are.
 
-
-def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> NavResult:
-    """Drive to a goal pose: DWA to the position, then rotate to the heading.
-
-    On AllBlocked the robot spins in place for up to the recovery time and
-    replans once; a second AllBlocked (or a failed replan) abandons the goal.
+    DWA to the position, then rotate to the heading.  On AllBlocked the
+    robot spins in place for the recovery time and replans once; a second
+    AllBlocked (or a failed replan) abandons the goal.  Every tick is one
+    ``session.dt`` of simulated time.
     """
     gx, gy, gh = goal_pose
-    params = DWA_PARAMS
-    dt = session.dt
+    params, dt, costmap = DWA_PARAMS, session.dt, session.costmap
+    robot = session.robot
+    ticks = 0
+    spins: list[int] = []
+
+    def leg(arrived: bool, reason: str) -> _Leg:
+        end = (robot.x, robot.y, robot.heading, robot.v, robot.omega)
+        return _Leg(ticks, tuple(spins), end, NavResult(arrived, reason))
+
     try:
-        path = plan_global(session.costmap, (session.robot.x, session.robot.y), (gx, gy))
+        path = plan_global(costmap, (robot.x, robot.y), (gx, gy))
     except NavigationError as exc:
-        return NavResult(arrived=False, reason=f"no_path: {exc}")
+        return leg(False, f"no_path: {exc}")
 
     travel = path.cost / max(params.v_max, 1e-6) + 4.0 * math.pi / max(params.omega_max, 1e-6)
     max_ticks = int(math.ceil(4.0 * travel / dt)) + 200
 
-    ticks = 0
-    recovery_used = False
     while ticks < max_ticks:
-        if math.hypot(session.robot.x - gx, session.robot.y - gy) <= ARRIVAL_POS_TOL:
+        if math.hypot(robot.x - gx, robot.y - gy) <= ARRIVAL_POS_TOL:
             break
         try:
-            cmd = dwa_step(_observed_pose(session), path, session.costmap, params, dt)
+            cmd = dwa_step(_observed_pose(session, robot), path, costmap, params, dt)
         except AllBlocked:
-            if recovery_used:
-                return NavResult(False, "all_blocked")
-            session.note("recovery_spin")
-            _spin_in_place(session, RECOVERY_SPIN_TIME)
-            ticks += int(round(RECOVERY_SPIN_TIME / dt))
-            recovery_used = True
+            if spins:
+                return leg(False, "all_blocked")
+            spins.append(ticks)
+            for _ in range(int(round(RECOVERY_SPIN_TIME / dt))):
+                robot, _ = world.step_kinematics(robot, (0.0, params.omega_max), dt, costmap)
+                ticks += 1
             try:
-                path = plan_global(
-                    session.costmap, (session.robot.x, session.robot.y), (gx, gy)
-                )
+                path = plan_global(costmap, (robot.x, robot.y), (gx, gy))
             except NavigationError:
-                return NavResult(False, "all_blocked")
+                return leg(False, "all_blocked")
             continue
-        session.robot, _ = world.step_kinematics(session.robot, cmd, dt, session.costmap)
-        session.clock.advance(dt)
+        robot, _ = world.step_kinematics(robot, cmd, dt, costmap)
         ticks += 1
     else:
-        return NavResult(False, "tick_cap")
+        return leg(False, "tick_cap")
 
     # Align to the approach heading with bounded rotation commands.
     while ticks < max_ticks:
-        err = geometry.normalize_angle(gh - session.robot.heading)
+        err = geometry.normalize_angle(gh - robot.heading)
         if abs(err) <= ARRIVAL_ANG_TOL:
-            return NavResult(True, "arrived")
+            return leg(True, "arrived")
         omega = max(-params.omega_max, min(params.omega_max, err / dt))
-        session.robot, _ = world.step_kinematics(session.robot, (0.0, omega), dt, session.costmap)
-        session.clock.advance(dt)
+        robot, _ = world.step_kinematics(robot, (0.0, omega), dt, costmap)
         ticks += 1
-    return NavResult(False, "tick_cap")
+    return leg(False, "tick_cap")
+
+
+def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> NavResult:
+    """Drive to a goal pose (see ``_drive``) and replay the leg on the session.
+
+    A noise-free leg is driven once per costmap and start state, then
+    replayed: the clock advances by ``dt`` once per tick, each
+    ``recovery_spin`` note lands at the tick it was recorded at, and the
+    robot takes the leg's end pose and velocities.  A noisy leg draws from
+    ``pose_noise_rng``, so it is driven every time.
+    """
+    robot = session.robot
+    key = (robot.x, robot.y, robot.heading, robot.v, robot.omega, goal_pose, session.dt)
+    legs = session.costmap.legs if session.pose_noise_sigma <= 0.0 else {}
+    if key not in legs:
+        legs[key] = _drive(session, goal_pose)
+    leg = legs[key]
+    for tick in range(leg.ticks):
+        if tick in leg.spins:
+            session.note("recovery_spin")
+        session.clock.advance(session.dt)
+    x, y, heading, v, omega = leg.end
+    session.robot = replace(robot, x=x, y=y, heading=heading, v=v, omega=omega)
+    return leg.result
 
 
 def _localize(session: NavSession, det: DetectionResult) -> np.ndarray | None:

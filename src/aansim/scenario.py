@@ -14,11 +14,11 @@ import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cached_property
 from pathlib import Path
 
-from . import usersim, world
+from . import navigation, usersim, world
 from .geometry import CameraIntrinsics
-from .navigation import NavParams
 from .orchestrator import AssistLevel, OrchestratorConfig
 from .world import (
     BoxShape,
@@ -52,7 +52,10 @@ def _get(obj: dict, key: str, path: str, required: bool = True, default=None):
 
 def _num(value, path: str, lo: float | None = None, hi: float | None = None) -> float:
     _expect(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     _expect(math.isfinite(v), path, "expected a finite number")
     if lo is not None:
         _expect(v >= lo, path, f"must be >= {lo}")
@@ -218,12 +221,17 @@ class Scenario:
     robot: RobotParams
     intrinsics: CameraIntrinsics
     detector: DetectorModel
-    nav: NavParams
+    nav: navigation.NavParams
     session: SessionParams
     noise: NoiseParams
     scenario_hash: str
 
     # ----- builders -------------------------------------------------------
+
+    @cached_property
+    def costmap(self) -> navigation.Costmap:
+        """The planning costmap, built on first use; it also memoizes driven legs."""
+        return navigation.build_costmap(self.nav_grid, self.nav)
 
     def robot_state(self) -> RobotState:
         """The robot at its start pose; degrees become radians here."""
@@ -360,7 +368,7 @@ def load_scenario(path: str | Path) -> Scenario:
             )
         )
 
-    nav = _section(raw, "nav", NavParams)
+    nav = _section(raw, "nav", navigation.NavParams)
     session = _section(raw, "session", SessionParams)
     noise = _section(raw, "noise", NoiseParams)
 

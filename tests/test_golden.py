@@ -33,6 +33,8 @@ GOLDEN_PATH = ROOT / "tests" / "golden" / "lab_study.json"
 WALKS_PATH = ROOT / "tests" / "golden" / "orchestrator_walks.json"
 SCENARIO = "scenarios/lab_study.json"
 KEYS = [f"{cond}/{seed}" for cond in ("A", "B") for seed in range(12)]
+# Bottle at kitchen_counter, hall_shelf and side_table under B, plus one A key.
+FRESH_KEYS = ["B/0", "B/1", "B/4", "A/0"]
 WALK_SEEDS = range(40)
 # Condition × start level × escalation_threshold × max_repeats: 72 configs.
 WALK_CONFIGS = {
@@ -89,6 +91,20 @@ def test_golden_covers_both_conditions_on_twelve_seeds(golden):
 @pytest.mark.parametrize("key", sorted(KEYS))
 def test_log_bytes_match_golden(lab_scenario, tmp_path, golden, key):
     assert log_sha256(lab_scenario, key, tmp_path / "episode.jsonl") == golden["sha256"][key]
+
+
+def test_log_bytes_do_not_depend_on_episode_order(tmp_path, golden):
+    """A loaded scenario's leg memo carries nothing else between episodes.
+
+    Every key replays in reverse order on one freshly loaded scenario; then
+    one key per bottle spot, and one condition-A key, each on its own.
+    """
+    path = tmp_path / "episode.jsonl"
+    scenario = load_scenario(ROOT / SCENARIO)
+    reverse = {key: log_sha256(scenario, key, path) for key in reversed(KEYS)}
+    assert reverse == golden["sha256"]
+    alone = {key: log_sha256(load_scenario(ROOT / SCENARIO), key, path) for key in FRESH_KEYS}
+    assert alone == {key: golden["sha256"][key] for key in FRESH_KEYS}
 
 
 def test_orchestrator_walks_match_golden():

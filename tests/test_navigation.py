@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -435,6 +436,115 @@ def test_navigate_to_is_deterministic():
         return (res.arrived, session.clock.t, session.robot.x, session.robot.y, session.robot.heading)
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# navigate_to's leg memo: a warm call replays a leg driven on the same
+# costmap; its effect must equal a cold drive on a fresh costmap bit for bit.
+
+
+@pytest.fixture
+def drive_calls(monkeypatch):
+    """Calls to dwa_step, plan_global and step_kinematics, by name."""
+    calls = Counter()
+    for owner, name in ((nav, "dwa_step"), (nav, "plan_global"), (world, "step_kinematics")):
+
+        def counted(*args, _real=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _outcome(session, result):
+    """Everything navigate_to leaves behind, with floats as exact hex strings."""
+    r = session.robot
+    floats = (session.clock.t, r.x, r.y, r.heading, r.v, r.omega, r.head_pan)
+    return result, [f.hex() for f in floats], session.log.records
+
+
+def _cold_and_warm(drive_calls, grid, robot, goal, inflation=0.3, **over):
+    """A cold drive at clock 7.3, and a warm call at 7.3 whose leg was driven
+    at clock 0: ``(cold, cold_outcome, warm, warm_outcome)``.  Each session
+    gets a fresh costmap (the warm one shares the first drive's) and a fresh
+    ``pose_noise_rng`` with seed 5; ``drive_calls`` ends holding the warm
+    call's counts."""
+
+    def session(**more):
+        costmap = nav.build_costmap(grid, nav.NavParams(inflation_radius=inflation))
+        return _session(grid, robot, **{
+            "costmap": costmap, "pose_noise_rng": np.random.default_rng(5), **over, **more,
+        })
+
+    cold = session(clock=nav.Clock(7.3))
+    cold_outcome = _outcome(cold, nav.navigate_to(cold, goal))
+    primer = session()
+    nav.navigate_to(primer, goal)
+    warm = session(costmap=primer.costmap, clock=nav.Clock(7.3))
+    drive_calls.clear()
+    return cold, cold_outcome, warm, _outcome(warm, nav.navigate_to(warm, goal))
+
+
+def test_warm_leg_replays_cold_drive_at_a_later_clock(drive_calls):
+    start = RobotState(x=1.0, y=1.0, heading=0.0)
+    _, cold_outcome, warm, warm_outcome = _cold_and_warm(
+        drive_calls, open_grid(80, 60), start, (5.0, 4.0, math.pi / 2)
+    )
+    assert drive_calls == Counter()
+    assert warm_outcome == cold_outcome
+    assert cold_outcome[0] == nav.NavResult(True, "arrived") and len(warm.costmap.legs) == 1
+
+
+def test_legs_are_keyed_by_goal_and_start_velocity():
+    grid = open_grid(80, 60)
+    start = RobotState(x=1.0, y=1.0, heading=0.0)
+    cases = [
+        (start, (5.0, 4.0, math.pi / 2)),
+        (start, (2.0, 4.0, 0.0)),
+        (replace(start, v=0.2), (5.0, 4.0, math.pi / 2)),
+    ]
+    shared = _session(grid, start).costmap
+    for robot, goal in cases:
+        cold, warm = _session(grid, robot), _session(grid, robot, costmap=shared)
+        assert _outcome(warm, nav.navigate_to(warm, goal)) == _outcome(cold, nav.navigate_to(cold, goal))
+    assert len(shared.legs) == 3
+
+
+def test_warm_leg_replays_recovery_spin_note_at_its_tick(drive_calls):
+    # Moving at 0.3 m/s, 0.4 m from a wall: every dynamic-window arc collides
+    # on the first tick, so the robot spins, replans and drives back west.
+    start = RobotState(x=1.5, y=1.0, heading=0.0, v=0.3)
+    _, cold_outcome, warm, warm_outcome = _cold_and_warm(
+        drive_calls, open_grid(20, 20), start, (0.5, 1.0, math.pi), inflation=0.0
+    )
+    assert drive_calls == Counter()
+    assert warm_outcome == cold_outcome
+    (leg,) = warm.costmap.legs.values()
+    assert leg.spins == (0,) and leg.ticks > 20
+    assert [(r["t"], r["note"]) for r in warm.log.records] == [(7.3, "recovery_spin")]
+
+
+def test_warm_no_path_leg_leaves_the_clock(drive_calls):
+    rows = ["#########", "#...#...#", "#...#...#", "#...#...#", "#########"]
+    start = RobotState(x=1.0, y=1.25, heading=0.0)
+    _, cold_outcome, _, warm_outcome = _cold_and_warm(
+        drive_calls, grid_from(rows, resolution=0.5), start, (3.75, 1.25, 0.0), inflation=0.0
+    )
+    assert drive_calls == Counter()
+    assert warm_outcome == cold_outcome
+    result, floats, _ = cold_outcome
+    assert result.reason.startswith("no_path") and floats[0] == (7.3).hex()
+
+
+def test_noisy_legs_are_driven_every_time(drive_calls):
+    start = RobotState(x=1.0, y=1.0, heading=0.0)
+    cold, cold_outcome, warm, warm_outcome = _cold_and_warm(
+        drive_calls, open_grid(80, 60), start, (5.0, 4.0, math.pi / 2), pose_noise_sigma=0.02
+    )
+    assert drive_calls["dwa_step"] > 0 and warm.costmap.legs == {}
+    assert warm_outcome == cold_outcome
+    assert warm.pose_noise_rng.bit_generator.state == cold.pose_noise_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,11 @@ def test_minimal_scenario_takes_dataclass_defaults(workdir):
         ("robot.camera", "pitch_deg", math.nan, "$.robot.camera.pitch_deg: expected a finite number"),
         ("session", "time_cap_s", math.inf, "$.session.time_cap_s: expected a finite number"),
         ("objects.0.shape", "size", [-0.5, 0.5, 0.5], "$.objects[0].shape.size[0]: must be >= 1e-06"),
+        # A JSON integer too large for a float.
+        pytest.param(
+            "session", "time_cap_s", 10**400, "$.session.time_cap_s: expected a finite number",
+            id="session-time_cap_s-int_overflow",
+        ),
     ],
 )
 def test_out_of_bounds_value_names_json_path(workdir, section, key, value, message):
