@@ -129,7 +129,6 @@ def _make_nav_session(
         scene=scene,
         costmap=sc.costmap,
         robot=robot,
-        rois=sc.rois,
         intrinsics=sc.intrinsics,
         detector=sc.detector,
         clock=engine.clock,
@@ -144,16 +143,23 @@ def _make_nav_session(
     )
 
 
-def _pump_navigation(engine: _Engine, nav_session: navigation.NavSession) -> None:
-    """Run the search sequencer, feeding its outcomes to the orchestrator."""
-    for event in navigation.roi_sequencer(nav_session):
+def _search(engine: _Engine, nav_session: navigation.NavSession) -> None:
+    """Visit the search location the policy's ``roi_index`` picks until the search ends.
+
+    Past the last location the policy directs no further visit, so the
+    search reports itself exhausted here.
+    """
+    rois = engine.scenario.rois
+    while engine.state.phase in (Phase.NAVIGATING, Phase.SCANNING):
+        if engine.state.roi_index < len(rois):
+            event = navigation.visit_roi(nav_session, rois[engine.state.roi_index])
+        else:
+            event = AssistEvent.exhausted(engine.clock.t)
         engine.apply(event)
         if event.kind is EventKind.FOUND:
             # Gaze alignment plus the deictic gesture take real time.
             engine.clock.advance(engine.scenario.session.gesture_time_s)
             engine.windows.append(GazeWindow("bottle", event.t, event.t + _BOTTLE_SPAN_S))
-        if engine.state.phase not in (Phase.NAVIGATING, Phase.SCANNING):
-            return
 
 
 def _run_guided(
@@ -170,19 +176,16 @@ def _run_guided(
     nav_session = _make_nav_session(engine, scene, robot, seed, condition)
 
     engine.apply(AssistEvent.schedule_due(engine.clock.t))
-    attempt = 0
-    attempt_key: tuple = (engine.state.phase, engine.state.step, engine.state.assist_level)
 
     while not engine.state.terminal and engine.clock.t < cap:
-        key = (engine.state.phase, engine.state.step, engine.state.assist_level)
-        if key != attempt_key:
-            attempt, attempt_key = 0, key
-
         phase = engine.state.phase
         if phase in (Phase.NAVIGATING, Phase.SCANNING):
-            _pump_navigation(engine, nav_session)
+            _search(engine, nav_session)
             continue
         level = int(engine.state.assist_level)
+        # Each reply adds one to exactly one of the two counts, or moves the
+        # policy to a new phase, step or level, which resets both.
+        attempt = engine.state.repeat_count + engine.state.failure_count
         if phase is Phase.REMINDING:
             prompt = Prompt("reminder", level, attempt=attempt)
         else:
@@ -191,7 +194,6 @@ def _run_guided(
             prompt = Prompt("step", level, step=engine.state.step, attempt=attempt)
 
         reply = usersim.respond(profile, prompt, user_rng)
-        attempt += 1
         if reply.silent:
             t0 = engine.clock.t
             engine.windows.append(

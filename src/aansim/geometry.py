@@ -135,16 +135,11 @@ class ForegroundMask:
     """Connected pixels kept by depth-band foreground extraction.
 
     ``pixels`` is an (N, 2) int array of (u, v), sorted by u, then v.
-    ``z_m`` is the (lower) median depth of the valid pixels in the source
-    box; the mask keeps pixels whose depth lies within ``band_halfwidth`` of
-    it.  ``center_fallback`` is flagged when the box center pixel did not
-    land in the retained component and the largest component was used
-    instead.
+    ``center_fallback`` is flagged when the box center pixel did not land in
+    the retained component and the largest component was used instead.
     """
 
     pixels: np.ndarray
-    z_m: float
-    band_halfwidth: float
     center_fallback: bool = False
 
 
@@ -207,7 +202,7 @@ class PlaneFit:
 
 @dataclass(frozen=True)
 class PointingCommand:
-    """Deictic pointing: yaw/pitch of the arm ray from ``arm_origin``.
+    """Deictic pointing: yaw/pitch of the arm ray toward a target.
 
     yaw is measured in the horizontal plane from +X (atan2 range, normalized
     to (-pi, pi]); pitch is the elevation from the horizontal plane, in
@@ -216,7 +211,6 @@ class PointingCommand:
 
     yaw: float
     pitch: float
-    arm_origin: np.ndarray
     direction: np.ndarray
 
 
@@ -288,8 +282,6 @@ def extract_foreground(
 
     return ForegroundMask(
         pixels=np.argwhere(labels.T == center_label) + (clipped.u_min, clipped.v_min),
-        z_m=z_m,
-        band_halfwidth=band_halfwidth,
         center_fallback=center_fallback,
     )
 
@@ -374,7 +366,7 @@ def pointing_angles(target, arm_origin) -> PointingCommand:
         raise ZeroDirection(f"pointing target coincides with arm origin: |d|={norm}")
     yaw = normalize_angle(math.atan2(d[1], d[0]))
     pitch = math.atan2(d[2], math.hypot(d[0], d[1]))
-    return PointingCommand(yaw=yaw, pitch=pitch, arm_origin=origin, direction=d / norm)
+    return PointingCommand(yaw=yaw, pitch=pitch, direction=d / norm)
 
 
 @dataclass

@@ -1,5 +1,5 @@
 """Navigation stack: layered costmap, A* global planning over an inflated
-grid, a dynamic-window local planner, and the search-location sequencer.
+grid, a dynamic-window local planner, and the visit to one search location.
 
 Costs live in [0, 255] with 255 for lethal (Occupied or Unknown) cells.
 Inflated cells carry 254 * exp(-decay * (d - robot_radius)) clipped to
@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 import numpy as np
 from scipy import ndimage
@@ -96,7 +95,7 @@ def build_costmap(grid: OccupancyGrid, params: NavParams) -> Costmap:
         band = ~lethal & (dist <= params.inflation_radius)
         inflated = 254.0 * np.exp(-params.cost_decay * (dist - params.robot_radius))
         cost[band] = np.clip(inflated[band], 1.0, 253.0)
-    return Costmap(grid.cells, grid.resolution, grid.origin, cost=cost)
+    return Costmap(grid.cells, grid.resolution, cost=cost)
 
 
 @dataclass
@@ -285,9 +284,8 @@ def dwa_step(
     xs[:, straight] = robot.x + vt * math.cos(theta0)
     ys[:, straight] = robot.y + vt * math.sin(theta0)
 
-    ox, oy = costmap.origin
-    ci = np.floor((xs - ox) / costmap.resolution).astype(np.int64)
-    cj = np.floor((ys - oy) / costmap.resolution).astype(np.int64)
+    ci = np.floor(xs / costmap.resolution).astype(np.int64)
+    cj = np.floor(ys / costmap.resolution).astype(np.int64)
     # Viewed as unsigned, negative indices are huge, so one compare per axis.
     inside = (ci.view(np.uint64) < costmap.width) & (cj.view(np.uint64) < costmap.height)
     flat = np.where(inside, cj * costmap.width + ci, 0)
@@ -344,12 +342,11 @@ class NavResult:
 
 @dataclass
 class NavSession:
-    """Everything the search sequencer needs to move, look, and keep time."""
+    """Everything a search-location visit needs to move, look, and keep time."""
 
     scene: Scene
     costmap: Costmap  # also the collision grid: same cells as the planning grid
     robot: RobotState
-    rois: list[RegionOfInterest]
     intrinsics: "geometry.CameraIntrinsics"
     detector: DetectorModel
     clock: Clock
@@ -486,39 +483,34 @@ def _localize(session: NavSession, det: DetectionResult) -> np.ndarray | None:
     return est.target_base
 
 
-def roi_sequencer(session: NavSession) -> Iterator[AssistEvent]:
-    """Visit search locations in order, scanning each until a hit.
+def visit_roi(session: NavSession, roi: RegionOfInterest) -> AssistEvent:
+    """Drive to one search location, scan it, and report the outcome.
 
-    Yields a miss, found or roi_unreachable event per location, each at most
-    once, then exhausted if nothing was found.  A found event carries the
-    bottle as a base-frame (3,) point.  The generator advances the shared
-    clock as it drives and scans: one ``frame_time`` per camera frame.
+    Returns a roi_unreachable, miss or found event at the clock's time; a
+    found event carries the bottle as a base-frame (3,) point.  The shared
+    clock advances as the robot drives and scans: one ``frame_time`` per
+    camera frame.
     """
 
     def on_frame(_pan: float) -> None:
         session.clock.advance(session.frame_time)
 
-    for roi in session.rois:
-        session.note("navigating", roi=roi.id)
-        nav = navigate_to(session, roi.pose)
-        if not nav.arrived:
-            session.note("unreachable", roi=roi.id, reason=nav.reason)
-            yield AssistEvent.roi_unreachable(session.clock.t, roi.id)
-            continue
-        session.note("scanning", roi=roi.id)
-        det = world.scan_at_roi(
-            session.scene,
-            session.robot,
-            session.detector,
-            session.intrinsics,
-            session.detector_rng,
-            on_frame=on_frame,
-        )
-        # A failed localization on the detection frame counts as a miss.
-        target = None if det is None else _localize(session, det)
-        if target is None:
-            yield AssistEvent.miss(session.clock.t, roi.id)
-            continue
-        yield AssistEvent.found(session.clock.t, roi.id, target)
-        return
-    yield AssistEvent.exhausted(session.clock.t)
+    session.note("navigating", roi=roi.id)
+    nav = navigate_to(session, roi.pose)
+    if not nav.arrived:
+        session.note("unreachable", roi=roi.id, reason=nav.reason)
+        return AssistEvent.roi_unreachable(session.clock.t, roi.id)
+    session.note("scanning", roi=roi.id)
+    det = world.scan_at_roi(
+        session.scene,
+        session.robot,
+        session.detector,
+        session.intrinsics,
+        session.detector_rng,
+        on_frame=on_frame,
+    )
+    # A failed localization on the detection frame counts as a miss.
+    target = None if det is None else _localize(session, det)
+    if target is None:
+        return AssistEvent.miss(session.clock.t, roi.id)
+    return AssistEvent.found(session.clock.t, roi.id, target)

@@ -192,18 +192,17 @@ def stamp_footprints(grid: OccupancyGrid, objects: list[SceneObject]) -> Occupan
     """
     cells = grid.cells.copy()
     res = grid.resolution
-    ox, oy = grid.origin
     for obj in objects:
         if obj.kind is not ObjectKind.SUPPORT:
             continue
         lo, hi = obj.aabb()
-        i0 = max(0, math.ceil((lo[0] - ox) / res - 0.5))
-        i1 = min(grid.width - 1, math.floor((hi[0] - ox) / res - 0.5))
-        j0 = max(0, math.ceil((lo[1] - oy) / res - 0.5))
-        j1 = min(grid.height - 1, math.floor((hi[1] - oy) / res - 0.5))
+        i0 = max(0, math.ceil(lo[0] / res - 0.5))
+        i1 = min(grid.width - 1, math.floor(hi[0] / res - 0.5))
+        j0 = max(0, math.ceil(lo[1] / res - 0.5))
+        j1 = min(grid.height - 1, math.floor(hi[1] / res - 0.5))
         if i0 <= i1 and j0 <= j1:
             cells[j0 : j1 + 1, i0 : i1 + 1] = world.CellState.OCCUPIED
-    return OccupancyGrid(cells=cells, resolution=res, origin=grid.origin)
+    return OccupancyGrid(cells=cells, resolution=res)
 
 
 @dataclass

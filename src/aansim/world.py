@@ -2,9 +2,9 @@
 rendering, a parametric object detector, and unicycle base kinematics.
 
 World frame: X/Y in the floor plane, Z up, units meters.  Grid cells are
-squares of side ``resolution``; cell (i, j) covers x in
-[origin_x + i*res, origin_x + (i+1)*res) and y likewise with j.  The first
-data row of the ASCII map format is row j = 0.
+squares of side ``resolution``; cell (i, j) covers x in [i*res, (i+1)*res)
+and y likewise with j.  The first data row of the ASCII map format is row
+j = 0.
 """
 
 from __future__ import annotations
@@ -53,14 +53,13 @@ class OccupancyGrid:
 
     cells: np.ndarray
     resolution: float
-    origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
         self.cells = np.asarray(self.cells, dtype=np.uint8)
         if self.cells.ndim != 2:
             raise ValueError(f"grid cells must be 2-D, got shape {self.cells.shape}")
-        if self.resolution <= 0.0:
-            raise ValueError(f"resolution must be positive, got {self.resolution}")
+        if not 0.0 < self.resolution < math.inf:
+            raise ValueError(f"resolution must be positive and finite, got {self.resolution}")
         if not np.isin(self.cells, [0, 1, 2]).all():
             raise ValueError("grid contains cell states outside {Free, Occupied, Unknown}")
 
@@ -74,17 +73,14 @@ class OccupancyGrid:
 
     def world_to_cell(self, x: float, y: float) -> tuple[int, int] | None:
         """Cell (i, j) containing the world point, or None outside the map."""
-        i = math.floor((x - self.origin[0]) / self.resolution)
-        j = math.floor((y - self.origin[1]) / self.resolution)
+        i = math.floor(x / self.resolution)
+        j = math.floor(y / self.resolution)
         if 0 <= i < self.width and 0 <= j < self.height:
             return (i, j)
         return None
 
     def cell_center(self, i: int, j: int) -> tuple[float, float]:
-        return (
-            self.origin[0] + (i + 0.5) * self.resolution,
-            self.origin[1] + (j + 0.5) * self.resolution,
-        )
+        return ((i + 0.5) * self.resolution, (j + 0.5) * self.resolution)
 
     def state_at(self, x: float, y: float) -> CellState | None:
         cell = self.world_to_cell(x, y)
@@ -93,7 +89,7 @@ class OccupancyGrid:
         return CellState(int(self.cells[cell[1], cell[0]]))
 
     @classmethod
-    def from_ascii(cls, text: str, origin: tuple[float, float] = (0.0, 0.0)) -> "OccupancyGrid":
+    def from_ascii(cls, text: str) -> "OccupancyGrid":
         """Parse the ASCII map format.
 
         First line: ``WIDTH HEIGHT RESOLUTION``; then HEIGHT rows of WIDTH
@@ -119,7 +115,7 @@ class OccupancyGrid:
                 if ch not in _ASCII_TO_CELL:
                     raise ValueError(f"map row {j} col {i}: unknown cell char {ch!r}")
                 cells[j, i] = _ASCII_TO_CELL[ch]
-        return cls(cells=cells, resolution=resolution, origin=origin)
+        return cls(cells=cells, resolution=resolution)
 
 
 @dataclass(frozen=True)
@@ -199,7 +195,6 @@ def _merge_occupied_rects(grid: OccupancyGrid) -> list[tuple[np.ndarray, np.ndar
     """
     occupied = grid.cells == CellState.OCCUPIED
     res = grid.resolution
-    ox, oy = grid.origin
     open_runs: dict[tuple[int, int], tuple[int, int]] = {}  # (i0, i1) -> (j0, j1)
     rects: list[tuple[int, int, int, int]] = []
     for j in range(grid.height):
@@ -228,8 +223,8 @@ def _merge_occupied_rects(grid: OccupancyGrid) -> list[tuple[np.ndarray, np.ndar
 
     out = []
     for i0, i1, j0, j1 in rects:
-        lo = np.array([ox + i0 * res, oy + j0 * res, 0.0])
-        hi = np.array([ox + (i1 + 1) * res, oy + (j1 + 1) * res, WALL_HEIGHT])
+        lo = np.array([i0 * res, j0 * res, 0.0])
+        hi = np.array([(i1 + 1) * res, (j1 + 1) * res, WALL_HEIGHT])
         out.append((lo, hi))
     return out
 
@@ -312,7 +307,6 @@ class DetectionResult:
 
     box: BoundingBox
     true_kind: ObjectKind
-    object_index: int
     pan: float = 0.0
     depth: np.ndarray | None = field(default=None, compare=False, repr=False)
 
@@ -475,45 +469,32 @@ def detect(
     ``true_positive_rate`` and returns the bottle's visible-pixel box
     perturbed by ``box_noise_sigma``.  Otherwise a visible distractor may
     yield a false positive with probability ``false_positive_rate``.  Draw
-    order is fixed (visibility roll first, then the false-positive roll), so
-    a seeded rng reproduces results exactly.
+    order is fixed (the true-positive roll, then the false-positive roll,
+    then the box noise), so a seeded rng reproduces results exactly.
     """
     depth, ids = render_depth_ids(scene, robot, intrinsics, model.max_range)
+    hit = None
     bottle_idx = scene.pill_bottle_index()
     if bottle_idx is not None:
         area, box = _visible_pixel_box(ids, bottle_idx)
-        if area >= MIN_PIXEL_AREA and box is not None:
-            if rng.random() < model.true_positive_rate:
-                box = _perturb_box(
-                    box, model.box_noise_sigma, intrinsics.width, intrinsics.height, rng
-                )
-                return DetectionResult(
-                    box=box,
-                    true_kind=ObjectKind.PILL_BOTTLE,
-                    object_index=bottle_idx,
-                    pan=robot.head_pan,
-                    depth=depth,
-                )
-    # False-positive path: the largest visible distractor, if any.
-    best_area, best_idx, best_box = 0, None, None
-    for idx, obj in enumerate(scene.objects):
-        if obj.kind is not ObjectKind.DISTRACTOR:
-            continue
-        area, box = _visible_pixel_box(ids, idx)
-        if box is not None and area >= MIN_PIXEL_AREA and area > best_area:
-            best_area, best_idx, best_box = area, idx, box
-    if best_idx is not None and rng.random() < model.false_positive_rate:
-        box = _perturb_box(
-            best_box, model.box_noise_sigma, intrinsics.width, intrinsics.height, rng
-        )
-        return DetectionResult(
-            box=box,
-            true_kind=ObjectKind.DISTRACTOR,
-            object_index=best_idx,
-            pan=robot.head_pan,
-            depth=depth,
-        )
-    return None
+        if area >= MIN_PIXEL_AREA and box is not None and rng.random() < model.true_positive_rate:
+            hit = (ObjectKind.PILL_BOTTLE, box)
+    if hit is None:
+        # False-positive path: the largest visible distractor, if any.
+        best_area, best_box = 0, None
+        for idx, obj in enumerate(scene.objects):
+            if obj.kind is not ObjectKind.DISTRACTOR:
+                continue
+            area, box = _visible_pixel_box(ids, idx)
+            if box is not None and area >= MIN_PIXEL_AREA and area > best_area:
+                best_area, best_box = area, box
+        if best_box is not None and rng.random() < model.false_positive_rate:
+            hit = (ObjectKind.DISTRACTOR, best_box)
+    if hit is None:
+        return None
+    kind, box = hit
+    box = _perturb_box(box, model.box_noise_sigma, intrinsics.width, intrinsics.height, rng)
+    return DetectionResult(box=box, true_kind=kind, pan=robot.head_pan, depth=depth)
 
 
 # Head pan sweep of one scan, low to high: -30..30 deg in 15 deg steps.
@@ -530,22 +511,17 @@ def scan_at_roi(
 ) -> DetectionResult | None:
     """Sweep the head through ``PAN_SCHEDULE`` and return the first hit.
 
-    Each pan angle is visited at most once; the robot's head pan is restored
-    afterward.  The returned detection records the pan at which it fired.
-    ``on_frame(pan)`` runs once per attempted frame so callers can account
-    for dwell time.
+    Each pan angle is visited at most once, on a copy of ``robot``; the
+    robot itself is left as it is.  The returned detection records the pan
+    at which it fired.  ``on_frame(pan)`` runs once per attempted frame so
+    callers can account for dwell time.
     """
-    original_pan = robot.head_pan
-    try:
-        for pan in PAN_SCHEDULE:
-            robot.head_pan = pan
-            on_frame(pan)
-            result = detect(scene, robot, model, intrinsics, rng)
-            if result is not None:
-                return result
-        return None
-    finally:
-        robot.head_pan = original_pan
+    for pan in PAN_SCHEDULE:
+        on_frame(pan)
+        result = detect(scene, replace(robot, head_pan=pan), model, intrinsics, rng)
+        if result is not None:
+            return result
+    return None
 
 
 def unicycle_arc(

@@ -98,7 +98,6 @@ def dwa_reference(
     t_end = taus[-1]
     theta0 = robot.heading
     sin0, cos0 = math.sin(theta0), math.cos(theta0)
-    ox, oy = costmap.origin
     res = costmap.resolution
 
     candidates = []  # (v, w, raw_heading, raw_clearance)
@@ -118,8 +117,8 @@ def dwa_reference(
                     th = theta0 + w * t
                     px = robot.x + r * (math.sin(th) - sin0)
                     py = robot.y - r * (math.cos(th) - cos0)
-                ci = math.floor((px - ox) / res)
-                cj = math.floor((py - oy) / res)
+                ci = math.floor(px / res)
+                cj = math.floor(py / res)
                 if 0 <= ci < costmap.width and 0 <= cj < costmap.height:
                     c = float(costmap.cost[cj, ci])
                 else:

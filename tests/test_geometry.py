@@ -91,7 +91,6 @@ def test_extract_foreground_band_and_component():
     depth = DepthImage(_depth_with_blob())
     box = BoundingBox(19, 14, 30, 25)  # blob-dominant, with a background rim
     mask = geometry.extract_foreground(depth, box, band_halfwidth=0.15)
-    assert mask.z_m == pytest.approx(1.0)
     assert _pixel_set(mask) == {(u, v) for v in range(15, 25) for u in range(20, 30)}
     assert mask.pixels.tolist() == sorted(mask.pixels.tolist())  # by u, then v
     assert not mask.center_fallback
@@ -99,12 +98,15 @@ def test_extract_foreground_band_and_component():
 
 def test_extract_foreground_lower_median():
     # Even count of valid pixels: the lower of the two middle values is used.
+    # The band around the lower median (2.0) keeps only pixel u = 1, the box
+    # center; the upper median (3.0) would keep u = 2 and need the fallback.
     d = np.zeros((1, 4))
     d[0] = [1.0, 2.0, 3.0, 4.0]
     mask = geometry.extract_foreground(
         DepthImage(d), BoundingBox(0, 0, 3, 0), band_halfwidth=0.5
     )
-    assert mask.z_m == 2.0
+    assert _pixel_set(mask) == {(1, 0)}
+    assert not mask.center_fallback
 
 
 def test_extract_foreground_center_fallback():

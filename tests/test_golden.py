@@ -2,11 +2,15 @@
 policy's exact outputs on random event walks.
 
 ``tests/golden/lab_study.json`` holds the SHA-256 of the ``write_log`` bytes
-for seeds 0-11 under conditions A and B.  ``tests/golden/orchestrator_walks.json``
-holds, per orchestrator config, the SHA-256 of the ``harness.random_walk``
-traces for seeds 0-39.  A change that only makes the simulator faster or
-smaller must leave every hash as it is; see the README for when a behaviour
-change may regenerate the files, which
+for seeds 0-11 under conditions A and B.  ``tests/golden/witnesses.json``
+does the same for seeds 0-3 on five edited copies of lab_study (``WITNESSES``)
+that take the paths those seeds never take: an exhausted search, an
+unreachable search location, the time cap, noisy legs and a user who times
+out and denies.  ``tests/golden/orchestrator_walks.json`` holds, per
+orchestrator config, the SHA-256 of the ``harness.random_walk`` traces for
+seeds 0-39.  A change that only makes the simulator faster or smaller must
+leave every hash as it is; see the README for when a behaviour change may
+regenerate the files, which
 
     python tests/test_golden.py --write
 
@@ -17,6 +21,7 @@ import argparse
 import hashlib
 import itertools
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -31,8 +36,10 @@ from aansim.session import write_log
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "tests" / "golden" / "lab_study.json"
 WALKS_PATH = ROOT / "tests" / "golden" / "orchestrator_walks.json"
+WITNESS_PATH = ROOT / "tests" / "golden" / "witnesses.json"
 SCENARIO = "scenarios/lab_study.json"
 KEYS = [f"{cond}/{seed}" for cond in ("A", "B") for seed in range(12)]
+WITNESS_KEYS = [f"{cond}/{seed}" for cond in ("A", "B") for seed in range(4)]
 # Bottle at kitchen_counter, hall_shelf and side_table under B, plus one A key.
 FRESH_KEYS = ["B/0", "B/1", "B/4", "A/0"]
 WALK_SEEDS = range(40)
@@ -43,6 +50,52 @@ WALK_CONFIGS = {
     )
     for cond, level, esc, rep in itertools.product("AB", (1, 2, 3), (1, 2, 3), range(4))
 }
+
+
+def _support(name: str, x: float, y: float, size: list[float]) -> dict:
+    shape = {"type": "box", "size": size}
+    return {"kind": "support", "name": name, "position": [x, y, 0.5], "shape": shape}
+
+
+def _box_in_hall_shelf(doc: dict) -> None:
+    doc["objects"] += [
+        _support("box_north", 8.2, 4.6, [1.0, 0.2, 1.0]),
+        _support("box_south", 8.2, 3.4, [1.0, 0.2, 1.0]),
+        _support("box_west", 7.6, 4.0, [0.2, 1.4, 1.0]),
+        _support("box_east", 8.8, 4.0, [0.2, 1.4, 1.0]),
+    ]
+
+
+# Witness copies of lab_study: each edit, and a text that some condition-B
+# log of the copy must contain, so the copy keeps taking its path.
+WITNESSES = {
+    # Nothing is ever detected, so every search ends exhausted.
+    "blind_detector": (
+        lambda doc: doc["detector"].update(true_positive_rate=0.0, false_positive_rate=0.0),
+        '"kind":"exhausted"',
+    ),
+    # Supports box in the hall_shelf approach pose, so that search location is unreachable.
+    "boxed_in_hall_shelf": (_box_in_hall_shelf, '"kind":"roi_unreachable"'),
+    # A 60 s cap, which a guided session overshoots today.
+    "time_cap_60": (lambda doc: doc["session"].update(time_cap_s=60.0), '"note":"time_cap_reached"'),
+    # Pose noise, so every leg is driven rather than replayed.
+    "pose_noise": (lambda doc: doc["noise"].update(pose_sigma=0.02), '"kind":"found"'),
+    # A user who times out, denies and needs prompts repeated.
+    "needs_step_by_step": (
+        lambda doc: doc.update(profile="needs_step_by_step"),
+        '"kind":"timeout"',
+    ),
+}
+
+
+def write_witness(name: str, directory: Path) -> Path:
+    """Write the witness copy ``name`` of lab_study, with its map, into ``directory``."""
+    doc = json.loads((ROOT / SCENARIO).read_text(encoding="utf-8"))
+    WITNESSES[name][0](doc)
+    shutil.copyfile(ROOT / "scenarios" / doc["map"], directory / doc["map"])
+    path = directory / f"{name}.json"
+    path.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    return path
 
 
 def log_sha256(scenario, key: str, path: Path) -> str:
@@ -107,6 +160,36 @@ def test_log_bytes_do_not_depend_on_episode_order(tmp_path, golden):
     assert alone == {key: golden["sha256"][key] for key in FRESH_KEYS}
 
 
+def witness_sha256(name: str, directory: Path) -> dict[str, str]:
+    """Replay every witness key on the copy ``name`` and hash each log.
+
+    Some condition-B log must carry the copy's marker, so a copy that stops
+    taking its path fails here instead of being locked.
+    """
+    scenario = load_scenario(write_witness(name, directory))
+    path = directory / "episode.jsonl"
+    marker = WITNESSES[name][1]
+    sha256, marked = {}, False
+    for key in WITNESS_KEYS:
+        sha256[key] = log_sha256(scenario, key, path)
+        marked |= key.startswith("B/") and marker in path.read_text(encoding="utf-8")
+    assert marked, f"no condition-B log of {name} contains {marker}"
+    return sha256
+
+
+def test_witnesses_cover_every_copy():
+    witnesses = json.loads(WITNESS_PATH.read_text())
+    assert witnesses["scenario"] == SCENARIO
+    assert sorted(witnesses["sha256"]) == sorted(WITNESSES)
+    assert all(sorted(keys) == sorted(WITNESS_KEYS) for keys in witnesses["sha256"].values())
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_witness_log_bytes_match_golden(tmp_path, name):
+    golden = json.loads(WITNESS_PATH.read_text())["sha256"][name]
+    assert witness_sha256(name, tmp_path) == golden
+
+
 def test_orchestrator_walks_match_golden():
     walks = json.loads(WALKS_PATH.read_text())
     assert walks["seeds"] == len(WALK_SEEDS)
@@ -124,11 +207,15 @@ def write_golden() -> None:
     walks = {key: walks_sha256(key) for key in WALK_CONFIGS}
     text = json.dumps({"seeds": len(WALK_SEEDS), "sha256": walks}, indent=2) + "\n"
     WALKS_PATH.write_text(text, encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        sha256 = {name: witness_sha256(name, Path(tmp)) for name in WITNESSES}
+    text = json.dumps({"scenario": SCENARIO, "sha256": sha256}, indent=2) + "\n"
+    WITNESS_PATH.write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true", help="regenerate both golden files")
+    parser.add_argument("--write", action="store_true", help="regenerate the golden files")
     if not parser.parse_args().write:
         parser.error("nothing to do; pass --write to regenerate the golden files")
     write_golden()

@@ -366,7 +366,6 @@ def _session(grid, robot, **over):
         scene=scene,
         costmap=cm,
         robot=robot,
-        rois=[],
         intrinsics=None,
         detector=None,
         clock=nav.Clock(),
@@ -548,7 +547,7 @@ def test_noisy_legs_are_driven_every_time(drive_calls):
 
 
 # ---------------------------------------------------------------------------
-# roi_sequencer
+# visit_roi
 
 BOTTLE = (7.0, 3.0, 0.9)
 SEARCH_ROIS = [
@@ -577,7 +576,6 @@ def _search_session(with_bottle):
         grid,
         robot,
         scene=world.Scene(grid=grid, objects=objects),
-        rois=SEARCH_ROIS,
         intrinsics=CameraIntrinsics(fx=130.0, fy=130.0, cx=79.5, cy=59.5, width=160, height=120),
         detector=world.DetectorModel(
             true_positive_rate=1.0, false_positive_rate=0.0, box_noise_sigma=0.0, max_range=4.0
@@ -585,19 +583,20 @@ def _search_session(with_bottle):
     )
 
 
-def _drain(session):
-    """Every sequencer event, checking its time against the clock as it is yielded."""
+def _visit_all(session):
+    """The event of a visit to each search location in turn, each checked against the clock."""
     events = []
-    for event in nav.roi_sequencer(session):
+    for roi in SEARCH_ROIS:
+        event = nav.visit_roi(session, roi)
         assert isinstance(event, AssistEvent)
         assert event.t == session.clock.t
         events.append(event)
     return events
 
 
-def test_roi_sequencer_misses_then_finds_the_bottle():
+def test_visit_roi_misses_then_finds_the_bottle():
     session = _search_session(with_bottle=True)
-    miss, found = _drain(session)
+    miss, found = _visit_all(session)
     assert miss == AssistEvent.miss(miss.t, "roi_a")
     assert (found.kind, found.roi) == (EventKind.FOUND, "roi_b")
     assert found.t > miss.t
@@ -615,11 +614,9 @@ def test_roi_sequencer_misses_then_finds_the_bottle():
     assert notes[0][0] == 0.0 and notes[2][0] == miss.t
 
 
-def test_roi_sequencer_ends_exhausted_without_a_bottle():
+def test_visit_roi_misses_without_a_bottle():
     session = _search_session(with_bottle=False)
-    events = _drain(session)
-    assert [(e.kind, e.roi) for e in events] == [
-        (EventKind.MISS, "roi_a"),
-        (EventKind.MISS, "roi_b"),
-        (EventKind.EXHAUSTED, None),
-    ]
+    events = _visit_all(session)
+    assert [(e.kind, e.roi) for e in events] == [(EventKind.MISS, "roi_a"), (EventKind.MISS, "roi_b")]
+    # The scans sweep a copy of the robot; its own head pan is never moved.
+    assert session.robot.head_pan == 0.0

@@ -109,6 +109,17 @@ def test_missing_map_file_reported(workdir):
     assert "nowhere.map" in msg
 
 
+@pytest.mark.parametrize("resolution", ["nan", "inf"])
+def test_non_finite_map_resolution_reported(workdir, resolution):
+    map_path = workdir / "lab.map"
+    lines = map_path.read_text().splitlines()
+    assert lines[0] == "100 80 0.1"
+    lines[0] = f"100 80 {resolution}"
+    map_path.write_text("\n".join(lines) + "\n")
+    msg = load_errors(workdir, base_doc())
+    assert msg == f"$.map: resolution must be positive and finite, got {resolution}"
+
+
 REQUIRED_KEYS = ("name", "map", "profile", "robot", "intrinsics", "rois", "bottle_candidates")
 
 
