@@ -235,22 +235,17 @@ def backproject_pixels(
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
-def extract_foreground(
-    depth: DepthImage,
-    box: BoundingBox,
-    band_halfwidth: float = DEFAULT_BAND_HALFWIDTH,
-) -> ForegroundMask:
+def extract_foreground(depth: DepthImage, box: BoundingBox) -> ForegroundMask:
     """Segment the foreground object inside a detection box.
 
     Takes the (lower) median depth z_m of the valid pixels in the box, keeps
-    pixels with |depth - z_m| <= band_halfwidth, and returns the 4-connected
-    component containing the box center.  If the center pixel is not part of
-    the retained set, falls back to the largest component and logs a warning.
+    pixels with |depth - z_m| <= DEFAULT_BAND_HALFWIDTH, and returns the
+    4-connected component containing the box center.  If the center pixel is
+    not part of the retained set, falls back to the largest component and
+    logs a warning.
 
     Raises EmptyBox when the box holds no valid depth pixels.
     """
-    if band_halfwidth <= 0.0:
-        raise ValueError(f"band_halfwidth must be positive, got {band_halfwidth}")
     clipped = box.clipped(depth.width, depth.height)
     sub = depth.depth[clipped.v_min : clipped.v_max + 1, clipped.u_min : clipped.u_max + 1]
     valid = sub > 0.0
@@ -260,7 +255,7 @@ def extract_foreground(
     vals = np.sort(sub[valid], kind="stable")
     z_m = float(vals[(len(vals) - 1) // 2])  # lower median, no interpolation
 
-    retained = valid & (np.abs(sub - z_m) <= band_halfwidth)
+    retained = valid & (np.abs(sub - z_m) <= DEFAULT_BAND_HALFWIDTH)
     labels, n_components = ndimage.label(retained, structure=_CROSS)
     if n_components == 0:
         # The median pixel itself is always within the band, so this cannot
@@ -286,15 +281,13 @@ def extract_foreground(
     )
 
 
-def centroid_patch(
-    cloud: np.ndarray, radius_scale: float = DEFAULT_PATCH_RADIUS_SCALE
-) -> np.ndarray:
-    """Rows of the (N, 3) ``cloud`` within ``radius_scale`` x RMS radius of its centroid."""
+def centroid_patch(cloud: np.ndarray) -> np.ndarray:
+    """Rows of the (N, 3) ``cloud`` within ``DEFAULT_PATCH_RADIUS_SCALE`` x its RMS radius."""
     if len(cloud) == 0:
         return cloud
     radii = np.linalg.norm(cloud - cloud.mean(axis=0), axis=1)
     rms = math.sqrt(float(np.mean(radii**2)))
-    return cloud[radii <= radius_scale * rms + 1e-12]
+    return cloud[radii <= DEFAULT_PATCH_RADIUS_SCALE * rms + 1e-12]
 
 
 def fit_plane(patch: np.ndarray, camera_axis=None) -> PlaneFit:

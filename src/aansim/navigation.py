@@ -149,8 +149,8 @@ def plan_global(
             cost=0.0,
         )
 
-    res = costmap.resolution
-    cost = costmap.cost
+    res, cost = costmap.resolution, costmap.cost
+    width, height = costmap.width, costmap.height
 
     def heuristic(cell: tuple[int, int]) -> float:
         return (
@@ -179,7 +179,7 @@ def plan_global(
         i, j = cell
         for di, dj, step in _MOVES:
             ni, nj = i + di, j + dj
-            if not (0 <= ni < costmap.width and 0 <= nj < costmap.height):
+            if not (0 <= ni < width and 0 <= nj < height):
                 continue
             c = cost[nj, ni]
             if c >= INSCRIBED_COST:
@@ -507,6 +507,8 @@ def visit_roi(session: NavSession, roi: RegionOfInterest) -> AssistEvent:
         session.detector,
         session.intrinsics,
         session.detector_rng,
+        # Noise-free poses repeat across episodes; noisy ones almost never do.
+        session.scene.frames if session.pose_noise_sigma <= 0.0 else {},
         on_frame=on_frame,
     )
     # A failed localization on the detection frame counts as a miss.

@@ -238,20 +238,28 @@ class Scenario:
         mount = standard_camera_mount((cam.forward, 0.0, cam.height), math.radians(cam.pitch_deg))
         return RobotState(x=r.x, y=r.y, heading=math.radians(r.heading_deg), camera_mount=mount)
 
+    @cached_property
+    def scenes(self) -> dict[int, Scene]:
+        """``build_scene``'s scenes by bottle placement, each built on first use."""
+        return {}
+
     def build_scene(self, bottle_roi_index: int) -> Scene:
-        """World with the pill bottle placed at the given region's candidate spot."""
+        """World with the pill bottle placed at the given region's candidate spot;
+        one shared scene per spot, so episodes share its walls and frame memo."""
         if not 0 <= bottle_roi_index < len(self.bottle_candidates):
             raise ValueError(
                 f"bottle_roi_index {bottle_roi_index} out of range "
                 f"0..{len(self.bottle_candidates) - 1}"
             )
-        bottle = SceneObject(
-            kind=ObjectKind.PILL_BOTTLE,
-            position=self.bottle_candidates[bottle_roi_index],
-            shape=CylinderShape(radius=self.bottle.radius, height=self.bottle.height),
-            name="pill_bottle",
-        )
-        return Scene(grid=self.grid, objects=[bottle] + list(self.objects))
+        if bottle_roi_index not in self.scenes:
+            bottle = SceneObject(
+                kind=ObjectKind.PILL_BOTTLE,
+                position=self.bottle_candidates[bottle_roi_index],
+                shape=CylinderShape(radius=self.bottle.radius, height=self.bottle.height),
+                name="pill_bottle",
+            )
+            self.scenes[bottle_roi_index] = Scene(grid=self.grid, objects=(bottle, *self.objects))
+        return self.scenes[bottle_roi_index]
 
     def orchestrator_config(self, condition: str) -> OrchestratorConfig:
         return OrchestratorConfig(

@@ -170,20 +170,21 @@ class SceneObject:
 
 @dataclass
 class Scene:
-    """Static episode world: a grid plus the objects standing in it."""
+    """Static episode world: a grid plus the objects standing in it, and
+    ``frames``, the detector-frame memo that ``visit_roi`` hands ``detect``."""
 
     grid: OccupancyGrid
-    objects: list[SceneObject]
+    objects: tuple[SceneObject, ...]
     wall_rects: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    pill_bottle_index: int | None = field(init=False, repr=False)
+    frames: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.objects = tuple(self.objects)
         self.wall_rects = _merge_occupied_rects(self.grid)
-
-    def pill_bottle_index(self) -> int | None:
-        for idx, obj in enumerate(self.objects):
-            if obj.kind is ObjectKind.PILL_BOTTLE:
-                return idx
-        return None
+        self.pill_bottle_index = next(
+            (i for i, obj in enumerate(self.objects) if obj.kind is ObjectKind.PILL_BOTTLE), None
+        )
 
 
 def _merge_occupied_rects(grid: OccupancyGrid) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -194,16 +195,16 @@ def _merge_occupied_rects(grid: OccupancyGrid) -> list[tuple[np.ndarray, np.ndar
     into a handful of boxes and rendering stays cheap.
     """
     occupied = grid.cells == CellState.OCCUPIED
-    res = grid.resolution
+    res, width = grid.resolution, grid.width
     open_runs: dict[tuple[int, int], tuple[int, int]] = {}  # (i0, i1) -> (j0, j1)
     rects: list[tuple[int, int, int, int]] = []
     for j in range(grid.height):
         row_runs = []
         i = 0
-        while i < grid.width:
+        while i < width:
             if occupied[j, i]:
                 i0 = i
-                while i < grid.width and occupied[j, i]:
+                while i < width and occupied[j, i]:
                     i += 1
                 row_runs.append((i0, i - 1))
             else:
@@ -455,12 +456,30 @@ def _perturb_box(
     return BoundingBox(u0, v0, u1, v1).clipped(width, height)
 
 
+def _frame_boxes(scene: Scene, ids: np.ndarray) -> tuple[BoundingBox | None, BoundingBox | None]:
+    """The bottle's box if it shows ``MIN_PIXEL_AREA`` pixels; the largest such distractor's."""
+    bottle_box = None
+    if scene.pill_bottle_index is not None:
+        area, box = _visible_pixel_box(ids, scene.pill_bottle_index)
+        if area >= MIN_PIXEL_AREA:
+            bottle_box = box
+    best_area, best_box = 0, None
+    for idx, obj in enumerate(scene.objects):
+        if obj.kind is not ObjectKind.DISTRACTOR:
+            continue
+        area, box = _visible_pixel_box(ids, idx)
+        if area >= MIN_PIXEL_AREA and area > best_area:
+            best_area, best_box = area, box
+    return bottle_box, best_box
+
+
 def detect(
     scene: Scene,
     robot: RobotState,
     model: DetectorModel,
     intrinsics: CameraIntrinsics,
     rng: np.random.Generator,
+    frames: dict,
 ) -> DetectionResult | None:
     """One detector frame from the robot's current camera pose.
 
@@ -471,29 +490,31 @@ def detect(
     yield a false positive with probability ``false_positive_rate``.  Draw
     order is fixed (the true-positive roll, then the false-positive roll,
     then the box noise), so a seeded rng reproduces results exactly.
+
+    ``frames`` memoizes each camera pose's boxes, keyed by value on
+    everything the render reads, so a pose seen before is not rendered
+    again.  A frame keeps its noise-free depth (read-only) once it has
+    fired; a kept frame that fires for the first time renders it then.
     """
-    depth, ids = render_depth_ids(scene, robot, intrinsics, model.max_range)
-    hit = None
-    bottle_idx = scene.pill_bottle_index()
-    if bottle_idx is not None:
-        area, box = _visible_pixel_box(ids, bottle_idx)
-        if area >= MIN_PIXEL_AREA and box is not None and rng.random() < model.true_positive_rate:
-            hit = (ObjectKind.PILL_BOTTLE, box)
-    if hit is None:
-        # False-positive path: the largest visible distractor, if any.
-        best_area, best_box = 0, None
-        for idx, obj in enumerate(scene.objects):
-            if obj.kind is not ObjectKind.DISTRACTOR:
-                continue
-            area, box = _visible_pixel_box(ids, idx)
-            if box is not None and area >= MIN_PIXEL_AREA and area > best_area:
-                best_area, best_box = area, box
-        if best_box is not None and rng.random() < model.false_positive_rate:
-            hit = (ObjectKind.DISTRACTOR, best_box)
-    if hit is None:
+    mount, view = robot.camera_mount, (scene, robot, intrinsics, model.max_range)
+    pose = np.array([robot.x, robot.y, robot.heading, robot.head_pan, model.max_range])
+    key = (pose.tobytes(), mount.rotation.tobytes(), mount.translation.tobytes(), intrinsics)
+    fresh = None
+    if key not in frames:
+        fresh, ids = render_depth_ids(*view)
+        frames[key] = (*_frame_boxes(scene, ids), None)
+    bottle_box, distractor_box, depth = frames[key]
+    if bottle_box is not None and rng.random() < model.true_positive_rate:
+        kind, box = ObjectKind.PILL_BOTTLE, bottle_box
+    elif distractor_box is not None and rng.random() < model.false_positive_rate:
+        kind, box = ObjectKind.DISTRACTOR, distractor_box
+    else:
         return None
-    kind, box = hit
     box = _perturb_box(box, model.box_noise_sigma, intrinsics.width, intrinsics.height, rng)
+    if depth is None:
+        depth = fresh if fresh is not None else render_depth_ids(*view)[0]
+        depth.flags.writeable = False
+        frames[key] = (bottle_box, distractor_box, depth)
     return DetectionResult(box=box, true_kind=kind, pan=robot.head_pan, depth=depth)
 
 
@@ -507,18 +528,19 @@ def scan_at_roi(
     model: DetectorModel,
     intrinsics: CameraIntrinsics,
     rng: np.random.Generator,
+    frames: dict,
     on_frame: Callable[[float], None],
 ) -> DetectionResult | None:
     """Sweep the head through ``PAN_SCHEDULE`` and return the first hit.
 
     Each pan angle is visited at most once, on a copy of ``robot``; the
     robot itself is left as it is.  The returned detection records the pan
-    at which it fired.  ``on_frame(pan)`` runs once per attempted frame so
-    callers can account for dwell time.
+    at which it fired.  ``frames`` is ``detect``'s memo.  ``on_frame(pan)``
+    runs once per attempted frame so callers can account for dwell time.
     """
     for pan in PAN_SCHEDULE:
         on_frame(pan)
-        result = detect(scene, replace(robot, head_pan=pan), model, intrinsics, rng)
+        result = detect(scene, replace(robot, head_pan=pan), model, intrinsics, rng, frames)
         if result is not None:
             return result
     return None

@@ -58,3 +58,18 @@ def test_tracer_sees_replayed_legs():
     assert totals["navigation.navigate_to"]["calls"] >= 1
     assert "navigation.dwa_step" not in totals
     assert tracing.layer_metrics(tracer, 0.0)["navigation.navigate_to.arrived_ratio"] == 1.0
+
+
+def test_tracer_sees_memoized_frames():
+    tracing, sim, scenario = _setup()
+    first = _traced_guided_episode(tracing, sim, scenario)
+    second = _traced_guided_episode(tracing, sim, scenario)
+    assert first.layer_totals()["world.render_depth_ids"]["calls"] >= 1
+    assert "world.render_depth_ids" not in second.layer_totals()
+
+    def detections(tracer):
+        return {key: n for key, n in tracer.counts.items() if key.startswith("detect.")}
+
+    assert detections(second) == detections(first) != {}
+    detect_calls = [t.layer_totals()["world.detect"]["calls"] for t in (first, second)]
+    assert detect_calls[0] == detect_calls[1]

@@ -90,7 +90,7 @@ def _pixel_set(mask):
 def test_extract_foreground_band_and_component():
     depth = DepthImage(_depth_with_blob())
     box = BoundingBox(19, 14, 30, 25)  # blob-dominant, with a background rim
-    mask = geometry.extract_foreground(depth, box, band_halfwidth=0.15)
+    mask = geometry.extract_foreground(depth, box)
     assert _pixel_set(mask) == {(u, v) for v in range(15, 25) for u in range(20, 30)}
     assert mask.pixels.tolist() == sorted(mask.pixels.tolist())  # by u, then v
     assert not mask.center_fallback
@@ -102,9 +102,7 @@ def test_extract_foreground_lower_median():
     # center; the upper median (3.0) would keep u = 2 and need the fallback.
     d = np.zeros((1, 4))
     d[0] = [1.0, 2.0, 3.0, 4.0]
-    mask = geometry.extract_foreground(
-        DepthImage(d), BoundingBox(0, 0, 3, 0), band_halfwidth=0.5
-    )
+    mask = geometry.extract_foreground(DepthImage(d), BoundingBox(0, 0, 3, 0))
     assert _pixel_set(mask) == {(1, 0)}
     assert not mask.center_fallback
 
@@ -124,7 +122,7 @@ def test_extract_foreground_center_component_wins():
     d[8:13, 16:25] = 1.0  # center blob, contains box center (20, 10)
     d[1:20, 30:40] = 1.1  # bigger blob in the same band
     box = BoundingBox(0, 0, 40, 20)
-    mask = geometry.extract_foreground(DepthImage(d), box, band_halfwidth=0.5)
+    mask = geometry.extract_foreground(DepthImage(d), box)
     assert not mask.center_fallback
     assert _pixel_set(mask) == {(u, v) for v in range(8, 13) for u in range(16, 25)}
 
@@ -141,9 +139,7 @@ def test_foreground_connectivity_is_4_not_8():
     d = np.zeros((5, 5))
     d[2, 2] = 1.0
     d[3, 3] = 1.0
-    mask = geometry.extract_foreground(
-        DepthImage(d), BoundingBox(0, 0, 4, 4), band_halfwidth=0.5
-    )
+    mask = geometry.extract_foreground(DepthImage(d), BoundingBox(0, 0, 4, 4))
     assert _pixel_set(mask) == {(2, 2)}
 
 
@@ -220,7 +216,7 @@ def test_centroid_patch_rejects_outliers():
     core = rng.normal(0.0, 0.02, (200, 3))
     outlier = np.array([[5.0, 5.0, 5.0]])
     cloud = np.vstack([core, outlier])
-    patch = geometry.centroid_patch(cloud, radius_scale=2.0)
+    patch = geometry.centroid_patch(cloud)
     # The far point sits many RMS radii out and must be dropped.
     assert len(patch) <= 200
     assert np.linalg.norm(patch, axis=1).max() < 1.0

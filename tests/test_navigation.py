@@ -557,7 +557,7 @@ SEARCH_ROIS = [
 ]
 
 
-def _search_session(with_bottle):
+def _search_session(with_bottle, **over):
     objects = []
     if with_bottle:
         objects.append(
@@ -580,6 +580,7 @@ def _search_session(with_bottle):
         detector=world.DetectorModel(
             true_positive_rate=1.0, false_positive_rate=0.0, box_noise_sigma=0.0, max_range=4.0
         ),
+        **over,
     )
 
 
@@ -620,3 +621,13 @@ def test_visit_roi_misses_without_a_bottle():
     assert [(e.kind, e.roi) for e in events] == [(EventKind.MISS, "roi_a"), (EventKind.MISS, "roi_b")]
     # The scans sweep a copy of the robot; its own head pan is never moved.
     assert session.robot.head_pan == 0.0
+
+
+def test_noisy_scans_leave_the_frame_memo_empty():
+    noisy = _search_session(with_bottle=True, pose_noise_sigma=0.02)
+    _visit_all(noisy)
+    assert noisy.scene.frames == {}
+    # The same visits without pose noise fill it, one entry per rendered frame.
+    clean = _search_session(with_bottle=True)
+    _visit_all(clean)
+    assert len(clean.scene.frames) == 6  # five pans at roi_a, then a hit on the first pan at roi_b

@@ -143,7 +143,7 @@ def test_minimal_scenario_takes_dataclass_defaults(workdir):
     assert mount.translation.tolist() == [0.05, 0.0, 1.15]
     assert mount.rotation @ [0.0, 0.0, 1.0] == pytest.approx([1.0, 0.0, 0.0])  # level
     scene = scenario.build_scene(0)
-    assert scene.objects[scene.pill_bottle_index()].shape == CylinderShape(radius=0.035, height=0.12)
+    assert scene.objects[scene.pill_bottle_index].shape == CylinderShape(radius=0.035, height=0.12)
     for condition in ("A", "B"):
         log = run_episode(scenario, condition, 0).log
         validate_log(log)
@@ -314,7 +314,7 @@ def test_nav_grid_footprint_uses_cell_centers():
 
 def test_build_scene_places_bottle_at_candidate(lab_scenario):
     scene = lab_scenario.build_scene(1)
-    bottle = scene.objects[scene.pill_bottle_index()]
+    bottle = scene.objects[scene.pill_bottle_index]
     assert bottle.position == tuple(lab_scenario.bottle_candidates[1])
     names = [o.name for o in scene.objects]
     assert "couch" in names and "coffee_cup" in names

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from aansim.world import (
 
 from oracles import render_reference
 
+SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "lab_study.json"
 INTR = CameraIntrinsics(fx=130.0, fy=130.0, cx=79.5, cy=59.5, width=160, height=120)
 
 
@@ -261,7 +263,7 @@ def test_detect_true_positive_with_certain_detector():
     robot = _robot_at(2.0, 3.0, 0.0)
     model = DetectorModel(true_positive_rate=1.0, false_positive_rate=0.0,
                           box_noise_sigma=0.0, max_range=4.0)
-    det = world.detect(scene, robot, model, INTR, np.random.default_rng(0))
+    det = world.detect(scene, robot, model, INTR, np.random.default_rng(0), {})
     assert det is not None
     assert det.true_kind is ObjectKind.PILL_BOTTLE
     # With zero box noise the box must cover the principal pixel region.
@@ -274,7 +276,7 @@ def test_detect_miss_when_bottle_absent_and_fp_zero():
     robot = _robot_at(2.0, 3.0, 0.0)
     model = DetectorModel(true_positive_rate=1.0, false_positive_rate=0.0,
                           box_noise_sigma=0.0, max_range=4.0)
-    assert world.detect(scene, robot, model, INTR, np.random.default_rng(0)) is None
+    assert world.detect(scene, robot, model, INTR, np.random.default_rng(0), {}) is None
 
 
 def test_detect_false_positive_claims_bottle_on_distractor():
@@ -283,7 +285,7 @@ def test_detect_false_positive_claims_bottle_on_distractor():
     robot = _robot_at(2.0, 2.4, 0.0)  # face the cup
     model = DetectorModel(true_positive_rate=1.0, false_positive_rate=1.0,
                           box_noise_sigma=0.0, max_range=4.0)
-    det = world.detect(scene, robot, model, INTR, np.random.default_rng(0))
+    det = world.detect(scene, robot, model, INTR, np.random.default_rng(0), {})
     assert det is not None
     assert det.true_kind is ObjectKind.DISTRACTOR
 
@@ -300,7 +302,7 @@ def test_detect_supports_are_never_candidates():
     robot = _robot_at(1.5, 3.0, 0.0)
     model = DetectorModel(true_positive_rate=1.0, false_positive_rate=1.0,
                           box_noise_sigma=0.0, max_range=5.0)
-    assert world.detect(scene, robot, model, INTR, np.random.default_rng(1)) is None
+    assert world.detect(scene, robot, model, INTR, np.random.default_rng(1), {}) is None
 
 
 def test_detect_is_deterministic_per_rng_state():
@@ -311,7 +313,7 @@ def test_detect_is_deterministic_per_rng_state():
     outcomes = []
     for _ in range(2):
         rng = np.random.default_rng(42)
-        outcomes.append([world.detect(scene, robot, model, INTR, rng) for _ in range(10)])
+        outcomes.append([world.detect(scene, robot, model, INTR, rng, {}) for _ in range(10)])
     for a, b in zip(*outcomes):
         assert (a is None) == (b is None)
         if a is not None:
@@ -325,7 +327,7 @@ def test_scan_at_roi_leaves_pan_and_counts_frames():
     model = DetectorModel(true_positive_rate=0.0, false_positive_rate=0.0,
                           box_noise_sigma=0.0, max_range=4.0)
     frames = []
-    res = world.scan_at_roi(scene, robot, model, INTR, np.random.default_rng(0),
+    res = world.scan_at_roi(scene, robot, model, INTR, np.random.default_rng(0), {},
                             on_frame=lambda pan: frames.append((pan, robot.head_pan)))
     assert res is None
     assert len(frames) == 5  # -30..30 deg in 15 deg steps
@@ -342,11 +344,98 @@ def test_scan_at_roi_detection_records_its_pan():
     model = DetectorModel(true_positive_rate=1.0, false_positive_rate=0.0,
                           box_noise_sigma=0.0, max_range=4.0)
     frames = []
-    det = world.scan_at_roi(scene, robot, model, INTR, np.random.default_rng(0),
+    det = world.scan_at_roi(scene, robot, model, INTR, np.random.default_rng(0), {},
                             on_frame=frames.append)
     assert det is not None and det.true_kind is ObjectKind.PILL_BOTTLE
     assert det.pan == frames[-1] == world.PAN_SCHEDULE[0]
     assert robot.head_pan == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Detector-frame memo
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Counts world.render_depth_ids calls; detect looks it up on the module."""
+    calls = []
+    real = world.render_depth_ids
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(world, "render_depth_ids", counted)
+    return calls
+
+
+def _same_detection(a, b):
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert (a.box, a.true_kind, a.pan) == (b.box, b.true_kind, b.pan)
+        assert a.depth.tobytes() == b.depth.tobytes()
+
+
+def test_warm_frames_equal_cold_renders_at_every_lab_roi():
+    from aansim.scenario import load_scenario
+
+    warm_sc = load_scenario(SCENARIO_PATH)
+    cold_sc = load_scenario(SCENARIO_PATH)
+    # Fires on every frame that shows the bottle or a distractor, with box noise.
+    model = replace(warm_sc.detector, true_positive_rate=1.0, false_positive_rate=1.0)
+    blind = replace(model, true_positive_rate=0.0, false_positive_rate=0.0)
+    intr = warm_sc.intrinsics
+    kinds = []
+    for k in range(len(warm_sc.bottle_candidates)):
+        warm, cold = warm_sc.build_scene(k), cold_sc.build_scene(k)
+        for roi in warm_sc.rois:
+            x, y, heading = roi.pose
+            for pan in world.PAN_SCHEDULE:
+                robot = replace(warm_sc.robot_state(), x=x, y=y, heading=heading, head_pan=pan)
+                # A memo entry that has never fired, then its first fire, then a kept depth.
+                rng = np.random.default_rng(0)
+                assert world.detect(warm, robot, blind, intr, rng, warm.frames) is None
+                for _ in range(2):
+                    rng_warm, rng_cold = np.random.default_rng(k), np.random.default_rng(k)
+                    got = world.detect(warm, robot, model, intr, rng_warm, warm.frames)
+                    want = world.detect(cold, robot, model, intr, rng_cold, {})
+                    _same_detection(got, want)
+                    assert rng_warm.bit_generator.state == rng_cold.bit_generator.state
+                kinds.append(None if got is None else got.true_kind)
+    assert cold.frames == {}
+    assert {None, ObjectKind.PILL_BOTTLE} <= set(kinds)
+
+
+def test_frames_are_keyed_by_mount_value_not_identity(renders):
+    scene = _bottle_scene()
+    model = DetectorModel(true_positive_rate=0.0, false_positive_rate=0.0,
+                          box_noise_sigma=0.0, max_range=4.0)
+    frames = {}
+    for robot in (_robot_at(2.0, 3.0, 0.0), _robot_at(2.0, 3.0, 0.0)):
+        assert world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames) is None
+    assert len(frames) == 1 and len(renders) == 1
+    tilted = _robot_at(2.0, 3.0, 0.0, pitch=math.radians(-10.0))
+    world.detect(scene, tilted, model, INTR, np.random.default_rng(0), frames)
+    assert len(frames) == 2 and len(renders) == 2
+
+
+def test_warm_frame_renders_on_first_fire_then_keeps_its_depth(renders):
+    scene = _bottle_scene()
+    robot = _robot_at(2.0, 3.0, 0.0)
+    blind = DetectorModel(true_positive_rate=0.0, false_positive_rate=0.0,
+                          box_noise_sigma=0.0, max_range=4.0)
+    model = replace(blind, true_positive_rate=1.0)
+    frames = {}
+    assert world.detect(scene, robot, blind, INTR, np.random.default_rng(0), frames) is None
+    [(bottle_box, _, depth)] = frames.values()
+    assert bottle_box is not None and depth is None  # a frame that never fired keeps no depth
+    first = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
+    assert len(renders) == 2
+    again = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
+    assert len(renders) == 2
+    assert again.depth is first.depth is list(frames.values())[0][2]
+    assert not first.depth.flags.writeable
+    _same_detection(first, world.detect(scene, robot, model, INTR, np.random.default_rng(0), {}))
 
 
 def test_default_pan_schedule_values():
