@@ -87,6 +87,16 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _questionnaire_scores(load, path: str | None, score) -> dict[str, list[float]] | None:
+    """Scores by condition from the questionnaire CSV at ``path``, or None without one."""
+    if not path:
+        return None
+    scores: dict[str, list[float]] = {}
+    for _participant, condition, resp in load(path):
+        scores.setdefault(condition, []).append(score(resp))
+    return scores
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     log_paths = sorted(Path(args.logs).glob("*.jsonl"))
     if not log_paths:
@@ -102,18 +112,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return EXIT_ERROR
         sessions.append(metrics_mod.session_metrics(log))
 
-    tlx_scores: dict[str, list[float]] | None = None
-    if args.tlx:
-        tlx_scores = {}
-        for _participant, condition, resp in metrics_mod.load_tlx_csv(args.tlx):
-            tlx_scores.setdefault(condition, []).append(metrics_mod.raw_tlx(resp))
-    usability_scores: dict[str, list[float]] | None = None
-    if args.usability:
-        usability_scores = {}
-        for _participant, condition, resp in metrics_mod.load_usability_csv(args.usability):
-            usability_scores.setdefault(condition, []).append(
-                metrics_mod.usability_composite(resp)
-            )
+    try:
+        tlx_scores = _questionnaire_scores(metrics_mod.load_tlx_csv, args.tlx, metrics_mod.raw_tlx)
+        usability_scores = _questionnaire_scores(
+            metrics_mod.load_usability_csv, args.usability, metrics_mod.usability_composite
+        )
+    except (ValueError, OSError) as exc:
+        print(f"questionnaire error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
     report = metrics_mod.render_report(sessions, tlx_scores, usability_scores)
     if args.out:

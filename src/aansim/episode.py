@@ -5,15 +5,13 @@ places the bottle, builds the world, and pumps events between the user
 model, the navigation stack, and the guidance orchestrator on a shared
 simulated clock.  Everything stochastic draws from named per-seed streams,
 so a (scenario, condition, seed) triple replays byte-identically.  The
-result carries the canonical session log plus the synthesized gaze stream
-and the confusion events detected in it.
+result carries the canonical session log and the confusion events
+detected in the synthesized gaze stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import navigation, seeding, usersim, world
 from .orchestrator import (
@@ -41,7 +39,6 @@ _ACTION_TO_CONFIRM_S = 1.0
 class EpisodeResult:
     log: SessionLog
     bottle_roi_index: int
-    gaze_codes: np.ndarray  # usersim.Aoi codes; sample k at k / GAZE_SAMPLE_RATE_HZ
     confusion_events: list[ConfusionEvent]
 
 
@@ -283,6 +280,5 @@ def run_episode(scenario: Scenario, condition: str, seed: int) -> EpisodeResult:
     return EpisodeResult(
         log=log,
         bottle_roi_index=bottle_index,
-        gaze_codes=codes,
         confusion_events=confusion,
     )

@@ -256,11 +256,8 @@ def extract_foreground(depth: DepthImage, box: BoundingBox) -> ForegroundMask:
     z_m = float(vals[(len(vals) - 1) // 2])  # lower median, no interpolation
 
     retained = valid & (np.abs(sub - z_m) <= DEFAULT_BAND_HALFWIDTH)
+    # The median pixel is always within the band, so at least one component exists.
     labels, n_components = ndimage.label(retained, structure=_CROSS)
-    if n_components == 0:
-        # The median pixel itself is always within the band, so this cannot
-        # happen; guard anyway.
-        raise EmptyBox(f"depth band retained no pixels inside {box}")
 
     cu, cv = clipped.center
     center_label = int(labels[cv - clipped.v_min, cu - clipped.u_min])

@@ -97,15 +97,12 @@ def usability_composite(response: UsabilityResponse) -> float:
     return float(np.mean([(v - 1.0) / 4.0 * 100.0 for v in response.adjusted_items()]))
 
 
-def cronbach_alpha(
-    item_scores, reverse_items: tuple[int, ...] = (), scale_max: float | None = None
-) -> float:
+def cronbach_alpha(item_scores) -> float:
     """Cronbach's alpha over a (respondents x items) score matrix.
 
-    Uses population variances.  ``reverse_items`` lists column indices to
-    reverse-code as (scale_max + 1 - x) before scoring; supplying it
-    requires ``scale_max``.  Raises DegenerateData for fewer than two items,
-    fewer than two respondents, or zero total variance.
+    Uses population variances; reverse-code items first (as
+    ``UsabilityResponse.adjusted_items`` does).  Raises DegenerateData for
+    fewer than two items, fewer than two respondents, or zero total variance.
     """
     scores = np.asarray(item_scores, dtype=np.float64)
     if scores.ndim != 2:
@@ -115,12 +112,6 @@ def cronbach_alpha(
         raise DegenerateData(f"alpha needs at least 2 items, got {k}")
     if n < 2:
         raise DegenerateData(f"alpha needs at least 2 respondents, got {n}")
-    if reverse_items:
-        if scale_max is None:
-            raise ValueError("reverse_items requires scale_max")
-        scores = scores.copy()
-        for idx in reverse_items:
-            scores[:, idx] = (scale_max + 1.0) - scores[:, idx]
     item_var = scores.var(axis=0, ddof=0)
     total_var = scores.sum(axis=1).var(ddof=0)
     if total_var <= 0.0:
@@ -263,30 +254,27 @@ def _read_rows(path: str | Path, required: tuple[str, ...]) -> list[dict]:
         return list(reader)
 
 
-def load_tlx_csv(path: str | Path) -> list[tuple[str, str, TlxResponse]]:
-    """Rows of (participant, condition, response) from a workload CSV."""
-    rows = _read_rows(path, ("participant", "condition") + TLX_ITEMS)
+def _load_responses(path: str | Path, cls, items: tuple[str, ...]) -> list[tuple]:
+    """Rows of (participant, condition, ``cls`` response) from a questionnaire CSV."""
+    rows = _read_rows(path, ("participant", "condition") + items)
     out = []
     for i, row in enumerate(rows):
         try:
-            resp = TlxResponse(**{k: float(row[k]) for k in TLX_ITEMS})
-        except (OutOfRange, ValueError) as exc:
+            resp = cls(**{k: float(row[k]) for k in items})
+        except (TypeError, ValueError) as exc:  # TypeError: a short row's missing cell
             raise OutOfRange(f"{path}: row {i + 2}: {exc}") from exc
         out.append((row["participant"], row["condition"], resp))
     return out
+
+
+def load_tlx_csv(path: str | Path) -> list[tuple[str, str, TlxResponse]]:
+    """Rows of (participant, condition, response) from a workload CSV."""
+    return _load_responses(path, TlxResponse, TLX_ITEMS)
 
 
 def load_usability_csv(path: str | Path) -> list[tuple[str, str, UsabilityResponse]]:
     """Rows of (participant, condition, response) from a usability CSV."""
-    rows = _read_rows(path, ("participant", "condition") + USABILITY_ITEMS)
-    out = []
-    for i, row in enumerate(rows):
-        try:
-            resp = UsabilityResponse(**{k: float(row[k]) for k in USABILITY_ITEMS})
-        except (OutOfRange, ValueError) as exc:
-            raise OutOfRange(f"{path}: row {i + 2}: {exc}") from exc
-        out.append((row["participant"], row["condition"], resp))
-    return out
+    return _load_responses(path, UsabilityResponse, USABILITY_ITEMS)
 
 
 # ---------------------------------------------------------------------------

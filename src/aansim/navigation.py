@@ -329,9 +329,8 @@ class Clock:
     def __init__(self, t: float = 0.0) -> None:
         self.t = float(t)
 
-    def advance(self, dt: float) -> float:
+    def advance(self, dt: float) -> None:
         self.t += dt
-        return self.t
 
 
 @dataclass(frozen=True)
@@ -470,49 +469,45 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
     return leg.result
 
 
-def _localize(session: NavSession, det: DetectionResult) -> np.ndarray | None:
+def _localize(
+    session: NavSession, det: DetectionResult, base_from_camera: geometry.RigidTransform
+) -> np.ndarray | None:
     """Base-frame pointing target from the frame that produced a detection."""
-    robot = session.robot
     depth = world.add_depth_noise(det.depth, session.depth_noise_sigma, session.depth_noise_rng)
     try:
-        est = geometry.localize_target(
-            depth, det.box, session.intrinsics, replace(robot, head_pan=det.pan).base_from_camera()
-        )
+        est = geometry.localize_target(depth, det.box, session.intrinsics, base_from_camera)
     except geometry.GeometryError:
         return None
     return est.target_base
 
 
 def visit_roi(session: NavSession, roi: RegionOfInterest) -> AssistEvent:
-    """Drive to one search location, scan it, and report the outcome.
+    """Drive to one search location, sweep the head, and report the outcome.
 
+    The head visits each ``world.PAN_SCHEDULE`` angle at most once, on a
+    copy of the robot (whose own pan stays as it is), until the detector
+    fires; each frame first advances the shared clock by ``frame_time``.
     Returns a roi_unreachable, miss or found event at the clock's time; a
-    found event carries the bottle as a base-frame (3,) point.  The shared
-    clock advances as the robot drives and scans: one ``frame_time`` per
-    camera frame.
+    found event carries the bottle as a base-frame (3,) point.
     """
-
-    def on_frame(_pan: float) -> None:
-        session.clock.advance(session.frame_time)
-
     session.note("navigating", roi=roi.id)
     nav = navigate_to(session, roi.pose)
     if not nav.arrived:
         session.note("unreachable", roi=roi.id, reason=nav.reason)
         return AssistEvent.roi_unreachable(session.clock.t, roi.id)
     session.note("scanning", roi=roi.id)
-    det = world.scan_at_roi(
-        session.scene,
-        session.robot,
-        session.detector,
-        session.intrinsics,
-        session.detector_rng,
-        # Noise-free poses repeat across episodes; noisy ones almost never do.
-        session.scene.frames if session.pose_noise_sigma <= 0.0 else {},
-        on_frame=on_frame,
-    )
-    # A failed localization on the detection frame counts as a miss.
-    target = None if det is None else _localize(session, det)
-    if target is None:
-        return AssistEvent.miss(session.clock.t, roi.id)
-    return AssistEvent.found(session.clock.t, roi.id, target)
+    # Noise-free poses repeat across episodes; noisy ones almost never do.
+    frames = session.scene.frames if session.pose_noise_sigma <= 0.0 else {}
+    for pan in world.PAN_SCHEDULE:
+        session.clock.advance(session.frame_time)
+        view = replace(session.robot, head_pan=pan)
+        det = world.detect(
+            session.scene, view, session.detector, session.intrinsics, session.detector_rng, frames
+        )
+        if det is not None:
+            # A failed localization on the detection frame counts as a miss.
+            target = _localize(session, det, view.base_from_camera())
+            if target is not None:
+                return AssistEvent.found(session.clock.t, roi.id, target)
+            break
+    return AssistEvent.miss(session.clock.t, roi.id)

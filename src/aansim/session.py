@@ -69,7 +69,10 @@ def write_log(log: SessionLog, path: str | Path) -> None:
 
 
 def read_log(path: str | Path) -> SessionLog:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise LogInvalid(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise LogInvalid(f"{path}: empty log file")
@@ -115,5 +118,10 @@ def validate_log(log: SessionLog) -> None:
                     raise LogInvalid(f"{where}: event records need key {key!r}")
             if not isinstance(record["actions"], list):
                 raise LogInvalid(f"{where}: 'actions' must be a list")
+            for key in ("event", "state"):
+                if not isinstance(record[key], dict):
+                    raise LogInvalid(f"{where}: {key!r} must be a JSON object")
+            if not all(isinstance(a, dict) for a in record["actions"]):
+                raise LogInvalid(f"{where}: each action must be a JSON object")
         elif kind == "note" and "note" not in record:
             raise LogInvalid(f"{where}: note records need key 'note'")

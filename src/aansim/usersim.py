@@ -155,9 +155,7 @@ def respond(profile: UserProfile, prompt: Prompt, rng: np.random.Generator) -> U
     raise ValueError(f"unknown prompt kind {prompt.kind!r}")
 
 
-def search_behavior(
-    profile: UserProfile, rng: np.random.Generator, guided: bool = False
-) -> float:
+def search_behavior(profile: UserProfile, rng: np.random.Generator, guided: bool) -> float:
     """Seconds the user needs to find the bottle.
 
     Guided search (the robot is pointing at the bottle) is a quick glance;

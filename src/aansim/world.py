@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 from enum import Enum, IntEnum
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -308,7 +307,6 @@ class DetectionResult:
 
     box: BoundingBox
     true_kind: ObjectKind
-    pan: float = 0.0
     depth: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
@@ -515,35 +513,11 @@ def detect(
         depth = fresh if fresh is not None else render_depth_ids(*view)[0]
         depth.flags.writeable = False
         frames[key] = (bottle_box, distractor_box, depth)
-    return DetectionResult(box=box, true_kind=kind, pan=robot.head_pan, depth=depth)
+    return DetectionResult(box=box, true_kind=kind, depth=depth)
 
 
-# Head pan sweep of one scan, low to high: -30..30 deg in 15 deg steps.
+# navigation.visit_roi's head sweep, low to high: -30..30 deg in 15 deg steps.
 PAN_SCHEDULE = tuple(math.radians(-30.0) + k * math.radians(15.0) for k in range(5))
-
-
-def scan_at_roi(
-    scene: Scene,
-    robot: RobotState,
-    model: DetectorModel,
-    intrinsics: CameraIntrinsics,
-    rng: np.random.Generator,
-    frames: dict,
-    on_frame: Callable[[float], None],
-) -> DetectionResult | None:
-    """Sweep the head through ``PAN_SCHEDULE`` and return the first hit.
-
-    Each pan angle is visited at most once, on a copy of ``robot``; the
-    robot itself is left as it is.  The returned detection records the pan
-    at which it fired.  ``frames`` is ``detect``'s memo.  ``on_frame(pan)``
-    runs once per attempted frame so callers can account for dwell time.
-    """
-    for pan in PAN_SCHEDULE:
-        on_frame(pan)
-        result = detect(scene, replace(robot, head_pan=pan), model, intrinsics, rng, frames)
-        if result is not None:
-            return result
-    return None
 
 
 def unicycle_arc(

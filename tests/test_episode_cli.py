@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from aansim import cli
+from aansim import cli, usersim
 from aansim import metrics as m
 from aansim.episode import run_episode
 from aansim.orchestrator import MOTION_ACTION_KINDS
@@ -29,6 +29,21 @@ def log_digest(log) -> str:
 
 # ---------------------------------------------------------------------------
 # Episodes
+
+
+@pytest.fixture
+def gaze_streams(monkeypatch):
+    """Each episode's gaze-code array, captured from ``usersim.gaze_stream``."""
+    streams = []
+    real = usersim.gaze_stream
+
+    def captured(*args):
+        codes, inserted = real(*args)
+        streams.append(codes)
+        return codes, inserted
+
+    monkeypatch.setattr(usersim, "gaze_stream", captured)
+    return streams
 
 
 def test_guided_episode_completes_and_validates(lab_scenario):
@@ -75,13 +90,14 @@ def test_episode_rejects_unknown_condition(lab_scenario):
         run_episode(lab_scenario, "C", 0)
 
 
-def test_episode_is_deterministic_per_key(lab_scenario):
+def test_episode_is_deterministic_per_key(lab_scenario, gaze_streams):
     for condition in ("A", "B"):
         a = run_episode(lab_scenario, condition, 7)
         b = run_episode(lab_scenario, condition, 7)
         assert log_digest(a.log) == log_digest(b.log)
         assert a.bottle_roi_index == b.bottle_roi_index
-        assert np.array_equal(a.gaze_codes, b.gaze_codes)
+        assert len(gaze_streams) == 2
+        assert np.array_equal(gaze_streams.pop(), gaze_streams.pop())
     assert log_digest(run_episode(lab_scenario, "B", 8).log) != log_digest(
         run_episode(lab_scenario, "B", 7).log
     )
@@ -104,11 +120,12 @@ def test_episode_meta_carries_reproduction_key(lab_scenario):
     assert meta["profile"] == "misplaces"
 
 
-def test_episode_gaze_stream_present_with_confusion_accounting(lab_scenario):
+def test_episode_gaze_stream_present_with_confusion_accounting(lab_scenario, gaze_streams):
     # Seed 1 logs no confusion event; seed 7 logs one.
     for seed, n_events in ((1, 0), (7, 1)):
         result = run_episode(lab_scenario, "A", seed)
-        codes = result.gaze_codes
+        (codes,) = gaze_streams
+        gaze_streams.clear()
         assert codes.size, "episodes must carry a gaze stream"
         (summary,) = [r for r in result.log.records if r.get("note") == "gaze_summary"]
         # 180 samples per simulated second, up to the summary's time stamp.
@@ -256,3 +273,33 @@ def test_cli_report_empty_dir_errors(tmp_path, capsys):
     rc = cli.main(["report", "--logs", str(tmp_path)])
     assert rc == cli.EXIT_ERROR
     assert "no .jsonl logs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, csv_text, message",
+    [
+        ("--tlx",
+         "participant,condition,mental,physical,temporal,performance,effort,frustration\n"
+         "p1,A,11,2,2,2,2,2\n",
+         "row 2: workload item 'mental' must be in [1, 10]"),
+        ("--usability", "participant,condition,score\np1,A,4\n", "missing columns"),
+        ("--usability", "participant,condition,q1,q2,q3,q4,q5\np1,A,4\n", "row 2: "),
+        ("--usability", None, "No such file"),
+    ],
+    ids=["tlx_out_of_range", "usability_missing_columns", "usability_short_row", "missing_file"],
+)
+def test_cli_report_rejects_bad_questionnaire(tmp_path, capsys, flag, csv_text, message):
+    out_dir = tmp_path / "logs"
+    cli.main(
+        ["run", "--scenario", str(SCENARIO_PATH), "--condition", "A", "--seed", "0",
+         "--out", str(out_dir)]
+    )
+    capsys.readouterr()
+    path = tmp_path / "answers.csv"
+    if csv_text is not None:
+        path.write_text(csv_text)
+    rc = cli.main(["report", "--logs", str(out_dir), flag, str(path)])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("questionnaire error: ") and err.count("\n") == 1
+    assert message in err

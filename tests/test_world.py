@@ -317,38 +317,7 @@ def test_detect_is_deterministic_per_rng_state():
     for a, b in zip(*outcomes):
         assert (a is None) == (b is None)
         if a is not None:
-            assert (a.box, a.true_kind, a.pan) == (b.box, b.true_kind, b.pan)
-
-
-def test_scan_at_roi_leaves_pan_and_counts_frames():
-    scene = _bottle_scene()
-    robot = _robot_at(2.0, 3.0, 0.0)
-    robot.head_pan = 0.123
-    model = DetectorModel(true_positive_rate=0.0, false_positive_rate=0.0,
-                          box_noise_sigma=0.0, max_range=4.0)
-    frames = []
-    res = world.scan_at_roi(scene, robot, model, INTR, np.random.default_rng(0), {},
-                            on_frame=lambda pan: frames.append((pan, robot.head_pan)))
-    assert res is None
-    assert len(frames) == 5  # -30..30 deg in 15 deg steps
-    assert frames[0][0] == pytest.approx(math.radians(-30.0))
-    assert frames[-1][0] == pytest.approx(math.radians(30.0))
-    # The sweep renders from copies; the robot's pan never moves, not even mid-scan.
-    assert [head for _, head in frames] == [0.123] * 5
-    assert robot.head_pan == 0.123
-
-
-def test_scan_at_roi_detection_records_its_pan():
-    scene = _bottle_scene()
-    robot = _robot_at(2.0, 3.0, 0.0)
-    model = DetectorModel(true_positive_rate=1.0, false_positive_rate=0.0,
-                          box_noise_sigma=0.0, max_range=4.0)
-    frames = []
-    det = world.scan_at_roi(scene, robot, model, INTR, np.random.default_rng(0), {},
-                            on_frame=frames.append)
-    assert det is not None and det.true_kind is ObjectKind.PILL_BOTTLE
-    assert det.pan == frames[-1] == world.PAN_SCHEDULE[0]
-    assert robot.head_pan == 0.0
+            assert (a.box, a.true_kind) == (b.box, b.true_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +341,7 @@ def renders(monkeypatch):
 def _same_detection(a, b):
     assert (a is None) == (b is None)
     if a is not None:
-        assert (a.box, a.true_kind, a.pan) == (b.box, b.true_kind, b.pan)
+        assert (a.box, a.true_kind) == (b.box, b.true_kind)
         assert a.depth.tobytes() == b.depth.tobytes()
 
 
