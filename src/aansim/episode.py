@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import navigation, seeding, usersim, world
+from . import navigation, seeding, usersim
 from .orchestrator import (
     Action,
     ActionKind,
@@ -118,28 +118,6 @@ def _run_passive(engine: _Engine, user_rng) -> None:
     )
 
 
-def _make_nav_session(
-    engine: _Engine, scene: world.Scene, robot: world.RobotState, seed: int, condition: str
-) -> navigation.NavSession:
-    sc = engine.scenario
-    return navigation.NavSession(
-        scene=scene,
-        costmap=sc.costmap,
-        robot=robot,
-        intrinsics=sc.intrinsics,
-        detector=sc.detector,
-        clock=engine.clock,
-        detector_rng=seeding.stream(seed, condition, "detector"),
-        depth_noise_rng=seeding.stream(seed, condition, "depth_noise"),
-        pose_noise_rng=seeding.stream(seed, condition, "pose_noise"),
-        dt=sc.session.dt,
-        frame_time=sc.session.frame_time_s,
-        depth_noise_sigma=sc.noise.depth_sigma,
-        pose_noise_sigma=sc.noise.pose_sigma,
-        log=engine.log,
-    )
-
-
 def _search(engine: _Engine, nav_session: navigation.NavSession) -> None:
     """Visit the search location the policy's ``roi_index`` picks until the search ends.
 
@@ -168,9 +146,16 @@ def _run_guided(
     timeout = sc.session.timeout_s
     cap = sc.session.time_cap_s
 
-    scene = sc.build_scene(bottle_index)
-    robot = sc.robot_state()
-    nav_session = _make_nav_session(engine, scene, robot, seed, condition)
+    nav_session = navigation.NavSession(
+        scenario=sc,
+        scene=sc.build_scene(bottle_index),
+        robot=sc.robot_state(),
+        clock=engine.clock,
+        detector_rng=seeding.stream(seed, condition, "detector"),
+        depth_noise_rng=seeding.stream(seed, condition, "depth_noise"),
+        pose_noise_rng=seeding.stream(seed, condition, "pose_noise"),
+        log=engine.log,
+    )
 
     engine.apply(AssistEvent.schedule_due(engine.clock.t))
 

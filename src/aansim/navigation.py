@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy import ndimage
@@ -23,12 +24,14 @@ from .session import SessionLog
 from .world import (
     CellState,
     DetectionResult,
-    DetectorModel,
     OccupancyGrid,
     RegionOfInterest,
     RobotState,
     Scene,
 )
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 LETHAL_COST = 255.0
 # Cells at or above this cost are untraversable (inscribed or lethal).
@@ -61,7 +64,7 @@ class Costmap(OccupancyGrid):
     """Float cost grid over the cells and geometry of an occupancy grid."""
 
     cost: np.ndarray = field(kw_only=True)
-    # navigate_to's noise-free legs, keyed by start state, goal pose and dt.
+    # navigate_to's noise-free legs, keyed by start state and goal pose.
     legs: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
 
     def traversable(self, i: int, j: int) -> bool:
@@ -103,7 +106,6 @@ class GlobalPath:
     """A* result: cell-center waypoints from start to goal."""
 
     waypoints: np.ndarray  # (N, 2) world coordinates
-    cells: list[tuple[int, int]]
     cost: float
 
 
@@ -143,11 +145,7 @@ def plan_global(
         raise LethalEndpoint(f"goal {goal} lies on an untraversable cell")
 
     if start_cell == goal_cell:
-        return GlobalPath(
-            waypoints=np.array([costmap.cell_center(*start_cell)]),
-            cells=[start_cell],
-            cost=0.0,
-        )
+        return GlobalPath(waypoints=np.array([costmap.cell_center(*start_cell)]), cost=0.0)
 
     res, cost = costmap.resolution, costmap.cost
     width, height = costmap.width, costmap.height
@@ -175,7 +173,7 @@ def plan_global(
                 cells.append(parent[cells[-1]])
             cells.reverse()
             waypoints = np.array([costmap.cell_center(i, j) for i, j in cells])
-            return GlobalPath(waypoints=waypoints, cells=cells, cost=g_pop)
+            return GlobalPath(waypoints=waypoints, cost=g_pop)
         i, j = cell
         for di, dj, step in _MOVES:
             ni, nj = i + di, j + dj
@@ -341,21 +339,15 @@ class NavResult:
 
 @dataclass
 class NavSession:
-    """Everything a search-location visit needs to move, look, and keep time."""
+    """One episode's navigation state; every setting is read from ``scenario``."""
 
+    scenario: Scenario  # its costmap is also the collision grid
     scene: Scene
-    costmap: Costmap  # also the collision grid: same cells as the planning grid
     robot: RobotState
-    intrinsics: "geometry.CameraIntrinsics"
-    detector: DetectorModel
     clock: Clock
     detector_rng: np.random.Generator
     depth_noise_rng: np.random.Generator
     pose_noise_rng: np.random.Generator
-    dt: float
-    frame_time: float
-    depth_noise_sigma: float
-    pose_noise_sigma: float
     log: SessionLog  # the episode's log; progress notes go here
 
     def note(self, kind: str, **payload) -> None:
@@ -375,9 +367,10 @@ class _Leg:
 
 def _observed_pose(session: NavSession, robot: RobotState) -> RobotState:
     """Robot state as the planner sees it (optionally noise-injected)."""
-    if session.pose_noise_sigma <= 0.0:
+    sigma = session.scenario.noise.pose_sigma
+    if sigma <= 0.0:
         return robot
-    noise = session.pose_noise_rng.normal(0.0, session.pose_noise_sigma, size=3)
+    noise = session.pose_noise_rng.normal(0.0, sigma, size=3)
     return replace(
         robot,
         x=robot.x + noise[0],
@@ -392,10 +385,10 @@ def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> _Leg:
     DWA to the position, then rotate to the heading.  On AllBlocked the
     robot spins in place for the recovery time and replans once; a second
     AllBlocked (or a failed replan) abandons the goal.  Every tick is one
-    ``session.dt`` of simulated time.
+    scenario ``dt`` of simulated time.
     """
     gx, gy, gh = goal_pose
-    params, dt, costmap = DWA_PARAMS, session.dt, session.costmap
+    params, dt, costmap = DWA_PARAMS, session.scenario.session.dt, session.scenario.costmap
     robot = session.robot
     ticks = 0
     spins: list[int] = []
@@ -454,16 +447,17 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
     robot takes the leg's end pose and velocities.  A noisy leg draws from
     ``pose_noise_rng``, so it is driven every time.
     """
-    robot = session.robot
-    key = (robot.x, robot.y, robot.heading, robot.v, robot.omega, goal_pose, session.dt)
-    legs = session.costmap.legs if session.pose_noise_sigma <= 0.0 else {}
+    sc, robot = session.scenario, session.robot
+    key = (robot.x, robot.y, robot.heading, robot.v, robot.omega, goal_pose)
+    legs = sc.costmap.legs if sc.noise.pose_sigma <= 0.0 else {}
     if key not in legs:
         legs[key] = _drive(session, goal_pose)
     leg = legs[key]
+    dt = sc.session.dt
     for tick in range(leg.ticks):
         if tick in leg.spins:
             session.note("recovery_spin")
-        session.clock.advance(session.dt)
+        session.clock.advance(dt)
     x, y, heading, v, omega = leg.end
     session.robot = replace(robot, x=x, y=y, heading=heading, v=v, omega=omega)
     return leg.result
@@ -473,9 +467,10 @@ def _localize(
     session: NavSession, det: DetectionResult, base_from_camera: geometry.RigidTransform
 ) -> np.ndarray | None:
     """Base-frame pointing target from the frame that produced a detection."""
-    depth = world.add_depth_noise(det.depth, session.depth_noise_sigma, session.depth_noise_rng)
+    sc = session.scenario
+    depth = world.add_depth_noise(det.depth, sc.noise.depth_sigma, session.depth_noise_rng)
     try:
-        est = geometry.localize_target(depth, det.box, session.intrinsics, base_from_camera)
+        est = geometry.localize_target(depth, det.box, sc.intrinsics, base_from_camera)
     except geometry.GeometryError:
         return None
     return est.target_base
@@ -486,7 +481,7 @@ def visit_roi(session: NavSession, roi: RegionOfInterest) -> AssistEvent:
 
     The head visits each ``world.PAN_SCHEDULE`` angle at most once, on a
     copy of the robot (whose own pan stays as it is), until the detector
-    fires; each frame first advances the shared clock by ``frame_time``.
+    fires; each frame first advances the shared clock by ``frame_time_s``.
     Returns a roi_unreachable, miss or found event at the clock's time; a
     found event carries the bottle as a base-frame (3,) point.
     """
@@ -496,13 +491,14 @@ def visit_roi(session: NavSession, roi: RegionOfInterest) -> AssistEvent:
         session.note("unreachable", roi=roi.id, reason=nav.reason)
         return AssistEvent.roi_unreachable(session.clock.t, roi.id)
     session.note("scanning", roi=roi.id)
+    sc = session.scenario
     # Noise-free poses repeat across episodes; noisy ones almost never do.
-    frames = session.scene.frames if session.pose_noise_sigma <= 0.0 else {}
+    frames = session.scene.frames if sc.noise.pose_sigma <= 0.0 else {}
     for pan in world.PAN_SCHEDULE:
-        session.clock.advance(session.frame_time)
+        session.clock.advance(sc.session.frame_time_s)
         view = replace(session.robot, head_pan=pan)
         det = world.detect(
-            session.scene, view, session.detector, session.intrinsics, session.detector_rng, frames
+            session.scene, view, sc.detector, sc.intrinsics, session.detector_rng, frames
         )
         if det is not None:
             # A failed localization on the detection frame counts as a miss.

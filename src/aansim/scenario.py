@@ -292,6 +292,8 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioInvalid(f"$: cannot read {path} ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid(f"$: not valid JSON ({exc})") from exc
     _expect(isinstance(raw, dict), "$", "top level must be a JSON object")

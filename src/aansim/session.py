@@ -11,6 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -95,6 +96,9 @@ def validate_log(log: SessionLog) -> None:
         raise LogInvalid(
             f"meta: unsupported format {log.meta['format']!r}, expected {LOG_FORMAT!r}"
         )
+    seed = log.meta["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise LogInvalid(f"meta: 'seed' must be an integer, got {seed!r}")
     prev_t = -float("inf")
     for i, record in enumerate(log.records):
         where = f"record {i}"
@@ -104,8 +108,8 @@ def validate_log(log: SessionLog) -> None:
             if key not in record:
                 raise LogInvalid(f"{where}: missing key {key!r}")
         t = record["t"]
-        if not isinstance(t, (int, float)):
-            raise LogInvalid(f"{where}: 't' must be a number, got {type(t).__name__}")
+        if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
+            raise LogInvalid(f"{where}: 't' must be a finite number, got {t!r}")
         if t < prev_t - 1e-9:
             raise LogInvalid(f"{where}: time {t} runs backward (previous {prev_t})")
         prev_t = max(prev_t, float(t))

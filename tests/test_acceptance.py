@@ -199,7 +199,7 @@ def test_criterion_3_planning_oracles():
                 omega=float(dwa_rng.uniform(-1.0, 1.0)),
             )
             wps = dwa_rng.uniform(0.2, 2.8, size=(int(dwa_rng.integers(2, 12)), 2))
-            path = nav.GlobalPath(waypoints=wps, cells=[], cost=0.0)
+            path = nav.GlobalPath(waypoints=wps, cost=0.0)
             try:
                 expected = dwa_reference(robot, path, cm, params, dt=0.1)
             except OracleBlocked:

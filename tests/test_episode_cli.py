@@ -180,6 +180,21 @@ def test_cli_run_bad_scenario_is_a_usage_error(tmp_path, capsys):
     assert "scenario error" in err
 
 
+@pytest.mark.parametrize("command", ["run", "batch"])
+@pytest.mark.parametrize("contents", [None, b'{"name": "caf\xe9"}'], ids=["missing", "not_utf8"])
+def test_cli_unreadable_scenario_is_one_error_line(tmp_path, capsys, command, contents):
+    path = tmp_path / "scenario.json"
+    if contents is not None:
+        path.write_bytes(contents)
+    args = ["--scenario", str(path), "--out", str(tmp_path / "out")]
+    if command == "run":
+        args += ["--condition", "A"]
+    rc = cli.main([command, *args])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_ERROR
+    assert err.startswith(f"scenario error: $: cannot read {path}") and err.count("\n") == 1
+
+
 def test_cli_run_incomplete_session_exits_two(tmp_path, capsys):
     doc = json.loads(SCENARIO_PATH.read_text())
     doc["session"]["time_cap_s"] = 10.0  # smallest legal cap; nothing finishes this fast
@@ -242,6 +257,25 @@ def test_cli_report_rejects_tampered_log(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == cli.EXIT_ERROR
     assert "invalid log" in err
+
+
+@pytest.mark.parametrize(
+    "meta_seed, t, message",
+    [('"x"', "1.0", "'seed' must be an integer"), ("3", "NaN", "'t' must be a finite number")],
+    ids=["string_seed", "nan_time"],
+)
+def test_cli_report_rejects_bad_seed_or_time(tmp_path, capsys, meta_seed, t, message):
+    # A string seed once crashed session_metrics; a NaN time printed nan times.
+    (tmp_path / "bad.jsonl").write_text(
+        f'{{"format":"aansim-log/1","condition":"A","seed":{meta_seed},'
+        f'"scenario_hash":"h","profile":"p"}}\n'
+        f'{{"kind":"note","note":"hello","t":{t}}}\n'
+    )
+    rc = cli.main(["report", "--logs", str(tmp_path)])
+    assert rc == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("invalid log ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_cli_report_with_questionnaires(tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Stdlib ``ast`` scans of the source tree: every imported name is used, and
-every module-level name of the package has a caller outside the tests."""
+"""Stdlib ``ast`` scans of the source tree: every imported name is used,
+every module-level name of the package has a caller outside the tests, and
+every dataclass field of the package is read outside the tests."""
 
 import ast
 from pathlib import Path
@@ -128,3 +129,76 @@ def test_every_package_name_has_a_production_caller():
         for path in sorted((ROOT / top).rglob("*.py"))
     }
     assert sorted(unreached_names(files)) == sorted(TEST_ONLY_ALLOWED)
+
+
+# Dataclass fields that no production file reads, each on purpose.
+UNREAD_FIELDS_ALLOWED = {
+    # Criterion 2 gates the plane fit; ROADMAP item 7 gives it a consumer.
+    "geometry.PlaneFit.offset",
+    "geometry.PlaneFit.residual_rms",
+    "geometry.TargetEstimate.plane",
+}
+
+
+def dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for each annotated field of each module-level dataclass."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if not any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators):
+            continue
+        out.extend(
+            (node.name, stmt.target.id)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        )
+    return out
+
+
+def field_reads(source: str) -> set[str]:
+    """Every attribute name the module loads and every string it holds."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unread_fields(files: dict[str, str]) -> list[str]:
+    """``module.Class.field`` for each package dataclass field whose name no
+    file in ``files`` (paths mapped to sources) loads as an attribute or
+    holds as a string."""
+    reads = set().union(*(field_reads(source) for source in files.values()))
+    return [
+        f"{Path(path).stem}.{cls}.{name}"
+        for path, source in files.items()
+        if path.startswith("src/aansim/")
+        for cls, name in dataclass_fields(source)
+        if name not in reads
+    ]
+
+
+def test_unread_field_is_caught():
+    files = {
+        "src/aansim/a.py": (
+            "from dataclasses import dataclass\n\n@dataclass(frozen=True)\n"
+            "class P:\n    x: float\n    y: float\n    z: float\n\n"
+            "def f(p):\n    p.z = 1.0\n    return p.x\n"
+        ),
+        "scripts/run.py": "def g(p):\n    return getattr(p, 'y')\n",
+    }
+    # x is loaded as an attribute and y named by a string; z is only written.
+    assert unread_fields(files) == ["a.P.z"]
+
+
+def test_every_dataclass_field_has_a_production_reader():
+    files = {
+        str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+        for top in PRODUCTION
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    assert sorted(unread_fields(files)) == sorted(UNREAD_FIELDS_ALLOWED)

@@ -10,6 +10,7 @@ from aansim import navigation as nav
 from aansim import world
 from aansim.geometry import CameraIntrinsics
 from aansim.orchestrator import AssistEvent, EventKind
+from aansim.scenario import NoiseParams
 from aansim.session import SessionLog
 from aansim.world import CellState, OccupancyGrid, RobotState
 
@@ -34,6 +35,11 @@ def open_grid(w, h, resolution=0.1):
 def random_grid(rng, w=20, h=20, p=0.3, resolution=0.1):
     cells = (rng.random((h, w)) < p).astype(np.uint8)
     return OccupancyGrid(cells=cells, resolution=resolution)
+
+
+def path_cells(cm, plan):
+    """The cell of each waypoint of a plan, start to goal."""
+    return [cm.world_to_cell(x, y) for x, y in plan.waypoints]
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +117,7 @@ def test_costmap_off_map_cost_is_lethal():
         nav.plan_global(cm, (0.5, 0.5), (-5.0, 0.5))
     # Every arc from the east edge at full speed leaves the map.
     robot = RobotState(x=0.95, y=0.5, heading=0.0, v=0.5)
-    path = nav.GlobalPath(waypoints=np.array([[0.5, 0.5]]), cells=[(5, 5)], cost=0.0)
+    path = nav.GlobalPath(waypoints=np.array([[0.5, 0.5]]), cost=0.0)
     with pytest.raises(nav.AllBlocked):
         nav.dwa_step(robot, path, cm, nav.DwaParams(), 0.1)
 
@@ -144,7 +150,7 @@ def test_astar_equals_dijkstra_on_fixed_grid():
     plan = nav.plan_global(cm, start, goal)
     dist = dijkstra_costs(cm, s_cell)
     assert plan.cost == dist[g_cell]  # bitwise
-    assert plan.cost == path_cost_recomputed(cm, plan.cells)
+    assert plan.cost == path_cost_recomputed(cm, path_cells(cm, plan))
 
 
 def test_astar_equals_dijkstra_on_random_grids():
@@ -167,10 +173,11 @@ def test_astar_equals_dijkstra_on_random_grids():
             goal = cm.cell_center(*target)
             plan = nav.plan_global(cm, start, goal)
             assert plan.cost == dist[target]  # bitwise equality
-            assert plan.cost == path_cost_recomputed(cm, plan.cells)
-            assert plan.cells[0] == s_cell
-            assert plan.cells[-1] == target
-            for (a, b), (c, d) in zip(plan.cells, plan.cells[1:]):
+            cells = path_cells(cm, plan)
+            assert plan.cost == path_cost_recomputed(cm, cells)
+            assert cells[0] == s_cell
+            assert cells[-1] == target
+            for (a, b), (c, d) in zip(cells, cells[1:]):
                 assert max(abs(a - c), abs(b - d)) == 1
                 assert cm.traversable(c, d)
             compared += 1
@@ -191,7 +198,7 @@ def test_astar_straight_line_cost_on_empty_map():
     cm = nav.build_costmap(OccupancyGrid(cells=cells, resolution=0.1), nav.NavParams(inflation_radius=0.0))
     plan = nav.plan_global(cm, (0.05, 0.05), (0.95, 0.05))
     assert plan.cost == pytest.approx(9 * 0.1, abs=1e-12)
-    assert len(plan.cells) == 10
+    assert len(path_cells(cm, plan)) == 10
     diag = nav.plan_global(cm, (0.05, 0.05), (0.95, 0.95))
     assert diag.cost == pytest.approx(9 * 0.1 * math.sqrt(2.0), abs=1e-12)
 
@@ -221,7 +228,7 @@ def test_astar_trivial_same_cell():
     cm = nav.build_costmap(open_grid(10, 10), nav.NavParams(inflation_radius=0.0))
     plan = nav.plan_global(cm, (0.52, 0.53), (0.55, 0.58))
     assert plan.cost == 0.0
-    assert plan.cells == [cm.world_to_cell(0.52, 0.53)]
+    assert path_cells(cm, plan) == [cm.world_to_cell(0.52, 0.53)]
 
 
 def test_astar_lethal_endpoints_raise():
@@ -267,7 +274,7 @@ def _random_dwa_case(rng):
     )
     n_wp = int(rng.integers(2, 12))
     wps = rng.uniform(0.2, 2.8, size=(n_wp, 2))
-    path = nav.GlobalPath(waypoints=wps, cells=[], cost=0.0)
+    path = nav.GlobalPath(waypoints=wps, cost=0.0)
     return robot, path, cm
 
 
@@ -304,7 +311,7 @@ def test_dwa_at_rest_on_open_floor_matches_oracle(heading, lookahead):
     # arcs can score exactly alike; the lower index wins the remaining tie.
     cm = nav.build_costmap(open_grid(60, 60), nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
     robot = RobotState(x=2.0, y=3.0, heading=heading, v=0.0, omega=0.0)
-    path = nav.GlobalPath(waypoints=np.array([[2.0, 3.0], lookahead]), cells=[], cost=0.0)
+    path = nav.GlobalPath(waypoints=np.array([[2.0, 3.0], lookahead]), cost=0.0)
     params = nav.DwaParams()
     assert nav.dwa_step(robot, path, cm, params, 0.1) == dwa_reference(
         robot, path, cm, params, dt=0.1
@@ -316,7 +323,7 @@ def test_dwa_open_space_drives_at_goal():
     cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
     robot = RobotState(x=1.5, y=3.0, heading=0.0, v=0.5, omega=0.0)
     path = nav.GlobalPath(
-        waypoints=np.array([[1.5, 3.0], [2.5, 3.0], [4.0, 3.0]]), cells=[], cost=0.0
+        waypoints=np.array([[1.5, 3.0], [2.5, 3.0], [4.0, 3.0]]), cost=0.0
     )
     v, w = nav.dwa_step(robot, path, cm, nav.DwaParams(), 0.1)
     assert w == 0.0  # goal dead ahead: zero turn wins the tie-break
@@ -328,7 +335,7 @@ def test_dwa_turns_toward_offset_goal():
     cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
     robot = RobotState(x=3.0, y=3.0, heading=0.0, v=0.2, omega=0.0)
     path = nav.GlobalPath(
-        waypoints=np.array([[3.0, 3.0], [3.0, 4.5]]), cells=[], cost=0.0
+        waypoints=np.array([[3.0, 3.0], [3.0, 4.5]]), cost=0.0
     )
     v, w = nav.dwa_step(robot, path, cm, nav.DwaParams(), 0.1)
     assert w > 0.0  # goal is to the left (+y)
@@ -341,14 +348,14 @@ def test_dwa_all_blocked_in_tight_pocket():
     cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.0))
     robot = RobotState(x=0.35, y=0.35, heading=0.0, v=0.3, omega=0.0)
     params = nav.DwaParams(v_min=0.2)  # cannot choose to stand still
-    path = nav.GlobalPath(waypoints=np.array([[0.65, 0.35]]), cells=[], cost=0.0)
+    path = nav.GlobalPath(waypoints=np.array([[0.65, 0.35]]), cost=0.0)
     with pytest.raises(nav.AllBlocked):
         nav.dwa_step(robot, path, cm, params, 0.1)
 
 
 def test_lookahead_point_selection():
     wps = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.5, 0.0], [2.0, 0.0]])
-    path = nav.GlobalPath(waypoints=wps, cells=[], cost=0.0)
+    path = nav.GlobalPath(waypoints=wps, cost=0.0)
     assert nav.lookahead_point(path, 0.1, 0.0, 0.6) == (1.0, 0.0)
     # Past everything: clamps to the final waypoint.
     assert nav.lookahead_point(path, 2.4, 0.0, 0.6) == (2.0, 0.0)
@@ -360,30 +367,37 @@ def test_lookahead_point_selection():
 # navigate_to
 
 
-def _session(grid, robot, **over):
-    cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
-    scene = world.Scene(grid=grid, objects=[])
+def _scenario(lab_scenario, grid, inflation=0.3, pose_sigma=0.0, **over):
+    """lab_study on ``grid``, which is also its planning grid, without depth noise.
+
+    Each call builds a new scenario, so each gets its own costmap and leg memo.
+    """
+    return replace(
+        lab_scenario,
+        grid=grid,
+        nav_grid=grid,
+        nav=nav.NavParams(inflation_radius=inflation),
+        noise=NoiseParams(pose_sigma=pose_sigma),
+        **over,
+    )
+
+
+def _session(scenario, robot, **over):
     defaults = dict(
-        scene=scene,
-        costmap=cm,
+        scenario=scenario,
+        scene=world.Scene(grid=scenario.grid, objects=[]),
         robot=robot,
-        intrinsics=None,
-        detector=None,
         clock=nav.Clock(),
         detector_rng=np.random.default_rng(0),
         depth_noise_rng=np.random.default_rng(1),
         pose_noise_rng=np.random.default_rng(2),
-        dt=0.1,
-        frame_time=0.6,
-        depth_noise_sigma=0.0,
-        pose_noise_sigma=0.0,
         log=SessionLog(meta={}),
     )
     defaults.update(over)
     return nav.NavSession(**defaults)
 
 
-def test_navigate_to_arrives_within_tolerances(monkeypatch):
+def test_navigate_to_arrives_within_tolerances(monkeypatch, lab_scenario):
     real_step = world.step_kinematics
     hits = []
 
@@ -395,7 +409,7 @@ def test_navigate_to_arrives_within_tolerances(monkeypatch):
     monkeypatch.setattr(world, "step_kinematics", step_kinematics)
     grid = open_grid(80, 60)  # 8 x 6 m room
     robot = RobotState(x=1.0, y=1.0, heading=0.0)
-    session = _session(grid, robot)
+    session = _session(_scenario(lab_scenario, grid), robot)
     goal = (5.0, 4.0, math.pi / 2)
     res = nav.navigate_to(session, goal)
     assert res.arrived, res.reason
@@ -408,7 +422,7 @@ def test_navigate_to_arrives_within_tolerances(monkeypatch):
     assert session.clock.t == pytest.approx(len(hits) * 0.1)
 
 
-def test_navigate_to_reports_unreachable_goal():
+def test_navigate_to_reports_unreachable_goal(lab_scenario):
     rows = [
         "#########",
         "#...#...#",
@@ -418,20 +432,19 @@ def test_navigate_to_reports_unreachable_goal():
     ]
     grid = grid_from(rows, resolution=0.5)
     robot = RobotState(x=1.0, y=1.25, heading=0.0)
-    costmap = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.0))
-    session = _session(grid, robot, costmap=costmap)
+    session = _session(_scenario(lab_scenario, grid, inflation=0.0), robot)
     res = nav.navigate_to(session, (3.75, 1.25, 0.0))
     assert not res.arrived
     assert res.reason.startswith("no_path")
     assert session.clock.t == 0.0
 
 
-def test_navigate_to_is_deterministic():
+def test_navigate_to_is_deterministic(lab_scenario):
     grid = open_grid(80, 60)
 
     def run():
         robot = RobotState(x=1.0, y=1.0, heading=0.0)
-        session = _session(grid, robot)
+        session = _session(_scenario(lab_scenario, grid), robot)
         res = nav.navigate_to(session, (6.0, 4.5, 0.0))
         return (res.arrived, session.clock.t, session.robot.x, session.robot.y, session.robot.heading)
 
@@ -440,7 +453,8 @@ def test_navigate_to_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # navigate_to's leg memo: a warm call replays a leg driven on the same
-# costmap; its effect must equal a cold drive on a fresh costmap bit for bit.
+# scenario's costmap; its effect must equal a cold drive on a fresh scenario
+# bit for bit.
 
 
 @pytest.fixture
@@ -464,39 +478,38 @@ def _outcome(session, result):
     return result, [f.hex() for f in floats], session.log.records
 
 
-def _cold_and_warm(drive_calls, grid, robot, goal, inflation=0.3, **over):
+def _cold_and_warm(drive_calls, lab_scenario, grid, robot, goal, inflation=0.3, pose_sigma=0.0):
     """A cold drive at clock 7.3, and a warm call at 7.3 whose leg was driven
     at clock 0: ``(cold, cold_outcome, warm, warm_outcome)``.  Each session
-    gets a fresh costmap (the warm one shares the first drive's) and a fresh
+    gets a fresh scenario (the warm one shares the first drive's) and a fresh
     ``pose_noise_rng`` with seed 5; ``drive_calls`` ends holding the warm
     call's counts."""
 
-    def session(**more):
-        costmap = nav.build_costmap(grid, nav.NavParams(inflation_radius=inflation))
-        return _session(grid, robot, **{
-            "costmap": costmap, "pose_noise_rng": np.random.default_rng(5), **over, **more,
-        })
+    def session(scenario=None, **more):
+        scenario = scenario or _scenario(lab_scenario, grid, inflation, pose_sigma=pose_sigma)
+        return _session(scenario, robot, pose_noise_rng=np.random.default_rng(5), **more)
 
     cold = session(clock=nav.Clock(7.3))
     cold_outcome = _outcome(cold, nav.navigate_to(cold, goal))
     primer = session()
     nav.navigate_to(primer, goal)
-    warm = session(costmap=primer.costmap, clock=nav.Clock(7.3))
+    warm = session(scenario=primer.scenario, clock=nav.Clock(7.3))
     drive_calls.clear()
     return cold, cold_outcome, warm, _outcome(warm, nav.navigate_to(warm, goal))
 
 
-def test_warm_leg_replays_cold_drive_at_a_later_clock(drive_calls):
+def test_warm_leg_replays_cold_drive_at_a_later_clock(drive_calls, lab_scenario):
     start = RobotState(x=1.0, y=1.0, heading=0.0)
     _, cold_outcome, warm, warm_outcome = _cold_and_warm(
-        drive_calls, open_grid(80, 60), start, (5.0, 4.0, math.pi / 2)
+        drive_calls, lab_scenario, open_grid(80, 60), start, (5.0, 4.0, math.pi / 2)
     )
     assert drive_calls == Counter()
     assert warm_outcome == cold_outcome
-    assert cold_outcome[0] == nav.NavResult(True, "arrived") and len(warm.costmap.legs) == 1
+    assert cold_outcome[0] == nav.NavResult(True, "arrived")
+    assert len(warm.scenario.costmap.legs) == 1
 
 
-def test_legs_are_keyed_by_goal_and_start_velocity():
+def test_legs_are_keyed_by_goal_and_start_velocity(lab_scenario):
     grid = open_grid(80, 60)
     start = RobotState(x=1.0, y=1.0, heading=0.0)
     cases = [
@@ -504,32 +517,33 @@ def test_legs_are_keyed_by_goal_and_start_velocity():
         (start, (2.0, 4.0, 0.0)),
         (replace(start, v=0.2), (5.0, 4.0, math.pi / 2)),
     ]
-    shared = _session(grid, start).costmap
+    shared = _scenario(lab_scenario, grid)
     for robot, goal in cases:
-        cold, warm = _session(grid, robot), _session(grid, robot, costmap=shared)
+        cold, warm = _session(_scenario(lab_scenario, grid), robot), _session(shared, robot)
         assert _outcome(warm, nav.navigate_to(warm, goal)) == _outcome(cold, nav.navigate_to(cold, goal))
-    assert len(shared.legs) == 3
+    assert len(shared.costmap.legs) == 3
 
 
-def test_warm_leg_replays_recovery_spin_note_at_its_tick(drive_calls):
+def test_warm_leg_replays_recovery_spin_note_at_its_tick(drive_calls, lab_scenario):
     # Moving at 0.3 m/s, 0.4 m from a wall: every dynamic-window arc collides
     # on the first tick, so the robot spins, replans and drives back west.
     start = RobotState(x=1.5, y=1.0, heading=0.0, v=0.3)
     _, cold_outcome, warm, warm_outcome = _cold_and_warm(
-        drive_calls, open_grid(20, 20), start, (0.5, 1.0, math.pi), inflation=0.0
+        drive_calls, lab_scenario, open_grid(20, 20), start, (0.5, 1.0, math.pi), inflation=0.0
     )
     assert drive_calls == Counter()
     assert warm_outcome == cold_outcome
-    (leg,) = warm.costmap.legs.values()
+    (leg,) = warm.scenario.costmap.legs.values()
     assert leg.spins == (0,) and leg.ticks > 20
     assert [(r["t"], r["note"]) for r in warm.log.records] == [(7.3, "recovery_spin")]
 
 
-def test_warm_no_path_leg_leaves_the_clock(drive_calls):
+def test_warm_no_path_leg_leaves_the_clock(drive_calls, lab_scenario):
     rows = ["#########", "#...#...#", "#...#...#", "#...#...#", "#########"]
     start = RobotState(x=1.0, y=1.25, heading=0.0)
     _, cold_outcome, _, warm_outcome = _cold_and_warm(
-        drive_calls, grid_from(rows, resolution=0.5), start, (3.75, 1.25, 0.0), inflation=0.0
+        drive_calls, lab_scenario, grid_from(rows, resolution=0.5), start, (3.75, 1.25, 0.0),
+        inflation=0.0,
     )
     assert drive_calls == Counter()
     assert warm_outcome == cold_outcome
@@ -537,12 +551,13 @@ def test_warm_no_path_leg_leaves_the_clock(drive_calls):
     assert result.reason.startswith("no_path") and floats[0] == (7.3).hex()
 
 
-def test_noisy_legs_are_driven_every_time(drive_calls):
+def test_noisy_legs_are_driven_every_time(drive_calls, lab_scenario):
     start = RobotState(x=1.0, y=1.0, heading=0.0)
     cold, cold_outcome, warm, warm_outcome = _cold_and_warm(
-        drive_calls, open_grid(80, 60), start, (5.0, 4.0, math.pi / 2), pose_noise_sigma=0.02
+        drive_calls, lab_scenario, open_grid(80, 60), start, (5.0, 4.0, math.pi / 2),
+        pose_sigma=0.02,
     )
-    assert drive_calls["dwa_step"] > 0 and warm.costmap.legs == {}
+    assert drive_calls["dwa_step"] > 0 and warm.scenario.costmap.legs == {}
     assert warm_outcome == cold_outcome
     assert warm.pose_noise_rng.bit_generator.state == cold.pose_noise_rng.bit_generator.state
 
@@ -558,7 +573,7 @@ SEARCH_ROIS = [
 ]
 
 
-def _search_session(with_bottle, **over):
+def _search_session(lab_scenario, with_bottle, pose_sigma=0.0):
     objects = []
     if with_bottle:
         objects.append(
@@ -573,16 +588,16 @@ def _search_session(with_bottle, **over):
         x=1.0, y=3.0, heading=0.0,
         camera_mount=world.standard_camera_mount((0.0, 0.0, 1.0), 0.0),
     )
-    return _session(
+    scenario = _scenario(
+        lab_scenario,
         grid,
-        robot,
-        scene=world.Scene(grid=grid, objects=objects),
+        pose_sigma=pose_sigma,
         intrinsics=CameraIntrinsics(fx=130.0, fy=130.0, cx=79.5, cy=59.5, width=160, height=120),
         detector=world.DetectorModel(
             true_positive_rate=1.0, false_positive_rate=0.0, box_noise_sigma=0.0, max_range=4.0
         ),
-        **over,
     )
+    return _session(scenario, robot, scene=world.Scene(grid=grid, objects=objects))
 
 
 def _visit_all(session):
@@ -596,8 +611,8 @@ def _visit_all(session):
     return events
 
 
-def test_visit_roi_misses_then_finds_the_bottle():
-    session = _search_session(with_bottle=True)
+def test_visit_roi_misses_then_finds_the_bottle(lab_scenario):
+    session = _search_session(lab_scenario, with_bottle=True)
     miss, found = _visit_all(session)
     assert miss == AssistEvent.miss(miss.t, "roi_a")
     assert (found.kind, found.roi) == (EventKind.FOUND, "roi_b")
@@ -616,28 +631,29 @@ def test_visit_roi_misses_then_finds_the_bottle():
     assert notes[0][0] == 0.0 and notes[2][0] == miss.t
 
 
-def test_visit_roi_misses_without_a_bottle():
-    session = _search_session(with_bottle=False)
+def test_visit_roi_misses_without_a_bottle(lab_scenario):
+    session = _search_session(lab_scenario, with_bottle=False)
     events = _visit_all(session)
     assert [(e.kind, e.roi) for e in events] == [(EventKind.MISS, "roi_a"), (EventKind.MISS, "roi_b")]
     # The scans sweep a copy of the robot; its own head pan is never moved.
     assert session.robot.head_pan == 0.0
 
 
-def test_noisy_scans_leave_the_frame_memo_empty():
-    noisy = _search_session(with_bottle=True, pose_noise_sigma=0.02)
+def test_noisy_scans_leave_the_frame_memo_empty(lab_scenario):
+    noisy = _search_session(lab_scenario, with_bottle=True, pose_sigma=0.02)
     _visit_all(noisy)
     assert noisy.scene.frames == {}
     # The same visits without pose noise fill it, one entry per rendered frame.
-    clean = _search_session(with_bottle=True)
+    clean = _search_session(lab_scenario, with_bottle=True)
     _visit_all(clean)
     assert len(clean.scene.frames) == 6  # five pans at roi_a, then a hit on the first pan at roi_b
 
 
 
-def test_visit_roi_blind_sweep_takes_five_frames_and_leaves_the_pan(monkeypatch):
-    session = _search_session(with_bottle=True)
-    session.detector = replace(session.detector, true_positive_rate=0.0)
+def test_visit_roi_blind_sweep_takes_five_frames_and_leaves_the_pan(monkeypatch, lab_scenario):
+    session = _search_session(lab_scenario, with_bottle=True)
+    sc = session.scenario
+    session.scenario = replace(sc, detector=replace(sc.detector, true_positive_rate=0.0))
     session.robot.head_pan = 0.123
     views = []
     real = world.detect
@@ -653,7 +669,7 @@ def test_visit_roi_blind_sweep_takes_five_frames_and_leaves_the_pan(monkeypatch)
     # Each frame advances the clock by one frame_time before it is taken.
     t = t_scan
     for pan, robot_pan, t_frame in views:
-        t += session.frame_time
+        t += session.scenario.session.frame_time_s
         assert t_frame == t
     assert event.t == t
     # -30..30 deg in 15 deg steps, each from a copy: the robot's pan never moves.
@@ -662,20 +678,19 @@ def test_visit_roi_blind_sweep_takes_five_frames_and_leaves_the_pan(monkeypatch)
     assert session.robot.head_pan == 0.123
 
 
-def test_visit_roi_localizes_a_first_pan_hit_from_that_view():
-    session = _search_session(with_bottle=True)
+def test_visit_roi_localizes_a_first_pan_hit_from_that_view(lab_scenario):
+    session = _search_session(lab_scenario, with_bottle=True)
+    sc = session.scenario
     found = nav.visit_roi(session, SEARCH_ROIS[1])
     assert found.kind is EventKind.FOUND
     (t_scan,) = [r["t"] for r in session.log.records if r["note"] == "scanning"]
-    assert found.t == t_scan + session.frame_time  # one frame: the first pan fired
+    assert found.t == t_scan + sc.session.frame_time_s  # one frame: the first pan fired
     # The same frame, detected and localized again from the -30 deg view.
     view = replace(session.robot, head_pan=world.PAN_SCHEDULE[0])
-    det = world.detect(
-        session.scene, view, session.detector, session.intrinsics, np.random.default_rng(0), {}
-    )
+    det = world.detect(session.scene, view, sc.detector, sc.intrinsics, np.random.default_rng(0), {})
     assert det is not None and det.true_kind is world.ObjectKind.PILL_BOTTLE
     est = geometry.localize_target(
-        geometry.DepthImage(det.depth), det.box, session.intrinsics, view.base_from_camera()
+        geometry.DepthImage(det.depth), det.box, sc.intrinsics, view.base_from_camera()
     )
     assert np.array_equal(found.target, est.target_base)
     assert session.robot.head_pan == 0.0

@@ -68,6 +68,15 @@ def test_validate_rejects_missing_meta_key():
     assert "scenario_hash" in str(exc.value)
 
 
+@pytest.mark.parametrize("seed", ["x", 12.0, True])
+def test_validate_rejects_seed_that_is_not_an_int(seed):
+    log = make_log()
+    log.meta["seed"] = seed
+    with pytest.raises(LogInvalid) as exc:
+        sess.validate_log(log)
+    assert "'seed' must be an integer" in str(exc.value)
+
+
 def test_validate_rejects_wrong_format_tag():
     log = make_log()
     log.meta["format"] = "something-else/9"
@@ -89,6 +98,15 @@ def test_validate_names_offending_record():
     with pytest.raises(LogInvalid) as exc:
         sess.validate_log(log)
     assert "record 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), True, "1.0"])
+def test_validate_rejects_time_that_is_not_a_finite_number(t):
+    log = make_log()
+    log.records.append({"t": t, "kind": "note", "note": "late"})
+    with pytest.raises(LogInvalid) as exc:
+        sess.validate_log(log)
+    assert "record 3: 't' must be a finite number" in str(exc.value)
 
 
 def test_validate_rejects_unknown_record_kind():
