@@ -26,8 +26,8 @@ from aansim.scenario import ScenarioInvalid, load_scenario
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenario", default="scenarios/lab_study.json")
-    parser.add_argument("--seeds", type=int, default=30, help="number of paired seeds")
-    parser.add_argument("--seed-start", type=int, default=0)
+    parser.add_argument("--seeds", type=cli.positive_int, default=30, help="number of paired seeds")
+    parser.add_argument("--seed-start", type=cli.nonnegative_int, default=0)
     parser.add_argument("--out", default="runs/study", help="output directory")
     args = parser.parse_args(argv)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from aansim import metrics
+from aansim import cli, metrics
 from aansim.episode import run_episode
 from aansim.scenario import ScenarioInvalid, load_scenario
 
@@ -55,8 +55,8 @@ def _describe_event(event: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scenario", default="scenarios/lab_study.json")
-    parser.add_argument("--condition", default="B", choices=("A", "B"))
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--condition", default="B", choices=cli.CONDITIONS)
+    parser.add_argument("--seed", type=cli.nonnegative_int, default=0)
     args = parser.parse_args(argv)
 
     try:

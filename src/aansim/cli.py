@@ -1,7 +1,10 @@
 """Command-line front end: run one episode, run paired batches, or report.
 
 Exit codes: 0 when the session completed (Done), 2 when it ended without
-completion (Aborted or time cap), 1 for usage, scenario, or log errors.
+completion (Aborted or time cap), 1 for usage, scenario, log, questionnaire
+or output errors.  Each error prints one line to stderr; ``main`` turns a
+usage error, a ``ScenarioInvalid`` and an ``OSError`` (say, an unwritable
+``--out``) into exit 1.
 """
 
 from __future__ import annotations
@@ -14,13 +17,33 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from .episode import run_episode
 from .scenario import Scenario, ScenarioInvalid, load_scenario
-from .session import LogInvalid, read_log, validate_log, write_log
+from .session import CONDITIONS, LogInvalid, read_log, validate_log, write_log
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCOMPLETE = 2
 
-CONDITIONS = ("A", "B")
+
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
+nonnegative_int = _int_at_least(0)  # --seed, --seed-start
+positive_int = _int_at_least(1)  # --seeds
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # a usage error: one line, then exit 1
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _log_name(scenario_name: str, condition: str, seed: int) -> str:
@@ -28,11 +51,7 @@ def _log_name(scenario_name: str, condition: str, seed: int) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioInvalid as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    scenario = load_scenario(args.scenario)
     result = run_episode(scenario, args.condition, args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -73,11 +92,7 @@ def run_batch(
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioInvalid as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    scenario = load_scenario(args.scenario)
     out_dir = Path(args.out)
     sessions, _, report = run_batch(
         scenario, range(args.seed_start, args.seed_start + args.seeds), out_dir
@@ -85,16 +100,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     print(report, end="")
     print(f"\n{len(sessions)} sessions -> {out_dir}/summary.csv, {out_dir}/report.txt")
     return EXIT_OK
-
-
-def _questionnaire_scores(load, path: str | None, score) -> dict[str, list[float]] | None:
-    """Scores by condition from the questionnaire CSV at ``path``, or None without one."""
-    if not path:
-        return None
-    scores: dict[str, list[float]] = {}
-    for _participant, condition, resp in load(path):
-        scores.setdefault(condition, []).append(score(resp))
-    return scores
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -112,16 +117,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
             return EXIT_ERROR
         sessions.append(metrics_mod.session_metrics(log))
 
+    questionnaires: dict[str, dict[str, list[float]]] = {}
     try:
-        tlx_scores = _questionnaire_scores(metrics_mod.load_tlx_csv, args.tlx, metrics_mod.raw_tlx)
-        usability_scores = _questionnaire_scores(
-            metrics_mod.load_usability_csv, args.usability, metrics_mod.usability_composite
-        )
+        for spec, path in ((metrics_mod.TLX, args.tlx), (metrics_mod.USABILITY, args.usability)):
+            if path:
+                scores = questionnaires[spec.name] = {}
+                for _participant, condition, values in spec.load(path):
+                    scores.setdefault(condition, []).append(spec.score(values))
     except (ValueError, OSError) as exc:
         print(f"questionnaire error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    report = metrics_mod.render_report(sessions, tlx_scores, usability_scores)
+    report = metrics_mod.render_report(sessions, questionnaires)
     if args.out:
         Path(args.out).write_text(report, encoding="utf-8")
         print(f"report -> {args.out}")
@@ -131,7 +138,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aansim",
         description="Deterministic desk-scale simulator for assist-as-needed "
         "medication guidance studies.",
@@ -141,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a single episode and write its log")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
     p_run.add_argument("--condition", required=True, choices=CONDITIONS)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=nonnegative_int, default=0)
     p_run.add_argument("--out", default="runs", help="output directory")
     p_run.set_defaults(func=_cmd_run)
 
@@ -149,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         "batch", help="run paired A/B episodes over a seed range and summarize"
     )
     p_batch.add_argument("--scenario", required=True)
-    p_batch.add_argument("--seeds", type=int, default=30, help="number of paired seeds")
-    p_batch.add_argument("--seed-start", type=int, default=0)
+    p_batch.add_argument("--seeds", type=positive_int, default=30, help="number of paired seeds")
+    p_batch.add_argument("--seed-start", type=nonnegative_int, default=0)
     p_batch.add_argument("--out", default="runs")
     p_batch.set_defaults(func=_cmd_batch)
 
@@ -166,9 +173,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error or --help
+        return exc.code
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioInvalid as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .orchestrator import (
     step as orchestrator_step,
 )
 from .scenario import Scenario
-from .session import LOG_FORMAT, SessionLog
+from .session import CONDITIONS, LOG_FORMAT, SessionLog
 from .usersim import ConfusionEvent, GazeTimeline, GazeWindow, Prompt
 
 _ATTENTION_SPAN_S = 4.0
@@ -213,8 +213,8 @@ def _run_guided(
 
 def run_episode(scenario: Scenario, condition: str, seed: int) -> EpisodeResult:
     """Simulate one full session under one condition with one seed."""
-    if condition not in ("A", "B"):
-        raise ValueError(f"condition must be 'A' or 'B', got {condition!r}")
+    if condition not in CONDITIONS:
+        raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
 
     placement_rng = seeding.stream(seed, None, "placement")
     bottle_index = usersim.choose_bottle_roi(

@@ -1,13 +1,13 @@
 """Outcome metrics: workload and usability scoring, reliability, aggregation.
 
-Workload uses the unweighted six-item scheme on a 1..10 scale, each item
-rescaled to 0..100 as (raw - 1) / 9 * 100 and averaged.  Usability uses
-five items on a 1..5 scale with items 2 and 4 reverse-coded (6 - x) before
-rescaling to 0..100 as (raw - 1) / 4 * 100.  Internal consistency is
-Cronbach's alpha with population (ddof=0) variances.  Session-level
-outcomes (time to locate the bottle, interaction rounds, completion) are
-extracted from session logs, then aggregated per condition with mean,
-median, quartiles and a Student-t confidence interval.
+A ``Questionnaire`` scores each item on 1..scale_max, recodes reverse-coded
+items as scale_max + 1 - x, rescales to 0..100 as (x - 1) / (scale_max - 1)
+* 100 and averages: ``TLX`` is the unweighted six-item workload scheme on
+1..10, ``USABILITY`` five items on 1..5 with q2 and q4 reverse-coded.
+Internal consistency is Cronbach's alpha with population (ddof=0)
+variances.  Session-level outcomes (time to locate the bottle, interaction
+rounds, completion) are extracted from session logs, then aggregated per
+condition with mean, median, quartiles and a Student-t confidence interval.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .session import SessionLog
-
-TLX_ITEMS = ("mental", "physical", "temporal", "performance", "effort", "frustration")
-USABILITY_ITEMS = ("q1", "q2", "q3", "q4", "q5")
-USABILITY_REVERSED = ("q2", "q4")
 
 
 class OutOfRange(ValueError):
@@ -38,70 +34,11 @@ class EmptyCondition(ValueError):
     """Aggregation was asked for a condition with no sessions."""
 
 
-@dataclass(frozen=True)
-class TlxResponse:
-    """One participant's six workload items, each on 1..10."""
-
-    mental: float
-    physical: float
-    temporal: float
-    performance: float
-    effort: float
-    frustration: float
-
-    def __post_init__(self) -> None:
-        for name in TLX_ITEMS:
-            v = getattr(self, name)
-            if not 1.0 <= v <= 10.0:
-                raise OutOfRange(f"workload item {name!r} must be in [1, 10], got {v}")
-
-    def items(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in TLX_ITEMS)
-
-
-@dataclass(frozen=True)
-class UsabilityResponse:
-    """One participant's five usability items, each on 1..5."""
-
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-    q5: float
-
-    def __post_init__(self) -> None:
-        for name in USABILITY_ITEMS:
-            v = getattr(self, name)
-            if not 1.0 <= v <= 5.0:
-                raise OutOfRange(f"usability item {name!r} must be in [1, 5], got {v}")
-
-    def items(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in USABILITY_ITEMS)
-
-    def adjusted_items(self) -> tuple[float, ...]:
-        """Raw items with the negatively worded ones reverse-coded (6 - x)."""
-        out = []
-        for name in USABILITY_ITEMS:
-            v = getattr(self, name)
-            out.append(6.0 - v if name in USABILITY_REVERSED else v)
-        return tuple(out)
-
-
-def raw_tlx(response: TlxResponse) -> float:
-    """Unweighted workload score on 0..100: mean of (item - 1) / 9 * 100."""
-    return float(np.mean([(v - 1.0) / 9.0 * 100.0 for v in response.items()]))
-
-
-def usability_composite(response: UsabilityResponse) -> float:
-    """Usability score on 0..100 after reverse-coding: mean of (x - 1) / 4 * 100."""
-    return float(np.mean([(v - 1.0) / 4.0 * 100.0 for v in response.adjusted_items()]))
-
-
 def cronbach_alpha(item_scores) -> float:
     """Cronbach's alpha over a (respondents x items) score matrix.
 
     Uses population variances; reverse-code items first (as
-    ``UsabilityResponse.adjusted_items`` does).  Raises DegenerateData for
+    ``Questionnaire.adjusted`` does).  Raises DegenerateData for
     fewer than two items, fewer than two respondents, or zero total variance.
     """
     scores = np.asarray(item_scores, dtype=np.float64)
@@ -240,41 +177,60 @@ def aggregate(sessions: list[SessionMetrics]) -> dict[str, dict[str, Summary]]:
 
 
 # ---------------------------------------------------------------------------
-# Questionnaire CSV input
+# Questionnaires
 
 
-def _read_rows(path: str | Path, required: tuple[str, ...]) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: missing header row")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise ValueError(f"{path}: missing columns {missing}")
-        return list(reader)
+@dataclass(frozen=True)
+class Questionnaire:
+    """One questionnaire's items, its 1..``scale_max`` scale and its reverse-coded items."""
+
+    name: str
+    items: tuple[str, ...]
+    scale_max: int
+    reversed_items: tuple[str, ...] = ()
+
+    def adjusted(self, values) -> tuple[float, ...]:
+        """Item values in ``items`` order, range-checked, with the reversed ones recoded."""
+        out = []
+        for item, v in zip(self.items, values, strict=True):
+            if not 1.0 <= v <= self.scale_max:
+                raise OutOfRange(
+                    f"{self.name} item {item!r} must be in [1, {self.scale_max}], got {v}"
+                )
+            out.append(self.scale_max + 1 - v if item in self.reversed_items else v)
+        return tuple(out)
+
+    def score(self, values) -> float:
+        """Score on 0..100: mean of (adjusted item - 1) / (scale_max - 1) * 100."""
+        top = self.scale_max - 1
+        return float(np.mean([(v - 1.0) / top * 100.0 for v in self.adjusted(values)]))
+
+    def load(self, path: str | Path) -> list[tuple[str, str, tuple[float, ...]]]:
+        """Rows of (participant, condition, item values) from a questionnaire CSV."""
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ValueError(f"{path}: missing header row")
+            required = ("participant", "condition", *self.items)
+            missing = [c for c in required if c not in reader.fieldnames]
+            if missing:
+                raise ValueError(f"{path}: missing columns {missing}")
+            rows = list(reader)
+        out = []
+        for i, row in enumerate(rows):
+            try:
+                values = tuple(float(row[k]) for k in self.items)
+                self.adjusted(values)
+            except (TypeError, ValueError) as exc:  # TypeError: a short row's missing cell
+                raise OutOfRange(f"{path}: row {i + 2}: {exc}") from exc
+            out.append((row["participant"], row["condition"], values))
+        return out
 
 
-def _load_responses(path: str | Path, cls, items: tuple[str, ...]) -> list[tuple]:
-    """Rows of (participant, condition, ``cls`` response) from a questionnaire CSV."""
-    rows = _read_rows(path, ("participant", "condition") + items)
-    out = []
-    for i, row in enumerate(rows):
-        try:
-            resp = cls(**{k: float(row[k]) for k in items})
-        except (TypeError, ValueError) as exc:  # TypeError: a short row's missing cell
-            raise OutOfRange(f"{path}: row {i + 2}: {exc}") from exc
-        out.append((row["participant"], row["condition"], resp))
-    return out
-
-
-def load_tlx_csv(path: str | Path) -> list[tuple[str, str, TlxResponse]]:
-    """Rows of (participant, condition, response) from a workload CSV."""
-    return _load_responses(path, TlxResponse, TLX_ITEMS)
-
-
-def load_usability_csv(path: str | Path) -> list[tuple[str, str, UsabilityResponse]]:
-    """Rows of (participant, condition, response) from a usability CSV."""
-    return _load_responses(path, UsabilityResponse, USABILITY_ITEMS)
+TLX = Questionnaire(
+    "workload", ("mental", "physical", "temporal", "performance", "effort", "frustration"), 10
+)
+USABILITY = Questionnaire("usability", ("q1", "q2", "q3", "q4", "q5"), 5, ("q2", "q4"))
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +264,9 @@ def _fmt_ci(ci: tuple[float, float] | None) -> str:
 
 
 def render_report(
-    sessions: list[SessionMetrics],
-    tlx_scores: dict[str, list[float]] | None = None,
-    usability_scores: dict[str, list[float]] | None = None,
+    sessions: list[SessionMetrics], questionnaires: dict[str, dict[str, list[float]]] | None = None
 ) -> str:
-    """Plain-text condition comparison table."""
+    """Plain-text condition comparison table, then each questionnaire's scores by condition."""
     agg = aggregate(sessions)
     lines: list[str] = []
     header = f"{'measure':<28}" + "".join(f"{c:>26}" for c in agg)
@@ -336,7 +290,7 @@ def render_report(
         row(f"{label} 95% CI", lambda c, m=measure: _fmt_ci(agg[c][m].ci95))
     row("completion rate", lambda c: f"{agg[c]['completed'].mean:.2f}")
 
-    for name, scores in (("workload", tlx_scores), ("usability", usability_scores)):
+    for name, scores in (questionnaires or {}).items():
         if not scores:
             continue
         lines.append("")

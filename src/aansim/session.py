@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 LOG_FORMAT = "aansim-log/1"
+CONDITIONS = ("A", "B")  # hands-off hints, full guidance
 
 _META_REQUIRED = ("format", "condition", "seed", "scenario_hash", "profile")
 _RECORD_REQUIRED = ("t", "kind")
@@ -99,6 +100,11 @@ def validate_log(log: SessionLog) -> None:
     seed = log.meta["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise LogInvalid(f"meta: 'seed' must be an integer, got {seed!r}")
+    condition, profile = log.meta["condition"], log.meta["profile"]
+    if condition not in CONDITIONS:
+        raise LogInvalid(f"meta: 'condition' must be one of {CONDITIONS}, got {condition!r}")
+    if not isinstance(profile, str) or not profile:
+        raise LogInvalid(f"meta: 'profile' must be a non-empty string, got {profile!r}")
     prev_t = -float("inf")
     for i, record in enumerate(log.records):
         where = f"record {i}"

@@ -58,8 +58,8 @@ def criterion(name: str, budget_s: float | None = None):
 
 def test_criterion_1_questionnaire_formula_fidelity():
     with criterion("questionnaire formula fidelity", budget_s=1.0):
-        flat_2 = m.raw_tlx(m.TlxResponse(2.0, 2.0, 2.0, 2.0, 2.0, 2.0))
-        flat_25 = m.raw_tlx(m.TlxResponse(2.5, 2.5, 2.5, 2.5, 2.5, 2.5))
+        flat_2 = m.TLX.score((2.0, 2.0, 2.0, 2.0, 2.0, 2.0))
+        flat_25 = m.TLX.score((2.5, 2.5, 2.5, 2.5, 2.5, 2.5))
         assert round(flat_2, 2) == 11.11
         assert round(flat_25, 2) == 16.67
         assert round((flat_2 + flat_25) / 2.0, 2) == 13.89
@@ -67,7 +67,7 @@ def test_criterion_1_questionnaire_formula_fidelity():
         # Five items whose reverse-coded mean is 41/9 must score 88.89.
         v = 41.0 / 9.0
         r = 6.0 - v
-        score = m.usability_composite(m.UsabilityResponse(v, r, v, r, v))
+        score = m.USABILITY.score((v, r, v, r, v))
         assert round(score, 2) == 88.89
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import shlex
 import shutil
 
 import numpy as np
@@ -260,14 +261,19 @@ def test_cli_report_rejects_tampered_log(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "meta_seed, t, message",
-    [('"x"', "1.0", "'seed' must be an integer"), ("3", "NaN", "'t' must be a finite number")],
-    ids=["string_seed", "nan_time"],
+    "condition, meta_seed, t, message",
+    [
+        ('"A"', '"x"', "1.0", "'seed' must be an integer"),
+        ('"A"', "3", "NaN", "'t' must be a finite number"),
+        ("5", "3", "1.0", "'condition' must be one of ('A', 'B'), got 5"),
+    ],
+    ids=["string_seed", "nan_time", "int_condition"],
 )
-def test_cli_report_rejects_bad_seed_or_time(tmp_path, capsys, meta_seed, t, message):
-    # A string seed once crashed session_metrics; a NaN time printed nan times.
+def test_cli_report_rejects_bad_seed_or_time(tmp_path, capsys, condition, meta_seed, t, message):
+    # A string seed once crashed session_metrics; a NaN time printed nan times;
+    # an integer condition headed its own report column beside A and B.
     (tmp_path / "bad.jsonl").write_text(
-        f'{{"format":"aansim-log/1","condition":"A","seed":{meta_seed},'
+        f'{{"format":"aansim-log/1","condition":{condition},"seed":{meta_seed},'
         f'"scenario_hash":"h","profile":"p"}}\n'
         f'{{"kind":"note","note":"hello","t":{t}}}\n'
     )
@@ -301,6 +307,21 @@ def test_cli_report_with_questionnaires(tmp_path, capsys):
     text = out_file.read_text()
     assert "workload (B): mean 11.11" in text
     assert "usability (B): mean 85.00" in text
+
+
+def test_cli_report_header_only_questionnaire_adds_no_lines(tmp_path, capsys):
+    out_dir = tmp_path / "logs"
+    cli.main(
+        ["run", "--scenario", str(SCENARIO_PATH), "--condition", "A", "--seed", "0",
+         "--out", str(out_dir)]
+    )
+    capsys.readouterr()
+    assert cli.main(["report", "--logs", str(out_dir)]) == cli.EXIT_OK
+    plain = capsys.readouterr().out
+    usab = tmp_path / "usab.csv"
+    usab.write_text("participant,condition,q1,q2,q3,q4,q5\n")
+    assert cli.main(["report", "--logs", str(out_dir), "--usability", str(usab)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == plain
 
 
 def test_cli_report_empty_dir_errors(tmp_path, capsys):
@@ -337,3 +358,75 @@ def test_cli_report_rejects_bad_questionnaire(tmp_path, capsys, flag, csv_text, 
     err = capsys.readouterr().err
     assert err.startswith("questionnaire error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--condition", "A", "--seed", "-1"], "argument --seed: must be an integer >= 0"),
+        (["batch", "--seeds", "0"], "argument --seeds: must be an integer >= 1"),
+        (["batch", "--seeds", "-3"], "argument --seeds: must be an integer >= 1"),
+        (["batch", "--seed-start", "-1"], "argument --seed-start: must be an integer >= 0"),
+        (["batch", "--seeds", "x"], "argument --seeds: invalid int value: 'x'"),
+        (["run", "--condition", "C"], "argument --condition: invalid choice: 'C'"),
+    ],
+    ids=["run_seed_-1", "batch_seeds_0", "batch_seeds_-3", "batch_seed_start_-1",
+         "batch_seeds_x", "run_condition_C"],
+)
+def test_cli_usage_error_is_one_line_and_exit_one(tmp_path, capsys, argv, message):
+    out_dir = tmp_path / "out"
+    command, *rest = argv
+    rc = cli.main([command, "--scenario", str(SCENARIO_PATH), "--out", str(out_dir), *rest])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_ERROR
+    assert err.startswith(f"aansim {command}: error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out_dir.exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    assert cli.main(["run", "--help"]) == cli.EXIT_OK
+    assert "--scenario" in capsys.readouterr().out
+
+
+def test_cli_run_out_is_a_file_is_one_error_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = cli.main(
+        ["run", "--scenario", str(SCENARIO_PATH), "--condition", "A", "--out", str(taken)]
+    )
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_ERROR
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(taken) in err
+
+
+def test_cli_report_out_in_missing_dir_is_one_error_line(tmp_path, capsys):
+    out_dir = tmp_path / "logs"
+    cli.main(
+        ["run", "--scenario", str(SCENARIO_PATH), "--condition", "A", "--seed", "0",
+         "--out", str(out_dir)]
+    )
+    capsys.readouterr()
+    target = tmp_path / "missing" / "r.txt"
+    rc = cli.main(["report", "--logs", str(out_dir), "--out", str(target)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_ERROR
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(target) in err
+
+
+def test_readme_aansim_commands_parse():
+    commands, in_block = [], False
+    for line in (SCENARIO_PATH.parent.parent / "README.md").read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("aansim "):
+            commands.append(line)
+    assert len(commands) >= 3
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

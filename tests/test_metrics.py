@@ -9,50 +9,42 @@ from aansim import metrics as m
 from aansim.session import SessionLog
 
 
-def tlx(*vals):
-    return m.TlxResponse(*vals)
-
-
-def usab(*vals):
-    return m.UsabilityResponse(*vals)
-
-
 # ---------------------------------------------------------------------------
 # Workload score
 
 
 def test_raw_tlx_uniform_two_maps_to_eleven_point_one():
-    score = m.raw_tlx(tlx(2, 2, 2, 2, 2, 2))
+    score = m.TLX.score((2, 2, 2, 2, 2, 2))
     assert score == pytest.approx(100.0 / 9.0, abs=1e-12)
     assert round(score, 2) == 11.11
 
 
 def test_raw_tlx_uniform_two_point_five():
-    score = m.raw_tlx(tlx(2.5, 2.5, 2.5, 2.5, 2.5, 2.5))
+    score = m.TLX.score((2.5, 2.5, 2.5, 2.5, 2.5, 2.5))
     assert score == pytest.approx(150.0 / 9.0, abs=1e-12)
     assert round(score, 2) == 16.67
 
 
 def test_raw_tlx_mean_of_two_raters():
-    a = m.raw_tlx(tlx(2, 2, 2, 2, 2, 2))
-    b = m.raw_tlx(tlx(2.5, 2.5, 2.5, 2.5, 2.5, 2.5))
+    a = m.TLX.score((2, 2, 2, 2, 2, 2))
+    b = m.TLX.score((2.5, 2.5, 2.5, 2.5, 2.5, 2.5))
     assert (a + b) / 2.0 == pytest.approx(125.0 / 9.0, abs=1e-12)
     assert round((a + b) / 2.0, 2) == 13.89
 
 
 def test_raw_tlx_anchors_and_mixed_items():
-    assert m.raw_tlx(tlx(1, 1, 1, 1, 1, 1)) == 0.0
-    assert m.raw_tlx(tlx(10, 10, 10, 10, 10, 10)) == 100.0
+    assert m.TLX.score((1, 1, 1, 1, 1, 1)) == 0.0
+    assert m.TLX.score((10, 10, 10, 10, 10, 10)) == 100.0
     # Independent fraction arithmetic for a mixed response.
     vals = (1, 3, 5, 7, 9, 10)
     want = sum(Fraction(v - 1, 9) * 100 for v in vals) / 6
-    assert m.raw_tlx(tlx(*vals)) == pytest.approx(float(want), abs=1e-12)
+    assert m.TLX.score(vals) == pytest.approx(float(want), abs=1e-12)
 
 
 @pytest.mark.parametrize("bad", [0, 0.99, 10.01, 11, -3])
 def test_raw_tlx_rejects_out_of_scale(bad):
     with pytest.raises(m.OutOfRange):
-        tlx(2, 2, bad, 2, 2, 2)
+        m.TLX.adjusted((2, 2, bad, 2, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -61,21 +53,21 @@ def test_raw_tlx_rejects_out_of_scale(bad):
 
 def test_usability_perfect_response_is_not_100_with_reverse_items():
     # q2/q4 are negatively phrased: all-5 scores 5,1,5,1,5 after reversal.
-    score = m.usability_composite(usab(5, 5, 5, 5, 5))
+    score = m.USABILITY.score((5, 5, 5, 5, 5))
     want = (100.0 + 0.0 + 100.0 + 0.0 + 100.0) / 5.0
     assert score == pytest.approx(want, abs=1e-12)
 
 
 def test_usability_best_possible_pattern():
-    assert m.usability_composite(usab(5, 1, 5, 1, 5)) == 100.0
-    assert m.usability_composite(usab(1, 5, 1, 5, 1)) == 0.0
+    assert m.USABILITY.score((5, 1, 5, 1, 5)) == 100.0
+    assert m.USABILITY.score((1, 5, 1, 5, 1)) == 0.0
 
 
 def test_usability_integer_fixture_scores_85():
-    score = m.usability_composite(usab(5, 1, 4, 2, 4))
+    score = m.USABILITY.score((5, 1, 4, 2, 4))
     # adjusted: 5, 5, 4, 4, 4 -> item scores 100, 100, 75, 75, 75
     assert score == 85.0
-    mixed = m.usability_composite(usab(5, 1, 5, 2, 4.5))
+    mixed = m.USABILITY.score((5, 1, 5, 2, 4.5))
     # adjusted: 5, 5, 5, 4, 4.5 -> mean 4.7 -> (3.7/4)*100 = 92.5
     assert mixed == pytest.approx(92.5, abs=1e-12)
 
@@ -84,20 +76,19 @@ def test_usability_adjusted_mean_41_over_9_maps_to_800_over_9():
     # An adjusted item mean of 41/9 on the 1..5 scale rescales to
     # ((41/9 - 1) / 4) * 100 = 800/9 ~ 88.89.
     v, r = 41.0 / 9.0, 6.0 - 41.0 / 9.0
-    score = m.usability_composite(usab(v, r, v, r, v))
+    score = m.USABILITY.score((v, r, v, r, v))
     assert score == pytest.approx(800.0 / 9.0, abs=1e-9)
     assert round(score, 2) == 88.89
 
 
 def test_usability_adjusted_items_reverse_q2_q4():
-    r = usab(3, 2, 3, 4, 3)
-    assert r.adjusted_items() == (3, 4, 3, 2, 3)
+    assert m.USABILITY.adjusted((3, 2, 3, 4, 3)) == (3, 4, 3, 2, 3)
 
 
 @pytest.mark.parametrize("bad", [0, 0.5, 5.5, 6])
 def test_usability_rejects_out_of_scale(bad):
     with pytest.raises(m.OutOfRange):
-        usab(3, bad, 3, 3, 3)
+        m.USABILITY.adjusted((3, bad, 3, 3, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +271,24 @@ def test_load_tlx_csv_round_trip(tmp_path):
     path = tmp_path / "tlx.csv"
     _write_csv(
         path,
-        ["participant", "condition", *m.TLX_ITEMS],
+        ["participant", "condition", *m.TLX.items],
         [["p1", "A", 2, 2, 2, 2, 2, 2], ["p2", "B", 2.5, 2.5, 2.5, 2.5, 2.5, 2.5]],
     )
-    rows = m.load_tlx_csv(path)
+    rows = m.TLX.load(path)
     assert [(p, c) for p, c, _ in rows] == [("p1", "A"), ("p2", "B")]
-    assert m.raw_tlx(rows[0][2]) == pytest.approx(100.0 / 9.0)
-    assert m.raw_tlx(rows[1][2]) == pytest.approx(150.0 / 9.0)
+    assert m.TLX.score(rows[0][2]) == pytest.approx(100.0 / 9.0)
+    assert m.TLX.score(rows[1][2]) == pytest.approx(150.0 / 9.0)
 
 
 def test_load_tlx_csv_names_bad_row(tmp_path):
     path = tmp_path / "tlx.csv"
     _write_csv(
         path,
-        ["participant", "condition", *m.TLX_ITEMS],
+        ["participant", "condition", *m.TLX.items],
         [["p1", "A", 2, 2, 2, 2, 2, 2], ["p2", "B", 99, 2, 2, 2, 2, 2]],
     )
     with pytest.raises(m.OutOfRange) as exc:
-        m.load_tlx_csv(path)
+        m.TLX.load(path)
     # 1-based file row numbering (the header is row 1).
     assert "row 3" in str(exc.value)
     assert "tlx.csv" in str(exc.value)
@@ -307,7 +298,7 @@ def test_load_tlx_csv_missing_column(tmp_path):
     path = tmp_path / "tlx.csv"
     _write_csv(path, ["participant", "condition", "mental"], [["p1", "A", 2]])
     with pytest.raises(ValueError) as exc:
-        m.load_tlx_csv(path)
+        m.TLX.load(path)
     assert "physical" in str(exc.value)
 
 
@@ -315,11 +306,11 @@ def test_load_usability_csv_round_trip(tmp_path):
     path = tmp_path / "usab.csv"
     _write_csv(
         path,
-        ["participant", "condition", *m.USABILITY_ITEMS],
+        ["participant", "condition", *m.USABILITY.items],
         [["p1", "B", 5, 1, 4, 2, 4]],
     )
-    rows = m.load_usability_csv(path)
-    assert m.usability_composite(rows[0][2]) == 85.0
+    rows = m.USABILITY.load(path)
+    assert m.USABILITY.score(rows[0][2]) == 85.0
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +331,7 @@ def test_write_summary_csv_and_render_report(tmp_path):
     assert {r["condition"] for r in rows} == {"A", "B"}
     text = m.render_report(
         sessions,
-        tlx_scores={"A": [100 / 9], "B": [150 / 9]},
-        usability_scores={"B": [85.0]},
+        {"workload": {"A": [100 / 9], "B": [150 / 9]}, "usability": {"B": [85.0]}},
     )
     assert "time to locate (s) median" in text
     assert "interaction rounds median" in text

@@ -60,3 +60,18 @@ def test_run_study_writes_what_aansim_batch_writes(tmp_path, capsys):
     assert len(study) == 2 * 2 + 2  # one log per session, summary.csv, report.txt
     for name in study:
         assert (tmp_path / "study" / name).read_bytes() == (tmp_path / "batch" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "script, argv, message",
+    [
+        (run_study, ["--seeds", "0"], "argument --seeds: must be an integer >= 1, got 0"),
+        (run_study, ["--seed-start", "-1"], "argument --seed-start: must be an integer >= 0"),
+        (show_episode, ["--seed", "-1"], "argument --seed: must be an integer >= 0, got -1"),
+    ],
+    ids=["run_study_seeds_0", "run_study_seed_start_-1", "show_episode_seed_-1"],
+)
+def test_scripts_reject_bad_seeds(capsys, script, argv, message):
+    with pytest.raises(SystemExit):
+        script.main(["--scenario", str(SCENARIO_PATH), *argv])
+    assert message in capsys.readouterr().err

@@ -77,6 +77,24 @@ def test_validate_rejects_seed_that_is_not_an_int(seed):
     assert "'seed' must be an integer" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("condition", 5, "'condition' must be one of ('A', 'B'), got 5"),
+        ("condition", "C", "'condition' must be one of ('A', 'B'), got 'C'"),
+        ("profile", 5, "'profile' must be a non-empty string, got 5"),
+        ("profile", "", "'profile' must be a non-empty string, got ''"),
+        ("profile", None, "'profile' must be a non-empty string, got None"),
+    ],
+)
+def test_validate_rejects_unknown_condition_or_empty_profile(key, value, message):
+    log = make_log()
+    log.meta[key] = value
+    with pytest.raises(LogInvalid) as exc:
+        sess.validate_log(log)
+    assert message in str(exc.value)
+
+
 def test_validate_rejects_wrong_format_tag():
     log = make_log()
     log.meta["format"] = "something-else/9"
