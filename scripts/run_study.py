@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from aansim import cli, metrics
-from aansim.scenario import ScenarioInvalid, load_scenario
+from aansim.scenario import load_scenario
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -29,14 +29,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=cli.positive_int, default=30, help="number of paired seeds")
     parser.add_argument("--seed-start", type=cli.nonnegative_int, default=0)
     parser.add_argument("--out", default="runs/study", help="output directory")
-    args = parser.parse_args(argv)
+    return cli.guarded(_study, parser.parse_args(argv))
 
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioInvalid as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
 
+def _study(args: argparse.Namespace) -> int:
+    scenario = load_scenario(args.scenario)
     out_dir = Path(args.out)
     sessions, confusion_counts, report = cli.run_batch(
         scenario, range(args.seed_start, args.seed_start + args.seeds), out_dir

@@ -3,8 +3,8 @@
 Exit codes: 0 when the session completed (Done), 2 when it ended without
 completion (Aborted or time cap), 1 for usage, scenario, log, questionnaire
 or output errors.  Each error prints one line to stderr; ``main`` turns a
-usage error, a ``ScenarioInvalid`` and an ``OSError`` (say, an unwritable
-``--out``) into exit 1.
+usage error, and ``guarded`` a ``ScenarioInvalid`` and an ``OSError`` (say,
+an unwritable ``--out``), into exit 1.
 """
 
 from __future__ import annotations
@@ -108,6 +108,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"no .jsonl logs under {args.logs}", file=sys.stderr)
         return EXIT_ERROR
     sessions = []
+    key_log: dict[tuple[str, int], Path] = {}  # the log of each (condition, seed)
     for path in log_paths:
         try:
             log = read_log(path)
@@ -115,6 +116,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
         except LogInvalid as exc:
             print(f"invalid log {path}: {exc}", file=sys.stderr)
             return EXIT_ERROR
+        if not key_log:
+            scenario_hash = log.meta["scenario_hash"]  # every log must share the first's
+        elif log.meta["scenario_hash"] != scenario_hash:
+            print(f"error: {path} and {log_paths[0]} come from different scenarios; "
+                  "report one scenario's logs at a time", file=sys.stderr)
+            return EXIT_ERROR
+        key = (log.meta["condition"], log.meta["seed"])
+        if key in key_log:
+            print(f"error: {path} repeats condition {key[0]} seed {key[1]} of {key_log[key]}",
+                  file=sys.stderr)
+            return EXIT_ERROR
+        key_log[key] = path
         sessions.append(metrics_mod.session_metrics(log))
 
     questionnaires: dict[str, dict[str, list[float]]] = {}
@@ -178,8 +191,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # a usage error or --help
         return exc.code
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    return guarded(args.func, args)
+
+
+def guarded(command, args: argparse.Namespace) -> int:
+    """``command(args)``, with a ``ScenarioInvalid`` or an ``OSError`` turned
+    into one line on stderr and ``EXIT_ERROR``."""
     try:
-        return args.func(args)
+        return command(args)
     except ScenarioInvalid as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
     except OSError as exc:

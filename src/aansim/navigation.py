@@ -147,7 +147,7 @@ def plan_global(
     if start_cell == goal_cell:
         return GlobalPath(waypoints=np.array([costmap.cell_center(*start_cell)]), cost=0.0)
 
-    res, cost = costmap.resolution, costmap.cost
+    res, rows = costmap.resolution, costmap.cost.tolist()
     width, height = costmap.width, costmap.height
 
     def heuristic(cell: tuple[int, int]) -> float:
@@ -179,7 +179,7 @@ def plan_global(
             ni, nj = i + di, j + dj
             if not (0 <= ni < width and 0 <= nj < height):
                 continue
-            c = cost[nj, ni]
+            c = rows[nj][ni]
             if c >= INSCRIBED_COST:
                 continue
             g_new = g[cell] + step * res * (1.0 + c / 128.0)

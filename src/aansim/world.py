@@ -175,12 +175,14 @@ class Scene:
     grid: OccupancyGrid
     objects: tuple[SceneObject, ...]
     wall_rects: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
+    primitives: tuple[np.ndarray, list[tuple]] = field(init=False, compare=False, repr=False)
     pill_bottle_index: int | None = field(init=False, repr=False)
     frames: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.objects = tuple(self.objects)
         self.wall_rects = _merge_occupied_rects(self.grid)
+        self.primitives = _primitives(self.objects, self.wall_rects)
         self.pill_bottle_index = next(
             (i for i, obj in enumerate(self.objects) if obj.kind is ObjectKind.PILL_BOTTLE), None
         )
@@ -378,6 +380,25 @@ def _camera_rays(intrinsics: CameraIntrinsics) -> np.ndarray:
     return rays
 
 
+# Corner k of an AABB takes the max bound on axis a when bit a of k is set.
+_CORNER_BITS = np.array([[(k >> a) & 1 for a in range(3)] for k in range(8)], dtype=bool)
+_CULL_MARGIN = 1e-6  # camera-Z slack (m) of the culls, far above any hit's rounding
+
+
+def _primitives(objects, wall_rects) -> tuple[np.ndarray, list[tuple]]:
+    """Objects', then walls' AABB corners (P, 8, 3) and (cast, args, hit id)."""
+    casts = []
+    for idx, obj in enumerate(objects):
+        if isinstance(obj.shape, BoxShape):
+            casts.append((_ray_box, obj.aabb(), idx))
+        else:
+            (cx, cy, cz), r, h = obj.position, obj.shape.radius, obj.shape.height
+            casts.append((_ray_cylinder, ((cx, cy), r, cz, cz + h), idx))
+    casts += [(_ray_box, rect, WALL_HIT) for rect in wall_rects]
+    bounds = np.array([obj.aabb() for obj in objects] + wall_rects).reshape(-1, 2, 1, 3)
+    return np.where(_CORNER_BITS, bounds[:, 1], bounds[:, 0]), casts
+
+
 def render_depth_ids(
     scene: Scene,
     robot: RobotState,
@@ -395,33 +416,42 @@ def render_depth_ids(
     a per-axis (3, N) layout against the single camera origin.  Every slab
     and cylinder term is the same IEEE expression as with one origin row
     per pixel, so depth and ids are bit-equal to that formulation.
+
+    Each of ``scene.primitives`` is cast only at the rays of the pixel
+    rectangle its AABB's corners span, widened by one pixel: at all rays if
+    the AABB straddles the camera plane, at none if it lies wholly behind the
+    camera or past ``max_range`` in camera Z.  No other ray can hit it.
     """
     cam_pose = robot.world_from_camera()
-    dirs = np.ascontiguousarray((_camera_rays(intrinsics) @ cam_pose.rotation.T).T)
-    origin = cam_pose.translation
+    rot, origin = cam_pose.rotation, cam_pose.translation
+    h, w = intrinsics.height, intrinsics.width
+    dirs = np.ascontiguousarray((_camera_rays(intrinsics) @ rot.T).T).reshape(3, h, w)
 
-    best = np.full(dirs.shape[1], np.inf)
-    ids = np.full(dirs.shape[1], NO_HIT, dtype=np.int32)
-    for idx, obj in enumerate(scene.objects):
-        if isinstance(obj.shape, BoxShape):
-            s = _ray_box(origin, dirs, *obj.aabb())
-        else:
-            cx, cy, cz = obj.position
-            s = _ray_cylinder(origin, dirs, (cx, cy), obj.shape.radius, cz, cz + obj.shape.height)
-        closer = s < best
-        best[closer] = s[closer]
-        ids[closer] = idx
-    for lo, hi in scene.wall_rects:
-        s = _ray_box(origin, dirs, lo, hi)
-        closer = s < best
-        best[closer] = s[closer]
-        ids[closer] = WALL_HIT
+    corners, casts = scene.primitives
+    cam = (corners - origin) @ rot  # camera-frame corners, (P, 8, 3)
+    z_min, z_max = cam[..., 2].min(axis=1), cam[..., 2].max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = cam[..., :2] / cam[..., 2:]  # X/Z and Y/Z, as in the pixel rays
+    pix = (intrinsics.cx, intrinsics.cy) + (intrinsics.fx, intrinsics.fy) * ratio
+    front = (z_min > _CULL_MARGIN)[:, None]  # else cast on the full (w, h) frame
+    lo = np.where(front, np.clip(np.ceil(pix.min(axis=1)) - 1, 0, (w, h)), 0).astype(int)
+    hi = np.where(front, np.clip(np.floor(pix.max(axis=1)) + 2, 0, (w, h)), (w, h)).astype(int)
+
+    best = np.full((h, w), np.inf)
+    ids = np.full((h, w), NO_HIT, dtype=np.int32)
+    for k in np.flatnonzero((z_max > 0.0) & (z_min <= max_range + _CULL_MARGIN) & (lo < hi).all(1)):
+        cast, args, hit_id = casts[k]
+        window = np.s_[lo[k, 1] : hi[k, 1], lo[k, 0] : hi[k, 0]]
+        best_win, ids_win = best[window], ids[window]
+        s = cast(origin, dirs[(slice(None), *window)].reshape(3, -1), *args).reshape(best_win.shape)
+        closer = s < best_win
+        best_win[closer] = s[closer]
+        ids_win[closer] = hit_id
 
     out_of_range = ~np.isfinite(best) | (best > max_range)
     depth = np.where(out_of_range, 0.0, best)
     ids[out_of_range] = NO_HIT
-    shape = (intrinsics.height, intrinsics.width)
-    return depth.reshape(shape), ids.reshape(shape)
+    return depth, ids
 
 
 def add_depth_noise(depth: np.ndarray, noise_sigma: float, rng: np.random.Generator) -> DepthImage:

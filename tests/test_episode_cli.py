@@ -416,6 +416,42 @@ def test_cli_report_out_in_missing_dir_is_one_error_line(tmp_path, capsys):
     assert str(target) in err
 
 
+def _run_a(scenario, seed, out_dir):
+    argv = ["run", "--scenario", str(scenario), "--condition", "A", "--seed", str(seed)]
+    assert cli.main(argv + ["--out", str(out_dir)]) == cli.EXIT_OK
+
+
+def test_cli_report_refuses_logs_of_two_scenarios(tmp_path, capsys):
+    # A renamed copy of lab_study has another name, so another scenario hash.
+    doc = json.loads(SCENARIO_PATH.read_text())
+    doc["name"] = "lab_copy"
+    shutil.copy(SCENARIO_PATH.parent / doc["map"], tmp_path / doc["map"])
+    copy = tmp_path / "lab_copy.json"
+    copy.write_text(json.dumps(doc))
+    out_dir = tmp_path / "logs"
+    _run_a(SCENARIO_PATH, 0, out_dir)
+    _run_a(copy, 0, out_dir)
+    capsys.readouterr()
+    rc = cli.main(["report", "--logs", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_ERROR and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "lab_study_A_seed0000.jsonl" in captured.err and "different scenarios" in captured.err
+
+
+def test_cli_report_refuses_a_repeated_condition_and_seed(tmp_path, capsys):
+    out_dir = tmp_path / "logs"
+    _run_a(SCENARIO_PATH, 0, out_dir)
+    _run_a(SCENARIO_PATH, 1, out_dir)
+    log = out_dir / "lab_study_A_seed0000.jsonl"
+    shutil.copy(log, out_dir / "again.jsonl")
+    capsys.readouterr()
+    rc = cli.main(["report", "--logs", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_ERROR and captured.out == ""
+    assert captured.err == f"error: {log} repeats condition A seed 0 of {out_dir / 'again.jsonl'}\n"
+
+
 def test_readme_aansim_commands_parse():
     commands, in_block = [], False
     for line in (SCENARIO_PATH.parent.parent / "README.md").read_text().splitlines():

@@ -75,3 +75,21 @@ def test_scripts_reject_bad_seeds(capsys, script, argv, message):
     with pytest.raises(SystemExit):
         script.main(["--scenario", str(SCENARIO_PATH), *argv])
     assert message in capsys.readouterr().err
+
+
+def test_run_study_out_is_a_file_is_one_error_line(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = run_study.main(["--scenario", str(SCENARIO_PATH), "--seeds", "1", "--out", str(taken)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(taken) in err
+
+
+def test_run_study_bad_scenario_is_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert run_study.main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and err.count("\n") == 1

@@ -238,6 +238,126 @@ def test_render_zero_direction_on_slab_plane_matches_reference():
 
 
 # ---------------------------------------------------------------------------
+# Render culling: each primitive is cast only on the pixels its AABB can reach
+
+
+def _box(lo, hi, kind=ObjectKind.SUPPORT):
+    lo, hi = np.array(lo), np.array(hi)
+    return SceneObject(kind=kind, position=tuple((lo + hi) / 2.0), shape=BoxShape(tuple(hi - lo)))
+
+
+def _render_matches_reference(objects, robot, max_range=10.0):
+    scene = Scene(grid=_open_room(), objects=objects)
+    got = world.render_depth_ids(scene, robot, INTR, max_range)
+    _assert_bitwise_equal(got, render_reference(scene, robot, INTR, max_range))
+    return got
+
+
+def test_render_window_keeps_a_hit_that_rounds_past_the_projected_corner():
+    # A box corner on the ray of pixel (80, 120), 1.5 m out: the ray hits the
+    # box, yet the corner projects to u = 119.99999999999997.  The one-pixel
+    # widening keeps column 120 in the box's window.
+    robot = _robot_at(2.0, 3.0, -0.5)
+    cam = robot.world_from_camera()
+    ray = cam.rotation @ np.array([(120 - INTR.cx) / INTR.fx, (80 - INTR.cy) / INTR.fy, 1.0])
+    corner = cam.translation + 1.5 * ray
+    centre = corner + np.where(cam.rotation[:, 0] > 0, -0.15, 0.15)
+    box = SceneObject(ObjectKind.SUPPORT, tuple(centre.tolist()), BoxShape((0.3, 0.3, 0.3)))
+    lo, hi = box.aabb()
+    corners = (np.where(world._CORNER_BITS, hi, lo) - cam.translation) @ cam.rotation
+    assert (INTR.cx + INTR.fx * corners[:, 0] / corners[:, 2]).max() < 120.0
+    _, ids = _render_matches_reference([box], robot)
+    assert ids[80, 120] == 0 and not (ids[:, 121:] == 0).any()
+
+
+@pytest.fixture
+def rays_cast(monkeypatch):
+    """Rays cast per primitive, keyed by its first cast bound (a box's lo corner
+    or a cylinder's centre).  Scenes built after the patch cast through it."""
+    rays = {}
+    for name in ("_ray_box", "_ray_cylinder"):
+
+        def counted(origin, dirs, first, *rest, real=getattr(world, name)):
+            key = tuple(np.asarray(first).tolist())
+            rays[key] = rays.get(key, 0) + dirs.shape[1]
+            return real(origin, dirs, first, *rest)
+
+        monkeypatch.setattr(world, name, counted)
+    return rays
+
+
+# The camera sits at (2, 3, 1) looking along +x: the image's left edge is at
+# +y and its top at +z.  Image half-extents at 1 m are 0.615 m and 0.458 m.
+_CULLED = {
+    "behind": _box((1.0, 2.8, 0.8), (1.5, 3.2, 1.2)),
+    "left": _box((2.9, 3.8, 0.9), (3.1, 4.0, 1.1)),
+    "right": _box((2.9, 2.0, 0.9), (3.1, 2.2, 1.1)),
+    "above": _box((2.9, 2.9, 1.7), (3.1, 3.1, 1.9)),
+    "below": _box((2.9, 2.9, 0.1), (3.1, 3.1, 0.3)),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_CULLED))
+def test_render_culls_a_primitive_outside_the_frustum(rays_cast, where):
+    culled = _CULLED[where]
+    seen = SceneObject(ObjectKind.DISTRACTOR, (4.0, 3.0, 0.8), CylinderShape(0.1, 0.4))
+    _, ids = _render_matches_reference([culled, seen], _robot_at(2.0, 3.0, 0.0))
+    assert not (ids == 0).any() and (ids == 1).any()
+    assert tuple(culled.aabb()[0].tolist()) not in rays_cast
+
+
+def test_render_culls_a_primitive_beyond_max_range(rays_cast):
+    near = _box((2.9, 2.9, 0.5), (3.1, 3.1, 0.7))
+    far = _box((3.9, 2.8, 0.8), (4.3, 3.2, 1.2))  # camera Z 1.9 or more
+    robot = _robot_at(2.0, 3.0, 0.0)
+    _, ids = _render_matches_reference([near, far], robot, max_range=10.0)
+    assert (ids == 1).any()
+    rays_cast.clear()
+    _, ids = _render_matches_reference([near, far], robot, max_range=1.85)
+    assert (ids == 0).any() and not (ids == 1).any()
+    assert tuple(far.aabb()[0].tolist()) not in rays_cast
+
+
+def test_render_casts_few_rays_at_a_small_far_primitive(rays_cast):
+    bottle = SceneObject(ObjectKind.PILL_BOTTLE, (5.0, 3.0, 0.9), CylinderShape(0.05, 0.2))
+    _, ids = _render_matches_reference([bottle], _robot_at(2.0, 3.0, 0.0))
+    assert (ids == 0).any()
+    assert 0 < rays_cast[(5.0, 3.0)] < INTR.width * INTR.height
+
+
+def test_render_casts_a_box_straddling_the_camera_plane_on_the_full_frame(rays_cast):
+    # The robot stands against a desk that reaches past the camera on both sides.
+    desk = _box((1.7, 2.4, 0.0), (2.5, 3.6, 0.9))
+    shelf = _box((1.9, 3.3, 0.0), (2.6, 3.5, 1.6))  # beside the camera, higher than it
+    _, ids = _render_matches_reference([desk, shelf], _robot_at(2.0, 3.0, 0.0))
+    assert (ids == 0).any() and (ids == 1).any()
+    assert (ids[-1] == 0).any() and (ids[:, 0] == 1).any()  # both run off the image
+    assert rays_cast[tuple(desk.aabb()[0].tolist())] == INTR.width * INTR.height
+
+
+def test_render_clips_a_window_at_the_image_border(rays_cast):
+    corner = _box((2.9, 3.4, 1.3), (3.2, 3.8, 1.6))  # off the top-left corner
+    wide = _box((3.5, 1.0, 0.2), (3.7, 5.0, 0.4))  # wider than the image
+    _, ids = _render_matches_reference([corner, wide], _robot_at(2.0, 3.0, 0.0))
+    assert ids[0, 0] == 0 and (ids == 0).sum() < ids.size // 4
+    assert (ids[:, 0] == 1).any() and (ids[:, -1] == 1).any()
+    assert 0 < rays_cast[tuple(corner.aabb()[0].tolist())] < ids.size // 4
+    assert 0 < rays_cast[tuple(wide.aabb()[0].tolist())] < ids.size // 2
+
+
+@pytest.mark.parametrize("offset", [-1e-9, 0.0, 1e-9])
+def test_render_box_edge_within_one_pixel_of_a_ray(offset):
+    # The near face's -y edge, the box's rightmost point in the image, lies on
+    # (or a hair beside) the rays of column 100.
+    edge = 3.0 - (100 - INTR.cx) / INTR.fx + offset
+    box = _box((3.0, edge, 0.5), (3.4, edge + 0.3, 1.5))
+    lo, _ = box.aabb()
+    assert abs(INTR.cx + INTR.fx * (3.0 - lo[1]) / (lo[0] - 2.0) - 100.0) < 1e-6
+    _, ids = _render_matches_reference([box], _robot_at(2.0, 3.0, 0.0))
+    assert (ids[:, 99] == 0).any() and not (ids[:, 101] == 0).any()
+
+
+# ---------------------------------------------------------------------------
 # Detector
 
 
