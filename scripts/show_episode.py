@@ -16,7 +16,7 @@ import sys
 
 from aansim import cli, metrics
 from aansim.episode import run_episode
-from aansim.scenario import ScenarioInvalid, load_scenario
+from aansim.scenario import load_scenario
 
 
 def _describe_action(action: dict) -> str:
@@ -57,18 +57,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scenario", default="scenarios/lab_study.json")
     parser.add_argument("--condition", default="B", choices=cli.CONDITIONS)
     parser.add_argument("--seed", type=cli.nonnegative_int, default=0)
-    args = parser.parse_args(argv)
+    return cli.guarded(_show, parser.parse_args(argv))
 
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioInvalid as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 1
 
+def _show(args: argparse.Namespace) -> int:
+    scenario = load_scenario(args.scenario)
     result = run_episode(scenario, args.condition, args.seed)
     print(
         f"{scenario.name} | condition {args.condition} | seed {args.seed} | "
-        f"bottle at roi index {result.bottle_roi_index}"
+        f"bottle at {result.log.meta['bottle_roi']}"
     )
     print("-" * 72)
     for record in result.log.records:

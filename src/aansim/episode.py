@@ -3,9 +3,11 @@
 ``run_episode`` plays one medication-assistance session to completion: it
 places the bottle, builds the world, and pumps events between the user
 model, the navigation stack, and the guidance orchestrator on a shared
-simulated clock.  Everything stochastic draws from named per-seed streams,
-so a (scenario, condition, seed) triple replays byte-identically.  The
-result carries the canonical session log and the confusion events
+simulated clock.  ``_Engine.apply`` alone reads the actions the policy
+emits and carries them out; the search visits only the location the last
+``navigate_to`` names.  Everything stochastic draws from named per-seed
+streams, so a (scenario, condition, seed) triple replays byte-identically.
+The result carries the canonical session log and the confusion events
 detected in the synthesized gaze stream.
 """
 
@@ -15,10 +17,8 @@ from dataclasses import dataclass, field
 
 from . import navigation, seeding, usersim
 from .orchestrator import (
-    Action,
     ActionKind,
     AssistEvent,
-    EventKind,
     GuidanceStep,
     OrchestratorConfig,
     OrchestratorState,
@@ -29,6 +29,7 @@ from .orchestrator import (
 from .scenario import Scenario
 from .session import CONDITIONS, LOG_FORMAT, SessionLog
 from .usersim import ConfusionEvent, GazeTimeline, GazeWindow, Prompt
+from .world import RegionOfInterest
 
 _ATTENTION_SPAN_S = 4.0
 _BOTTLE_SPAN_S = 8.0
@@ -38,7 +39,6 @@ _ACTION_TO_CONFIRM_S = 1.0
 @dataclass
 class EpisodeResult:
     log: SessionLog
-    bottle_roi_index: int
     confusion_events: list[ConfusionEvent]
 
 
@@ -53,8 +53,10 @@ class _Engine:
     log: SessionLog
     windows: list[GazeWindow] = field(default_factory=list)
     action_times: list[float] = field(default_factory=list)
+    directed: RegionOfInterest | None = None  # the last navigate_to's ROI, not yet visited
 
-    def apply(self, event: AssistEvent) -> list[Action]:
+    def apply(self, event: AssistEvent) -> None:
+        """Step the policy on ``event``, log the record and carry out its actions."""
         self.state, actions = orchestrator_step(self.state, event, self.config)
         self.log.add_event(
             event.t,
@@ -64,11 +66,17 @@ class _Engine:
         )
         if actions:
             self.action_times.append(event.t)
-            if any(a.kind is ActionKind.SPEAK for a in actions):
-                self.windows.append(
-                    GazeWindow("attention", event.t, event.t + _ATTENTION_SPAN_S)
-                )
-        return actions
+        spoke = False
+        for action in actions:
+            if action.kind is ActionKind.SPEAK and not spoke:
+                spoke = True
+                self.windows.append(GazeWindow("attention", event.t, event.t + _ATTENTION_SPAN_S))
+            elif action.kind is ActionKind.NAVIGATE_TO:
+                self.directed = next(r for r in self.scenario.rois if r.id == action.payload["roi"])
+            elif action.kind is ActionKind.ALIGN_GAZE:
+                # Gaze alignment plus the deictic gesture take real time.
+                self.clock.advance(self.scenario.session.gesture_time_s)
+                self.windows.append(GazeWindow("bottle", event.t, event.t + _BOTTLE_SPAN_S))
 
     def advance_to(self, t: float) -> None:
         if t > self.clock.t:
@@ -119,22 +127,17 @@ def _run_passive(engine: _Engine, user_rng) -> None:
 
 
 def _search(engine: _Engine, nav_session: navigation.NavSession) -> None:
-    """Visit the search location the policy's ``roi_index`` picks until the search ends.
+    """Visit each location a ``navigate_to`` directs until the search ends.
 
-    Past the last location the policy directs no further visit, so the
-    search reports itself exhausted here.
+    A search phase with no visit pending has run past the last location,
+    so the search reports itself exhausted here.
     """
-    rois = engine.scenario.rois
     while engine.state.phase in (Phase.NAVIGATING, Phase.SCANNING):
-        if engine.state.roi_index < len(rois):
-            event = navigation.visit_roi(nav_session, rois[engine.state.roi_index])
+        roi, engine.directed = engine.directed, None
+        if roi is None:
+            engine.apply(AssistEvent.exhausted(engine.clock.t))
         else:
-            event = AssistEvent.exhausted(engine.clock.t)
-        engine.apply(event)
-        if event.kind is EventKind.FOUND:
-            # Gaze alignment plus the deictic gesture take real time.
-            engine.clock.advance(engine.scenario.session.gesture_time_s)
-            engine.windows.append(GazeWindow("bottle", event.t, event.t + _BOTTLE_SPAN_S))
+            engine.apply(navigation.visit_roi(nav_session, roi))
 
 
 def _run_guided(
@@ -262,8 +265,4 @@ def run_episode(scenario: Scenario, condition: str, seed: int) -> EpisodeResult:
         inserted_runs=[[round(a, 6), round(b, 6)] for a, b in inserted],
         confusion_events=[[round(e.t_start, 6), round(e.t_end, 6)] for e in confusion],
     )
-    return EpisodeResult(
-        log=log,
-        bottle_roi_index=bottle_index,
-        confusion_events=confusion,
-    )
+    return EpisodeResult(log=log, confusion_events=confusion)

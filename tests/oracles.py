@@ -6,7 +6,8 @@ scorer.  They share only input data (costmaps, parameter dataclasses) with
 the library, never its planning code.  ``render_reference`` keeps the
 straightforward (N, 3) ray caster that the library's per-axis renderer must
 match bit for bit, and ``project`` is the pinhole projection that
-back-projection must invert.
+back-projection must invert.  ``audit_log`` replays a session log through
+the pure policy and checks that the episode carried out what it directed.
 """
 
 import heapq
@@ -17,6 +18,15 @@ import numpy as np
 from aansim import world
 from aansim.geometry import GeometryError
 from aansim.navigation import Costmap, DwaParams, GlobalPath, lookahead_point
+from aansim.orchestrator import (
+    MOTION_ACTION_KINDS,
+    AssistEvent,
+    EventKind,
+    Phase,
+    UserActionKind,
+    initial_state,
+    step,
+)
 from aansim.usersim import Aoi
 
 _SQRT2 = math.sqrt(2.0)
@@ -296,3 +306,71 @@ def project(point, intrinsics) -> tuple[float, float]:
     if z <= 0.0:
         raise BehindCamera(f"point with Z={z} cannot be projected")
     return (intrinsics.fx * x / z + intrinsics.cx, intrinsics.fy * y / z + intrinsics.cy)
+
+
+# ---------------------------------------------------------------------------
+# Session log audit: the log against the pure policy that wrote it.
+
+_VISIT_OUTCOMES = (EventKind.MISS, EventKind.FOUND, EventKind.ROI_UNREACHABLE)
+_MOTION_KIND_VALUES = {k.value for k in MOTION_ACTION_KINDS}
+
+
+def _rebuild_event(record: dict) -> AssistEvent:
+    """The orchestrator event an event record describes.
+
+    A FOUND event's target is the record's ``align_gaze`` target, which every
+    pointing path emits; JSON round-trips its floats exactly.
+    """
+    ev = record["event"]
+    gaze = [a["target"] for a in record["actions"] if a["kind"] == "align_gaze"]
+    return AssistEvent(
+        kind=EventKind(ev["kind"]),
+        t=record["t"],
+        transcript=ev.get("transcript"),
+        roi=ev.get("roi"),
+        target=np.array(gaze[0]) if gaze else None,
+        action=UserActionKind(ev["action"]) if "action" in ev else None,
+        timeout_phase=Phase(ev["timeout_phase"]) if "timeout_phase" in ev else None,
+    )
+
+
+def audit_log(log, scenario) -> None:
+    """Assert that ``log`` is what the policy and the search it directs produce.
+
+    Every event record replays through ``orchestrator.step`` from the
+    condition's initial state, and its actions and described state come out
+    as logged.  Each ``navigating`` note names the ROI of the ``navigate_to``
+    before it, and the miss, found or unreachable event that ends the visit
+    names that ROI too.  ``exhausted`` comes only once the policy's
+    ``roi_index`` has run past the last ROI, and condition A emits no motion
+    action.
+    """
+    config = scenario.orchestrator_config(log.meta["condition"])
+    state = initial_state(config)
+    directed = visiting = None
+    for i, record in enumerate(log.records):
+        where = f"record {i} (t={record['t']})"
+        if record["kind"] == "note":
+            if record["note"] == "navigating":
+                roi = record["data"]["roi"]
+                assert roi == directed, f"{where}: visits {roi}; the policy directed {directed}"
+                directed, visiting = None, roi
+            continue
+        event = _rebuild_event(record)
+        assert event.describe() == record["event"], f"{where}: event does not round-trip"
+        if event.kind in _VISIT_OUTCOMES:
+            assert event.roi == visiting, f"{where}: {event.roi} ends a visit of {visiting}"
+            visiting = None
+        if event.kind is EventKind.EXHAUSTED:
+            assert state.roi_index >= len(scenario.rois), (
+                f"{where}: exhausted at roi_index {state.roi_index} of {len(scenario.rois)}"
+            )
+        state, actions = step(state, event, config)
+        assert [a.describe() for a in actions] == record["actions"], f"{where}: actions"
+        assert state.describe() == record["state"], f"{where}: state"
+        for action in record["actions"]:
+            if action["kind"] == "navigate_to":
+                directed = action["roi"]
+            assert not (config.passive and action["kind"] in _MOTION_KIND_VALUES), (
+                f"{where}: condition A emits {action['kind']}"
+            )

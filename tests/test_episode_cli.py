@@ -8,13 +8,13 @@ import shutil
 import numpy as np
 import pytest
 
-from aansim import cli, usersim
+from aansim import cli, episode, navigation, usersim
 from aansim import metrics as m
 from aansim.episode import run_episode
-from aansim.orchestrator import MOTION_ACTION_KINDS
+from aansim.orchestrator import MOTION_ACTION_KINDS, Action, ActionKind
 from aansim.scenario import load_scenario
-from aansim.session import read_log, validate_log
-from oracles import max_offtask_gap
+from aansim.session import SessionLog, read_log, validate_log
+from oracles import audit_log, max_offtask_gap
 
 from conftest import SCENARIO_PATH
 
@@ -96,7 +96,6 @@ def test_episode_is_deterministic_per_key(lab_scenario, gaze_streams):
         a = run_episode(lab_scenario, condition, 7)
         b = run_episode(lab_scenario, condition, 7)
         assert log_digest(a.log) == log_digest(b.log)
-        assert a.bottle_roi_index == b.bottle_roi_index
         assert len(gaze_streams) == 2
         assert np.array_equal(gaze_streams.pop(), gaze_streams.pop())
     assert log_digest(run_episode(lab_scenario, "B", 8).log) != log_digest(
@@ -108,7 +107,6 @@ def test_paired_conditions_share_bottle_placement(lab_scenario):
     for seed in range(6):
         a = run_episode(lab_scenario, "A", seed)
         b = run_episode(lab_scenario, "B", seed)
-        assert a.bottle_roi_index == b.bottle_roi_index
         assert a.log.meta["bottle_roi"] == b.log.meta["bottle_roi"]
 
 
@@ -141,6 +139,68 @@ def test_episode_gaze_stream_present_with_confusion_accounting(lab_scenario, gaz
         )
         assert [(e.t_start, e.t_end) for e in result.confusion_events] == expected
         assert len(expected) == n_events
+
+
+def _navigating_rois(log) -> list[str]:
+    return [r["data"]["roi"] for r in log.records if r.get("note") == "navigating"]
+
+
+def test_engine_visits_the_roi_each_navigate_to_names(lab_scenario, monkeypatch):
+    """The search goes where the policy's ``navigate_to`` says, not where the
+    engine would work out from the policy's state."""
+    ids = [roi.id for roi in lab_scenario.rois]
+    rewrite = dict(zip(ids, reversed(ids)))
+    real_step = episode.orchestrator_step
+
+    def reversed_step(state, event, config):
+        state, actions = real_step(state, event, config)
+        return state, [
+            Action.navigate_to(rewrite[a.payload["roi"]]) if a.kind is ActionKind.NAVIGATE_TO else a
+            for a in actions
+        ]
+
+    monkeypatch.setattr(episode, "orchestrator_step", reversed_step)
+    # Unpatched, seed 1 misses at kitchen_counter, then finds the bottle at hall_shelf.
+    log = run_episode(lab_scenario, "B", 1).log
+    directed = [
+        a["roi"]
+        for r in log.records if r["kind"] == "event"
+        for a in r["actions"] if a["kind"] == "navigate_to"
+    ]
+    assert directed == [rewrite["kitchen_counter"], rewrite["hall_shelf"]]
+    assert _navigating_rois(log) == directed
+
+
+def test_audit_log_rejects_a_visit_the_policy_did_not_direct(lab_scenario, monkeypatch):
+    real_visit = navigation.visit_roi
+    rois = lab_scenario.rois
+    monkeypatch.setattr(
+        navigation, "visit_roi", lambda session, roi: real_visit(session, rois[-1 - rois.index(roi)])
+    )
+    log = run_episode(lab_scenario, "B", 1).log
+    with pytest.raises(AssertionError, match="visits side_table; the policy directed kitchen_counter"):
+        audit_log(log, lab_scenario)
+
+
+def test_audit_log_rejects_exhausted_before_the_last_roi(tmp_path):
+    doc = json.loads(SCENARIO_PATH.read_text())
+    doc["detector"].update(true_positive_rate=0.0, false_positive_rate=0.0)
+    shutil.copy(SCENARIO_PATH.parent / "lab.map", tmp_path / "lab.map")
+    path = tmp_path / "blind.json"
+    path.write_text(json.dumps(doc))
+    scenario = load_scenario(path)
+    log = run_episode(scenario, "B", 0).log
+    # Drop the last visit, from its navigating note to its miss, so that the
+    # exhausted event follows the next-to-last ROI's miss.
+    records = log.records
+    start = max(i for i, r in enumerate(records) if r.get("note") == "navigating")
+    end = next(
+        i for i, r in enumerate(records)
+        if i > start and r["kind"] == "event" and r["event"]["kind"] == "miss"
+    )
+    early = SessionLog(meta=log.meta, records=records[:start] + records[end + 1 :])
+    with pytest.raises(AssertionError, match="exhausted at roi_index 2 of 3"):
+        audit_log(early, scenario)
 
 
 # ---------------------------------------------------------------------------

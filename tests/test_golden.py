@@ -6,9 +6,10 @@ for seeds 0-11 under conditions A and B.  ``tests/golden/witnesses.json``
 does the same for seeds 0-3 on five edited copies of lab_study (``WITNESSES``)
 that take the paths those seeds never take: an exhausted search, an
 unreachable search location, the time cap, noisy legs and a user who times
-out and denies.  ``tests/golden/orchestrator_walks.json`` holds, per
-orchestrator config, the SHA-256 of the ``harness.random_walk`` traces for
-seeds 0-39.  A change that only makes the simulator faster or smaller must
+out and denies.  Every replayed log is also read back and checked by
+``oracles.audit_log`` against the policy that wrote it.
+``tests/golden/orchestrator_walks.json`` holds, per orchestrator config, the
+SHA-256 of the ``harness.random_walk`` traces for seeds 0-39.  A change that only makes the simulator faster or smaller must
 leave every hash as it is; see the README for when a behaviour change may
 regenerate the files, which
 
@@ -31,7 +32,8 @@ import harness
 from aansim.episode import run_episode
 from aansim.orchestrator import AssistLevel
 from aansim.scenario import load_scenario
-from aansim.session import write_log
+from aansim.session import read_log, write_log
+from oracles import audit_log
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = ROOT / "tests" / "golden" / "lab_study.json"
@@ -99,9 +101,11 @@ def write_witness(name: str, directory: Path) -> Path:
 
 
 def log_sha256(scenario, key: str, path: Path) -> str:
-    """Replay one golden key ("B/7"), write its log to ``path`` and hash the bytes."""
+    """Replay one golden key ("B/7"), write its log to ``path``, audit the log
+    read back, and hash the bytes."""
     cond, seed = key.split("/")
     write_log(run_episode(scenario, cond, int(seed)).log, path)
+    audit_log(read_log(path), scenario)
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

@@ -366,6 +366,17 @@ def test_gesture_actions_degenerate_direction_only_aligns_gaze():
     assert kinds(actions) == [ActionKind.ALIGN_GAZE]
 
 
+@pytest.mark.parametrize(
+    "target",
+    [(2.0, 0.3, 0.9), (0.3, 0.0, 0.9), (-1.0, 0.2, 0.9), orc.ARM_ORIGIN],
+    ids=["ahead", "close", "behind", "arm_origin"],
+)
+def test_every_pointing_path_aligns_gaze_once(target):
+    # The episode spends the gesture time once per align_gaze.
+    actions = orc.gesture_actions(np.array(target), guided_config())
+    assert kinds(actions).count(ActionKind.ALIGN_GAZE) == 1
+
+
 # ---------------------------------------------------------------------------
 # Condition A (passive answers only)
 

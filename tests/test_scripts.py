@@ -30,7 +30,8 @@ def test_show_episode_runs_on_lab_study(capsys, condition, seed):
     assert show_episode.main(["--scenario", str(SCENARIO_PATH), "--condition", condition,
                               "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
-    assert f"condition {condition} | seed {seed}" in out
+    bottle = {0: "kitchen_counter", 1: "hall_shelf"}[seed]
+    assert f"condition {condition} | seed {seed} | bottle at {bottle}" in out
     if (condition, seed) == ("B", 1):
         assert "nothing at kitchen_counter" in out  # the search logged a miss
 
@@ -91,5 +92,13 @@ def test_run_study_bad_scenario_is_one_error_line(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert run_study.main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("scenario error: ") and err.count("\n") == 1
+
+
+def test_show_episode_bad_scenario_is_one_error_line(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert show_episode.main(["--scenario", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and err.count("\n") == 1
