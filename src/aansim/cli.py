@@ -4,13 +4,14 @@ Exit codes: 0 when the session completed (Done), 2 when it ended without
 completion (Aborted or time cap), 1 for usage, scenario, log, questionnaire
 or output errors.  Each error prints one line to stderr; ``main`` turns a
 usage error, and ``guarded`` a ``ScenarioInvalid`` and an ``OSError`` (say,
-an unwritable ``--out``), into exit 1.
+an unwritable ``--out``), into exit 1.  A closed stdout pipe exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -196,11 +197,18 @@ def main(argv: list[str] | None = None) -> int:
 
 def guarded(command, args: argparse.Namespace) -> int:
     """``command(args)``, with a ``ScenarioInvalid`` or an ``OSError`` turned
-    into one line on stderr and ``EXIT_ERROR``."""
+    into one line on stderr and ``EXIT_ERROR``.  A reader that closed stdout
+    early (``| head``) is not a failure: the rest of the output is dropped."""
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ScenarioInvalid as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
     return EXIT_ERROR

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 logger = logging.getLogger(__name__)
 
@@ -256,6 +255,10 @@ def extract_foreground(depth: DepthImage, box: BoundingBox) -> ForegroundMask:
     z_m = float(vals[(len(vals) - 1) // 2])  # lower median, no interpolation
 
     retained = valid & (np.abs(sub - z_m) <= DEFAULT_BAND_HALFWIDTH)
+    # Imported here, not at module load: condition A never segments a frame,
+    # and scipy.ndimage adds about 27 MB and 0.27 s to importing the package.
+    from scipy import ndimage
+
     # The median pixel is always within the band, so at least one component exists.
     labels, n_components = ndimage.label(retained, structure=_CROSS)
 

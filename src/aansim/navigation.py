@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import ndimage
 
 from . import geometry, world
 from .orchestrator import AssistEvent
@@ -94,6 +93,8 @@ def build_costmap(grid: OccupancyGrid, params: NavParams) -> Costmap:
     cost = np.zeros(grid.cells.shape, dtype=np.float64)
     cost[lethal] = LETHAL_COST
     if params.inflation_radius > 0.0 and lethal.any():
+        from scipy import ndimage  # not at module load: condition A builds no costmap
+
         dist = ndimage.distance_transform_edt(~lethal, sampling=grid.resolution)
         band = ~lethal & (dist <= params.inflation_radius)
         inflated = 254.0 * np.exp(-params.cost_decay * (dist - params.robot_radius))

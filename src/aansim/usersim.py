@@ -11,6 +11,7 @@ flagged as confusion events.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -208,30 +209,31 @@ _ATTENTION_WEIGHTS = {Aoi.ROBOT: 0.70, Aoi.BOTTLE: 0.10, Aoi.ELSEWHERE: 0.20}
 _BOTTLE_WEIGHTS = {Aoi.BOTTLE: 0.70, Aoi.ROBOT: 0.10, Aoi.ELSEWHERE: 0.20}
 _MIN_BLOCK_S = 0.4
 _MAX_BLOCK_S = 1.8  # keeps natural off-task runs well under the threshold
+# No fixation block holds more samples than this (nor fewer than 72).
+_MAX_BLOCK_N = round(_MAX_BLOCK_S * GAZE_SAMPLE_RATE_HZ)
+# Weight-table row of a window kind that biases gaze; row 0 is the baseline.
+_WINDOW_ROW = {"attention": 1, "bottle": 2}
 
 
-def _weights_at(t: float, timeline: GazeTimeline) -> dict[Aoi, float]:
-    for window in timeline.windows:
-        if window.t_start <= t < window.t_end:
-            if window.kind == "attention":
-                return _ATTENTION_WEIGHTS
-            if window.kind == "bottle":
-                return _BOTTLE_WEIGHTS
-    return _BASELINE_WEIGHTS
+def _aoi_cdfs() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """AOI codes, running weight sums and totals of each weight table, indexed
+    [row, forbid] where forbid 1 leaves ELSEWHERE out.  Sums run in table
+    order, as a scalar draw adds them; the codes are padded with the last AOI
+    and the sums with +inf, so a draw never runs off the end."""
+    codes = np.zeros((3, 2, len(Aoi)), dtype=np.uint8)
+    sums = np.full((3, 2, len(Aoi)), math.inf)
+    totals = np.zeros((3, 2))
+    for row, weights in enumerate((_BASELINE_WEIGHTS, _ATTENTION_WEIGHTS, _BOTTLE_WEIGHTS)):
+        for forbid in (0, 1):
+            items = [(a, w) for a, w in weights.items() if not (forbid and a is Aoi.ELSEWHERE)]
+            acc = list(itertools.accumulate(w for _, w in items))
+            codes[row, forbid] = [a for a, _ in items] + [items[-1][0]] * (len(Aoi) - len(items))
+            sums[row, forbid, : len(acc)] = acc
+            totals[row, forbid] = acc[-1]
+    return codes, sums, totals
 
 
-def _draw_aoi(
-    weights: dict[Aoi, float], forbid: Aoi | None, rng: np.random.Generator
-) -> Aoi:
-    items = [(a, w) for a, w in weights.items() if a is not forbid]
-    total = sum(w for _, w in items)
-    r = rng.random() * total
-    acc = 0.0
-    for aoi, w in items:
-        acc += w
-        if r <= acc:
-            return aoi
-    return items[-1][0]
+_AOI_CODES, _AOI_SUMS, _AOI_TOTALS = _aoi_cdfs()
 
 
 def gaze_stream(
@@ -255,22 +257,37 @@ def gaze_stream(
     if timeline.duration_s <= 0:
         return np.empty(0, dtype=np.uint8), []
     n = int(math.ceil(timeline.duration_s * rate))
-    codes = np.empty(n, dtype=np.uint8)
 
-    # Fixation blocks: draw AOI per block, never repeating ELSEWHERE so
-    # natural runs stay below one block length.
+    # Fixation blocks: each takes two draws, its AOI and its duration.  A
+    # chunk draws ceil(left / _MAX_BLOCK_N) blocks at once: all of them are
+    # needed, so the generator ends where one draw per AOI and per duration
+    # would leave it.
+    aoi_draws, counts = [], []
     k = 0
-    prev: Aoi | None = None
-    t_block = 0.0
     while k < n:
-        forbid = Aoi.ELSEWHERE if prev is Aoi.ELSEWHERE else None
-        aoi = _draw_aoi(_weights_at(t_block, timeline), forbid, rng)
-        dur = rng.uniform(_MIN_BLOCK_S, _MAX_BLOCK_S)
-        count = max(1, int(round(dur * rate)))
-        codes[k : k + count] = aoi
-        k += count
-        prev = aoi
-        t_block += count / rate
+        draws = rng.random(2 * math.ceil((n - k) / _MAX_BLOCK_N))
+        aoi_draws.append(draws[0::2])
+        counts.append(np.round((_MIN_BLOCK_S + (_MAX_BLOCK_S - _MIN_BLOCK_S) * draws[1::2]) * rate))
+        k += int(counts[-1].sum())
+    count = np.concatenate(counts)
+    # A block's AOI is weighted by the first attention or bottle window that
+    # holds its start time (summed block by block from 0, as a clock would),
+    # and never repeats ELSEWHERE, so natural runs stay below one block length.
+    t = np.cumsum(np.concatenate(([0.0], count[:-1] / rate)))
+    windows = [w for w in timeline.windows if w.kind in _WINDOW_ROW]
+    # Start times rise, so the blocks a window holds are one slice of them.
+    spans = np.searchsorted(t, [(w.t_start, w.t_end) for w in windows]).tolist()
+    row = np.zeros(len(count), dtype=np.intp)
+    for w, (i0, i1) in reversed(list(zip(windows, spans))):  # so the first window wins
+        row[i0:i1] = _WINDOW_ROW[w.kind]
+    r = np.concatenate(aoi_draws)[:, None] * _AOI_TOTALS[row]  # (blocks, forbid)
+    pick = _AOI_CODES[row[:, None], (0, 1), (r[..., None] > _AOI_SUMS[row]).sum(-1)]
+    aois: list[int] = []
+    prev, elsewhere = None, int(Aoi.ELSEWHERE)
+    for free, forbidden in pick.tolist():
+        prev = forbidden if prev == elsewhere else free
+        aois.append(prev)
+    codes = np.repeat(np.array(aois, dtype=np.uint8), count.astype(np.intp))[:n]
 
     # Inject sustained off-task runs inside candidate windows.
     inserted: list[tuple[float, float]] = []

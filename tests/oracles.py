@@ -6,8 +6,11 @@ scorer.  They share only input data (costmaps, parameter dataclasses) with
 the library, never its planning code.  ``render_reference`` keeps the
 straightforward (N, 3) ray caster that the library's per-axis renderer must
 match bit for bit, and ``project`` is the pinhole projection that
-back-projection must invert.  ``audit_log`` replays a session log through
-the pure policy and checks that the episode carried out what it directed.
+back-projection must invert.  ``gaze_stream_reference`` draws the gaze
+stream one fixation block at a time, two scalar draws per block, which the
+library's chunked draw must match bit for bit.  ``audit_log`` replays a
+session log through the pure policy and checks that the episode carried out
+what it directed.
 """
 
 import heapq
@@ -15,7 +18,7 @@ import math
 
 import numpy as np
 
-from aansim import world
+from aansim import usersim, world
 from aansim.geometry import GeometryError
 from aansim.navigation import Costmap, DwaParams, GlobalPath, lookahead_point
 from aansim.orchestrator import (
@@ -200,6 +203,72 @@ def max_offtask_gap(
             continue
         out.append((t0, t1))
     return out
+
+
+def _weights_at_reference(t: float, timeline) -> dict:
+    """The weight table of the first attention or bottle window holding ``t``."""
+    for window in timeline.windows:
+        if window.t_start <= t < window.t_end:
+            if window.kind == "attention":
+                return usersim._ATTENTION_WEIGHTS
+            if window.kind == "bottle":
+                return usersim._BOTTLE_WEIGHTS
+    return usersim._BASELINE_WEIGHTS
+
+
+def _draw_aoi_reference(weights: dict, forbid, rng) -> Aoi:
+    items = [(a, w) for a, w in weights.items() if a is not forbid]
+    total = sum(w for _, w in items)
+    r = rng.random() * total
+    acc = 0.0
+    for aoi, w in items:
+        acc += w
+        if r <= acc:
+            return aoi
+    return items[-1][0]
+
+
+def gaze_stream_reference(timeline, profile, rng) -> tuple[np.ndarray, list[tuple[float, float]]]:
+    """``usersim.gaze_stream`` drawn one fixation block at a time: one
+    ``rng.random()`` for the block's AOI and one ``rng.uniform`` for its
+    duration, with the window scan and the forbid-``ELSEWHERE`` rule applied
+    per block.  The confusion-injection tail is a copy of the library's."""
+    rate = usersim.GAZE_SAMPLE_RATE_HZ
+    if timeline.duration_s <= 0:
+        return np.empty(0, dtype=np.uint8), []
+    n = int(math.ceil(timeline.duration_s * rate))
+    codes = np.empty(n, dtype=np.uint8)
+
+    k = 0
+    prev = None
+    t_block = 0.0
+    while k < n:
+        forbid = Aoi.ELSEWHERE if prev is Aoi.ELSEWHERE else None
+        aoi = _draw_aoi_reference(_weights_at_reference(t_block, timeline), forbid, rng)
+        dur = rng.uniform(usersim._MIN_BLOCK_S, usersim._MAX_BLOCK_S)
+        count = max(1, int(round(dur * rate)))
+        codes[k : k + count] = aoi
+        k += count
+        prev = aoi
+        t_block += count / rate
+
+    inserted: list[tuple[float, float]] = []
+    for window in timeline.windows:
+        if window.kind != "confusion_candidate":
+            continue
+        if rng.random() >= profile.p_struggle:
+            continue
+        run_s = usersim.DEFAULT_CONFUSION_THRESHOLD_S + 1.0 + rng.uniform(0.0, 1.0)
+        start_t = window.t_start + rng.uniform(
+            0.0, max(0.0, (window.t_end - window.t_start) - run_s)
+        )
+        k0 = int(math.ceil(start_t * rate))
+        k1 = min(n - 1, k0 + int(round(run_s * rate)) - 1)
+        if k1 - k0 < 1:
+            continue
+        codes[k0 : k1 + 1] = Aoi.ELSEWHERE
+        inserted.append((k0 / rate, k1 / rate))
+    return codes, inserted
 
 
 # ---------------------------------------------------------------------------

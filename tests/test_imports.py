@@ -1,8 +1,12 @@
 """Stdlib ``ast`` scans of the source tree: every imported name is used,
 every module-level name of the package has a caller outside the tests, and
-every dataclass field of the package is read outside the tests."""
+every dataclass field of the package is read outside the tests.  Also: a
+condition-A run imports no scipy submodule."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -202,3 +206,35 @@ def test_every_dataclass_field_has_a_production_reader():
         for path in sorted((ROOT / top).rglob("*.py"))
     }
     assert sorted(unread_fields(files)) == sorted(UNREAD_FIELDS_ALLOWED)
+
+
+# Loaded modules after each stage of a fresh process: the package, the
+# scenario and ten condition-A episodes, then one condition-B episode.
+_SCIPY_PROBE = """
+import sys
+import aansim.cli
+from aansim.episode import run_episode
+from aansim.scenario import load_scenario
+
+def loaded():
+    return [m for m in ("scipy.ndimage", "scipy.stats") if m in sys.modules]
+
+scenario = load_scenario(sys.argv[1])
+for seed in range(10):
+    run_episode(scenario, "A", seed)
+print(loaded())
+run_episode(scenario, "B", 0)
+print(loaded())
+"""
+
+
+def test_condition_a_imports_no_scipy_submodule():
+    # scipy.ndimage adds about 27 MB and 0.27 s to a process; only the
+    # costmap and the foreground segmentation of condition B need it.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(ROOT / "scenarios" / "lab_study.json")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.splitlines() == ["[]", "['scipy.ndimage']"]

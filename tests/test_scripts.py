@@ -4,7 +4,10 @@ and ``run_study.py`` writes the same files as ``aansim batch``."""
 
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -102,3 +105,22 @@ def test_show_episode_bad_scenario_is_one_error_line(tmp_path, capsys):
     assert show_episode.main(["--scenario", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("scenario error: ") and err.count("\n") == 1
+
+
+def test_show_episode_to_a_closed_pipe_exits_quietly():
+    # `show_episode.py | head -3`, made deterministic: the reader end of the
+    # pipe is closed before the script writes its first line.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(SCENARIO_PATH.parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(SCENARIO_PATH.parent.parent / "scripts" / "show_episode.py"),
+             "--scenario", str(SCENARIO_PATH), "--seed", "0"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

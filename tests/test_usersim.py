@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
+from aansim import seeding
 from aansim import usersim as us
+from aansim.episode import run_episode
 from aansim.orchestrator import GuidanceStep, interpret, IntentKind
 
-from oracles import max_offtask_gap
+from oracles import gaze_stream_reference, max_offtask_gap
 
 
 def profile(**over):
@@ -214,6 +218,102 @@ def test_gaze_stream_is_deterministic():
     b, ib = us.gaze_stream(timeline, profile(p_struggle=0.7), rng(9))
     assert ia == ib
     assert np.array_equal(a, b)
+
+
+@pytest.fixture(scope="module")
+def lab_timelines(lab_scenario):
+    """The gaze timeline and profile of lab_study seeds 0-99 under A and B,
+    captured from ``run_episode``."""
+    captured = []
+    real = us.gaze_stream
+
+    def capture(timeline, user, gaze_rng):
+        captured.append((timeline, user))
+        return real(timeline, user, gaze_rng)
+
+    us.gaze_stream = capture
+    try:
+        for seed in range(100):
+            for condition in ("A", "B"):
+                run_episode(lab_scenario, condition, seed)
+    finally:
+        us.gaze_stream = real
+    return captured
+
+
+def assert_matches_reference(timeline, user, seed):
+    """Codes, injected runs and the generator's next draw equal the per-block oracle's."""
+    ours, ref = seeding.stream(seed, "A", "gaze"), seeding.stream(seed, "A", "gaze")
+    codes, inserted = us.gaze_stream(timeline, user, ours)
+    ref_codes, ref_inserted = gaze_stream_reference(timeline, user, ref)
+    assert codes.dtype == ref_codes.dtype
+    assert codes.tobytes() == ref_codes.tobytes()
+    assert inserted == ref_inserted
+    assert ours.random() == ref.random()  # both consumed the same number of draws
+
+
+def test_gaze_stream_matches_reference_on_lab_study(lab_timelines):
+    assert len(lab_timelines) == 200
+    for seed, (timeline, user) in enumerate(lab_timelines):
+        assert_matches_reference(timeline, user, seed)
+
+
+def _ends_on_block_boundary(seed: int) -> float:
+    """A duration whose last sample closes a fixation block of the stream ``seed``."""
+    draws = seeding.stream(seed, "A", "gaze").random(40)
+    durations = us._MIN_BLOCK_S + (us._MAX_BLOCK_S - us._MIN_BLOCK_S) * draws[1::2]
+    counts = np.round(durations * us.GAZE_SAMPLE_RATE_HZ)
+    for n in np.cumsum(counts).astype(int).tolist():
+        duration = n / us.GAZE_SAMPLE_RATE_HZ
+        if math.ceil(duration * us.GAZE_SAMPLE_RATE_HZ) == n:
+            return duration
+    raise AssertionError("no block boundary is an exact sample count")
+
+
+def _w(kind, t0, t1):
+    return us.GazeWindow(kind, t0, t1)
+
+
+EDGE_TIMELINES = {
+    "one_sample": us.GazeTimeline(0.001),
+    "ends_on_block_boundary": None,  # per seed, from _ends_on_block_boundary
+    "attention_then_bottle": us.GazeTimeline(
+        20.0, (_w("attention", 1.0, 9.0), _w("bottle", 5.0, 14.0))),
+    "bottle_then_attention": us.GazeTimeline(
+        20.0, (_w("bottle", 1.0, 9.0), _w("attention", 5.0, 14.0))),
+    "window_past_duration": us.GazeTimeline(
+        10.0, (_w("bottle", 12.0, 20.0), _w("confusion_candidate", 11.0, 19.0))),
+    "zero_width_window": us.GazeTimeline(
+        10.0, (_w("attention", 3.0, 3.0), _w("bottle", 0.0, 0.0))),
+    "confusion_at_end": us.GazeTimeline(
+        12.0, (_w("confusion_candidate", 6.0, 12.0), _w("confusion_candidate", 11.99, 12.0))),
+    "long_mixed": us.GazeTimeline(400.0, (
+        _w("attention", 0.0, 30.0), _w("confusion_candidate", 20.0, 60.0),
+        _w("bottle", 25.0, 90.0), _w("attention", 80.0, 81.0), _w("bottle", 200.0, 399.5))),
+}
+
+
+@pytest.mark.parametrize("p_struggle", [0.0, 1.0])
+@pytest.mark.parametrize("case", sorted(EDGE_TIMELINES))
+def test_gaze_stream_matches_reference_on_edge_cases(case, p_struggle):
+    user = profile(p_struggle=p_struggle)
+    for seed in range(25):
+        timeline = EDGE_TIMELINES[case] or us.GazeTimeline(_ends_on_block_boundary(seed))
+        assert_matches_reference(timeline, user, seed)
+
+
+def test_batched_uniform_map_equals_generator_uniform():
+    # gaze_stream draws block durations in bulk as lo + (hi - lo) * random();
+    # a numpy build whose Generator.uniform rounds differently would change
+    # every log, so it must fail here first.
+    lo, hi = us._MIN_BLOCK_S, us._MAX_BLOCK_S
+    d = seeding.stream(7, "A", "gaze").random(2_000_000)
+    assert np.array_equal(lo + (hi - lo) * d, seeding.stream(7, "A", "gaze").uniform(lo, hi, d.size))
+    # Scalar calls interleaved with random(), as one draw per block pair each.
+    # (1M scalar pairs take seconds; the element routine is the one checked above.)
+    rng = seeding.stream(7, "A", "gaze")
+    interleaved = [(rng.random(), rng.uniform(lo, hi))[1] for _ in range(100_000)]
+    assert np.array_equal(np.array(interleaved), lo + (hi - lo) * d[1:200_000:2])
 
 
 # ---------------------------------------------------------------------------
