@@ -94,7 +94,7 @@ def _show(args: argparse.Namespace) -> int:
     locate = "censored" if sm.censored else f"{sm.time_to_locate_s:.1f}s"
     print(
         f"{status}; time to locate {locate}; {sm.interaction_rounds} interaction "
-        f"rounds; {len(result.confusion_events)} confusion events"
+        f"rounds; {sm.confusion_events} confusion events"
     )
     return 0
 

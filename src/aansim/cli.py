@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .episode import run_episode
-from .scenario import Scenario, ScenarioInvalid, load_scenario
+from .scenario import ScenarioInvalid, load_scenario
 from .session import CONDITIONS, LogInvalid, read_log, validate_log, write_log
 
 EXIT_OK = 0
@@ -64,40 +64,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"{scenario.name} condition {args.condition} seed {args.seed}: {status}; "
         f"time to locate {locate}; {m.interaction_rounds} interaction rounds; "
-        f"{len(result.confusion_events)} confusion events; log {log_path}"
+        f"{m.confusion_events} confusion events; log {log_path}"
     )
     return EXIT_OK if m.completed else EXIT_INCOMPLETE
 
 
-def run_batch(
-    scenario: Scenario, seeds: range, out_dir: Path
-) -> tuple[list[metrics_mod.SessionMetrics], list[int], str]:
-    """Run conditions A and B for every seed; write each log, summary.csv and report.txt.
-
-    Returns the session metrics and confusion-event counts, both in
-    (seed, condition) order, and the report text.
-    """
+def _cmd_batch(args: argparse.Namespace) -> int:
+    """Run conditions A and B for every seed; write each log, summary.csv and report.txt."""
+    scenario = load_scenario(args.scenario)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sessions = []
-    confusion = []
-    for seed in seeds:
+    for seed in range(args.seed_start, args.seed_start + args.seeds):
         for condition in CONDITIONS:
             result = run_episode(scenario, condition, seed)
             write_log(result.log, out_dir / _log_name(scenario.name, condition, seed))
             sessions.append(metrics_mod.session_metrics(result.log))
-            confusion.append(len(result.confusion_events))
     metrics_mod.write_summary_csv(sessions, out_dir / "summary.csv")
     report = metrics_mod.render_report(sessions)
     (out_dir / "report.txt").write_text(report, encoding="utf-8")
-    return sessions, confusion, report
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    out_dir = Path(args.out)
-    sessions, _, report = run_batch(
-        scenario, range(args.seed_start, args.seed_start + args.seeds), out_dir
-    )
     print(report, end="")
     print(f"\n{len(sessions)} sessions -> {out_dir}/summary.csv, {out_dir}/report.txt")
     return EXIT_OK
@@ -131,13 +116,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         key_log[key] = path
         sessions.append(metrics_mod.session_metrics(log))
 
-    questionnaires: dict[str, dict[str, list[float]]] = {}
+    questionnaires: dict[metrics_mod.Questionnaire, dict[str, list[tuple[float, ...]]]] = {}
     try:
         for spec, path in ((metrics_mod.TLX, args.tlx), (metrics_mod.USABILITY, args.usability)):
             if path:
-                scores = questionnaires[spec.name] = {}
+                rows = questionnaires[spec] = {}
                 for _participant, condition, values in spec.load(path):
-                    scores.setdefault(condition, []).append(spec.score(values))
+                    rows.setdefault(condition, []).append(values)
     except (ValueError, OSError) as exc:
         print(f"questionnaire error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -6,8 +6,10 @@ items as scale_max + 1 - x, rescales to 0..100 as (x - 1) / (scale_max - 1)
 1..10, ``USABILITY`` five items on 1..5 with q2 and q4 reverse-coded.
 Internal consistency is Cronbach's alpha with population (ddof=0)
 variances.  Session-level outcomes (time to locate the bottle, interaction
-rounds, completion) are extracted from session logs, then aggregated per
-condition with mean, median, quartiles and a Student-t confidence interval.
+rounds, completion, confusion events) are extracted from session logs, then
+aggregated per condition with mean, median, quartiles and a Student-t
+confidence interval, and compared seed by seed over the seeds run under both
+conditions.
 """
 
 from __future__ import annotations
@@ -68,61 +70,51 @@ class SessionMetrics:
     censored: bool  # bottle never located; time is the session's last record
     interaction_rounds: int
     completed: bool
-
-
-def _locate_time(log: SessionLog) -> float | None:
-    """Time the bottle was first located, or None if it never was.
-
-    Guided sessions locate when the robot's search reports a find; passive
-    sessions locate when the user first looks at or opens the bottle.
-    """
-    for record in log.records:
-        if record["kind"] != "event":
-            continue
-        event = record["event"]
-        if event.get("kind") == "found":
-            return float(record["t"])
-        if event.get("kind") == "user_action" and event.get("action") in (
-            "looks_at_bottle",
-            "opens_bottle",
-        ):
-            return float(record["t"])
-    return None
+    confusion_events: int  # from the gaze_summary note; 0 when a log has none
 
 
 def session_metrics(log: SessionLog) -> SessionMetrics:
-    """Extract outcome measures from one session log."""
-    t0 = 0.0
-    for record in log.records:
-        if record["kind"] == "event" and record["event"].get("kind") == "schedule_due":
-            t0 = float(record["t"])
-            break
-    located = _locate_time(log)
-    censored = located is None
-    if censored:
-        # The gaze summary is stamped after the session ends, so it does not count.
-        located = next(
-            (float(r["t"]) for r in reversed(log.records) if r.get("note") != "gaze_summary"), 0.0
-        )
-    time_to_locate = located - t0
-    rounds = 0
+    """Extract outcome measures from one session log.
+
+    Time to locate runs from the first ``schedule_due`` event (or 0) to the
+    first find: guided sessions locate when the robot's search reports a find,
+    passive sessions when the user first looks at or opens the bottle.  A
+    session that never locates is censored at its last record; the gaze
+    summary, stamped after the session ends, does not count.
+    """
+    t0 = located = None
+    end = 0.0
+    rounds = confusion = 0
     completed = False
     for record in log.records:
+        if record.get("note") == "gaze_summary":
+            confusion = len(record["data"]["confusion_events"])
+            continue
+        end = float(record["t"])
         if record["kind"] != "event":
             continue
-        if record["event"].get("kind") == "record_pressed" and any(
-            a.get("kind") == "speak" for a in record["actions"]
-        ):
+        event = record["event"]
+        kind = event.get("kind")
+        if kind == "schedule_due" and t0 is None:
+            t0 = end
+        found = kind == "found" or (
+            kind == "user_action" and event.get("action") in ("looks_at_bottle", "opens_bottle")
+        )
+        if found and located is None:
+            located = end
+        if kind == "record_pressed" and any(a.get("kind") == "speak" for a in record["actions"]):
             rounds += 1
         if record["state"].get("phase") == "done":
             completed = True
+    censored = located is None
     return SessionMetrics(
         condition=str(log.meta["condition"]),
         seed=int(log.meta["seed"]),
-        time_to_locate_s=float(time_to_locate),
+        time_to_locate_s=(end if censored else located) - (t0 or 0.0),
         censored=censored,
         interaction_rounds=rounds,
         completed=completed,
+        confusion_events=confusion,
     )
 
 
@@ -172,8 +164,41 @@ def aggregate(sessions: list[SessionMetrics]) -> dict[str, dict[str, Summary]]:
             "time_to_locate_s": summarize(s.time_to_locate_s for s in group),
             "interaction_rounds": summarize(float(s.interaction_rounds) for s in group),
             "completed": summarize(1.0 if s.completed else 0.0 for s in group),
+            "confusion_events": summarize(float(s.confusion_events) for s in group),
         }
     return out
+
+
+@dataclass(frozen=True)
+class PairedSigns:
+    """Sign counts over the seeds run under both conditions (a seed fixes the
+    bottle's placement for A and B alike)."""
+
+    pairs: int
+    decided: int  # pairs whose faster condition censoring does not hide
+    b_faster: int  # decided pairs where B located the bottle first
+    b_more_rounds: int  # pairs where B used more interaction rounds
+
+
+def paired_signs(sessions: list[SessionMetrics]) -> PairedSigns:
+    """Count B-versus-A signs seed by seed.
+
+    A censored time is only a lower bound, so a pair's order is known only
+    when its lower time is uncensored (at a tie, when either is): B is faster
+    when its time is lower, or equal to a censored A.
+    """
+    by_seed: dict[int, dict[str, SessionMetrics]] = {}
+    for s in sessions:
+        by_seed.setdefault(s.seed, {})[s.condition] = s
+    pairs = [(p["A"], p["B"]) for p in by_seed.values() if len(p) == 2]
+    decided = b_faster = 0
+    for a, b in pairs:
+        ka, kb = (a.time_to_locate_s, a.censored), (b.time_to_locate_s, b.censored)
+        if not min(ka, kb)[1]:
+            decided += 1
+            b_faster += kb < ka
+    b_more_rounds = sum(b.interaction_rounds > a.interaction_rounds for a, b in pairs)
+    return PairedSigns(len(pairs), decided, b_faster, b_more_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +289,11 @@ def _fmt_ci(ci: tuple[float, float] | None) -> str:
 
 
 def render_report(
-    sessions: list[SessionMetrics], questionnaires: dict[str, dict[str, list[float]]] | None = None
+    sessions: list[SessionMetrics],
+    questionnaires: dict[Questionnaire, dict[str, list[tuple[float, ...]]]] | None = None,
 ) -> str:
-    """Plain-text condition comparison table, then each questionnaire's scores by condition."""
+    """Plain-text condition comparison table, the paired sign counts, then each
+    questionnaire's scores and alpha by condition (from its rows of item values)."""
     agg = aggregate(sessions)
     lines: list[str] = []
     header = f"{'measure':<28}" + "".join(f"{c:>26}" for c in agg)
@@ -280,6 +307,7 @@ def render_report(
     for measure, label in (
         ("time_to_locate_s", "time to locate (s)"),
         ("interaction_rounds", "interaction rounds"),
+        ("confusion_events", "confusion events"),
     ):
         row(f"{label} mean", lambda c, m=measure: f"{agg[c][m].mean:.2f}")
         row(f"{label} median", lambda c, m=measure: f"{agg[c][m].median:.2f}")
@@ -290,14 +318,29 @@ def render_report(
         row(f"{label} 95% CI", lambda c, m=measure: _fmt_ci(agg[c][m].ci95))
     row("completion rate", lambda c: f"{agg[c]['completed'].mean:.2f}")
 
-    for name, scores in (questionnaires or {}).items():
-        if not scores:
+    signs = paired_signs(sessions)
+    if signs.pairs:
+        lines.append("")
+        lines.append(
+            f"B located faster in {signs.b_faster} of {signs.decided} decided pairs "
+            f"({signs.pairs - signs.decided} hidden by censoring)"
+        )
+        lines.append(
+            f"B used more interaction rounds in {signs.b_more_rounds} of {signs.pairs} pairs"
+        )
+
+    for spec, rows in (questionnaires or {}).items():
+        if not rows:
             continue
         lines.append("")
-        for condition in sorted(scores):
-            s = summarize(scores[condition])
+        for condition in sorted(rows):
+            s = summarize(spec.score(v) for v in rows[condition])
+            try:
+                alpha = f"{cronbach_alpha([spec.adjusted(v) for v in rows[condition]]):.2f}"
+            except DegenerateData:
+                alpha = "-"
             lines.append(
-                f"{name} ({condition}): mean {s.mean:.2f}, median {s.median:.2f}, "
-                f"IQR {s.q1:.2f}..{s.q3:.2f}, 95% CI {_fmt_ci(s.ci95)} (n={s.n})"
+                f"{spec.name} ({condition}): mean {s.mean:.2f}, median {s.median:.2f}, "
+                f"IQR {s.q1:.2f}..{s.q3:.2f}, 95% CI {_fmt_ci(s.ci95)}, alpha {alpha} (n={s.n})"
             )
     return "\n".join(lines) + "\n"

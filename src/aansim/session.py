@@ -133,5 +133,9 @@ def validate_log(log: SessionLog) -> None:
                     raise LogInvalid(f"{where}: {key!r} must be a JSON object")
             if not all(isinstance(a, dict) for a in record["actions"]):
                 raise LogInvalid(f"{where}: each action must be a JSON object")
-        elif kind == "note" and "note" not in record:
+        elif "note" not in record:
             raise LogInvalid(f"{where}: note records need key 'note'")
+        elif record["note"] == "gaze_summary":  # the report counts its confusion events
+            data = record.get("data")
+            if not isinstance(data, dict) or not isinstance(data.get("confusion_events"), list):
+                raise LogInvalid(f"{where}: gaze_summary needs a 'data.confusion_events' list")

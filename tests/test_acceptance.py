@@ -275,22 +275,20 @@ def test_criterion_5_directional_study_effects(lab_scenario):
         assert lab_scenario.profile.name == "misplaces"
         times = {"A": [], "B": []}
         rounds = {"A": [], "B": []}
-        faster = more_rounds = 0
+        sessions = []
         n_pairs = 30
         for seed in range(n_pairs):
-            by_cond = {}
             for cond in ("A", "B"):
                 sm = m.session_metrics(run_episode(lab_scenario, cond, seed).log)
                 assert sm.completed
                 times[cond].append(sm.time_to_locate_s)
                 rounds[cond].append(sm.interaction_rounds)
-                by_cond[cond] = sm
-            if by_cond["B"].time_to_locate_s < by_cond["A"].time_to_locate_s:
-                faster += 1
-            if by_cond["B"].interaction_rounds > by_cond["A"].interaction_rounds:
-                more_rounds += 1
+                sessions.append(sm)
         med_t = {c: statistics.median(times[c]) for c in ("A", "B")}
         med_r = {c: statistics.median(rounds[c]) for c in ("A", "B")}
+        signs = m.paired_signs(sessions)
+        faster, more_rounds = signs.b_faster, signs.b_more_rounds
+        assert signs.pairs == n_pairs
         # Guidance must find the bottle faster but spend more exchanges.
         assert med_t["B"] < med_t["A"], med_t
         assert med_r["B"] > med_r["A"], med_r

@@ -4,6 +4,7 @@ import json
 import math
 import shlex
 import shutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -321,6 +322,31 @@ def test_cli_report_rejects_tampered_log(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "data",
+    [{"n_samples": 1}, {"confusion_events": 2}, None],
+    ids=["missing_events", "events_not_a_list", "no_data"],
+)
+def test_cli_report_rejects_a_gaze_summary_without_an_event_list(tmp_path, capsys, data):
+    _run_a(SCENARIO_PATH, 0, tmp_path)
+    capsys.readouterr()
+    log_path = tmp_path / "lab_study_A_seed0000.jsonl"
+    lines = log_path.read_text().splitlines()
+    record = json.loads(lines[-1])
+    assert record["note"] == "gaze_summary"
+    if data is None:
+        del record["data"]
+    else:
+        record["data"] = data
+    lines[-1] = json.dumps(record)
+    log_path.write_text("\n".join(lines) + "\n")
+    rc = cli.main(["report", "--logs", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_ERROR
+    assert err.startswith(f"invalid log {log_path}: ") and err.count("\n") == 1
+    assert "gaze_summary needs a 'data.confusion_events' list" in err
+
+
+@pytest.mark.parametrize(
     "condition, meta_seed, t, message",
     [
         ('"A"', '"x"', "1.0", "'seed' must be an integer"),
@@ -357,7 +383,13 @@ def test_cli_report_with_questionnaires(tmp_path, capsys):
         "p1,B,2,2,2,2,2,2\n"
     )
     usab = tmp_path / "usab.csv"
-    usab.write_text("participant,condition,q1,q2,q3,q4,q5\np1,B,5,1,4,2,4\n")
+    # Condition A's items after reversing q2 and q4: (5,4,5,4,5), (3,3,4,2,3),
+    # (2,2,1,2,3).  Item variances sum to 62/9 and the totals' variance is
+    # 258/9, so alpha = 5/4 * (1 - 62/258) = 0.9496.
+    usab.write_text(
+        "participant,condition,q1,q2,q3,q4,q5\np1,B,5,1,4,2,4\n"
+        "p2,A,5,2,5,2,5\np3,A,3,3,4,4,3\np4,A,2,4,1,4,3\n"
+    )
     out_file = tmp_path / "report.txt"
     rc = cli.main(
         ["report", "--logs", str(out_dir), "--tlx", str(tlx),
@@ -367,6 +399,10 @@ def test_cli_report_with_questionnaires(tmp_path, capsys):
     text = out_file.read_text()
     assert "workload (B): mean 11.11" in text
     assert "usability (B): mean 85.00" in text
+    alpha = Fraction(5, 4) * (1 - Fraction(62, 258))
+    assert "usability (A): mean 55.00, " in text
+    assert f"alpha {float(alpha):.2f} (n=3)" in text
+    assert "alpha - (n=1)" in text  # one respondent: no alpha
 
 
 def test_cli_report_header_only_questionnaire_adds_no_lines(tmp_path, capsys):
@@ -449,12 +485,13 @@ def test_cli_help_exits_zero(capsys):
     assert "--scenario" in capsys.readouterr().out
 
 
-def test_cli_run_out_is_a_file_is_one_error_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "argv", [["run", "--condition", "A"], ["batch", "--seeds", "1"]], ids=["run", "batch"]
+)
+def test_cli_run_out_is_a_file_is_one_error_line(tmp_path, capsys, argv):
     taken = tmp_path / "taken"
     taken.write_text("")
-    rc = cli.main(
-        ["run", "--scenario", str(SCENARIO_PATH), "--condition", "A", "--out", str(taken)]
-    )
+    rc = cli.main([*argv, "--scenario", str(SCENARIO_PATH), "--out", str(taken)])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_ERROR
     assert err.startswith("error: ") and err.count("\n") == 1

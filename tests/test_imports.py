@@ -58,10 +58,7 @@ def test_no_unused_imports():
 # Where a package name may be used; tests do not count as a production path.
 PRODUCTION = ("src/aansim", "scripts", "perfbench")
 # Module-level names that only tests reach, each on purpose.
-TEST_ONLY_ALLOWED = {
-    # The study report does not score questionnaire reliability yet (ROADMAP item 6).
-    "metrics.cronbach_alpha",
-}
+TEST_ONLY_ALLOWED: set[str] = set()
 
 
 def module_definitions(source: str) -> list[tuple[str, int, int]]:

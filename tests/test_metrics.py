@@ -206,6 +206,7 @@ def test_session_metrics_guided_locate_time_and_rounds():
     assert not sm.censored
     assert sm.interaction_rounds == 3  # the three answered record/press rounds
     assert sm.completed
+    assert sm.confusion_events == 0  # a log without a gaze summary still scores
 
 
 def test_session_metrics_passive_locate_via_user_action():
@@ -232,8 +233,12 @@ def test_session_metrics_censored_when_never_located():
             (600.0, _ev("exhausted"), [], {"phase": "aborted", "assist_level": 3}),
         ]
     )
-    log.add_note(601.0, "gaze_summary", n_samples=0, inserted_runs=[], confusion_events=[])
+    log.add_note(
+        601.0, "gaze_summary", n_samples=0, inserted_runs=[],
+        confusion_events=[[10.0, 25.5], [300.0, 330.0]],
+    )
     sm = m.session_metrics(log)
+    assert sm.confusion_events == 2
     assert sm.censored
     # Censored sessions carry the session's end as a lower bound on the time;
     # the gaze summary stamped after it does not count.
@@ -243,10 +248,10 @@ def test_session_metrics_censored_when_never_located():
 
 def test_aggregate_groups_by_condition():
     sessions = [
-        m.SessionMetrics("A", 0, 90.0, False, 3, True),
-        m.SessionMetrics("A", 1, 100.0, False, 2, True),
-        m.SessionMetrics("B", 0, 30.0, False, 5, True),
-        m.SessionMetrics("B", 1, 28.0, False, 6, True),
+        m.SessionMetrics("A", 0, 90.0, False, 3, True, 0),
+        m.SessionMetrics("A", 1, 100.0, False, 2, True, 0),
+        m.SessionMetrics("B", 0, 30.0, False, 5, True, 0),
+        m.SessionMetrics("B", 1, 28.0, False, 6, True, 0),
     ]
     agg = m.aggregate(sessions)
     assert set(agg) == {"A", "B"}
@@ -254,6 +259,28 @@ def test_aggregate_groups_by_condition():
     assert agg["B"]["time_to_locate_s"].mean == pytest.approx(29.0)
     assert agg["B"]["interaction_rounds"].median == pytest.approx(5.5)
     assert agg["A"]["completed"].mean == 1.0
+
+
+def test_paired_signs_count_only_pairs_censoring_leaves_ordered():
+    def s(condition, seed, t, censored, rounds):
+        return m.SessionMetrics(condition, seed, t, censored, rounds, True, 0)
+
+    sessions = [
+        s("A", 0, 90.0, False, 2), s("B", 0, 30.0, False, 5),  # B faster, observed
+        s("A", 1, 60.0, True, 3), s("B", 1, 40.0, False, 3),  # B before A's censoring
+        s("A", 2, 60.0, True, 2), s("B", 2, 70.0, False, 4),  # B after A's censoring: hidden
+        s("A", 3, 60.0, True, 2), s("B", 3, 60.0, False, 4),  # tie with a censored A: B first
+        s("A", 4, 20.0, False, 4), s("B", 4, 50.0, True, 5),  # A observed first, B censored
+        s("A", 5, 60.0, True, 2), s("B", 5, 60.0, True, 6),  # both censored: hidden
+        s("A", 6, 45.0, False, 3), s("B", 6, 45.0, False, 2),  # an observed tie: not faster
+        s("A", 7, 80.0, False, 2),  # no B session: not a pair
+        s("B", 8, 25.0, False, 5),  # no A session: not a pair
+    ]
+    signs = m.paired_signs(sessions)
+    assert signs == m.PairedSigns(pairs=7, decided=5, b_faster=3, b_more_rounds=5)
+    text = m.render_report(sessions)
+    assert "B located faster in 3 of 5 decided pairs (2 hidden by censoring)" in text
+    assert "B used more interaction rounds in 5 of 7 pairs" in text
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +346,10 @@ def test_load_usability_csv_round_trip(tmp_path):
 
 def test_write_summary_csv_and_render_report(tmp_path):
     sessions = [
-        m.SessionMetrics("A", 0, 91.8, False, 3, True),
-        m.SessionMetrics("A", 1, 92.0, False, 3, True),
-        m.SessionMetrics("B", 0, 29.7, False, 5, True),
-        m.SessionMetrics("B", 1, 30.1, False, 6, True),
+        m.SessionMetrics("A", 0, 91.8, False, 3, True, 0),
+        m.SessionMetrics("A", 1, 92.0, False, 3, True, 0),
+        m.SessionMetrics("B", 0, 29.7, False, 5, True, 0),
+        m.SessionMetrics("B", 1, 30.1, False, 6, True, 0),
     ]
     out = tmp_path / "summary.csv"
     m.write_summary_csv(sessions, out)
@@ -331,11 +358,13 @@ def test_write_summary_csv_and_render_report(tmp_path):
     assert {r["condition"] for r in rows} == {"A", "B"}
     text = m.render_report(
         sessions,
-        {"workload": {"A": [100 / 9], "B": [150 / 9]}, "usability": {"B": [85.0]}},
+        {m.TLX: {"A": [(2,) * 6], "B": [(2.5,) * 6]}, m.USABILITY: {"B": [(5, 1, 4, 2, 4)]}},
     )
     assert "time to locate (s) median" in text
     assert "interaction rounds median" in text
+    assert "confusion events median" in text
     assert "completion rate" in text
+    assert "B located faster in 2 of 2 decided pairs (0 hidden by censoring)" in text
     assert "11.11" in text
     assert "16.67" in text
     assert "85.00" in text

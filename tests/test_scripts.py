@@ -1,6 +1,5 @@
 """Smoke tests for the scripts under ``scripts/``: they run to completion on
-logs the simulator produces and describe every event and action they meet,
-and ``run_study.py`` writes the same files as ``aansim batch``."""
+logs the simulator produces and describe every event and action they meet."""
 
 import importlib.util
 import json
@@ -11,7 +10,6 @@ import sys
 
 import pytest
 
-from aansim import cli
 from conftest import SCENARIO_PATH
 
 
@@ -25,7 +23,6 @@ def _load_script(name):
 
 
 show_episode = _load_script("show_episode")
-run_study = _load_script("run_study")
 
 
 @pytest.mark.parametrize("condition, seed", [("A", 0), ("A", 1), ("B", 0), ("B", 1)])
@@ -53,50 +50,17 @@ def test_show_episode_describes_rotate_base(tmp_path, capsys):
     assert "rotate base by" in capsys.readouterr().out
 
 
-def test_run_study_writes_what_aansim_batch_writes(tmp_path, capsys):
-    args = ["--scenario", str(SCENARIO_PATH), "--seeds", "2", "--seed-start", "3"]
-    assert run_study.main(args + ["--out", str(tmp_path / "study")]) == 0
-    out = capsys.readouterr().out
-    assert "seed   3: locate" in out and "paired analysis" in out
-    assert cli.main(["batch"] + args + ["--out", str(tmp_path / "batch")]) == 0
-    study = sorted(p.name for p in (tmp_path / "study").iterdir())
-    assert study == sorted(p.name for p in (tmp_path / "batch").iterdir())
-    assert len(study) == 2 * 2 + 2  # one log per session, summary.csv, report.txt
-    for name in study:
-        assert (tmp_path / "study" / name).read_bytes() == (tmp_path / "batch" / name).read_bytes()
-
-
 @pytest.mark.parametrize(
     "script, argv, message",
     [
-        (run_study, ["--seeds", "0"], "argument --seeds: must be an integer >= 1, got 0"),
-        (run_study, ["--seed-start", "-1"], "argument --seed-start: must be an integer >= 0"),
         (show_episode, ["--seed", "-1"], "argument --seed: must be an integer >= 0, got -1"),
     ],
-    ids=["run_study_seeds_0", "run_study_seed_start_-1", "show_episode_seed_-1"],
+    ids=["show_episode_seed_-1"],
 )
 def test_scripts_reject_bad_seeds(capsys, script, argv, message):
     with pytest.raises(SystemExit):
         script.main(["--scenario", str(SCENARIO_PATH), *argv])
     assert message in capsys.readouterr().err
-
-
-def test_run_study_out_is_a_file_is_one_error_line(tmp_path, capsys):
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    rc = run_study.main(["--scenario", str(SCENARIO_PATH), "--seeds", "1", "--out", str(taken)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert str(taken) in err
-
-
-def test_run_study_bad_scenario_is_one_error_line(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{")
-    assert run_study.main(["--scenario", str(bad), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("scenario error: ") and err.count("\n") == 1
 
 
 def test_show_episode_bad_scenario_is_one_error_line(tmp_path, capsys):
