@@ -28,7 +28,7 @@ from .orchestrator import (
 )
 from .scenario import Scenario
 from .session import CONDITIONS, LOG_FORMAT, SessionLog
-from .usersim import ConfusionEvent, GazeTimeline, GazeWindow, Prompt
+from .usersim import GazeTimeline, GazeWindow, Prompt
 from .world import RegionOfInterest
 
 _ATTENTION_SPAN_S = 4.0
@@ -39,7 +39,6 @@ _ACTION_TO_CONFIRM_S = 1.0
 @dataclass
 class EpisodeResult:
     log: SessionLog
-    confusion_events: list[ConfusionEvent]
 
 
 @dataclass
@@ -265,4 +264,4 @@ def run_episode(scenario: Scenario, condition: str, seed: int) -> EpisodeResult:
         inserted_runs=[[round(a, 6), round(b, 6)] for a, b in inserted],
         confusion_events=[[round(e.t_start, 6), round(e.t_end, 6)] for e in confusion],
     )
-    return EpisodeResult(log=log, confusion_events=confusion)
+    return EpisodeResult(log=log)

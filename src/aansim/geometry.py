@@ -256,7 +256,7 @@ def extract_foreground(depth: DepthImage, box: BoundingBox) -> ForegroundMask:
 
     retained = valid & (np.abs(sub - z_m) <= DEFAULT_BAND_HALFWIDTH)
     # Imported here, not at module load: condition A never segments a frame,
-    # and scipy.ndimage adds about 27 MB and 0.27 s to importing the package.
+    # and scipy.ndimage adds about 21 MB and 0.17 s to importing the package.
     from scipy import ndimage
 
     # The median pixel is always within the band, so at least one component exists.

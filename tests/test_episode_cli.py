@@ -138,7 +138,9 @@ def test_episode_gaze_stream_present_with_confusion_accounting(lab_scenario, gaz
         expected = max_offtask_gap(
             [k / 180.0 for k in range(len(codes))], codes.tolist(), action_times, 3.0
         )
-        assert [(e.t_start, e.t_end) for e in result.confusion_events] == expected
+        assert summary["data"]["confusion_events"] == [
+            [round(a, 6), round(b, 6)] for a, b in expected
+        ]
         assert len(expected) == n_events
 
 

@@ -1,13 +1,16 @@
 """Stdlib ``ast`` scans of the source tree: every imported name is used,
 every module-level name of the package has a caller outside the tests, and
 every dataclass field of the package is read outside the tests.  Also: a
-condition-A run imports no scipy submodule."""
+condition-A run imports no scipy submodule, and no aansim process loads
+scipy's stats package."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from aansim import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src/aansim", "tests", "scripts")
@@ -206,10 +209,12 @@ def test_every_dataclass_field_has_a_production_reader():
 
 
 # Loaded modules after each stage of a fresh process: the package, the
-# scenario and ten condition-A episodes, then one condition-B episode.
+# scenario and ten condition-A episodes, then one condition-B episode, then a
+# report on all eleven sessions (ten A sessions reach the Student-t interval).
 _SCIPY_PROBE = """
 import sys
 import aansim.cli
+from aansim import metrics
 from aansim.episode import run_episode
 from aansim.scenario import load_scenario
 
@@ -217,21 +222,49 @@ def loaded():
     return [m for m in ("scipy.ndimage", "scipy.stats") if m in sys.modules]
 
 scenario = load_scenario(sys.argv[1])
-for seed in range(10):
-    run_episode(scenario, "A", seed)
+logs = [run_episode(scenario, "A", seed).log for seed in range(10)]
 print(loaded())
-run_episode(scenario, "B", 0)
+logs.append(run_episode(scenario, "B", 0).log)
+print(loaded())
+metrics.render_report([metrics.session_metrics(log) for log in logs])
 print(loaded())
 """
 
+# Loaded modules after ``aansim report`` in a fresh process.  scipy.special
+# shows that the report reached the Student-t quantile.
+_REPORT_PROBE = """
+import contextlib
+import io
+import sys
+from aansim import cli
 
-def test_condition_a_imports_no_scipy_submodule():
-    # scipy.ndimage adds about 27 MB and 0.27 s to a process; only the
-    # costmap and the foreground segmentation of condition B need it.
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["report", "--logs", sys.argv[1]]) == 0
+print([m for m in ("scipy.ndimage", "scipy.special", "scipy.stats") if m in sys.modules])
+"""
+
+
+def _probe(source: str, arg: str) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, str(ROOT / "scenarios" / "lab_study.json")],
-        capture_output=True, text=True, env=env, check=True,
+        [sys.executable, "-c", source, arg], capture_output=True, text=True, env=env, check=True
     )
-    assert proc.stdout.splitlines() == ["[]", "['scipy.ndimage']"]
+    return proc.stdout.splitlines()
+
+
+def test_condition_a_imports_no_scipy_submodule():
+    # With the package loaded, scipy.ndimage adds about 21 MB and 0.17 s to a
+    # process; only the costmap and the foreground segmentation of condition B
+    # need it.  The report's interval must not load scipy's stats package
+    # (44 MB and 0.5 s more).
+    lab = str(ROOT / "scenarios" / "lab_study.json")
+    assert _probe(_SCIPY_PROBE, lab) == ["[]", "['scipy.ndimage']", "['scipy.ndimage']"]
+
+
+def test_report_loads_no_scipy_stats(tmp_path, capsys):
+    # Two pairs: with one session per condition the report has no interval.
+    lab = str(ROOT / "scenarios" / "lab_study.json")
+    assert cli.main(["batch", "--scenario", lab, "--seeds", "2", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _probe(_REPORT_PROBE, str(tmp_path)) == ["['scipy.special']"]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from aansim import metrics as m
 from aansim.session import SessionLog
@@ -149,6 +149,15 @@ def test_summarize_matches_scipy_t_interval():
     assert s.q3 == pytest.approx(np.percentile(vals, 75), abs=1e-12)
     lo, hi = stats.t.interval(0.95, len(vals) - 1, loc=np.mean(vals), scale=stats.sem(vals))
     assert s.ci95 == pytest.approx((lo, hi), abs=1e-9)
+
+
+def test_stdtrit_is_bit_equal_to_scipy_t_ppf():
+    # summarize takes its t quantile from special.stdtrit so that a report
+    # never loads scipy.stats; a scipy release that makes the two differ
+    # would change report bytes, so it fails here first.
+    for df in range(1, 2001):
+        want = float(stats.t.ppf(0.975, df)).hex()
+        assert float(special.stdtrit(df, 0.975)).hex() == want, df
 
 
 def test_summarize_single_value_has_no_interval():
