@@ -143,11 +143,9 @@ def summarize(values) -> Summary:
     q1, q3 = (float(q) for q in np.percentile(xs, [25.0, 75.0]))
     ci: tuple[float, float] | None = None
     if xs.size > 1:
-        # stdtrit is the function behind the Student-t ppf of scipy's stats
-        # package, bit for bit, without loading that package (44 MB and
-        # 0.5 s more).  Imported here, not at module load, so condition A
-        # loads no scipy submodule; condition B's scipy.ndimage already
-        # imports scipy.special.
+        # Not at module load: condition A loads no scipy submodule.  stdtrit is
+        # the t quantile that scipy's stats package returns, bit for bit,
+        # without loading that package (44 MB and 0.5 s over scipy.ndimage).
         from scipy import special
 
         sem = float(xs.std(ddof=1)) / math.sqrt(xs.size)

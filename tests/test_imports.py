@@ -244,6 +244,9 @@ print([m for m in ("scipy.ndimage", "scipy.special", "scipy.stats") if m in sys.
 """
 
 
+LAB_STUDY = str(ROOT / "scenarios" / "lab_study.json")
+
+
 def _probe(source: str, arg: str) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -258,13 +261,11 @@ def test_condition_a_imports_no_scipy_submodule():
     # process; only the costmap and the foreground segmentation of condition B
     # need it.  The report's interval must not load scipy's stats package
     # (44 MB and 0.5 s more).
-    lab = str(ROOT / "scenarios" / "lab_study.json")
-    assert _probe(_SCIPY_PROBE, lab) == ["[]", "['scipy.ndimage']", "['scipy.ndimage']"]
+    assert _probe(_SCIPY_PROBE, LAB_STUDY) == ["[]", "['scipy.ndimage']", "['scipy.ndimage']"]
 
 
 def test_report_loads_no_scipy_stats(tmp_path, capsys):
     # Two pairs: with one session per condition the report has no interval.
-    lab = str(ROOT / "scenarios" / "lab_study.json")
-    assert cli.main(["batch", "--scenario", lab, "--seeds", "2", "--out", str(tmp_path)]) == 0
+    assert cli.main(["batch", "--scenario", LAB_STUDY, "--seeds", "2", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert _probe(_REPORT_PROBE, str(tmp_path)) == ["['scipy.special']"]
