@@ -1,10 +1,11 @@
-"""Command-line front end: run one episode, run paired batches, or report.
+"""Command-line front end: run one episode, run paired batches, report on
+saved logs, or show one saved log as a readable transcript.
 
 Exit codes: 0 when the session completed (Done), 2 when it ended without
 completion (Aborted or time cap), 1 for usage, scenario, log, questionnaire
 or output errors.  Each error prints one line to stderr; ``main`` turns a
-usage error, and ``guarded`` a ``ScenarioInvalid`` and an ``OSError`` (say,
-an unwritable ``--out``), into exit 1.  A closed stdout pipe exits 0.
+usage error, a ``ScenarioInvalid`` and an ``OSError`` (say, an unwritable
+``--out`` or a missing log) into exit 1.  A closed stdout pipe exits 0.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from .episode import run_episode
 from .scenario import ScenarioInvalid, load_scenario
-from .session import CONDITIONS, LogInvalid, read_log, validate_log, write_log
+from .session import CONDITIONS, LogInvalid, SessionLog, read_log, validate_log, write_log
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -59,14 +60,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     log_path = out_dir / _log_name(scenario.name, args.condition, args.seed)
     write_log(result.log, log_path)
     m = metrics_mod.session_metrics(result.log)
+    print(f"{scenario.name} condition {args.condition} seed {args.seed}: "
+          f"{_outcome(m)}; log {log_path}")
+    return EXIT_OK if m.completed else EXIT_INCOMPLETE
+
+
+def _outcome(m: metrics_mod.SessionMetrics) -> str:
     status = "completed" if m.completed else "not completed"
     locate = "censored" if m.censored else f"{m.time_to_locate_s:.1f}s"
-    print(
-        f"{scenario.name} condition {args.condition} seed {args.seed}: {status}; "
-        f"time to locate {locate}; {m.interaction_rounds} interaction rounds; "
-        f"{m.confusion_events} confusion events; log {log_path}"
-    )
-    return EXIT_OK if m.completed else EXIT_INCOMPLETE
+    return (f"{status}; time to locate {locate}; {m.interaction_rounds} interaction rounds; "
+            f"{m.confusion_events} confusion events")
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -136,6 +139,83 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _describe_action(action: dict) -> str:
+    kind = action["kind"]
+    if kind == "speak":
+        return f'say "{action["text"]}"'
+    if kind == "navigate_to":
+        return f"navigate to {action['roi']}"
+    if kind == "gesture":
+        return f"gesture:{action['gesture']}"
+    if kind == "align_gaze":
+        x, y, z = action["target"]
+        return f"look at ({x:.2f}, {y:.2f}, {z:.2f})"
+    if kind == "reposition":
+        return f"back up {action['back_up']:.1f}m"
+    if kind == "rotate_base":
+        return f"rotate base by {action['angle']:.2f}rad"
+    return kind
+
+
+def _describe_event(event: dict) -> str:
+    kind = event["kind"]
+    if kind == "record_pressed":
+        return f'user says "{event["transcript"]}"'
+    if kind == "user_action":
+        return f"user {event['action'].replace('_', ' ')}"
+    if kind == "timeout":
+        return "silence (timeout)"
+    if kind == "found":
+        return f"bottle spotted at {event['roi']}"
+    if kind == "miss":
+        return f"nothing at {event['roi']}"
+    return kind.replace("_", " ")
+
+
+def _describe_record(record: dict) -> str:
+    stamp = f"[{record['t']:7.1f}s]"
+    if record["kind"] == "note":
+        data = record.get("data", {})
+        if record["note"] == "gaze_summary":
+            detail = (f"{data['n_samples']} gaze samples, "
+                      f"{len(data['confusion_events'])} confusion events")
+        else:
+            detail = ", ".join(f"{k}={v}" for k, v in data.items())
+        return f"{stamp} ({record['note']}) {detail}"
+    line = _describe_event(record["event"])
+    acts = "; ".join(_describe_action(a) for a in record["actions"])
+    robot = f" -> robot: {acts}" if acts else ""
+    return f"{stamp} {line}{robot}  [{record['state']['phase']}]"
+
+
+def _transcript(log: SessionLog) -> list[str]:
+    """The log as readable lines: a header from its meta, one line per record
+    and the outcome.  ``LogInvalid`` names a field that a line needs but lacks."""
+    where, meta, rule = "meta", log.meta, "-" * 72
+    try:
+        lines = [f"{meta['scenario']} | condition {meta['condition']} | seed {meta['seed']} | "
+                 f"bottle at {meta['bottle_roi']}", rule]
+        for i, record in enumerate(log.records):
+            where = f"record {i}"
+            lines.append(_describe_record(record))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise LogInvalid(f"{where}: cannot describe it: {detail}") from exc
+    return lines + [rule, _outcome(metrics_mod.session_metrics(log))]
+
+
+def _cmd_show(args: argparse.Namespace) -> int:
+    try:
+        log = read_log(args.log)
+        validate_log(log)
+        lines = _transcript(log)
+    except LogInvalid as exc:
+        print(f"invalid log {args.log}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    print("\n".join(lines))
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="aansim",
@@ -168,6 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--usability", help="usability questionnaire CSV")
     p_report.add_argument("--out", help="write the report here instead of stdout")
     p_report.set_defaults(func=_cmd_report)
+
+    p_show = sub.add_parser("show", help="print one saved log as a readable transcript")
+    p_show.add_argument("log", help="a .jsonl session log")
+    p_show.set_defaults(func=_cmd_show)
     return parser
 
 
@@ -177,15 +261,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # a usage error or --help
         return exc.code
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    return guarded(args.func, args)
-
-
-def guarded(command, args: argparse.Namespace) -> int:
-    """``command(args)``, with a ``ScenarioInvalid`` or an ``OSError`` turned
-    into one line on stderr and ``EXIT_ERROR``.  A reader that closed stdout
-    early (``| head``) is not a failure: the rest of the output is dropped."""
     try:
-        code = command(args)
+        code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except ScenarioInvalid as exc:

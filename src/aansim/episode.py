@@ -7,8 +7,8 @@ simulated clock.  ``_Engine.apply`` alone reads the actions the policy
 emits and carries them out; the search visits only the location the last
 ``navigate_to`` names.  Everything stochastic draws from named per-seed
 streams, so a (scenario, condition, seed) triple replays byte-identically.
-The result carries the canonical session log and the confusion events
-detected in the synthesized gaze stream.
+The result carries the canonical session log; the confusion events detected
+in the synthesized gaze stream are in its ``gaze_summary`` note.
 """
 
 from __future__ import annotations

@@ -2,8 +2,11 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -549,6 +552,110 @@ def test_cli_report_refuses_a_repeated_condition_and_seed(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == cli.EXIT_ERROR and captured.out == ""
     assert captured.err == f"error: {log} repeats condition A seed 0 of {out_dir / 'again.jsonl'}\n"
+
+
+# ---------------------------------------------------------------------------
+# aansim show
+
+
+@pytest.fixture(scope="module")
+def run_logs(tmp_path_factory):
+    """The logs of lab_study A and B at seeds 0 and 1, written by ``aansim run``."""
+    out_dir = tmp_path_factory.mktemp("run_logs")
+    for condition in ("A", "B"):
+        for seed in (0, 1):
+            argv = ["run", "--scenario", str(SCENARIO_PATH), "--condition", condition,
+                    "--seed", str(seed), "--out", str(out_dir)]
+            assert cli.main(argv) == cli.EXIT_OK
+    return out_dir
+
+
+@pytest.mark.parametrize("condition, seed", [("A", 0), ("A", 1), ("B", 0), ("B", 1)])
+def test_show_prints_a_run_log(run_logs, capsys, condition, seed):
+    capsys.readouterr()
+    assert cli.main(["show", str(run_logs / f"lab_study_{condition}_seed{seed:04d}.jsonl")]) == 0
+    out = capsys.readouterr().out
+    bottle = {0: "kitchen_counter", 1: "hall_shelf"}[seed]
+    assert out.startswith(f"lab_study | condition {condition} | seed {seed} | bottle at {bottle}\n")
+    if (condition, seed) == ("B", 1):
+        assert "nothing at kitchen_counter" in out  # the search logged a miss
+
+
+def test_show_describes_rotate_base(tmp_path, capsys):
+    # Camera turned to look backwards and approach poses reversed: the bottle
+    # is found behind the robot, so pointing at it needs a base rotation.
+    doc = json.loads(SCENARIO_PATH.read_text())
+    doc["robot"]["camera"]["pitch_deg"] = 170.0
+    for roi in doc["rois"]:
+        roi["pose"][2] += 180.0
+    shutil.copy(SCENARIO_PATH.parent / doc["map"], tmp_path / doc["map"])
+    scenario = tmp_path / "reversed.json"
+    scenario.write_text(json.dumps(doc))
+    cli.main(["run", "--scenario", str(scenario), "--condition", "B", "--seed", "0",
+              "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert cli.main(["show", str(tmp_path / "lab_study_B_seed0000.jsonl")]) == 0
+    assert "rotate base by" in capsys.readouterr().out
+
+
+def _first_action(record, kind):
+    return next((a for a in record.get("actions", []) if a.get("kind") == kind), None)
+
+
+@pytest.mark.parametrize(
+    "match, edit, message",
+    [
+        (lambda r: r["kind"] == "event", lambda r: r["event"].pop("kind"), "missing key 'kind'"),
+        (lambda r: _first_action(r, "speak"), lambda r: _first_action(r, "speak").pop("text"),
+         "missing key 'text'"),
+        (lambda r: _first_action(r, "align_gaze"),
+         lambda r: _first_action(r, "align_gaze")["target"].pop(),
+         "not enough values to unpack (expected 3, got 2)"),
+    ],
+    ids=["event_without_kind", "speak_without_text", "two_number_target"],
+)
+def test_show_rejects_a_valid_log_it_cannot_describe(run_logs, tmp_path, capsys,
+                                                     match, edit, message):
+    lines = (run_logs / "lab_study_B_seed0000.jsonl").read_text().splitlines()
+    index = next(i for i, line in enumerate(lines[1:]) if match(json.loads(line)))
+    record = json.loads(lines[index + 1])
+    edit(record)
+    lines[index + 1] = json.dumps(record)
+    path = tmp_path / "edited.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    validate_log(read_log(path))  # the schema allows the edit; only show needs the field
+    capsys.readouterr()
+    assert cli.main(["show", str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid log {path}: record {index}: cannot describe it: {message}\n"
+
+
+@pytest.mark.parametrize("name", ["missing.jsonl", "."], ids=["missing", "directory"])
+def test_show_unreadable_path_is_one_error_line(tmp_path, capsys, name):
+    assert cli.main(["show", str(tmp_path / name)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_show_to_a_closed_pipe_exits_quietly(run_logs):
+    # `aansim show LOG | head -3`, made deterministic: the reader end of the
+    # pipe is closed before the command writes its first line.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(SCENARIO_PATH.parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aansim.cli", "show",
+             str(run_logs / "lab_study_B_seed0000.jsonl")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_readme_aansim_commands_parse():

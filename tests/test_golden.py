@@ -6,8 +6,9 @@ for seeds 0-11 under conditions A and B.  ``tests/golden/witnesses.json``
 does the same for seeds 0-3 on five edited copies of lab_study (``WITNESSES``)
 that take the paths those seeds never take: an exhausted search, an
 unreachable search location, the time cap, noisy legs and a user who times
-out and denies.  Every replayed log is also read back and checked by
-``oracles.audit_log`` against the policy that wrote it.
+out and denies.  Every replayed log is also read back, checked by
+``oracles.audit_log`` against the policy that wrote it, and printed by
+``aansim show``.
 ``tests/golden/orchestrator_walks.json`` holds, per orchestrator config, the
 SHA-256 of the ``harness.random_walk`` traces for seeds 0-39.  A change that only makes the simulator faster or smaller must
 leave every hash as it is; see the README for when a behaviour change may
@@ -19,7 +20,9 @@ does with the same replay code as the tests.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import shutil
@@ -29,6 +32,7 @@ from pathlib import Path
 import pytest
 
 import harness
+from aansim import cli
 from aansim.episode import run_episode
 from aansim.orchestrator import AssistLevel
 from aansim.scenario import load_scenario
@@ -102,10 +106,15 @@ def write_witness(name: str, directory: Path) -> Path:
 
 def log_sha256(scenario, key: str, path: Path) -> str:
     """Replay one golden key ("B/7"), write its log to ``path``, audit the log
-    read back, and hash the bytes."""
+    read back, show it, and hash the bytes."""
     cond, seed = key.split("/")
     write_log(run_episode(scenario, cond, int(seed)).log, path)
-    audit_log(read_log(path), scenario)
+    log = read_log(path)
+    audit_log(log, scenario)
+    shown = io.StringIO()
+    with contextlib.redirect_stdout(shown):
+        assert cli.main(["show", str(path)]) == cli.EXIT_OK
+    assert shown.getvalue().splitlines()[0].endswith(f" | bottle at {log.meta['bottle_roi']}")
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 

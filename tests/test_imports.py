@@ -13,7 +13,7 @@ from pathlib import Path
 from aansim import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = ("src/aansim", "tests", "scripts")
+SCANNED = ("src/aansim", "tests")
 
 
 def unused_imports(source: str) -> list[tuple[int, str]]:
@@ -59,7 +59,7 @@ def test_no_unused_imports():
 
 
 # Where a package name may be used; tests do not count as a production path.
-PRODUCTION = ("src/aansim", "scripts", "perfbench")
+PRODUCTION = ("src/aansim", "perfbench")
 # Module-level names that only tests reach, each on purpose.
 TEST_ONLY_ALLOWED: set[str] = set()
 
