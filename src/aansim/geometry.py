@@ -1,5 +1,5 @@
-"""Camera geometry: depth back-projection, foreground masks, plane fits,
-and deictic pointing angles.
+"""Camera geometry: depth back-projection, foreground masks and deictic
+pointing angles.
 
 Conventions used throughout the package:
 
@@ -32,10 +32,6 @@ ZERO_DIRECTION_TOL = 1e-9
 # while rejecting shelf/wall returns behind it.
 DEFAULT_BAND_HALFWIDTH = 0.15
 
-# Plane-fit patches keep mask points within this multiple of the RMS radius
-# of the cloud around its centroid.
-DEFAULT_PATCH_RADIUS_SCALE = 2.0
-
 
 class GeometryError(Exception):
     """Base class for geometry failures."""
@@ -47,10 +43,6 @@ class NonPositiveDepth(GeometryError):
 
 class EmptyBox(GeometryError):
     """A bounding box contains no valid depth pixels."""
-
-
-class DegeneratePatch(GeometryError):
-    """A plane fit was attempted on fewer than 3 points or a collinear set."""
 
 
 class ZeroDirection(GeometryError):
@@ -186,20 +178,6 @@ class RigidTransform:
 
 
 @dataclass(frozen=True)
-class PlaneFit:
-    """Plane n . p + offset = 0 with |n| = 1."""
-
-    normal: np.ndarray
-    offset: float
-    residual_rms: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "normal", np.asarray(self.normal, dtype=np.float64).reshape(3)
-        )
-
-
-@dataclass(frozen=True)
 class PointingCommand:
     """Deictic pointing: yaw/pitch of the arm ray toward a target.
 
@@ -281,60 +259,6 @@ def extract_foreground(depth: DepthImage, box: BoundingBox) -> ForegroundMask:
     )
 
 
-def centroid_patch(cloud: np.ndarray) -> np.ndarray:
-    """Rows of the (N, 3) ``cloud`` within ``DEFAULT_PATCH_RADIUS_SCALE`` x its RMS radius."""
-    if len(cloud) == 0:
-        return cloud
-    radii = np.linalg.norm(cloud - cloud.mean(axis=0), axis=1)
-    rms = math.sqrt(float(np.mean(radii**2)))
-    return cloud[radii <= DEFAULT_PATCH_RADIUS_SCALE * rms + 1e-12]
-
-
-def fit_plane(patch: np.ndarray, camera_axis=None) -> PlaneFit:
-    """Least-squares plane through an (N, 3) patch via the covariance eigenvector.
-
-    The normal is the eigenvector of the population covariance (divide by N,
-    centered on the mean) with the smallest eigenvalue.  Exact eigenvalue
-    ties are broken by the eigenvector with lexicographically largest
-    absolute components.  When ``camera_axis`` is given the normal is
-    oriented so that normal . camera_axis < 0 (facing the camera).
-
-    Raises DegeneratePatch for fewer than 3 points or a (near-)collinear set.
-    """
-    pts = np.asarray(patch, dtype=np.float64).reshape(-1, 3)
-    if len(pts) < 3:
-        raise DegeneratePatch(f"plane fit needs >= 3 points, got {len(pts)}")
-    centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    cov = centered.T @ centered / len(pts)
-    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending eigenvalues
-    scale = max(float(eigvals[2]), 1e-30)
-    if eigvals[1] <= 1e-12 * scale:
-        raise DegeneratePatch("points are collinear or coincident")
-
-    tie_tol = 1e-12 * max(scale, 1.0)
-    tied = [i for i in range(3) if eigvals[i] - eigvals[0] <= tie_tol]
-    pick = max(tied, key=lambda i: tuple(np.abs(eigvecs[:, i])))
-    normal = eigvecs[:, pick]
-    normal = normal / np.linalg.norm(normal)
-
-    if camera_axis is not None:
-        axis = np.asarray(camera_axis, dtype=np.float64).reshape(3)
-        d = float(normal @ axis)
-        if abs(d) < 1e-12:
-            # Plane parallel to the viewing axis; fall back to a canonical
-            # sign so the result stays deterministic.
-            k = int(np.argmax(np.abs(normal)))
-            if normal[k] < 0.0:
-                normal = -normal
-        elif d > 0.0:
-            normal = -normal
-
-    offset = -float(normal @ centroid)
-    residual_rms = math.sqrt(float(np.mean((centered @ normal) ** 2)))
-    return PlaneFit(normal=normal, offset=offset, residual_rms=residual_rms)
-
-
 def normalize_angle(angle: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     wrapped = math.remainder(angle, 2.0 * math.pi)
@@ -367,7 +291,6 @@ class TargetEstimate:
     """Output of the detection-to-pointing localization pipeline."""
 
     target_base: np.ndarray
-    plane: PlaneFit | None
     mask: ForegroundMask
 
 
@@ -380,20 +303,10 @@ def localize_target(
     """Full pipeline from a detection box to a base-frame pointing target.
 
     Extracts the foreground mask, back-projects it, transforms the cloud to
-    the base frame, fits a camera-facing plane to the patch around the
-    centroid, and returns the centroid as the pointing target.  A degenerate
-    patch (for example a sliver mask) downgrades the plane to None rather
-    than failing the whole localization.
+    the base frame, and returns its centroid as the pointing target.
     """
     mask = extract_foreground(depth, box)
     pix = mask.pixels
     depths = depth.depth[pix[:, 1], pix[:, 0]]
     cloud = base_from_camera.apply(backproject_pixels(pix, depths, intrinsics))
-    patch = centroid_patch(cloud)
-    camera_axis_base = base_from_camera.rotation @ np.array([0.0, 0.0, 1.0])
-    try:
-        plane: PlaneFit | None = fit_plane(patch, camera_axis_base)
-    except DegeneratePatch:
-        logger.warning("plane fit degenerate for %d-point patch; using centroid only", len(patch))
-        plane = None
-    return TargetEstimate(target_base=cloud.mean(axis=0), plane=plane, mask=mask)
+    return TargetEstimate(target_base=cloud.mean(axis=0), mask=mask)

@@ -296,6 +296,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioInvalid(f"$: cannot read {path} ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioInvalid(f"$: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ScenarioInvalid("$: JSON nested too deeply") from exc
     _expect(isinstance(raw, dict), "$", "top level must be a JSON object")
     _known(raw, "$", _TOP_LEVEL_KEYS)
 

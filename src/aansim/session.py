@@ -71,19 +71,25 @@ def write_log(log: SessionLog, path: str | Path) -> None:
 
 
 def read_log(path: str | Path) -> SessionLog:
+    """Parse a log file.  ``LogInvalid`` numbers lines as the file does, blank
+    ones included, and leaves naming the path to the caller."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise LogInvalid(f"{path}: not UTF-8 text at byte {exc.start}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise LogInvalid(f"{path}: empty log file")
-    try:
-        meta = json.loads(lines[0])
-        records = [json.loads(ln) for ln in lines[1:]]
-    except json.JSONDecodeError as exc:
-        raise LogInvalid(f"{path}: line {exc.lineno}: not valid JSON") from exc
-    return SessionLog(meta=meta, records=records)
+        raise LogInvalid(f"not UTF-8 text at byte {exc.start}") from exc
+    objects = []
+    for number, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            objects.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            raise LogInvalid(f"line {number}: not valid JSON") from exc
+        except RecursionError as exc:
+            raise LogInvalid(f"line {number}: JSON nested too deeply") from exc
+    if not objects:
+        raise LogInvalid("empty log file")
+    return SessionLog(meta=objects[0], records=objects[1:])
 
 
 def validate_log(log: SessionLog) -> None:

@@ -174,15 +174,13 @@ class Scene:
 
     grid: OccupancyGrid
     objects: tuple[SceneObject, ...]
-    wall_rects: list[tuple[np.ndarray, np.ndarray]] = field(init=False, repr=False)
     primitives: tuple[np.ndarray, list[tuple]] = field(init=False, compare=False, repr=False)
     pill_bottle_index: int | None = field(init=False, repr=False)
     frames: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         self.objects = tuple(self.objects)
-        self.wall_rects = _merge_occupied_rects(self.grid)
-        self.primitives = _primitives(self.objects, self.wall_rects)
+        self.primitives = _primitives(self.objects, _merge_occupied_rects(self.grid))
         self.pill_bottle_index = next(
             (i for i, obj in enumerate(self.objects) if obj.kind is ObjectKind.PILL_BOTTLE), None
         )

@@ -349,7 +349,7 @@ def render_reference(scene, robot, intrinsics, max_range=10.0):
         closer = s < best
         best = np.where(closer, s, best)
         ids = np.where(closer, idx, ids)
-    for lo, hi in scene.wall_rects:
+    for lo, hi in world._merge_occupied_rects(scene.grid):
         s = _ray_box_reference(origins, dirs, lo, hi)
         closer = s < best
         best = np.where(closer, s, best)

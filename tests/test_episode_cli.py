@@ -248,8 +248,16 @@ def test_cli_run_bad_scenario_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "batch"])
-@pytest.mark.parametrize("contents", [None, b'{"name": "caf\xe9"}'], ids=["missing", "not_utf8"])
-def test_cli_unreadable_scenario_is_one_error_line(tmp_path, capsys, command, contents):
+@pytest.mark.parametrize(
+    "contents, error",
+    [
+        (None, "$: cannot read {}"),
+        (b'{"name": "caf\xe9"}', "$: cannot read {}"),
+        (b'{"a":' * 200_000, "$: JSON nested too deeply"),
+    ],
+    ids=["missing", "not_utf8", "deeply_nested"],
+)
+def test_cli_unreadable_scenario_is_one_error_line(tmp_path, capsys, command, contents, error):
     path = tmp_path / "scenario.json"
     if contents is not None:
         path.write_bytes(contents)
@@ -259,7 +267,7 @@ def test_cli_unreadable_scenario_is_one_error_line(tmp_path, capsys, command, co
     rc = cli.main([command, *args])
     err = capsys.readouterr().err
     assert rc == cli.EXIT_ERROR
-    assert err.startswith(f"scenario error: $: cannot read {path}") and err.count("\n") == 1
+    assert err.startswith(f"scenario error: {error.format(path)}") and err.count("\n") == 1
 
 
 def test_cli_run_incomplete_session_exits_two(tmp_path, capsys):
@@ -637,6 +645,20 @@ def test_show_unreadable_path_is_one_error_line(tmp_path, capsys, name):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "contents, message",
+    [("", "empty log file"), ("[" * 200_000, "line 1: JSON nested too deeply")],
+    ids=["empty", "deeply_nested"],
+)
+def test_show_unparsable_log_names_its_path_once(tmp_path, capsys, contents, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(contents)
+    assert cli.main(["show", str(path)]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid log {path}: {message}\n"
 
 
 def test_show_to_a_closed_pipe_exits_quietly(run_logs):

@@ -12,7 +12,6 @@ from aansim.geometry import (
     DepthImage,
     EmptyBox,
     NonPositiveDepth,
-    DegeneratePatch,
     RigidTransform,
     ZeroDirection,
 )
@@ -144,85 +143,6 @@ def test_foreground_connectivity_is_4_not_8():
 
 
 # ---------------------------------------------------------------------------
-# Plane fitting
-
-
-def _plane_cloud(normal, offset, n=400, extent=0.5, seed=3, noise=0.0):
-    rng = np.random.default_rng(seed)
-    normal = np.asarray(normal, dtype=np.float64)
-    normal = normal / np.linalg.norm(normal)
-    # Orthonormal in-plane basis.
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(normal @ helper) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    b1 = np.cross(normal, helper)
-    b1 /= np.linalg.norm(b1)
-    b2 = np.cross(normal, b1)
-    uv = rng.uniform(-extent, extent, (n, 2))
-    pts = -offset * normal + uv[:, :1] * b1 + uv[:, 1:] * b2
-    if noise > 0.0:
-        pts = pts + rng.normal(0.0, noise, (n, 1)) * normal
-    return pts
-
-
-def _angle_between(a, b):
-    d = abs(float(np.dot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b)))
-    return math.degrees(math.acos(min(1.0, d)))
-
-
-def test_fit_plane_noiseless_exact():
-    true_n = np.array([0.2, -0.4, 0.89])
-    cloud = _plane_cloud(true_n, offset=-1.3)
-    fit = geometry.fit_plane(cloud)
-    assert _angle_between(fit.normal, true_n) < 1e-6
-    assert fit.residual_rms < 1e-9
-
-
-def test_fit_plane_with_noise_within_two_degrees():
-    true_n = np.array([0.1, 0.9, 0.2])
-    cloud = _plane_cloud(true_n, offset=0.7, noise=0.005, n=800)
-    fit = geometry.fit_plane(cloud)
-    assert _angle_between(fit.normal, true_n) < 2.0
-    assert fit.residual_rms == pytest.approx(0.005, rel=0.25)
-
-
-def test_fit_plane_orients_toward_camera():
-    cloud = _plane_cloud([0.0, 0.0, 1.0], offset=-2.0)
-    fit = geometry.fit_plane(cloud, camera_axis=(0.0, 0.0, 1.0))
-    # normal . axis must be negative: the plane faces the camera.
-    assert float(fit.normal @ np.array([0.0, 0.0, 1.0])) < 0.0
-
-
-def test_fit_plane_population_covariance():
-    # Hand-checkable 4-point square in the XY plane.
-    pts = np.array(
-        [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
-    )
-    fit = geometry.fit_plane(pts)
-    assert abs(fit.normal[2]) == pytest.approx(1.0, abs=1e-12)
-    assert fit.offset == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fit_plane_degenerate_inputs():
-    line = np.outer(np.linspace(0, 1, 10), np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(DegeneratePatch):
-        geometry.fit_plane(line)
-    with pytest.raises(DegeneratePatch):
-        geometry.fit_plane(np.zeros((2, 3)))
-
-
-def test_centroid_patch_rejects_outliers():
-    rng = np.random.default_rng(11)
-    core = rng.normal(0.0, 0.02, (200, 3))
-    outlier = np.array([[5.0, 5.0, 5.0]])
-    cloud = np.vstack([core, outlier])
-    patch = geometry.centroid_patch(cloud)
-    # The far point sits many RMS radii out and must be dropped.
-    assert len(patch) <= 200
-    assert np.linalg.norm(patch, axis=1).max() < 1.0
-
-
-# ---------------------------------------------------------------------------
 # Rigid transforms
 
 
@@ -327,7 +247,4 @@ def test_localize_target_synthetic_wall_patch():
     # Target: straight ahead 2 m, about camera height.
     assert est.target_base[0] == pytest.approx(2.0, abs=1e-6)
     assert abs(est.target_base[1]) < 0.05
-    assert est.plane is not None
-    # Wall normal faces back toward the robot (-X in base frame).
-    assert est.plane.normal[0] == pytest.approx(-1.0, abs=1e-6)
     assert not est.mask.center_fallback

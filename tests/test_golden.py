@@ -177,16 +177,23 @@ def witness_sha256(name: str, directory: Path) -> dict[str, str]:
     """Replay every witness key on the copy ``name`` and hash each log.
 
     Some condition-B log must carry the copy's marker, so a copy that stops
-    taking its path fails here instead of being locked.
+    taking its path fails here instead of being locked.  The A and B logs of
+    each seed must hide the bottle at the same ``bottle_roi``: the placement
+    stream does not depend on the condition, so the study pairs like with like.
     """
     scenario = load_scenario(write_witness(name, directory))
     path = directory / "episode.jsonl"
     marker = WITNESSES[name][1]
-    sha256, marked = {}, False
+    sha256, marked, bottle_rois = {}, False, {}
     for key in WITNESS_KEYS:
         sha256[key] = log_sha256(scenario, key, path)
-        marked |= key.startswith("B/") and marker in path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        marked |= key.startswith("B/") and marker in text
+        seed = key.split("/")[1]
+        bottle_rois.setdefault(seed, set()).add(json.loads(text.partition("\n")[0])["bottle_roi"])
     assert marked, f"no condition-B log of {name} contains {marker}"
+    unpaired = {seed: rois for seed, rois in bottle_rois.items() if len(rois) > 1}
+    assert not unpaired, f"A and B logs of {name} hide the bottle apart: {unpaired}"
     return sha256
 
 

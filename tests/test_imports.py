@@ -136,12 +136,7 @@ def test_every_package_name_has_a_production_caller():
 
 
 # Dataclass fields that no production file reads, each on purpose.
-UNREAD_FIELDS_ALLOWED = {
-    # Criterion 2 gates the plane fit; ROADMAP item 7 gives it a consumer.
-    "geometry.PlaneFit.offset",
-    "geometry.PlaneFit.residual_rms",
-    "geometry.TargetEstimate.plane",
-}
+UNREAD_FIELDS_ALLOWED: set[str] = set()
 
 
 def dataclass_fields(source: str) -> list[tuple[str, str]]:

@@ -151,6 +151,28 @@ def test_read_rejects_empty_file(tmp_path):
         sess.read_log(path)
 
 
+def test_read_numbers_the_bad_line_as_the_file_does(tmp_path):
+    # Each line is parsed on its own, so the decoder alone would say line 1;
+    # the blank second line still counts.
+    log = make_log()
+    path = tmp_path / "run.jsonl"
+    sess.write_log(log, path)
+    meta, first, *_ = path.read_text().splitlines()
+    path.write_text(f"{meta}\n\n{first}\n{{not json\n")
+    with pytest.raises(LogInvalid) as exc:
+        sess.read_log(path)
+    assert str(exc.value) == "line 4: not valid JSON"
+
+
+def test_read_splits_records_only_at_newlines(tmp_path):
+    # write_log keeps U+2028 raw (ensure_ascii=False); str.splitlines cuts there.
+    log = make_log()
+    log.add_note(9.0, "line\u2028separator")
+    path = tmp_path / "run.jsonl"
+    sess.write_log(log, path)
+    assert sess.read_log(path).records == log.records
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("event", 1), ("state", []), ("actions", ["speak"])],
