@@ -171,11 +171,11 @@ def _run_guided(
         # policy to a new phase, step or level, which resets both.
         attempt = engine.state.repeat_count + engine.state.failure_count
         if phase is Phase.REMINDING:
-            prompt = Prompt("reminder", level, attempt=attempt)
+            prompt = Prompt(level, attempt=attempt)
         else:
             # A guided IDLE always leaves on SCHEDULE_DUE, so no other phase is live here.
             assert phase in (Phase.STEP_GUIDANCE, Phase.AWAITING_FINAL_CONFIRM), phase
-            prompt = Prompt("step", level, step=engine.state.step, attempt=attempt)
+            prompt = Prompt(level, step=engine.state.step, attempt=attempt)
 
         reply = usersim.respond(profile, prompt, user_rng)
         if reply.silent:

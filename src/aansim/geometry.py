@@ -4,7 +4,8 @@ pointing angles.
 Conventions used throughout the package:
 
 * Pixel coordinates are (u, v) with u the column index (rightward) and v the
-  row index (downward).  Depth images are indexed ``depth[v, u]``.
+  row index (downward).  A depth image is a float64 array of shape
+  (height, width), indexed ``depth[v, u]``.
 * The camera frame is right-handed with X right, Y down, Z along the optical
   axis.  A depth value is the Z coordinate of the nearest surface in meters;
   0 marks an invalid pixel (no return).
@@ -70,30 +71,6 @@ class CameraIntrinsics:
             raise ValueError(f"cy={self.cy} outside [0, {self.height})")
 
 
-@dataclass
-class DepthImage:
-    """Per-pixel depth in meters, shape (height, width); 0 = invalid pixel."""
-
-    depth: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.depth = np.asarray(self.depth, dtype=np.float64)
-        if self.depth.ndim != 2:
-            raise ValueError(f"depth image must be 2-D, got shape {self.depth.shape}")
-        if not np.all(np.isfinite(self.depth)):
-            raise ValueError("depth image contains non-finite values")
-        if np.any(self.depth < 0.0):
-            raise ValueError("depth image contains negative values")
-
-    @property
-    def height(self) -> int:
-        return int(self.depth.shape[0])
-
-    @property
-    def width(self) -> int:
-        return int(self.depth.shape[1])
-
-
 @dataclass(frozen=True)
 class BoundingBox:
     """Axis-aligned pixel box with inclusive bounds."""
@@ -102,10 +79,6 @@ class BoundingBox:
     v_min: int
     u_max: int
     v_max: int
-
-    def __post_init__(self) -> None:
-        if self.u_min > self.u_max or self.v_min > self.v_max:
-            raise ValueError(f"inverted bounding box {self}")
 
     @property
     def center(self) -> tuple[int, int]:
@@ -212,8 +185,8 @@ def backproject_pixels(
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
-def extract_foreground(depth: DepthImage, box: BoundingBox) -> ForegroundMask:
-    """Segment the foreground object inside a detection box.
+def extract_foreground(depth: np.ndarray, box: BoundingBox) -> ForegroundMask:
+    """Segment the foreground object inside a detection box of a depth image.
 
     Takes the (lower) median depth z_m of the valid pixels in the box, keeps
     pixels with |depth - z_m| <= DEFAULT_BAND_HALFWIDTH, and returns the
@@ -223,8 +196,8 @@ def extract_foreground(depth: DepthImage, box: BoundingBox) -> ForegroundMask:
 
     Raises EmptyBox when the box holds no valid depth pixels.
     """
-    clipped = box.clipped(depth.width, depth.height)
-    sub = depth.depth[clipped.v_min : clipped.v_max + 1, clipped.u_min : clipped.u_max + 1]
+    clipped = box.clipped(depth.shape[1], depth.shape[0])
+    sub = depth[clipped.v_min : clipped.v_max + 1, clipped.u_min : clipped.u_max + 1]
     valid = sub > 0.0
     if not valid.any():
         raise EmptyBox(f"no valid depth pixels inside {box}")
@@ -295,7 +268,7 @@ class TargetEstimate:
 
 
 def localize_target(
-    depth: DepthImage,
+    depth: np.ndarray,
     box: BoundingBox,
     intrinsics: CameraIntrinsics,
     base_from_camera: RigidTransform,
@@ -307,6 +280,6 @@ def localize_target(
     """
     mask = extract_foreground(depth, box)
     pix = mask.pixels
-    depths = depth.depth[pix[:, 1], pix[:, 0]]
+    depths = depth[pix[:, 1], pix[:, 0]]
     cloud = base_from_camera.apply(backproject_pixels(pix, depths, intrinsics))
     return TargetEstimate(target_base=cloud.mean(axis=0), mask=mask)

@@ -1,5 +1,6 @@
 """Navigation stack: layered costmap, A* global planning over an inflated
-grid, a dynamic-window local planner, and the visit to one search location.
+grid, a dynamic-window local planner whose settings are the ``DWA_*``
+constants, and the visit to one search location.
 
 Costs live in [0, 255] with 255 for lethal (Occupied or Unknown) cells.
 Inflated cells carry 254 * exp(-decay * (d - robot_radius)) clipped to
@@ -193,27 +194,22 @@ def plan_global(
     raise NoPath(f"no traversable path from {start} to {goal}")
 
 
-@dataclass(frozen=True)
-class DwaParams:
-    """Dynamic-window sampling bounds, rollout horizon, and score weights."""
-
-    v_min: float = 0.0
-    v_max: float = 0.5
-    omega_min: float = -1.0
-    omega_max: float = 1.0
-    accel_v: float = 0.5
-    accel_omega: float = 1.0
-    n_v: int = 11
-    n_omega: int = 21
-    horizon: float = 2.0
-    heading_weight: float = 0.8
-    clearance_weight: float = 0.1
-    velocity_weight: float = 0.1
-    lookahead: float = 0.6
-
-
-# The local planner's settings in every navigation session.
-DWA_PARAMS = DwaParams()
+# Dynamic-window local planner.  Commands stay in v in [0, DWA_V_MAX] m/s and
+# omega in [-DWA_OMEGA_MAX, DWA_OMEGA_MAX] rad/s, and change at most at the
+# DWA_ACCEL_* rates (m/s^2, rad/s^2).  The window is a DWA_N_V x DWA_N_OMEGA
+# lattice, rolled out for DWA_HORIZON s and scored with the three weights
+# against the path point DWA_LOOKAHEAD m ahead.
+DWA_V_MAX = 0.5
+DWA_OMEGA_MAX = 1.0
+DWA_ACCEL_V = 0.5
+DWA_ACCEL_OMEGA = 1.0
+DWA_N_V = 11
+DWA_N_OMEGA = 21
+DWA_HORIZON = 2.0
+DWA_HEADING_WEIGHT = 0.8
+DWA_CLEARANCE_WEIGHT = 0.1
+DWA_VELOCITY_WEIGHT = 0.1
+DWA_LOOKAHEAD = 0.6
 
 
 def lookahead_point(path: GlobalPath, x: float, y: float, dist: float) -> tuple[float, float]:
@@ -239,12 +235,11 @@ def dwa_step(
     robot: RobotState,
     path: GlobalPath,
     costmap: Costmap,
-    params: DwaParams,
     dt: float,
 ) -> tuple[float, float]:
     """Pick the best admissible (v, omega) from the dynamic window.
 
-    Candidates are an n_v x n_omega lattice over the reachable window,
+    Candidates are a DWA_N_V x DWA_N_OMEGA lattice over the reachable window,
     enumerated v-major (all omegas for the lowest v first).  Each is rolled
     out with exact arcs for the horizon in substeps of ``dt``; arcs touching
     untraversable cells (or leaving the map) are discarded.  Survivors are
@@ -262,13 +257,13 @@ def dwa_step(
 
     Raises AllBlocked when every candidate collides.
     """
-    v_lo = max(params.v_min, robot.v - params.accel_v * dt)
-    v_hi = min(params.v_max, robot.v + params.accel_v * dt)
-    w_lo = max(params.omega_min, robot.omega - params.accel_omega * dt)
-    w_hi = min(params.omega_max, robot.omega + params.accel_omega * dt)
-    vs = np.linspace(v_lo, v_hi, params.n_v)
-    ws = np.linspace(w_lo, w_hi, params.n_omega)
-    n_steps = max(1, int(round(params.horizon / dt)))
+    v_lo = max(0.0, robot.v - DWA_ACCEL_V * dt)
+    v_hi = min(DWA_V_MAX, robot.v + DWA_ACCEL_V * dt)
+    w_lo = max(-DWA_OMEGA_MAX, robot.omega - DWA_ACCEL_OMEGA * dt)
+    w_hi = min(DWA_OMEGA_MAX, robot.omega + DWA_ACCEL_OMEGA * dt)
+    vs = np.linspace(v_lo, v_hi, DWA_N_V)
+    ws = np.linspace(w_lo, w_hi, DWA_N_OMEGA)
+    n_steps = max(1, int(round(DWA_HORIZON / dt)))
     tau = dt * np.arange(1, n_steps + 1)
 
     theta0 = robot.heading
@@ -294,7 +289,7 @@ def dwa_step(
         raise AllBlocked("every dynamic-window arc collides")
 
     iv, iw = np.nonzero(admissible)  # v-major, the enumeration order
-    lx, ly = lookahead_point(path, robot.x, robot.y, params.lookahead)
+    lx, ly = lookahead_point(path, robot.x, robot.y, DWA_LOOKAHEAD)
     # A straight arc keeps theta0 exactly, as unicycle_arc does for tiny omega.
     end_heading = np.where(straight, theta0, theta[:, -1])[iw]
     # The bearing stays in scalar libm math on purpose: np.arctan2 differs
@@ -313,9 +308,9 @@ def dwa_step(
     v_adm, w_adm = vs[iv], ws[iw]
 
     score = (
-        params.heading_weight * _normalize(raw_heading)
-        + params.clearance_weight * _normalize(raw_clearance)
-        + params.velocity_weight * _normalize(v_adm)
+        DWA_HEADING_WEIGHT * _normalize(raw_heading)
+        + DWA_CLEARANCE_WEIGHT * _normalize(raw_clearance)
+        + DWA_VELOCITY_WEIGHT * _normalize(v_adm)
     )
     top = np.flatnonzero(score == score.max())
     best = top[np.lexsort((top, v_adm[top], np.abs(w_adm[top])))[0]]
@@ -389,7 +384,7 @@ def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> _Leg:
     scenario ``dt`` of simulated time.
     """
     gx, gy, gh = goal_pose
-    params, dt, costmap = DWA_PARAMS, session.scenario.session.dt, session.scenario.costmap
+    dt, costmap = session.scenario.session.dt, session.scenario.costmap
     robot = session.robot
     ticks = 0
     spins: list[int] = []
@@ -403,20 +398,20 @@ def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> _Leg:
     except NavigationError as exc:
         return leg(False, f"no_path: {exc}")
 
-    travel = path.cost / max(params.v_max, 1e-6) + 4.0 * math.pi / max(params.omega_max, 1e-6)
+    travel = path.cost / DWA_V_MAX + 4.0 * math.pi / DWA_OMEGA_MAX
     max_ticks = int(math.ceil(4.0 * travel / dt)) + 200
 
     while ticks < max_ticks:
         if math.hypot(robot.x - gx, robot.y - gy) <= ARRIVAL_POS_TOL:
             break
         try:
-            cmd = dwa_step(_observed_pose(session, robot), path, costmap, params, dt)
+            cmd = dwa_step(_observed_pose(session, robot), path, costmap, dt)
         except AllBlocked:
             if spins:
                 return leg(False, "all_blocked")
             spins.append(ticks)
             for _ in range(int(round(RECOVERY_SPIN_TIME / dt))):
-                robot, _ = world.step_kinematics(robot, (0.0, params.omega_max), dt, costmap)
+                robot, _ = world.step_kinematics(robot, (0.0, DWA_OMEGA_MAX), dt, costmap)
                 ticks += 1
             try:
                 path = plan_global(costmap, (robot.x, robot.y), (gx, gy))
@@ -433,7 +428,7 @@ def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> _Leg:
         err = geometry.normalize_angle(gh - robot.heading)
         if abs(err) <= ARRIVAL_ANG_TOL:
             return leg(True, "arrived")
-        omega = max(-params.omega_max, min(params.omega_max, err / dt))
+        omega = max(-DWA_OMEGA_MAX, min(DWA_OMEGA_MAX, err / dt))
         robot, _ = world.step_kinematics(robot, (0.0, omega), dt, costmap)
         ticks += 1
     return leg(False, "tick_cap")

@@ -224,6 +224,8 @@ class Scenario:
     session: SessionParams
     noise: NoiseParams
     scenario_hash: str
+    # build_scene's scenes by bottle placement, each built on first use.
+    scenes: dict[int, Scene] = field(default_factory=dict, init=False, compare=False, repr=False)
 
     # ----- builders -------------------------------------------------------
 
@@ -238,25 +240,14 @@ class Scenario:
         mount = standard_camera_mount((cam.forward, 0.0, cam.height), math.radians(cam.pitch_deg))
         return RobotState(x=r.x, y=r.y, heading=math.radians(r.heading_deg), camera_mount=mount)
 
-    @cached_property
-    def scenes(self) -> dict[int, Scene]:
-        """``build_scene``'s scenes by bottle placement, each built on first use."""
-        return {}
-
     def build_scene(self, bottle_roi_index: int) -> Scene:
         """World with the pill bottle placed at the given region's candidate spot;
         one shared scene per spot, so episodes share its walls and frame memo."""
-        if not 0 <= bottle_roi_index < len(self.bottle_candidates):
-            raise ValueError(
-                f"bottle_roi_index {bottle_roi_index} out of range "
-                f"0..{len(self.bottle_candidates) - 1}"
-            )
         if bottle_roi_index not in self.scenes:
             bottle = SceneObject(
                 kind=ObjectKind.PILL_BOTTLE,
                 position=self.bottle_candidates[bottle_roi_index],
                 shape=CylinderShape(radius=self.bottle.radius, height=self.bottle.height),
-                name="pill_bottle",
             )
             self.scenes[bottle_roi_index] = Scene(grid=self.grid, objects=(bottle, *self.objects))
         return self.scenes[bottle_roi_index]
@@ -298,6 +289,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioInvalid(f"$: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise ScenarioInvalid("$: JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ScenarioInvalid("$: integer too long to parse") from exc
     _expect(isinstance(raw, dict), "$", "top level must be a JSON object")
     _known(raw, "$", _TOP_LEVEL_KEYS)
 
@@ -375,7 +368,6 @@ def load_scenario(path: str | Path) -> Scenario:
                 kind=_OBJECT_KINDS[kind_key],
                 position=_vec(_get(o, "position", p), f"{p}.position", 3),
                 shape=_shape(_get(o, "shape", p), f"{p}.shape"),
-                name=str(_get(o, "name", p, required=False, default=f"object_{i}")),
             )
         )
 

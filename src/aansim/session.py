@@ -11,7 +11,7 @@ byte-identical files.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -87,6 +87,8 @@ def read_log(path: str | Path) -> SessionLog:
             raise LogInvalid(f"line {number}: not valid JSON") from exc
         except RecursionError as exc:
             raise LogInvalid(f"line {number}: JSON nested too deeply") from exc
+        except ValueError as exc:  # an integer past the interpreter's digit limit
+            raise LogInvalid(f"line {number}: integer too long to parse") from exc
     if not objects:
         raise LogInvalid("empty log file")
     return SessionLog(meta=objects[0], records=objects[1:])
@@ -120,7 +122,9 @@ def validate_log(log: SessionLog) -> None:
             if key not in record:
                 raise LogInvalid(f"{where}: missing key {key!r}")
         t = record["t"]
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
+        # Also false for NaN, infinities and integers beyond the float range.
+        within = isinstance(t, (int, float)) and abs(t) <= sys.float_info.max
+        if not within or isinstance(t, bool):
             raise LogInvalid(f"{where}: 't' must be a finite number, got {t!r}")
         if t < prev_t - 1e-9:
             raise LogInvalid(f"{where}: time {t} runs backward (previous {prev_t})")

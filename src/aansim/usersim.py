@@ -77,9 +77,9 @@ PROFILE_PRESETS: dict[str, UserProfile] = {
 
 @dataclass(frozen=True)
 class Prompt:
-    """What the robot just asked of the user."""
+    """What the robot just asked of the user: a reminder when ``step`` is
+    None, else the guidance step."""
 
-    kind: str  # "reminder" or "step"
     level: int = 1
     step: GuidanceStep | None = None
     attempt: int = 0  # how many times this ask has already been made
@@ -129,7 +129,7 @@ def respond(profile: UserProfile, prompt: Prompt, rng: np.random.Generator) -> U
     each attempt, which mirrors how persistent prompting eventually gets
     through and keeps simulated sessions from stalling forever.
     """
-    if prompt.kind == "reminder":
+    if prompt.step is None:
         p_silent = profile.p_forget * (0.5 ** prompt.attempt)
         if rng.random() < p_silent:
             return UserReply()
@@ -137,23 +137,16 @@ def respond(profile: UserProfile, prompt: Prompt, rng: np.random.Generator) -> U
         if prompt.level >= 3:
             return UserReply(latency_s=latency, pressed_start=True)
         return UserReply(latency_s=latency, transcript=_pick(_REMINDER_OK, rng))
-    if prompt.kind == "step":
-        if prompt.step is None:
-            raise ValueError("step prompts need a step")
-        p_fail = profile.p_struggle * (0.6 ** prompt.attempt)
-        if rng.random() < p_fail:
-            if rng.random() < 0.5:
-                return UserReply(
-                    latency_s=_latency(rng),
-                    transcript=_pick(_STEP_DENY, rng),
-                )
-            return UserReply()
-        return UserReply(
-            latency_s=_latency(rng),
-            transcript=_pick(_STEP_OK[prompt.step], rng),
-            action=EXPECTED_ACTION[prompt.step],
-        )
-    raise ValueError(f"unknown prompt kind {prompt.kind!r}")
+    p_fail = profile.p_struggle * (0.6 ** prompt.attempt)
+    if rng.random() < p_fail:
+        if rng.random() < 0.5:
+            return UserReply(latency_s=_latency(rng), transcript=_pick(_STEP_DENY, rng))
+        return UserReply()
+    return UserReply(
+        latency_s=_latency(rng),
+        transcript=_pick(_STEP_OK[prompt.step], rng),
+        action=EXPECTED_ACTION[prompt.step],
+    )
 
 
 def search_behavior(profile: UserProfile, rng: np.random.Generator, guided: bool) -> float:
@@ -170,9 +163,8 @@ def search_behavior(profile: UserProfile, rng: np.random.Generator, guided: bool
 
 
 def choose_bottle_roi(n_rois: int, profile: UserProfile, rng: np.random.Generator) -> int:
-    """Index of the region the bottle actually sits in (0 = usual spot)."""
-    if n_rois < 1:
-        raise ValueError("need at least one region of interest")
+    """Index of the region the bottle actually sits in (0 = usual spot) of
+    ``n_rois`` >= 1 regions."""
     if n_rois == 1 or rng.random() >= profile.p_misplace:
         return 0
     return int(rng.integers(1, n_rois))
@@ -245,7 +237,8 @@ def gaze_stream(
 
     Returns a ``uint8`` array of ``Aoi`` codes, one per sample, where sample
     k sits at t = k / GAZE_SAMPLE_RATE_HZ for k = 0 .. ceil(duration * rate)
-    - 1, so every full second holds exactly ``rate`` samples.  Fixation
+    - 1, so every full second holds exactly ``rate`` samples.  The duration
+    must be positive.  Fixation
     blocks alternate between areas of interest with durations short enough
     that organic off-task runs never cross the confusion threshold;
     confusion is injected only inside candidate windows (with probability
@@ -254,8 +247,6 @@ def gaze_stream(
     spans.
     """
     rate = GAZE_SAMPLE_RATE_HZ
-    if timeline.duration_s <= 0:
-        return np.empty(0, dtype=np.uint8), []
     n = int(math.ceil(timeline.duration_s * rate))
 
     # Fixation blocks: each takes two draws, its AOI and its duration.  A

@@ -16,12 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import (
-    BoundingBox,
-    CameraIntrinsics,
-    DepthImage,
-    RigidTransform,
-)
+from .geometry import BoundingBox, CameraIntrinsics, RigidTransform
 
 # Occupied grid cells block camera rays up to this height (meters).
 WALL_HEIGHT = 2.0
@@ -48,19 +43,14 @@ _ASCII_TO_CELL = {".": CellState.FREE, "#": CellState.OCCUPIED, "?": CellState.U
 
 @dataclass
 class OccupancyGrid:
-    """2-D occupancy grid; ``cells`` has shape (height, width)."""
+    """2-D occupancy grid; ``cells`` is a uint8 ``CellState`` array of shape (height, width)."""
 
     cells: np.ndarray
     resolution: float
 
     def __post_init__(self) -> None:
-        self.cells = np.asarray(self.cells, dtype=np.uint8)
-        if self.cells.ndim != 2:
-            raise ValueError(f"grid cells must be 2-D, got shape {self.cells.shape}")
         if not 0.0 < self.resolution < math.inf:
             raise ValueError(f"resolution must be positive and finite, got {self.resolution}")
-        if not np.isin(self.cells, [0, 1, 2]).all():
-            raise ValueError("grid contains cell states outside {Free, Occupied, Unknown}")
 
     @property
     def height(self) -> int:
@@ -153,7 +143,6 @@ class SceneObject:
     kind: ObjectKind
     position: tuple[float, float, float]
     shape: BoxShape | CylinderShape
-    name: str = ""
 
     def aabb(self) -> tuple[np.ndarray, np.ndarray]:
         """World-frame axis-aligned bounds (min_corner, max_corner)."""
@@ -241,12 +230,6 @@ class RobotState:
     head_pan: float = 0.0
     camera_mount: RigidTransform = field(default_factory=RigidTransform.identity)
 
-    def __post_init__(self) -> None:
-        if abs(self.v) > V_LIMIT + 1e-12:
-            raise ValueError(f"|v|={abs(self.v)} exceeds limit {V_LIMIT}")
-        if abs(self.omega) > OMEGA_LIMIT + 1e-12:
-            raise ValueError(f"|omega|={abs(self.omega)} exceeds limit {OMEGA_LIMIT}")
-
     def world_from_base(self) -> RigidTransform:
         return RigidTransform.from_yaw(self.heading, (self.x, self.y, 0.0))
 
@@ -307,7 +290,7 @@ class DetectionResult:
 
     box: BoundingBox
     true_kind: ObjectKind
-    depth: np.ndarray | None = field(default=None, compare=False, repr=False)
+    depth: np.ndarray = field(compare=False, repr=False)
 
 
 # Ray ids for non-object hits in the instance buffer.
@@ -452,12 +435,13 @@ def render_depth_ids(
     return depth, ids
 
 
-def add_depth_noise(depth: np.ndarray, noise_sigma: float, rng: np.random.Generator) -> DepthImage:
-    """Depth image from a noise-free render plus clamped additive Gaussian noise."""
+def add_depth_noise(depth: np.ndarray, noise_sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """A noise-free render plus additive Gaussian noise, clamped at 1e-3 m on
+    valid pixels; invalid (0) pixels stay 0."""
     if noise_sigma > 0.0:
         noisy = depth + rng.normal(0.0, noise_sigma, size=depth.shape)
         depth = np.where(depth > 0.0, np.maximum(noisy, 1e-3), 0.0)
-    return DepthImage(depth=depth)
+    return depth
 
 
 def _visible_pixel_box(ids: np.ndarray, index: int) -> tuple[int, BoundingBox | None]:

@@ -2,15 +2,15 @@
 
 These mirror the documented planner contracts with deliberately different
 code: plain-Python Dijkstra for global path costs, and a scalar dynamic-window
-scorer.  They share only input data (costmaps, parameter dataclasses) with
-the library, never its planning code.  ``render_reference`` keeps the
-straightforward (N, 3) ray caster that the library's per-axis renderer must
-match bit for bit, and ``project`` is the pinhole projection that
-back-projection must invert.  ``gaze_stream_reference`` draws the gaze
-stream one fixation block at a time, two scalar draws per block, which the
-library's chunked draw must match bit for bit.  ``audit_log`` replays a
-session log through the pure policy and checks that the episode carried out
-what it directed.
+scorer.  They share only input data (costmaps, parameter dataclasses and the
+planner's ``DWA_*`` constants) with the library, never its planning code.
+``render_reference`` keeps the straightforward (N, 3) ray caster that the
+library's per-axis renderer must match bit for bit, and ``project`` is the
+pinhole projection that back-projection must invert.
+``gaze_stream_reference`` draws the gaze stream one fixation block at a
+time, two scalar draws per block, which the library's chunked draw must
+match bit for bit.  ``audit_log`` replays a session log through the pure
+policy and checks that the episode carried out what it directed.
 """
 
 import heapq
@@ -18,9 +18,10 @@ import math
 
 import numpy as np
 
+from aansim import navigation as nav
 from aansim import usersim, world
 from aansim.geometry import GeometryError
-from aansim.navigation import Costmap, DwaParams, GlobalPath, lookahead_point
+from aansim.navigation import Costmap, GlobalPath, lookahead_point
 from aansim.orchestrator import (
     MOTION_ACTION_KINDS,
     AssistEvent,
@@ -95,18 +96,18 @@ def dwa_reference(
     robot: world.RobotState,
     path: GlobalPath,
     costmap: Costmap,
-    params: DwaParams,
     dt: float,
 ) -> tuple[float, float]:
-    """Scalar re-implementation of the documented dynamic-window step."""
-    v_lo = max(params.v_min, robot.v - params.accel_v * dt)
-    v_hi = min(params.v_max, robot.v + params.accel_v * dt)
-    w_lo = max(params.omega_min, robot.omega - params.accel_omega * dt)
-    w_hi = min(params.omega_max, robot.omega + params.accel_omega * dt)
-    vs = np.linspace(v_lo, v_hi, params.n_v)
-    ws = np.linspace(w_lo, w_hi, params.n_omega)
+    """Scalar re-implementation of the documented dynamic-window step, with
+    the planner's own ``DWA_*`` settings."""
+    v_lo = max(0.0, robot.v - nav.DWA_ACCEL_V * dt)
+    v_hi = min(nav.DWA_V_MAX, robot.v + nav.DWA_ACCEL_V * dt)
+    w_lo = max(-nav.DWA_OMEGA_MAX, robot.omega - nav.DWA_ACCEL_OMEGA * dt)
+    w_hi = min(nav.DWA_OMEGA_MAX, robot.omega + nav.DWA_ACCEL_OMEGA * dt)
+    vs = np.linspace(v_lo, v_hi, nav.DWA_N_V)
+    ws = np.linspace(w_lo, w_hi, nav.DWA_N_OMEGA)
 
-    n_steps = max(1, int(round(params.horizon / dt)))
+    n_steps = max(1, int(round(nav.DWA_HORIZON / dt)))
     taus = [dt * k for k in range(1, n_steps + 1)]
     t_end = taus[-1]
     theta0 = robot.heading
@@ -114,7 +115,7 @@ def dwa_reference(
     res = costmap.resolution
 
     candidates = []  # (v, w, raw_heading, raw_clearance)
-    lx, ly = lookahead_point(path, robot.x, robot.y, params.lookahead)
+    lx, ly = lookahead_point(path, robot.x, robot.y, nav.DWA_LOOKAHEAD)
     for v in vs:  # v-major enumeration, as documented
         v = float(v)
         for w in ws:
@@ -162,8 +163,8 @@ def dwa_reference(
     best = None
     best_score = None
     for k, (v, w, _, _) in enumerate(candidates):
-        score = params.heading_weight * h_n[k] + params.clearance_weight * c_n[k] + (
-            params.velocity_weight * v_n[k]
+        score = nav.DWA_HEADING_WEIGHT * h_n[k] + nav.DWA_CLEARANCE_WEIGHT * c_n[k] + (
+            nav.DWA_VELOCITY_WEIGHT * v_n[k]
         )
         if best is None or score > best_score:
             best, best_score = (v, w), score

@@ -146,7 +146,6 @@ def test_criterion_3_planning_oracles():
 
         # Local planner choice equals the exhaustive scalar reference on 50
         # random states.
-        params = nav.DwaParams()
         agreements = blocked = 0
         dwa_rng = np.random.default_rng(99)
         for _ in range(50):
@@ -165,13 +164,13 @@ def test_criterion_3_planning_oracles():
             wps = dwa_rng.uniform(0.2, 2.8, size=(int(dwa_rng.integers(2, 12)), 2))
             path = nav.GlobalPath(waypoints=wps, cost=0.0)
             try:
-                expected = dwa_reference(robot, path, cm, params, dt=0.1)
+                expected = dwa_reference(robot, path, cm, dt=0.1)
             except OracleBlocked:
                 with pytest.raises(nav.AllBlocked):
-                    nav.dwa_step(robot, path, cm, params, 0.1)
+                    nav.dwa_step(robot, path, cm, 0.1)
                 blocked += 1
                 continue
-            assert nav.dwa_step(robot, path, cm, params, 0.1) == expected
+            assert nav.dwa_step(robot, path, cm, 0.1) == expected
             agreements += 1
         assert agreements >= 25
 

@@ -254,8 +254,9 @@ def test_cli_run_bad_scenario_is_a_usage_error(tmp_path, capsys):
         (None, "$: cannot read {}"),
         (b'{"name": "caf\xe9"}', "$: cannot read {}"),
         (b'{"a":' * 200_000, "$: JSON nested too deeply"),
+        (b'{"session": {"timeout_s": 1' + b"0" * 5000 + b"}}", "$: integer too long to parse"),
     ],
-    ids=["missing", "not_utf8", "deeply_nested"],
+    ids=["missing", "not_utf8", "deeply_nested", "too_many_digits"],
 )
 def test_cli_unreadable_scenario_is_one_error_line(tmp_path, capsys, command, contents, error):
     path = tmp_path / "scenario.json"
@@ -365,12 +366,16 @@ def test_cli_report_rejects_a_gaze_summary_without_an_event_list(tmp_path, capsy
         ('"A"', '"x"', "1.0", "'seed' must be an integer"),
         ('"A"', "3", "NaN", "'t' must be a finite number"),
         ("5", "3", "1.0", "'condition' must be one of ('A', 'B'), got 5"),
+        ('"A"', "3", "1" + "0" * 400, "'t' must be a finite number"),
+        ('"A"', "3", "1" + "0" * 5000, "line 2: integer too long to parse"),
     ],
-    ids=["string_seed", "nan_time", "int_condition"],
+    ids=["string_seed", "nan_time", "int_condition", "huge_int_time", "too_many_digits"],
 )
 def test_cli_report_rejects_bad_seed_or_time(tmp_path, capsys, condition, meta_seed, t, message):
     # A string seed once crashed session_metrics; a NaN time printed nan times;
-    # an integer condition headed its own report column beside A and B.
+    # an integer condition headed its own report column beside A and B; an
+    # integer time past the float range, or past the interpreter's digit
+    # limit for parsing, ended in a traceback.
     (tmp_path / "bad.jsonl").write_text(
         f'{{"format":"aansim-log/1","condition":{condition},"seed":{meta_seed},'
         f'"scenario_hash":"h","profile":"p"}}\n'
@@ -649,8 +654,12 @@ def test_show_unreadable_path_is_one_error_line(tmp_path, capsys, name):
 
 @pytest.mark.parametrize(
     "contents, message",
-    [("", "empty log file"), ("[" * 200_000, "line 1: JSON nested too deeply")],
-    ids=["empty", "deeply_nested"],
+    [
+        ("", "empty log file"),
+        ("[" * 200_000, "line 1: JSON nested too deeply"),
+        ("1" + "0" * 5000, "line 1: integer too long to parse"),
+    ],
+    ids=["empty", "deeply_nested", "too_many_digits"],
 )
 def test_show_unparsable_log_names_its_path_once(tmp_path, capsys, contents, message):
     path = tmp_path / "bad.jsonl"

@@ -9,7 +9,6 @@ from aansim import geometry
 from aansim.geometry import (
     BoundingBox,
     CameraIntrinsics,
-    DepthImage,
     EmptyBox,
     NonPositiveDepth,
     RigidTransform,
@@ -87,7 +86,7 @@ def _pixel_set(mask):
 
 
 def test_extract_foreground_band_and_component():
-    depth = DepthImage(_depth_with_blob())
+    depth = _depth_with_blob()
     box = BoundingBox(19, 14, 30, 25)  # blob-dominant, with a background rim
     mask = geometry.extract_foreground(depth, box)
     assert _pixel_set(mask) == {(u, v) for v in range(15, 25) for u in range(20, 30)}
@@ -101,7 +100,7 @@ def test_extract_foreground_lower_median():
     # center; the upper median (3.0) would keep u = 2 and need the fallback.
     d = np.zeros((1, 4))
     d[0] = [1.0, 2.0, 3.0, 4.0]
-    mask = geometry.extract_foreground(DepthImage(d), BoundingBox(0, 0, 3, 0))
+    mask = geometry.extract_foreground(d, BoundingBox(0, 0, 3, 0))
     assert _pixel_set(mask) == {(1, 0)}
     assert not mask.center_fallback
 
@@ -111,7 +110,7 @@ def test_extract_foreground_center_fallback():
     d = _depth_with_blob()
     d[19:21, 24:26] = 0.0  # punch out the box center
     box = BoundingBox(20, 15, 29, 24)  # centered on the blob
-    mask = geometry.extract_foreground(DepthImage(d), box)
+    mask = geometry.extract_foreground(d, box)
     assert mask.center_fallback
     assert len(mask.pixels) == 100 - 4
 
@@ -121,16 +120,14 @@ def test_extract_foreground_center_component_wins():
     d[8:13, 16:25] = 1.0  # center blob, contains box center (20, 10)
     d[1:20, 30:40] = 1.1  # bigger blob in the same band
     box = BoundingBox(0, 0, 40, 20)
-    mask = geometry.extract_foreground(DepthImage(d), box)
+    mask = geometry.extract_foreground(d, box)
     assert not mask.center_fallback
     assert _pixel_set(mask) == {(u, v) for v in range(8, 13) for u in range(16, 25)}
 
 
 def test_extract_foreground_empty_box():
     with pytest.raises(EmptyBox):
-        geometry.extract_foreground(
-            DepthImage(np.zeros((10, 10))), BoundingBox(2, 2, 7, 7)
-        )
+        geometry.extract_foreground(np.zeros((10, 10)), BoundingBox(2, 2, 7, 7))
 
 
 def test_foreground_connectivity_is_4_not_8():
@@ -138,7 +135,7 @@ def test_foreground_connectivity_is_4_not_8():
     d = np.zeros((5, 5))
     d[2, 2] = 1.0
     d[3, 3] = 1.0
-    mask = geometry.extract_foreground(DepthImage(d), BoundingBox(0, 0, 4, 4))
+    mask = geometry.extract_foreground(d, BoundingBox(0, 0, 4, 4))
     assert _pixel_set(mask) == {(2, 2)}
 
 
@@ -237,7 +234,7 @@ def test_pointing_angles_zero_direction():
 
 def test_localize_target_synthetic_wall_patch():
     # A flat wall 2 m ahead filling the box; camera level with the base.
-    depth = DepthImage(np.full((120, 160), 2.0))
+    depth = np.full((120, 160), 2.0)
     box = BoundingBox(60, 40, 100, 80)
     base_from_cam = RigidTransform(
         np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]),

@@ -119,7 +119,7 @@ def test_costmap_off_map_cost_is_lethal():
     robot = RobotState(x=0.95, y=0.5, heading=0.0, v=0.5)
     path = nav.GlobalPath(waypoints=np.array([[0.5, 0.5]]), cost=0.0)
     with pytest.raises(nav.AllBlocked):
-        nav.dwa_step(robot, path, cm, nav.DwaParams(), 0.1)
+        nav.dwa_step(robot, path, cm, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,6 @@ def _random_dwa_case(rng):
 
 def test_dwa_matches_scalar_oracle_on_random_states():
     rng = np.random.default_rng(99)
-    params = nav.DwaParams()
     agreements = 0
     blocked = 0
     for k in range(40):
@@ -290,13 +289,13 @@ def test_dwa_matches_scalar_oracle_on_random_states():
             # column is a straight line and every +omega ties a -omega on |omega|.
             robot = replace(robot, v=0.0, omega=0.0)
         try:
-            expected = dwa_reference(robot, path, cm, params, dt=0.1)
+            expected = dwa_reference(robot, path, cm, dt=0.1)
         except OracleBlocked:
             with pytest.raises(nav.AllBlocked):
-                nav.dwa_step(robot, path, cm, params, 0.1)
+                nav.dwa_step(robot, path, cm, 0.1)
             blocked += 1
             continue
-        got = nav.dwa_step(robot, path, cm, params, 0.1)
+        got = nav.dwa_step(robot, path, cm, 0.1)
         assert got == expected  # bitwise equality on (v, omega)
         agreements += 1
     assert agreements >= 24
@@ -312,10 +311,7 @@ def test_dwa_at_rest_on_open_floor_matches_oracle(heading, lookahead):
     cm = nav.build_costmap(open_grid(60, 60), nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
     robot = RobotState(x=2.0, y=3.0, heading=heading, v=0.0, omega=0.0)
     path = nav.GlobalPath(waypoints=np.array([[2.0, 3.0], lookahead]), cost=0.0)
-    params = nav.DwaParams()
-    assert nav.dwa_step(robot, path, cm, params, 0.1) == dwa_reference(
-        robot, path, cm, params, dt=0.1
-    )
+    assert nav.dwa_step(robot, path, cm, 0.1) == dwa_reference(robot, path, cm, dt=0.1)
 
 
 def test_dwa_open_space_drives_at_goal():
@@ -325,7 +321,7 @@ def test_dwa_open_space_drives_at_goal():
     path = nav.GlobalPath(
         waypoints=np.array([[1.5, 3.0], [2.5, 3.0], [4.0, 3.0]]), cost=0.0
     )
-    v, w = nav.dwa_step(robot, path, cm, nav.DwaParams(), 0.1)
+    v, w = nav.dwa_step(robot, path, cm, 0.1)
     assert w == 0.0  # goal dead ahead: zero turn wins the tie-break
     assert v == 0.5  # already at v_max; velocity term keeps it there
 
@@ -337,7 +333,7 @@ def test_dwa_turns_toward_offset_goal():
     path = nav.GlobalPath(
         waypoints=np.array([[3.0, 3.0], [3.0, 4.5]]), cost=0.0
     )
-    v, w = nav.dwa_step(robot, path, cm, nav.DwaParams(), 0.1)
+    v, w = nav.dwa_step(robot, path, cm, 0.1)
     assert w > 0.0  # goal is to the left (+y)
 
 
@@ -346,11 +342,11 @@ def test_dwa_all_blocked_in_tight_pocket():
     cells[3, 3] = 0
     grid = OccupancyGrid(cells=cells, resolution=0.1)
     cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.0))
+    # Braking for one tick leaves at least 0.25 m/s: the robot cannot stand still.
     robot = RobotState(x=0.35, y=0.35, heading=0.0, v=0.3, omega=0.0)
-    params = nav.DwaParams(v_min=0.2)  # cannot choose to stand still
     path = nav.GlobalPath(waypoints=np.array([[0.65, 0.35]]), cost=0.0)
     with pytest.raises(nav.AllBlocked):
-        nav.dwa_step(robot, path, cm, params, 0.1)
+        nav.dwa_step(robot, path, cm, 0.1)
 
 
 def test_lookahead_point_selection():
@@ -689,8 +685,6 @@ def test_visit_roi_localizes_a_first_pan_hit_from_that_view(lab_scenario):
     view = replace(session.robot, head_pan=world.PAN_SCHEDULE[0])
     det = world.detect(session.scene, view, sc.detector, sc.intrinsics, np.random.default_rng(0), {})
     assert det is not None and det.true_kind is world.ObjectKind.PILL_BOTTLE
-    est = geometry.localize_target(
-        geometry.DepthImage(det.depth), det.box, sc.intrinsics, view.base_from_camera()
-    )
+    est = geometry.localize_target(det.depth, det.box, sc.intrinsics, view.base_from_camera())
     assert np.array_equal(found.target, est.target_base)
     assert session.robot.head_pan == 0.0

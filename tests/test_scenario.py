@@ -302,7 +302,6 @@ def test_nav_grid_footprint_uses_cell_centers():
         kind=ObjectKind.SUPPORT,
         position=(0.5, 0.5, 0.2),
         shape=BoxShape(size=(0.4, 0.2, 0.4)),
-        name="t",
     )
     nav = sc.stamp_footprints(grid, [table])
     # Footprint x in [0.3, 0.7], y in [0.4, 0.6]: centers 0.35..0.65 x 0.45..0.55.
@@ -316,8 +315,8 @@ def test_build_scene_places_bottle_at_candidate(lab_scenario):
     scene = lab_scenario.build_scene(1)
     bottle = scene.objects[scene.pill_bottle_index]
     assert bottle.position == tuple(lab_scenario.bottle_candidates[1])
-    names = [o.name for o in scene.objects]
-    assert "couch" in names and "coffee_cup" in names
+    # The bottle comes first, then the scenario's furniture and distractors.
+    assert scene.objects == (bottle, *lab_scenario.objects)
 
 
 def test_orchestrator_config_levels_per_condition(lab_scenario):

@@ -52,7 +52,7 @@ def test_profile_rejects_out_of_range(bad):
 
 def test_reminder_reply_is_deterministic_per_seed():
     p = us.PROFILE_PRESETS["misplaces"]
-    prompt = us.Prompt(kind="reminder", level=3)
+    prompt = us.Prompt(level=3)
     a = [us.respond(p, prompt, rng(7)) for _ in range(5)]
     b = [us.respond(p, prompt, rng(7)) for _ in range(5)]
     assert a == b
@@ -60,14 +60,14 @@ def test_reminder_reply_is_deterministic_per_seed():
 
 def test_reminder_at_l3_presses_start():
     p = profile(p_forget=0.0)
-    reply = us.respond(p, us.Prompt(kind="reminder", level=3), rng(1))
+    reply = us.respond(p, us.Prompt(level=3), rng(1))
     assert reply.pressed_start
     assert reply.latency_s >= 0.5
 
 
 def test_reminder_below_l3_confirms_verbally():
     p = profile(p_forget=0.0)
-    reply = us.respond(p, us.Prompt(kind="reminder", level=1), rng(1))
+    reply = us.respond(p, us.Prompt(level=1), rng(1))
     assert not reply.pressed_start
     assert interpret(reply.transcript) is IntentKind.CONFIRM
 
@@ -79,7 +79,7 @@ def test_forgetting_decays_with_repeated_attempts():
     silents = []
     for attempt in (0, 2):
         n = sum(
-            us.respond(p, us.Prompt(kind="reminder", level=1, attempt=attempt), rng(s)).silent
+            us.respond(p, us.Prompt(level=1, attempt=attempt), rng(s)).silent
             for s in range(400)
         )
         silents.append(n)
@@ -90,7 +90,7 @@ def test_forgetting_decays_with_repeated_attempts():
 def test_step_reply_matches_expected_action():
     p = profile(p_struggle=0.0)
     for step in GuidanceStep:
-        prompt = us.Prompt(kind="step", level=3, step=step)
+        prompt = us.Prompt(level=3, step=step)
         reply = us.respond(p, prompt, rng(3))
         assert reply.action is not None
         assert reply.transcript is not None
@@ -99,7 +99,7 @@ def test_step_reply_matches_expected_action():
 
 def test_struggling_user_denies_or_goes_silent():
     p = profile(p_struggle=1.0)
-    prompt = us.Prompt(kind="step", level=1, step=GuidanceStep.OPEN_BOTTLE)
+    prompt = us.Prompt(level=1, step=GuidanceStep.OPEN_BOTTLE)
     denies = silences = 0
     for s in range(200):
         reply = us.respond(p, prompt, rng(s))

@@ -110,7 +110,6 @@ def test_render_cylinder_center_pixel_depth():
         kind=ObjectKind.PILL_BOTTLE,
         position=(4.0, 3.0, 0.8),
         shape=CylinderShape(radius=0.05, height=0.4),
-        name="bottle",
     )
     scene = Scene(grid=g, objects=[bottle])
     robot = _robot_at(2.0, 3.0, 0.0, height=1.0)
@@ -136,13 +135,11 @@ def test_render_box_depth_and_occlusion():
         kind=ObjectKind.SUPPORT,
         position=(3.5, 3.0, 1.0),  # front face at x=3.3
         shape=BoxShape(size=(0.4, 2.0, 2.0)),
-        name="slab",
     )
     behind = SceneObject(
         kind=ObjectKind.DISTRACTOR,
         position=(4.5, 3.0, 1.0),
         shape=CylinderShape(radius=0.1, height=0.5),
-        name="hidden",
     )
     scene = Scene(grid=g, objects=[slab, behind])
     robot = _robot_at(2.0, 3.0, 0.0)
@@ -167,14 +164,14 @@ def test_render_depth_noise_is_seeded_and_clamped():
     scene = Scene(grid=g, objects=[])
     robot = _robot_at(2.0, 3.0, 0.0)
     clean, _ = world.render_depth_ids(scene, robot, INTR, 10.0)
-    d1 = world.add_depth_noise(clean, 0.01, np.random.default_rng(5)).depth
-    d2 = world.add_depth_noise(clean, 0.01, np.random.default_rng(5)).depth
+    d1 = world.add_depth_noise(clean, 0.01, np.random.default_rng(5))
+    d2 = world.add_depth_noise(clean, 0.01, np.random.default_rng(5))
     assert np.array_equal(d1, d2)
     valid = d1 > 0
     assert valid.any()
     assert np.array_equal(valid, clean > 0)
     assert d1[valid].min() >= 1e-3
-    assert world.add_depth_noise(clean, 0.0, np.random.default_rng(5)).depth is clean
+    assert world.add_depth_noise(clean, 0.0, np.random.default_rng(5)) is clean
 
 
 def _assert_bitwise_equal(got, want):
@@ -220,7 +217,6 @@ def test_render_zero_direction_on_slab_plane_matches_reference():
         kind=ObjectKind.SUPPORT,
         position=(4.0, 3.25, 1.25),
         shape=BoxShape(size=(0.5, 0.5, 0.5)),
-        name="corner",
     )
     scene = Scene(grid=_open_room(), objects=[box])
     robot = _robot_at(2.0, 3.0, 0.0, height=1.0)
@@ -367,13 +363,11 @@ def _bottle_scene(bottle_x=3.0):
         kind=ObjectKind.PILL_BOTTLE,
         position=(bottle_x, 3.0, 0.9),
         shape=CylinderShape(radius=0.04, height=0.16),
-        name="bottle",
     )
     cup = SceneObject(
         kind=ObjectKind.DISTRACTOR,
         position=(3.0, 2.4, 0.9),
         shape=CylinderShape(radius=0.05, height=0.12),
-        name="cup",
     )
     return Scene(grid=g, objects=[bottle, cup])
 
@@ -416,7 +410,6 @@ def test_detect_supports_are_never_candidates():
         kind=ObjectKind.SUPPORT,
         position=(3.0, 3.0, 0.4),
         shape=BoxShape(size=(1.0, 1.0, 0.8)),
-        name="table",
     )
     scene = Scene(grid=g, objects=[table])
     robot = _robot_at(1.5, 3.0, 0.0)
