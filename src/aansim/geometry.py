@@ -181,8 +181,17 @@ def backproject_pixels(
     return np.column_stack([x, y, z])
 
 
-# 4-connected structuring element for component labeling.
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+def _component(left: set, seed: int, step: int) -> list[int]:
+    """Remove from ``left`` and return the pixels 4-connected to ``seed``, as
+    flat indices v * step + u whose rows end in a column that ``left`` lacks."""
+    left.remove(seed)
+    out = [seed]
+    for p in out:  # also visits the pixels appended on the way
+        for q in (p - 1, p + 1, p - step, p + step):
+            if q in left:
+                left.remove(q)
+                out.append(q)
+    return out
 
 
 def extract_foreground(depth: np.ndarray, box: BoundingBox) -> ForegroundMask:
@@ -206,28 +215,31 @@ def extract_foreground(depth: np.ndarray, box: BoundingBox) -> ForegroundMask:
     z_m = float(vals[(len(vals) - 1) // 2])  # lower median, no interpolation
 
     retained = valid & (np.abs(sub - z_m) <= DEFAULT_BAND_HALFWIDTH)
-    # Imported here, not at module load: condition A never segments a frame,
-    # and scipy.ndimage adds about 21 MB and 0.17 s to importing the package.
-    from scipy import ndimage
-
-    # The median pixel is always within the band, so at least one component exists.
-    labels, n_components = ndimage.label(retained, structure=_CROSS)
-
+    # Flat row-major indices, so min() is the first; the median pixel is one.
+    step = retained.shape[1] + 1
+    vs, us = np.nonzero(retained)
+    left = set((vs * step + us).tolist())
     cu, cv = clipped.center
-    center_label = int(labels[cv - clipped.v_min, cu - clipped.u_min])
-    center_fallback = False
-    if center_label == 0:
-        sizes = ndimage.sum_labels(retained, labels, index=np.arange(1, n_components + 1))
-        center_label = int(np.argmax(sizes)) + 1  # ties: lowest label wins
-        center_fallback = True
+    center = (cv - clipped.v_min) * step + cu - clipped.u_min
+    center_fallback = center not in left
+    if center_fallback:
+        # Raster order of first pixels, as labels number them; max keeps the first tie.
+        components = []
+        while left:
+            components.append(_component(left, min(left), step))
+        pixels = max(components, key=len)
         logger.warning(
             "foreground extraction: box center (%d, %d) missed the depth band; "
             "falling back to largest component (%d px)",
-            cu, cv, int(sizes[center_label - 1]),
+            cu, cv, len(pixels),
         )
+    else:
+        pixels = _component(left, center, step)
 
+    mask = np.zeros((retained.shape[0], step), dtype=bool)
+    mask.flat[pixels] = True
     return ForegroundMask(
-        pixels=np.argwhere(labels.T == center_label) + (clipped.u_min, clipped.v_min),
+        pixels=np.argwhere(mask.T) + (clipped.u_min, clipped.v_min),
         center_fallback=center_fallback,
     )
 

@@ -94,12 +94,22 @@ def build_costmap(grid: OccupancyGrid, params: NavParams) -> Costmap:
     cost = np.zeros(grid.cells.shape, dtype=np.float64)
     cost[lethal] = LETHAL_COST
     if params.inflation_radius > 0.0 and lethal.any():
-        from scipy import ndimage  # not at module load: condition A builds no costmap
-
-        dist = ndimage.distance_transform_edt(~lethal, sampling=grid.resolution)
+        # Only distances within the radius reach the costmap, so the distance
+        # is the least d over the cell offsets (di, dj) within it that land on
+        # a lethal cell, summed as an exact EDT sums it: the same bits there.
+        r, h, w = grid.resolution, *lethal.shape
+        reach = min(int(params.inflation_radius / r) + 1, max(h, w))  # no farther than the map
+        lethal_at = np.pad(np.where(lethal, 0.0, np.inf), reach, constant_values=np.inf)
+        dist = np.full(lethal.shape, np.inf)
+        for di in range(-reach, reach + 1):
+            for dj in range(-reach, reach + 1):
+                d = math.sqrt((di * r) * (di * r) + (dj * r) * (dj * r))
+                if d <= params.inflation_radius:
+                    shifted = lethal_at[reach + di : reach + di + h, reach + dj : reach + dj + w]
+                    np.minimum(dist, shifted + d, out=dist)
         band = ~lethal & (dist <= params.inflation_radius)
-        inflated = 254.0 * np.exp(-params.cost_decay * (dist - params.robot_radius))
-        cost[band] = np.clip(inflated[band], 1.0, 253.0)
+        inflated = 254.0 * np.exp(-params.cost_decay * (dist[band] - params.robot_radius))
+        cost[band] = np.clip(inflated, 1.0, 253.0)
     return Costmap(grid.cells, grid.resolution, cost=cost)
 
 

@@ -7,6 +7,10 @@ planner's ``DWA_*`` constants) with the library, never its planning code.
 ``render_reference`` keeps the straightforward (N, 3) ray caster that the
 library's per-axis renderer must match bit for bit, and ``project`` is the
 pinhole projection that back-projection must invert.
+``costmap_reference`` and ``foreground_reference`` keep the scipy.ndimage
+costmap (a Euclidean distance transform) and foreground labeling that the
+library's windowed distance and flood fill must match bit for bit; scipy is
+a test-only dependency.
 ``gaze_stream_reference`` draws the gaze stream one fixation block at a
 time, two scalar draws per block, which the library's chunked draw must
 match bit for bit.  ``audit_log`` replays a session log through the pure
@@ -17,10 +21,11 @@ import heapq
 import math
 
 import numpy as np
+from scipy import ndimage
 
 from aansim import navigation as nav
 from aansim import usersim, world
-from aansim.geometry import GeometryError
+from aansim.geometry import DEFAULT_BAND_HALFWIDTH, GeometryError
 from aansim.navigation import Costmap, GlobalPath, lookahead_point
 from aansim.orchestrator import (
     MOTION_ACTION_KINDS,
@@ -360,6 +365,37 @@ def render_reference(scene, robot, intrinsics, max_range=10.0):
     depth = np.where(out_of_range, 0.0, best)
     ids = np.where(out_of_range, world.NO_HIT, ids)
     return depth.reshape(h, w), ids.reshape(h, w)
+
+
+def costmap_reference(grid, params) -> np.ndarray:
+    """The cost grid from scipy's exact distance transform over the whole map."""
+    lethal = (grid.cells == world.CellState.OCCUPIED) | (grid.cells == world.CellState.UNKNOWN)
+    cost = np.where(lethal, nav.LETHAL_COST, 0.0)
+    if params.inflation_radius > 0.0 and lethal.any():
+        dist = ndimage.distance_transform_edt(~lethal, sampling=grid.resolution)
+        band = ~lethal & (dist <= params.inflation_radius)
+        inflated = 254.0 * np.exp(-params.cost_decay * (dist - params.robot_radius))
+        cost[band] = np.clip(inflated[band], 1.0, 253.0)
+    return cost
+
+
+def foreground_reference(depth, box) -> tuple[list[list[int]], bool]:
+    """(u, v) pixels, sorted, and fallback flag of the box's foreground, from
+    ``ndimage.label``: the center's 4-connected component, else the largest,
+    the lowest label winning a tie."""
+    c = box.clipped(depth.shape[1], depth.shape[0])
+    sub = depth[c.v_min : c.v_max + 1, c.u_min : c.u_max + 1]
+    z_m = np.sort(sub[sub > 0.0])[(np.count_nonzero(sub > 0.0) - 1) // 2]
+    retained = (sub > 0.0) & (np.abs(sub - z_m) <= DEFAULT_BAND_HALFWIDTH)
+    labels, n = ndimage.label(retained, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    cu, cv = c.center
+    label = labels[cv - c.v_min, cu - c.u_min]
+    fallback = bool(label == 0)
+    if fallback:
+        sizes = ndimage.sum_labels(retained, labels, index=np.arange(1, n + 1))
+        label = int(np.argmax(sizes)) + 1
+    pixels = np.argwhere(labels.T == label) + (c.u_min, c.v_min)
+    return pixels.tolist(), fallback
 
 
 class BehindCamera(GeometryError):

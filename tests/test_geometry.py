@@ -15,7 +15,7 @@ from aansim.geometry import (
     ZeroDirection,
 )
 
-from oracles import BehindCamera, project
+from oracles import BehindCamera, foreground_reference, project
 
 INTR = CameraIntrinsics(fx=130.0, fy=130.0, cx=79.5, cy=59.5, width=160, height=120)
 
@@ -137,6 +137,43 @@ def test_foreground_connectivity_is_4_not_8():
     d[3, 3] = 1.0
     mask = geometry.extract_foreground(d, BoundingBox(0, 0, 4, 4))
     assert _pixel_set(mask) == {(2, 2)}
+
+
+def test_extract_foreground_matches_label_reference():
+    # Random masks of 1-40 px a side, fill 0.2-0.9, in-band and out-of-band
+    # depths, and boxes that may reach past the image edge.
+    rng = np.random.default_rng(25)
+    fallbacks = 0
+    for _ in range(3000):
+        h, w = (int(n) for n in rng.integers(1, 41, size=2))
+        fill = rng.uniform(0.2, 0.9)
+        d = np.where(rng.random((h, w)) < fill, rng.choice([1.0, 1.1, 1.4], size=(h, w)), 0.0)
+        if not d.any():
+            continue
+        u0, u1 = sorted(int(u) for u in rng.integers(-3, w + 3, size=2))
+        v0, v1 = sorted(int(v) for v in rng.integers(-3, h + 3, size=2))
+        box = BoundingBox(u0, v0, u1, v1)
+        c = box.clipped(w, h)
+        if not d[c.v_min : c.v_max + 1, c.u_min : c.u_max + 1].any():
+            continue
+        mask = geometry.extract_foreground(d, box)
+        pixels, fallback = foreground_reference(d, box)
+        assert (mask.pixels.tolist(), mask.center_fallback) == (pixels, fallback)
+        fallbacks += fallback
+    assert fallbacks > 300
+
+
+def test_extract_foreground_fallback_tie_takes_the_first_in_row_major_order():
+    # Two 2-pixel components and an empty center (3, 1): the one whose first
+    # pixel comes first row by row wins, though its column is the larger.
+    d = np.zeros((3, 7))
+    d[0, 5:7] = 1.0
+    d[1, 0:2] = 1.0
+    box = BoundingBox(0, 0, 6, 2)
+    mask = geometry.extract_foreground(d, box)
+    assert mask.center_fallback
+    assert mask.pixels.tolist() == [[5, 0], [6, 0]]
+    assert foreground_reference(d, box) == ([[5, 0], [6, 0]], True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Stdlib ``ast`` scans of the source tree: every imported name is used,
 every module-level name of the package has a caller outside the tests, and
-every dataclass field of the package is read outside the tests.  Also: a
-condition-A run imports no scipy submodule, and no aansim process loads
-scipy's stats package."""
+every dataclass field of the package is read outside the tests.  Also: no
+aansim process imports scipy, which the tests keep only as an oracle, and the
+command lines run the same with scipy unimportable."""
 
 import ast
 import os
@@ -203,9 +203,10 @@ def test_every_dataclass_field_has_a_production_reader():
     assert sorted(unread_fields(files)) == sorted(UNREAD_FIELDS_ALLOWED)
 
 
-# Loaded modules after each stage of a fresh process: the package, the
-# scenario and ten condition-A episodes, then one condition-B episode, then a
-# report on all eleven sessions (ten A sessions reach the Student-t interval).
+# Loaded scipy modules after each stage of a fresh process: the package, the
+# scenario and ten condition-A episodes, then one condition-B episode (costmap
+# and foreground), then a report on all eleven sessions (ten A sessions reach
+# the median interval).
 _SCIPY_PROBE = """
 import sys
 import aansim.cli
@@ -214,7 +215,7 @@ from aansim.episode import run_episode
 from aansim.scenario import load_scenario
 
 def loaded():
-    return [m for m in ("scipy.ndimage", "scipy.stats") if m in sys.modules]
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
 scenario = load_scenario(sys.argv[1])
 logs = [run_episode(scenario, "A", seed).log for seed in range(10)]
@@ -225,8 +226,7 @@ metrics.render_report([metrics.session_metrics(log) for log in logs])
 print(loaded())
 """
 
-# Loaded modules after ``aansim report`` in a fresh process.  scipy.special
-# shows that the report reached the Student-t quantile.
+# Loaded scipy modules after ``aansim report`` in a fresh process.
 _REPORT_PROBE = """
 import contextlib
 import io
@@ -235,32 +235,64 @@ from aansim import cli
 
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["report", "--logs", sys.argv[1]]) == 0
-print([m for m in ("scipy.ndimage", "scipy.special", "scipy.stats") if m in sys.modules])
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+# ``aansim ARGS...`` in a fresh process, with scipy unimportable when the
+# first argument is ``block``.
+_BLOCKED_CLI = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+if sys.argv[1] == "block":
+    sys.meta_path.insert(0, NoScipy())
+from aansim import cli
+
+sys.exit(cli.main(sys.argv[2:]))
 """
 
 
 LAB_STUDY = str(ROOT / "scenarios" / "lab_study.json")
 
 
-def _probe(source: str, arg: str) -> list[str]:
+def _probe(source: str, *args: str, cwd=None) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", source, arg], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", source, *args],
+        capture_output=True, text=True, env=env, check=True, cwd=cwd,
     )
     return proc.stdout.splitlines()
 
 
 def test_condition_a_imports_no_scipy_submodule():
-    # With the package loaded, scipy.ndimage adds about 21 MB and 0.17 s to a
-    # process; only the costmap and the foreground segmentation of condition B
-    # need it.  The report's interval must not load scipy's stats package
-    # (44 MB and 0.5 s more).
-    assert _probe(_SCIPY_PROBE, LAB_STUDY) == ["[]", "['scipy.ndimage']", "['scipy.ndimage']"]
+    # Not condition A, nor a condition-B episode, nor a report loads any part
+    # of scipy: scipy.ndimage would add about 20 MB and 0.2 s to the process,
+    # and scipy.stats 44 MB and 0.5 s more.
+    assert _probe(_SCIPY_PROBE, LAB_STUDY) == ["[]", "[]", "[]"]
 
 
 def test_report_loads_no_scipy_stats(tmp_path, capsys):
-    # Two pairs: with one session per condition the report has no interval.
     assert cli.main(["batch", "--scenario", LAB_STUDY, "--seeds", "2", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert _probe(_REPORT_PROBE, str(tmp_path)) == ["['scipy.special']"]
+    assert _probe(_REPORT_PROBE, str(tmp_path)) == ["[]"]
+
+
+def test_command_lines_run_without_scipy(tmp_path):
+    # batch, report and show print the same with scipy unimportable.  Each
+    # side runs in its own directory, so relative paths print the same.
+    commands = (
+        ["batch", "--scenario", LAB_STUDY, "--seeds", "2", "--out", "study"],
+        ["report", "--logs", "study"],
+        ["show", os.path.join("study", "lab_study_B_seed0001.jsonl")],
+    )
+    for side in ("plain", "block"):
+        (tmp_path / side).mkdir()
+    for args in commands:
+        plain, blocked = (_probe(_BLOCKED_CLI, side, *args, cwd=tmp_path / side)
+                          for side in ("plain", "block"))
+        assert blocked == plain and plain, args

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 
 from aansim import metrics as m
 from aansim.session import SessionLog
@@ -139,7 +139,7 @@ def test_cronbach_alpha_degenerate_inputs_raise():
 # Distribution summaries
 
 
-def test_summarize_matches_scipy_t_interval():
+def test_summarize_location_and_median_interval():
     vals = [3.0, 4.5, 1.0, 7.25, 5.5, 2.0, 6.75]
     s = m.summarize(vals)
     assert s.n == 7
@@ -147,17 +147,45 @@ def test_summarize_matches_scipy_t_interval():
     assert s.median == pytest.approx(np.median(vals), abs=1e-12)
     assert s.q1 == pytest.approx(np.percentile(vals, 25), abs=1e-12)
     assert s.q3 == pytest.approx(np.percentile(vals, 75), abs=1e-12)
-    lo, hi = stats.t.interval(0.95, len(vals) - 1, loc=np.mean(vals), scale=stats.sem(vals))
-    assert s.ci95 == pytest.approx((lo, hi), abs=1e-9)
+    # P(Bin(7, 1/2) <= 0) = 1/128 <= 0.025 < P(<= 1) = 8/128, so k = 1.
+    assert s.ci95 == (1.0, 7.25)
 
 
-def test_stdtrit_is_bit_equal_to_scipy_t_ppf():
-    # summarize takes its t quantile from special.stdtrit so that a report
-    # never loads scipy.stats; a scipy release that makes the two differ
-    # would change report bytes, so it fails here first.
-    for df in range(1, 2001):
-        want = float(stats.t.ppf(0.975, df)).hex()
-        assert float(special.stdtrit(df, 0.975)).hex() == want, df
+@pytest.mark.parametrize(
+    "vals, ci",
+    [
+        # n = 6: P(Bin <= 0) = 1/64 <= 0.025 < 7/64, so k = 1: the extremes.
+        ([5.0, -1.0, 2.5, 9.0, 0.0, 4.0], (-1.0, 9.0)),
+        # n = 10: P(Bin <= 1) = 11/1024 <= 0.025 < P(<= 2) = 56/1024, so k = 2:
+        # x_(2) and x_(9), whatever the input order.
+        ([10.0, 1.0, 9.0, 2.0, 8.0, 3.0, 7.0, 4.0, 6.0, 5.0], (2.0, 9.0)),
+        # n = 30: P(Bin <= 9) = 22,964,087 / 2^30 = 0.0214 <= 0.025 and
+        # P(<= 10) = 53,009,102 / 2^30 = 0.0494, so k = 10: x_(10) and x_(21).
+        ([float(x * x) for x in range(30, 0, -1)], (100.0, 441.0)),
+        # Ties and a count that is 0 in 28 of 30 sessions stay in the data's range.
+        ([0.0] * 28 + [1.0, 2.0], (0.0, 0.0)),
+    ],
+    ids=["n6", "n10", "n30", "n30_mostly_zero"],
+)
+def test_summarize_median_interval_by_hand(vals, ci):
+    assert m.summarize(vals).ci95 == ci
+
+
+def test_median_interval_rank_matches_scipy_binom():
+    # k is the largest index with P(Bin(n, 1/2) <= k - 1) <= 0.025; on the
+    # values 1..n the interval is (k, n + 1 - k).
+    for n in range(1, 201):
+        want = 0
+        while want < n and stats.binom.cdf(want, n, 0.5) <= 0.025:
+            want += 1
+        ci = m.summarize(range(1, n + 1)).ci95
+        assert ci == ((want, n + 1 - want) if want else None), n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_summarize_five_or_fewer_values_have_no_interval(n):
+    # P(Bin(5, 1/2) <= 0) = 1/32 > 0.025: no order statistic reaches 95%.
+    assert m.summarize(np.arange(float(n))).ci95 is None
 
 
 def test_summarize_single_value_has_no_interval():

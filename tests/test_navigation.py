@@ -16,6 +16,7 @@ from aansim.world import CellState, OccupancyGrid, RobotState
 
 from oracles import (
     OracleBlocked,
+    costmap_reference,
     dijkstra_costs,
     dwa_reference,
     path_cost_recomputed,
@@ -86,6 +87,63 @@ def test_costmap_inflated_band_clipped_to_1_253():
     assert band.any()
     assert cm.cost[band].min() >= 1.0
     assert cm.cost[band].max() <= 253.0
+
+
+def assert_costmap_bits(grid, params):
+    got = nav.build_costmap(grid, params).cost
+    assert got.tobytes() == costmap_reference(grid, params).tobytes(), (grid.cells.shape, params)
+
+
+def test_costmap_equals_edt_reference_on_random_grids():
+    # Non-square maps, lethal cells on the border, radii from 0 to 48 cells.
+    rng = np.random.default_rng(25)
+    for _ in range(600):
+        h, w = (int(n) for n in rng.integers(5, 61, size=2))
+        grid = random_grid(rng, w, h, p=rng.uniform(0.005, 0.3), resolution=rng.uniform(0.025, 0.2))
+        params = nav.NavParams(
+            inflation_radius=rng.uniform(0.0, 1.2),
+            cost_decay=rng.uniform(0.0, 3.0),
+            robot_radius=rng.uniform(0.0, 0.4),
+        )
+        assert_costmap_bits(grid, params)
+
+
+def test_costmap_equals_edt_reference_on_lab_map(lab_scenario):
+    assert lab_scenario.costmap.cost.tobytes() == (
+        costmap_reference(lab_scenario.nav_grid, lab_scenario.nav).tobytes()
+    )
+
+
+@pytest.mark.parametrize("resolution", [0.1, 0.09])
+def test_costmap_pythagorean_ties_match_edt(resolution):
+    # Lethal cells 5 cells from one free cell along an axis and at (3, 4):
+    # the same distance, but at 0.09 m (3r)^2 + (4r)^2 rounds one ulp above
+    # (5r)^2, so which of the two wins shows in the bits.
+    r = resolution
+    assert (math.sqrt((3 * r) * (3 * r) + (4 * r) * (4 * r)) != 5 * r) == (r == 0.09)
+    for axis, diagonal in (((5, 0), (3, 4)), ((0, 5), (4, 3)), ((-5, 0), (-3, 4)),
+                           ((0, -5), (4, -3)), ((5, 0), (-3, -4)), ((0, 5), (-4, 3))):
+        cells = np.zeros((13, 15), dtype=np.uint8)
+        for di, dj in (axis, diagonal):
+            cells[6 + di, 7 + dj] = CellState.OCCUPIED
+        grid = OccupancyGrid(cells=cells, resolution=resolution)
+        for radius in (5 * resolution, 5.5 * resolution, 0.8):
+            assert_costmap_bits(grid, nav.NavParams(inflation_radius=radius))
+
+
+@pytest.mark.parametrize(
+    "resolution, radius_cells",
+    [(0.05, 0), (0.05, 0.5), (0.05, 0.999), (0.05, 1), (0.05, 1.5), (0.03, 11)],
+)
+def test_costmap_small_radii_match_edt(resolution, radius_cells):
+    # Radius 0, below one cell and just past it; and 11 cells of 0.03 m,
+    # where radius / resolution rounds to 10.999999999999998.  Lethal cells
+    # on the border leave free cells up to 24 cells from them.
+    cells = np.zeros((15, 25), dtype=np.uint8)
+    cells[7, 0] = CellState.OCCUPIED
+    cells[14, 24] = CellState.UNKNOWN
+    grid = OccupancyGrid(cells=cells, resolution=resolution)
+    assert_costmap_bits(grid, nav.NavParams(inflation_radius=radius_cells * resolution))
 
 
 def test_costmap_monotone_in_distance_to_lethal():
