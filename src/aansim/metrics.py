@@ -32,23 +32,16 @@ class DegenerateData(ValueError):
     """Not enough variation or data to compute a statistic."""
 
 
-class EmptyCondition(ValueError):
-    """Aggregation was asked for a condition with no sessions."""
-
-
 def cronbach_alpha(item_scores) -> float:
     """Cronbach's alpha over a (respondents x items) score matrix.
 
     Uses population variances; reverse-code items first (as
-    ``Questionnaire.adjusted`` does).  Raises DegenerateData for
-    fewer than two items, fewer than two respondents, or zero total variance.
+    ``Questionnaire.adjusted`` does).  Every questionnaire has at least two
+    items.  Raises DegenerateData for fewer than two respondents or zero
+    total variance.
     """
     scores = np.asarray(item_scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise DegenerateData("item scores must be a 2-D respondents-by-items array")
     n, k = scores.shape
-    if k < 2:
-        raise DegenerateData(f"alpha needs at least 2 items, got {k}")
     if n < 2:
         raise DegenerateData(f"alpha needs at least 2 respondents, got {n}")
     item_var = scores.var(axis=0, ddof=0)
@@ -139,9 +132,7 @@ def summarize(values) -> Summary:
     median (Conover 1999): order statistics [x_(k), x_(n+1-k)], with k the
     largest index where P(Bin(n, 1/2) <= k - 1) <= 0.025, exact in integers."""
     xs = np.asarray(list(values), dtype=np.float64)
-    n = int(xs.size)
-    if n == 0:
-        raise EmptyCondition("no values to summarize")
+    n = int(xs.size)  # every group summarized holds at least one value
     k = tail = 0
     while 40 * (tail + math.comb(n, k)) <= 2**n:
         tail += math.comb(n, k)

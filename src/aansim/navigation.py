@@ -61,11 +61,19 @@ class AllBlocked(NavigationError):
 
 @dataclass
 class Costmap(OccupancyGrid):
-    """Float cost grid over the cells and geometry of an occupancy grid."""
+    """Float cost grid over the cells and geometry of an occupancy grid.
 
-    cost: np.ndarray = field(kw_only=True)
+    ``edged`` holds one more row and column, both LETHAL_COST, past the
+    map's last ones; ``cost`` is the map's part of it.
+    """
+
+    edged: np.ndarray = field(kw_only=True)
     # navigate_to's noise-free legs, keyed by start state and goal pose.
     legs: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
+
+    @property
+    def cost(self) -> np.ndarray:
+        return self.edged[:-1, :-1]
 
     def traversable(self, i: int, j: int) -> bool:
         return self.cost[j, i] < INSCRIBED_COST
@@ -91,8 +99,9 @@ def build_costmap(grid: OccupancyGrid, params: NavParams) -> Costmap:
     nearest lethal cell; beyond it, cost is 0.
     """
     lethal = (grid.cells == CellState.OCCUPIED) | (grid.cells == CellState.UNKNOWN)
-    cost = np.zeros(grid.cells.shape, dtype=np.float64)
-    cost[lethal] = LETHAL_COST
+    edged = np.full((grid.height + 1, grid.width + 1), LETHAL_COST)
+    cost = edged[:-1, :-1]
+    cost[~lethal] = 0.0
     if params.inflation_radius > 0.0 and lethal.any():
         # Only distances within the radius reach the costmap, so the distance
         # is the least d over the cell offsets (di, dj) within it that land on
@@ -110,7 +119,7 @@ def build_costmap(grid: OccupancyGrid, params: NavParams) -> Costmap:
         band = ~lethal & (dist <= params.inflation_radius)
         inflated = 254.0 * np.exp(-params.cost_decay * (dist[band] - params.robot_radius))
         cost[band] = np.clip(inflated, 1.0, 253.0)
-    return Costmap(grid.cells, grid.resolution, cost=cost)
+    return Costmap(grid.cells, grid.resolution, edged=edged)
 
 
 @dataclass
@@ -225,20 +234,42 @@ DWA_LOOKAHEAD = 0.6
 def lookahead_point(path: GlobalPath, x: float, y: float, dist: float) -> tuple[float, float]:
     """First waypoint at least ``dist`` ahead of the nearest one to (x, y)."""
     wps = path.waypoints
-    deltas = wps - np.array([x, y])
-    d2 = np.einsum("ij,ij->i", deltas, deltas)
-    nearest = int(np.argmin(d2))
-    for k in range(nearest, len(wps)):
-        if math.hypot(wps[k, 0] - x, wps[k, 1] - y) >= dist:
-            return (float(wps[k, 0]), float(wps[k, 1]))
-    return (float(wps[-1, 0]), float(wps[-1, 1]))
+    deltas = wps - (x, y)
+    nearest = int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
+    for k, (dx, dy) in enumerate(deltas[nearest:].tolist(), nearest):
+        if math.hypot(dx, dy) >= dist:
+            return tuple(wps[k].tolist())
+    return tuple(wps[-1].tolist())
 
 
-def _normalize(raw: np.ndarray) -> np.ndarray:
-    lo, hi = raw.min(), raw.max()
-    if hi > lo:
-        return (raw - lo) / (hi - lo)
-    return np.zeros_like(raw)
+_V_STEPS = np.arange(DWA_N_V, dtype=np.float64)
+_W_STEPS = np.arange(DWA_N_OMEGA, dtype=np.float64)
+_WEIGHTS = np.array([[DWA_HEADING_WEIGHT], [DWA_CLEARANCE_WEIGHT], [DWA_VELOCITY_WEIGHT]])
+
+
+def _window(steps: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``np.linspace(lo, hi, len(steps))`` for ``steps = arange(len(steps))``, bit for bit."""
+    div = len(steps) - 1
+    delta = hi - lo
+    step = delta / div
+    y = steps / div * delta if step == 0 else steps * step  # numpy's subnormal-delta order
+    y += lo
+    y[-1] = hi
+    return y
+
+
+def _wrap(err: np.ndarray) -> np.ndarray:
+    """``math.remainder(e, 2*pi)`` for each e of ``err``, bit for bit.
+
+    One shift by 2*pi toward zero is exact for pi <= |e| <= 4*pi (Sterbenz),
+    and it is the remainder wherever it lands strictly inside (-pi, pi); ties
+    and |e| > 3*pi, which land outside, take the scalar remainder.
+    """
+    two_pi = 2.0 * math.pi
+    r = np.where(np.abs(err) > math.pi, err - np.copysign(two_pi, err), err)
+    far = np.abs(r) >= math.pi
+    r[far] = [math.remainder(e, two_pi) for e in err[far].tolist()]
+    return r
 
 
 def dwa_step(
@@ -259,11 +290,18 @@ def dwa_step(
     admissible set, weighted and summed.  Exact score ties fall to lower
     |omega|, then lower v, then earlier enumeration.
 
-    The rollout heading theta0 + omega * tau does not depend on v, so its
-    sine and cosine are evaluated once on the (n_omega, K) grid and shared
-    by every v; each lattice point still sees the same IEEE inputs.  The
-    endpoint pose is the last rollout column, which is the same arithmetic
-    as ``world.unicycle_arc`` at the horizon.
+    Rollouts are laid out K-major, (2, K, n_v, n_omega) for x and y, so one
+    division and one floor find every cell and the worst cost of each arc is
+    a reduction over the leading axis.  The heading theta0 + omega * tau does
+    not depend on v, so its sine and cosine are taken once on (K, n_omega).
+    Floored cells are clamped to [-1, width] x [-1, height], which index
+    ``Costmap.edged``'s lethal last row and column, so an off-map sample
+    costs 255.  The endpoint is the last rollout row, the same arithmetic as
+    ``world.unicycle_arc`` at the horizon.  Its bearing stays scalar libm
+    ``atan2``, which ``np.arctan2`` differs from in the last bit on some
+    inputs, and ``_wrap`` gives the IEEE remainder's bits.  Every value is
+    the same IEEE expression as the scalar rollout's, up to the order of
+    commutative operands.
 
     Raises AllBlocked when every candidate collides.
     """
@@ -271,58 +309,53 @@ def dwa_step(
     v_hi = min(DWA_V_MAX, robot.v + DWA_ACCEL_V * dt)
     w_lo = max(-DWA_OMEGA_MAX, robot.omega - DWA_ACCEL_OMEGA * dt)
     w_hi = min(DWA_OMEGA_MAX, robot.omega + DWA_ACCEL_OMEGA * dt)
-    vs = np.linspace(v_lo, v_hi, DWA_N_V)
-    ws = np.linspace(w_lo, w_hi, DWA_N_OMEGA)
+    vs = _window(_V_STEPS, v_lo, v_hi)
+    ws = _window(_W_STEPS, w_lo, w_hi)
     n_steps = max(1, int(round(DWA_HORIZON / dt)))
     tau = dt * np.arange(1, n_steps + 1)
 
-    theta0 = robot.heading
-    theta = theta0 + np.outer(ws, tau)  # (n_omega, K), shared across v
+    theta0, c0, s0 = robot.heading, math.cos(robot.heading), math.sin(robot.heading)
+    theta = tau[:, None] * ws + theta0  # (K, n_omega), shared across v
     straight = np.abs(ws) < 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        radius = np.where(straight, 0.0, vs[:, None] / np.where(straight, 1.0, ws))
-    # Rollouts are (n_v, n_omega, K); straight columns are overwritten.
-    xs = robot.x + radius[:, :, None] * (np.sin(theta) - math.sin(theta0))
-    ys = robot.y - radius[:, :, None] * (np.cos(theta) - math.cos(theta0))
-    vt = np.outer(vs, tau)[:, None, :]
-    xs[:, straight] = robot.x + vt * math.cos(theta0)
-    ys[:, straight] = robot.y + vt * math.sin(theta0)
+    radius = vs[:, None] / np.where(straight, np.inf, ws)  # (n_v, n_omega)
+    origin = np.array([robot.x, robot.y])[:, None, None, None]
+    arc = np.array([np.sin(theta) - s0, c0 - np.cos(theta)])[:, :, None, :]
+    xy = radius * arc  # (2, K, n_v, n_omega); straight columns are overwritten
+    xy += origin
+    vt = (tau[:, None] * vs)[..., None]  # (K, n_v, 1)
+    xy[..., straight] = origin + vt * np.array([c0, s0])[:, None, None, None]
 
-    ci = np.floor(xs / costmap.resolution).astype(np.int64)
-    cj = np.floor(ys / costmap.resolution).astype(np.int64)
-    # Viewed as unsigned, negative indices are huge, so one compare per axis.
-    inside = (ci.view(np.uint64) < costmap.width) & (cj.view(np.uint64) < costmap.height)
-    flat = np.where(inside, cj * costmap.width + ci, 0)
-    worst = np.where(inside, costmap.cost.ravel()[flat], LETHAL_COST).max(axis=2)
+    end = xy[:, -1].copy()  # (2, n_v, n_omega) endpoints
+    cell = np.floor(np.divide(xy, costmap.resolution, out=xy), out=xy)
+    # Against a full bound array: numpy's max and min run several times
+    # faster on two arrays than on an array and a scalar.
+    bound = np.full(cell.shape, -1.0)
+    np.maximum(cell, bound, out=cell)
+    bound[0], bound[1] = costmap.width, costmap.height
+    np.minimum(cell, bound, out=cell)
+    flat = (cell[1] * (costmap.width + 1) + cell[0]).astype(np.intp)
+    worst = np.maximum.reduce(costmap.edged.take(flat), axis=0)
     admissible = worst < INSCRIBED_COST
     if not admissible.any():
         raise AllBlocked("every dynamic-window arc collides")
 
     iv, iw = np.nonzero(admissible)  # v-major, the enumeration order
     lx, ly = lookahead_point(path, robot.x, robot.y, DWA_LOOKAHEAD)
+    ex, ey = end[:, iv, iw]
+    bearing = np.fromiter(map(math.atan2, (ly - ey).tolist(), (lx - ex).tolist()), np.float64)
     # A straight arc keeps theta0 exactly, as unicycle_arc does for tiny omega.
-    end_heading = np.where(straight, theta0, theta[:, -1])[iw]
-    # The bearing stays in scalar libm math on purpose: np.arctan2 differs
-    # from math.atan2 in the last bit for some inputs, and the heading term
-    # is part of the planner's reproducibility contract.
-    two_pi = 2.0 * math.pi
-    bearing_error = [
-        math.remainder(math.atan2(dy, dx) - eth, two_pi)
-        for dy, dx, eth in zip(
-            (ly - ys[iv, iw, -1]).tolist(), (lx - xs[iv, iw, -1]).tolist(), end_heading.tolist()
-        )
-    ]
-    raw_heading = math.pi - np.abs(bearing_error)
-    # Rounding is monotone, so the worst cost gives the worst clearance exactly.
-    raw_clearance = (254.0 - worst[iv, iw]) / 254.0
+    end_heading = np.where(straight, theta0, theta[-1])[iw]
     v_adm, w_adm = vs[iv], ws[iw]
-
-    score = (
-        DWA_HEADING_WEIGHT * _normalize(raw_heading)
-        + DWA_CLEARANCE_WEIGHT * _normalize(raw_clearance)
-        + DWA_VELOCITY_WEIGHT * _normalize(v_adm)
+    # Heading, clearance and velocity terms; rounding is monotone, so the
+    # worst cost gives the worst clearance exactly.
+    raw = np.array(
+        [math.pi - np.abs(_wrap(bearing - end_heading)), (254.0 - worst[iv, iw]) / 254.0, v_adm]
     )
-    top = np.flatnonzero(score == score.max())
+    lo = np.minimum.reduce(raw, axis=1, keepdims=True)
+    span = np.maximum.reduce(raw, axis=1, keepdims=True) - lo
+    # Min-max normalized; a constant term (span 0) is all zeros.  Rows sum in order.
+    score = np.add.reduce(_WEIGHTS * ((raw - lo) / np.where(span > 0.0, span, 1.0)))
+    top = np.flatnonzero(score == np.maximum.reduce(score))
     best = top[np.lexsort((top, v_adm[top], np.abs(w_adm[top])))[0]]
     return (float(v_adm[best]), float(w_adm[best]))
 

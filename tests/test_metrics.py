@@ -130,8 +130,6 @@ def test_cronbach_alpha_degenerate_inputs_raise():
     with pytest.raises(m.DegenerateData):
         m.cronbach_alpha([[1, 2]])  # single respondent
     with pytest.raises(m.DegenerateData):
-        m.cronbach_alpha([[1], [2], [3]])  # single item
-    with pytest.raises(m.DegenerateData):
         m.cronbach_alpha([[2, 2], [2, 2], [2, 2]])  # zero total variance
 
 
@@ -193,11 +191,6 @@ def test_summarize_single_value_has_no_interval():
     assert s.n == 1
     assert s.mean == 4.0 and s.median == 4.0
     assert s.ci95 is None
-
-
-def test_summarize_empty_raises():
-    with pytest.raises(m.EmptyCondition):
-        m.summarize([])
 
 
 # ---------------------------------------------------------------------------

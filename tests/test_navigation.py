@@ -146,38 +146,21 @@ def test_costmap_small_radii_match_edt(resolution, radius_cells):
     assert_costmap_bits(grid, nav.NavParams(inflation_radius=radius_cells * resolution))
 
 
-def test_costmap_monotone_in_distance_to_lethal():
-    # Within the band, cost must not increase as the distance transform grows.
-    from scipy import ndimage
-
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        grid = random_grid(rng, 25, 25, p=0.2)
-        if not (grid.cells != 0).any():
-            continue
-        cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.6, cost_decay=1.0))
-        lethal = grid.cells != CellState.FREE
-        if lethal.all():
-            continue
-        dist = ndimage.distance_transform_edt(~lethal, sampling=grid.resolution)
-        free = ~lethal
-        d = dist[free]
-        c = cm.cost[free]
-        order = np.argsort(d, kind="stable")
-        assert (np.diff(c[order]) <= 1e-9).all()
-
-
 def test_costmap_off_map_cost_is_lethal():
     # A wall-free 1 x 1 m map: every cell costs 0, so only the edge can block.
     cm = nav.build_costmap(grid_from(["." * 10] * 10), nav.NavParams(inflation_radius=0.0))
     assert not cm.cost.any()
+    assert (cm.edged[-1] == nav.LETHAL_COST).all() and (cm.edged[:, -1] == nav.LETHAL_COST).all()
     with pytest.raises(nav.LethalEndpoint):
         nav.plan_global(cm, (0.5, 0.5), (-5.0, 0.5))
-    # Every arc from the east edge at full speed leaves the map.
-    robot = RobotState(x=0.95, y=0.5, heading=0.0, v=0.5)
+    # Every arc from an edge at full speed, heading off the map, leaves it:
+    # east and north past the last cell, west and south below the first.
     path = nav.GlobalPath(waypoints=np.array([[0.5, 0.5]]), cost=0.0)
-    with pytest.raises(nav.AllBlocked):
-        nav.dwa_step(robot, path, cm, 0.1)
+    for x, y, heading in ((0.95, 0.5, 0.0), (0.5, 0.95, math.pi / 2),
+                          (0.05, 0.5, math.pi), (0.5, 0.05, -math.pi / 2)):
+        robot = RobotState(x=x, y=y, heading=heading, v=0.5)
+        with pytest.raises(nav.AllBlocked):
+            nav.dwa_step(robot, path, cm, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +344,15 @@ def test_dwa_matches_scalar_oracle_on_random_states():
 
 @pytest.mark.parametrize(
     "heading, lookahead",
-    [(0.0, (4.0, 3.0)), (0.0, (1.0, 3.0)), (math.pi / 2, (2.0, 1.5)), (math.pi, (4.0, 3.0))],
+    [(0.0, (4.0, 3.0)), (0.0, (1.0, 3.0)), (math.pi / 2, (2.0, 1.5)), (math.pi, (4.0, 3.0)),
+     (3 * math.pi + 0.4, (4.0, 3.0)), (-4 * math.pi, (1.0, 3.0)), (7.5, (2.0, 1.5))],
 )
 def test_dwa_at_rest_on_open_floor_matches_oracle(heading, lookahead):
     # On open floor with the path dead ahead or dead behind, mirrored +/-omega
     # arcs can score exactly alike; the lower index wins the remaining tie.
+    # At rest the window's middle omega is exactly 0.0, a straight column;
+    # past 3 pi the bearing error takes _wrap's scalar remainder.
+    assert 0.0 in nav._window(nav._W_STEPS, -0.1, 0.1)
     cm = nav.build_costmap(open_grid(60, 60), nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
     robot = RobotState(x=2.0, y=3.0, heading=heading, v=0.0, omega=0.0)
     path = nav.GlobalPath(waypoints=np.array([[2.0, 3.0], lookahead]), cost=0.0)
@@ -405,6 +392,31 @@ def test_dwa_all_blocked_in_tight_pocket():
     path = nav.GlobalPath(waypoints=np.array([[0.65, 0.35]]), cost=0.0)
     with pytest.raises(nav.AllBlocked):
         nav.dwa_step(robot, path, cm, 0.1)
+
+
+def test_window_matches_linspace_bitwise():
+    rng = np.random.default_rng(27)
+    tiny = np.nextafter(0.0, 1.0)
+    bounds = [(0.0, 0.0), (0.3, 0.3), (-1.0, -1.0), (0.0, tiny), (-tiny, tiny), (0.0, 30 * tiny),
+              (5 * tiny, 2 * tiny), (1e-310, 3e-310), (0.0, 0.5), (-0.1, 0.1), (-1.0, 1.0)]
+    bounds += [tuple(rng.uniform(-2.0, 2.0, size=2)) for _ in range(300)]
+    scales = 10.0 ** rng.integers(-320, 3, size=300)
+    bounds += [tuple(rng.uniform(-1.0, 1.0, size=2) * scale) for scale in scales]
+    for lo, hi in bounds:
+        for steps in (nav._V_STEPS, nav._W_STEPS, np.arange(2.0), np.arange(3.0)):
+            got = nav._window(steps, float(lo), float(hi))
+            assert got.tobytes() == np.linspace(lo, hi, len(steps)).tobytes(), (lo, hi, len(steps))
+
+
+def test_wrap_matches_remainder_bitwise():
+    pi = math.pi
+    edges = [0.0, -0.0, 1e3, -1e3, 2 * pi + pi, -(2 * pi + pi)]
+    for a in (pi, 3 * pi, 4 * pi):
+        edges += [a, -a, math.nextafter(a, 0.0), math.nextafter(a, math.inf),
+                  -math.nextafter(a, 0.0), -math.nextafter(a, math.inf)]
+    err = np.concatenate([np.random.default_rng(27).uniform(-12.0, 12.0, size=1_000_000), edges])
+    expected = np.array([math.remainder(e, 2.0 * pi) for e in err.tolist()])
+    assert nav._wrap(err).tobytes() == expected.tobytes()
 
 
 def test_lookahead_point_selection():

@@ -48,10 +48,6 @@ ALLOWED: dict[str, str] = {
     "geometry.extract_foreground": "the center fallback and an empty box: no traced frame has either",
     "geometry.normalize_angle": "an angle that math.remainder maps to exactly -pi",
     "geometry.pointing_angles": "a target at the arm origin",
-    "metrics.cronbach_alpha": (
-        "a 1-D matrix or one item, which no questionnaire has; test_metrics pins the one-item raise"
-    ),
-    "metrics.summarize": _CONTRACT + ": no values, which no report group has",
     "navigation.<module>": "the TYPE_CHECKING import of Scenario",
     "navigation._drive": _SPIN,
     "navigation._localize": _LOST,
