@@ -27,7 +27,7 @@ from .orchestrator import (
     step as orchestrator_step,
 )
 from .scenario import Scenario
-from .session import CONDITIONS, LOG_FORMAT, SessionLog
+from .session import LOG_FORMAT, SessionLog
 from .usersim import GazeTimeline, GazeWindow, Prompt
 from .world import RegionOfInterest
 
@@ -214,10 +214,7 @@ def _run_guided(
 
 
 def run_episode(scenario: Scenario, condition: str, seed: int) -> EpisodeResult:
-    """Simulate one full session under one condition with one seed."""
-    if condition not in CONDITIONS:
-        raise ValueError(f"condition must be one of {CONDITIONS}, got {condition!r}")
-
+    """Simulate one full session under one condition, A or B, with one seed."""
     placement_rng = seeding.stream(seed, None, "placement")
     bottle_index = usersim.choose_bottle_roi(
         len(scenario.rois), scenario.profile, placement_rng

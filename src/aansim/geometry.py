@@ -24,8 +24,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# Tolerance for rotation matrix orthonormality and for "zero" directions.
-ROTATION_TOL = 1e-9
+# Length below which a pointing direction counts as zero.
 ZERO_DIRECTION_TOL = 1e-9
 
 # Default half-width of the depth band kept around the median box depth when
@@ -36,10 +35,6 @@ DEFAULT_BAND_HALFWIDTH = 0.15
 
 class GeometryError(Exception):
     """Base class for geometry failures."""
-
-
-class NonPositiveDepth(GeometryError):
-    """Back-projection was asked for a pixel with depth <= 0."""
 
 
 class EmptyBox(GeometryError):
@@ -109,24 +104,12 @@ class ForegroundMask:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rigid transform p_out = R @ p_in + t with an orthonormal R."""
+    """Rigid transform p_out = R @ p_in + t, from a float64 (3, 3) rotation R
+    and a float64 (3,) t, taken as given: ``from_yaw``, ``compose`` and
+    ``world.standard_camera_mount`` build each R from single-angle rotations."""
 
     rotation: np.ndarray
     translation: np.ndarray
-
-    def __post_init__(self) -> None:
-        rot = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
-        tra = np.asarray(self.translation, dtype=np.float64).reshape(3)
-        object.__setattr__(self, "rotation", rot)
-        object.__setattr__(self, "translation", tra)
-        if not np.allclose(rot.T @ rot, np.eye(3), atol=ROTATION_TOL):
-            raise ValueError("rotation is not orthonormal within 1e-9")
-        if abs(np.linalg.det(rot) - 1.0) > 1e-9:
-            raise ValueError("rotation determinant is not +1 within 1e-9")
-
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
 
     @classmethod
     def from_yaw(cls, yaw: float, translation=(0.0, 0.0, 0.0)) -> "RigidTransform":
@@ -169,13 +152,11 @@ def backproject_pixels(
 ) -> np.ndarray:
     """Back-project an (N, 2) array of (u, v) pixels at ``depths`` into the camera frame.
 
-    X = (u - cx) * z / fx, Y = (v - cy) * z / fy, Z = z.  Raises
-    NonPositiveDepth when any z <= 0.
+    X = (u - cx) * z / fx, Y = (v - cy) * z / fy, Z = z.  Every z is positive,
+    as at the pixels of a foreground mask.
     """
     pix = np.asarray(pixels, dtype=np.float64).reshape(-1, 2)
     z = np.asarray(depths, dtype=np.float64).reshape(-1)
-    if np.any(z <= 0.0):
-        raise NonPositiveDepth("depth array contains values <= 0")
     x = (pix[:, 0] - intrinsics.cx) * z / intrinsics.fx
     y = (pix[:, 1] - intrinsics.cy) * z / intrinsics.fy
     return np.column_stack([x, y, z])

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .session import SessionLog
+from .session import CONDITIONS, SessionLog
 
 
 class OutOfRange(ValueError):
@@ -234,6 +234,9 @@ class Questionnaire:
             rows = list(reader)
         out = []
         for i, row in enumerate(rows):
+            if row["condition"] not in CONDITIONS:
+                raise ValueError(f"{path}: row {i + 2}: condition must be one of {CONDITIONS}, "
+                                 f"got {row['condition']!r}")
             try:
                 values = tuple(float(row[k]) for k in self.items)
                 self.adjusted(values)

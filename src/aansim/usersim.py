@@ -49,18 +49,12 @@ class ConfusionEvent:
 
 @dataclass(frozen=True)
 class UserProfile:
-    """Behavioral parameters of a simulated participant."""
+    """Behavioral parameters of a simulated participant, one of ``PROFILE_PRESETS``."""
 
     name: str
     p_forget: float = 0.1  # chance of not answering a reminder
     p_misplace: float = 0.1  # bottle drift: placement odds and search slowdown
     p_struggle: float = 0.1  # chance of failing a guidance step attempt
-
-    def __post_init__(self) -> None:
-        for attr in ("p_forget", "p_misplace", "p_struggle"):
-            p = getattr(self, attr)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{attr} must be a probability, got {p}")
 
 
 PROFILE_PRESETS: dict[str, UserProfile] = {
@@ -312,8 +306,6 @@ def detect_confusion(
     timestamp falls inside its closed time span; an action mid-run means the
     user was plausibly reacting to the robot rather than lost.
     """
-    if threshold_s <= 0:
-        raise ValueError("threshold must be positive")
     off = codes == Aoi.ELSEWHERE
     edges = np.flatnonzero(np.diff(off, prepend=False, append=False))
     t0 = edges[0::2] / GAZE_SAMPLE_RATE_HZ

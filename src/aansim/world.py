@@ -228,7 +228,7 @@ class RobotState:
     v: float = 0.0
     omega: float = 0.0
     head_pan: float = 0.0
-    camera_mount: RigidTransform = field(default_factory=RigidTransform.identity)
+    camera_mount: RigidTransform = field(kw_only=True)
 
     def world_from_base(self) -> RigidTransform:
         return RigidTransform.from_yaw(self.heading, (self.x, self.y, 0.0))

@@ -27,6 +27,7 @@ from aansim.session import write_log
 from aansim.usersim import GazeTimeline
 from aansim.world import OccupancyGrid, RobotState
 
+from conftest import CAMERA_MOUNT
 from harness import (
     check_invariants,
     guided_config,
@@ -160,6 +161,7 @@ def test_criterion_3_planning_oracles():
                 heading=float(dwa_rng.uniform(-math.pi, math.pi)),
                 v=float(dwa_rng.uniform(0.0, 0.35)),
                 omega=float(dwa_rng.uniform(-1.0, 1.0)),
+                camera_mount=CAMERA_MOUNT,
             )
             wps = dwa_rng.uniform(0.2, 2.8, size=(int(dwa_rng.integers(2, 12)), 2))
             path = nav.GlobalPath(waypoints=wps, cost=0.0)

@@ -90,11 +90,6 @@ def test_passive_hints_follow_session_hint_interval(tmp_path):
     assert hints[0] == 12.0
 
 
-def test_episode_rejects_unknown_condition(lab_scenario):
-    with pytest.raises(ValueError):
-        run_episode(lab_scenario, "C", 0)
-
-
 def test_episode_is_deterministic_per_key(lab_scenario, gaze_streams):
     for condition in ("A", "B"):
         a = run_episode(lab_scenario, condition, 7)

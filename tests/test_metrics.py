@@ -351,6 +351,19 @@ def test_load_tlx_csv_names_bad_row(tmp_path):
     assert "tlx.csv" in str(exc.value)
 
 
+@pytest.mark.parametrize("condition", ["a", "B ", ""])
+def test_load_tlx_csv_rejects_unknown_condition(tmp_path, condition):
+    path = tmp_path / "tlx.csv"
+    _write_csv(
+        path,
+        ["participant", "condition", *m.TLX.items],
+        [["p1", "A", 2, 2, 2, 2, 2, 2], ["p2", condition, 2, 2, 2, 2, 2, 2]],
+    )
+    with pytest.raises(ValueError) as exc:
+        m.TLX.load(path)
+    assert str(exc.value) == f"{path}: row 3: condition must be one of ('A', 'B'), got {condition!r}"
+
+
 def test_load_tlx_csv_missing_column(tmp_path):
     path = tmp_path / "tlx.csv"
     _write_csv(path, ["participant", "condition", "mental"], [["p1", "A", 2]])

@@ -14,6 +14,7 @@ from aansim.scenario import NoiseParams
 from aansim.session import SessionLog
 from aansim.world import CellState, OccupancyGrid, RobotState
 
+from conftest import CAMERA_MOUNT
 from oracles import (
     OracleBlocked,
     costmap_reference,
@@ -158,7 +159,7 @@ def test_costmap_off_map_cost_is_lethal():
     path = nav.GlobalPath(waypoints=np.array([[0.5, 0.5]]), cost=0.0)
     for x, y, heading in ((0.95, 0.5, 0.0), (0.5, 0.95, math.pi / 2),
                           (0.05, 0.5, math.pi), (0.5, 0.05, -math.pi / 2)):
-        robot = RobotState(x=x, y=y, heading=heading, v=0.5)
+        robot = RobotState(x=x, y=y, heading=heading, v=0.5, camera_mount=CAMERA_MOUNT)
         with pytest.raises(nav.AllBlocked):
             nav.dwa_step(robot, path, cm, 0.1)
 
@@ -312,6 +313,7 @@ def _random_dwa_case(rng):
         heading=float(rng.uniform(-math.pi, math.pi)),
         v=float(rng.uniform(0.0, 0.35)),
         omega=float(rng.uniform(-1.0, 1.0)),
+        camera_mount=CAMERA_MOUNT,
     )
     n_wp = int(rng.integers(2, 12))
     wps = rng.uniform(0.2, 2.8, size=(n_wp, 2))
@@ -354,7 +356,7 @@ def test_dwa_at_rest_on_open_floor_matches_oracle(heading, lookahead):
     # past 3 pi the bearing error takes _wrap's scalar remainder.
     assert 0.0 in nav._window(nav._W_STEPS, -0.1, 0.1)
     cm = nav.build_costmap(open_grid(60, 60), nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
-    robot = RobotState(x=2.0, y=3.0, heading=heading, v=0.0, omega=0.0)
+    robot = RobotState(x=2.0, y=3.0, heading=heading, v=0.0, omega=0.0, camera_mount=CAMERA_MOUNT)
     path = nav.GlobalPath(waypoints=np.array([[2.0, 3.0], lookahead]), cost=0.0)
     assert nav.dwa_step(robot, path, cm, 0.1) == dwa_reference(robot, path, cm, dt=0.1)
 
@@ -362,7 +364,7 @@ def test_dwa_at_rest_on_open_floor_matches_oracle(heading, lookahead):
 def test_dwa_open_space_drives_at_goal():
     grid = open_grid(60, 60)
     cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
-    robot = RobotState(x=1.5, y=3.0, heading=0.0, v=0.5, omega=0.0)
+    robot = RobotState(x=1.5, y=3.0, heading=0.0, v=0.5, omega=0.0, camera_mount=CAMERA_MOUNT)
     path = nav.GlobalPath(
         waypoints=np.array([[1.5, 3.0], [2.5, 3.0], [4.0, 3.0]]), cost=0.0
     )
@@ -374,7 +376,7 @@ def test_dwa_open_space_drives_at_goal():
 def test_dwa_turns_toward_offset_goal():
     grid = open_grid(60, 60)
     cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.3, cost_decay=1.0))
-    robot = RobotState(x=3.0, y=3.0, heading=0.0, v=0.2, omega=0.0)
+    robot = RobotState(x=3.0, y=3.0, heading=0.0, v=0.2, omega=0.0, camera_mount=CAMERA_MOUNT)
     path = nav.GlobalPath(
         waypoints=np.array([[3.0, 3.0], [3.0, 4.5]]), cost=0.0
     )
@@ -388,7 +390,7 @@ def test_dwa_all_blocked_in_tight_pocket():
     grid = OccupancyGrid(cells=cells, resolution=0.1)
     cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.0))
     # Braking for one tick leaves at least 0.25 m/s: the robot cannot stand still.
-    robot = RobotState(x=0.35, y=0.35, heading=0.0, v=0.3, omega=0.0)
+    robot = RobotState(x=0.35, y=0.35, heading=0.0, v=0.3, omega=0.0, camera_mount=CAMERA_MOUNT)
     path = nav.GlobalPath(waypoints=np.array([[0.65, 0.35]]), cost=0.0)
     with pytest.raises(nav.AllBlocked):
         nav.dwa_step(robot, path, cm, 0.1)
@@ -474,7 +476,7 @@ def test_navigate_to_arrives_within_tolerances(monkeypatch, lab_scenario):
 
     monkeypatch.setattr(world, "step_kinematics", step_kinematics)
     grid = open_grid(80, 60)  # 8 x 6 m room
-    robot = RobotState(x=1.0, y=1.0, heading=0.0)
+    robot = RobotState(x=1.0, y=1.0, heading=0.0, camera_mount=CAMERA_MOUNT)
     session = _session(_scenario(lab_scenario, grid), robot)
     goal = (5.0, 4.0, math.pi / 2)
     res = nav.navigate_to(session, goal)
@@ -497,7 +499,7 @@ def test_navigate_to_reports_unreachable_goal(lab_scenario):
         "#########",
     ]
     grid = grid_from(rows, resolution=0.5)
-    robot = RobotState(x=1.0, y=1.25, heading=0.0)
+    robot = RobotState(x=1.0, y=1.25, heading=0.0, camera_mount=CAMERA_MOUNT)
     session = _session(_scenario(lab_scenario, grid, inflation=0.0), robot)
     res = nav.navigate_to(session, (3.75, 1.25, 0.0))
     assert not res.arrived
@@ -509,7 +511,7 @@ def test_navigate_to_is_deterministic(lab_scenario):
     grid = open_grid(80, 60)
 
     def run():
-        robot = RobotState(x=1.0, y=1.0, heading=0.0)
+        robot = RobotState(x=1.0, y=1.0, heading=0.0, camera_mount=CAMERA_MOUNT)
         session = _session(_scenario(lab_scenario, grid), robot)
         res = nav.navigate_to(session, (6.0, 4.5, 0.0))
         return (res.arrived, session.clock.t, session.robot.x, session.robot.y, session.robot.heading)
@@ -565,7 +567,7 @@ def _cold_and_warm(drive_calls, lab_scenario, grid, robot, goal, inflation=0.3, 
 
 
 def test_warm_leg_replays_cold_drive_at_a_later_clock(drive_calls, lab_scenario):
-    start = RobotState(x=1.0, y=1.0, heading=0.0)
+    start = RobotState(x=1.0, y=1.0, heading=0.0, camera_mount=CAMERA_MOUNT)
     _, cold_outcome, warm, warm_outcome = _cold_and_warm(
         drive_calls, lab_scenario, open_grid(80, 60), start, (5.0, 4.0, math.pi / 2)
     )
@@ -577,7 +579,7 @@ def test_warm_leg_replays_cold_drive_at_a_later_clock(drive_calls, lab_scenario)
 
 def test_legs_are_keyed_by_goal_and_start_velocity(lab_scenario):
     grid = open_grid(80, 60)
-    start = RobotState(x=1.0, y=1.0, heading=0.0)
+    start = RobotState(x=1.0, y=1.0, heading=0.0, camera_mount=CAMERA_MOUNT)
     cases = [
         (start, (5.0, 4.0, math.pi / 2)),
         (start, (2.0, 4.0, 0.0)),
@@ -593,7 +595,7 @@ def test_legs_are_keyed_by_goal_and_start_velocity(lab_scenario):
 def test_warm_leg_replays_recovery_spin_note_at_its_tick(drive_calls, lab_scenario):
     # Moving at 0.3 m/s, 0.4 m from a wall: every dynamic-window arc collides
     # on the first tick, so the robot spins, replans and drives back west.
-    start = RobotState(x=1.5, y=1.0, heading=0.0, v=0.3)
+    start = RobotState(x=1.5, y=1.0, heading=0.0, v=0.3, camera_mount=CAMERA_MOUNT)
     _, cold_outcome, warm, warm_outcome = _cold_and_warm(
         drive_calls, lab_scenario, open_grid(20, 20), start, (0.5, 1.0, math.pi), inflation=0.0
     )
@@ -606,7 +608,7 @@ def test_warm_leg_replays_recovery_spin_note_at_its_tick(drive_calls, lab_scenar
 
 def test_warm_no_path_leg_leaves_the_clock(drive_calls, lab_scenario):
     rows = ["#########", "#...#...#", "#...#...#", "#...#...#", "#########"]
-    start = RobotState(x=1.0, y=1.25, heading=0.0)
+    start = RobotState(x=1.0, y=1.25, heading=0.0, camera_mount=CAMERA_MOUNT)
     _, cold_outcome, _, warm_outcome = _cold_and_warm(
         drive_calls, lab_scenario, grid_from(rows, resolution=0.5), start, (3.75, 1.25, 0.0),
         inflation=0.0,
@@ -618,7 +620,7 @@ def test_warm_no_path_leg_leaves_the_clock(drive_calls, lab_scenario):
 
 
 def test_noisy_legs_are_driven_every_time(drive_calls, lab_scenario):
-    start = RobotState(x=1.0, y=1.0, heading=0.0)
+    start = RobotState(x=1.0, y=1.0, heading=0.0, camera_mount=CAMERA_MOUNT)
     cold, cold_outcome, warm, warm_outcome = _cold_and_warm(
         drive_calls, lab_scenario, open_grid(80, 60), start, (5.0, 4.0, math.pi / 2),
         pose_sigma=0.02,
@@ -650,10 +652,7 @@ def _search_session(lab_scenario, with_bottle, pose_sigma=0.0):
             )
         )
     grid = open_grid(80, 60)
-    robot = RobotState(
-        x=1.0, y=3.0, heading=0.0,
-        camera_mount=world.standard_camera_mount((0.0, 0.0, 1.0), 0.0),
-    )
+    robot = RobotState(x=1.0, y=3.0, heading=0.0, camera_mount=CAMERA_MOUNT)
     scenario = _scenario(
         lab_scenario,
         grid,

@@ -39,12 +39,8 @@ ALLOWED: dict[str, str] = {
     "cli._describe_action": _MOTION + ", and a hand-edited log's unknown action kind",
     "cli.main": "a closed stdout pipe, which test_show_to_a_closed_pipe_exits_quietly closes",
     "episode._run_passive": _LADDER,
-    "episode.run_episode": _CONTRACT + ": an unknown condition",
     "geometry.CameraIntrinsics.__post_init__": _LOADER,
-    "geometry.RigidTransform.__post_init__": _CONTRACT,
-    "geometry.RigidTransform.apply": _CONTRACT + ": a single 3-vector",
-    "geometry.RigidTransform.identity": _CONTRACT + ": RobotState's default camera mount",
-    "geometry.backproject_pixels": _CONTRACT + ": NonPositiveDepth",
+    "geometry.RigidTransform.apply": _MOTION + ": a single 3-vector",
     "geometry.extract_foreground": "the center fallback and an empty box: no traced frame has either",
     "geometry.normalize_angle": "an angle that math.remainder maps to exactly -pi",
     "geometry.pointing_angles": "a target at the arm origin",
@@ -64,15 +60,13 @@ ALLOWED: dict[str, str] = {
     "orchestrator.gesture_actions": _MOTION + ", and a target at the arm origin",
     "orchestrator.interpret": _LADDER,
     "orchestrator.prompt_for": _LADDER,
-    "orchestrator.step": _LADDER + "; and events that run backward, a contract unit tests pin",
+    "orchestrator.step": _LADDER + "; and events that run backward: " + _CONTRACT,
     "scenario._get": "an omitted optional key: lab_study and its copies set every one",
     "scenario._section": _LOADER,
     "scenario._shape": _BAD_SCENARIO,
     "scenario.load_scenario": _BAD_SCENARIO,
     "session.SessionLog.end_time": "perfbench reads it; no command line does",
     "session.validate_log": "a hand-edited log; test_session and test_episode_cli check each error",
-    "usersim.UserProfile.__post_init__": _CONTRACT,
-    "usersim.detect_confusion": "a non-positive threshold; criterion 7 draws random thresholds",
     "usersim.gaze_stream": "an injected run that starts in the stream's last sample",
     "usersim.respond": _LADDER,
     "world.OccupancyGrid.__post_init__": _LOADER,
@@ -240,6 +234,11 @@ BAD_INPUTS = {
     "report_huge_int_time": ({"bad.jsonl": _log(t="1" + "0" * 400)}, _REPORT),
     "report_two_scenarios": ({"a.jsonl": _log(), "b.jsonl": _log(scenario_hash="g")}, _REPORT),
     "report_repeated_key": ({"a.jsonl": _log(), "b.jsonl": _log()}, _REPORT),
+    "report_tlx_unknown_condition": (
+        {"tlx.csv": "participant,condition,mental,physical,temporal,performance,effort,"
+                    "frustration\np1,B ,2,2,2,2,2,2\n"},
+        ["report", "--logs", "{study}", "--tlx", "{d}/tlx.csv"],
+    ),
     "report_tlx_out_of_range": (
         {"tlx.csv": "participant,condition,mental,physical,temporal,performance,effort,"
                     "frustration\np1,A,11,2,2,2,2,2\n"},

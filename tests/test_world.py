@@ -20,6 +20,7 @@ from aansim.world import (
     standard_camera_mount,
 )
 
+from conftest import CAMERA_MOUNT
 from oracles import render_reference
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "lab_study.json"
@@ -560,7 +561,7 @@ def test_unicycle_arc_straight_line():
 
 def test_step_kinematics_stops_at_wall():
     g = _open_room()
-    robot = RobotState(x=5.5, y=3.0, heading=0.0)  # wall face at x=5.9
+    robot = RobotState(x=5.5, y=3.0, heading=0.0, camera_mount=CAMERA_MOUNT)  # wall face at x=5.9
     moved, hit = world.step_kinematics(robot, (2.0, 0.0), 1.0, g)
     assert hit
     assert moved.v == 0.0 and moved.omega == 0.0
@@ -570,7 +571,7 @@ def test_step_kinematics_stops_at_wall():
 
 def test_step_kinematics_clamps_to_limits():
     g = _open_room()
-    robot = RobotState(x=3.0, y=3.0, heading=0.0)
+    robot = RobotState(x=3.0, y=3.0, heading=0.0, camera_mount=CAMERA_MOUNT)
     moved, hit = world.step_kinematics(robot, (9.0, 0.0), 0.1, g)
     assert not hit
     assert moved.v == world.V_LIMIT
@@ -583,7 +584,7 @@ def test_step_kinematics_clamps_to_limits():
 
 def test_step_kinematics_free_motion_matches_arc():
     g = _open_room()
-    robot = RobotState(x=3.0, y=3.0, heading=0.3)
+    robot = RobotState(x=3.0, y=3.0, heading=0.3, camera_mount=CAMERA_MOUNT)
     moved, hit = world.step_kinematics(robot, (0.4, 0.5), 0.1, g)
     assert not hit
     ex, ey, eh = world.unicycle_arc(3.0, 3.0, 0.3, 0.4, 0.5, 0.1)
