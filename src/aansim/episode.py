@@ -78,8 +78,7 @@ class _Engine:
                 self.windows.append(GazeWindow("bottle", event.t, event.t + _BOTTLE_SPAN_S))
 
     def advance_to(self, t: float) -> None:
-        if t > self.clock.t:
-            self.clock.advance(t - self.clock.t)
+        self.clock.advance(t - self.clock.t)
 
 
 def _run_passive(engine: _Engine, user_rng) -> None:
@@ -92,7 +91,7 @@ def _run_passive(engine: _Engine, user_rng) -> None:
     search_end = min(search_s, cap)
 
     t_hint = hint_interval
-    while t_hint < search_end and not engine.state.terminal:
+    while t_hint < search_end:
         engine.advance_to(t_hint)
         engine.apply(
             AssistEvent.record_pressed(engine.clock.t, "where is my medicine?")
@@ -105,8 +104,6 @@ def _run_passive(engine: _Engine, user_rng) -> None:
             )
         t_hint += hint_interval
 
-    if engine.state.terminal:
-        return
     if search_s > cap:
         # The bottle was never found inside the session window.
         engine.advance_to(cap)
@@ -209,7 +206,7 @@ def _run_guided(
                 AssistEvent.record_pressed(engine.clock.t, reply.transcript or "")
             )
 
-    if not engine.state.terminal and engine.clock.t >= cap:
+    if not engine.state.terminal:
         engine.log.add_note(engine.clock.t, "time_cap_reached", cap_s=cap)
 
 

@@ -233,10 +233,18 @@ class Questionnaire:
                 raise ValueError(f"{path}: missing columns {missing}")
             rows = list(reader)
         out = []
+        first_row: dict[tuple[str, str], int] = {}  # the row of each (participant, condition)
         for i, row in enumerate(rows):
             if row["condition"] not in CONDITIONS:
                 raise ValueError(f"{path}: row {i + 2}: condition must be one of {CONDITIONS}, "
                                  f"got {row['condition']!r}")
+            key = (row["participant"], row["condition"])
+            if not key[0]:
+                raise ValueError(f"{path}: row {i + 2}: participant is empty")
+            if key in first_row:
+                raise ValueError(f"{path}: row {i + 2}: repeats participant {key[0]!r} "
+                                 f"condition {key[1]} of row {first_row[key]}")
+            first_row[key] = i + 2
             try:
                 values = tuple(float(row[k]) for k in self.items)
                 self.adjusted(values)

@@ -168,8 +168,8 @@ def plan_global(
     if start_cell == goal_cell:
         return GlobalPath(waypoints=np.array([costmap.cell_center(*start_cell)]), cost=0.0)
 
-    res, rows = costmap.resolution, costmap.cost.tolist()
-    width, height = costmap.width, costmap.height
+    # An off-map neighbour (index -1, width or height) is on edged's lethal edge.
+    res, rows = costmap.resolution, costmap.edged.tolist()
 
     def heuristic(cell: tuple[int, int]) -> float:
         return (
@@ -198,8 +198,6 @@ def plan_global(
         i, j = cell
         for di, dj, step in _MOVES:
             ni, nj = i + di, j + dj
-            if not (0 <= ni < width and 0 <= nj < height):
-                continue
             c = rows[nj][ni]
             if c >= INSCRIBED_COST:
                 continue
@@ -372,8 +370,14 @@ class Clock:
 
 @dataclass(frozen=True)
 class NavResult:
+    """One drive: whether it arrived and why it stopped, its clock ticks,
+    the tick of each recovery spin and the end (x, y, heading, v, omega)."""
+
     arrived: bool
     reason: str
+    ticks: int
+    spins: tuple[int, ...]
+    end: tuple[float, float, float, float, float]
 
 
 @dataclass
@@ -393,17 +397,6 @@ class NavSession:
         self.log.add_note(self.clock.t, kind, **payload)
 
 
-@dataclass(frozen=True)
-class _Leg:
-    """One drive's effect on a session: its clock ticks, the tick of each
-    recovery spin, the end (x, y, heading, v, omega) and the result."""
-
-    ticks: int
-    spins: tuple[int, ...]
-    end: tuple[float, float, float, float, float]
-    result: NavResult
-
-
 def _observed_pose(session: NavSession, robot: RobotState) -> RobotState:
     """Robot state as the planner sees it (optionally noise-injected)."""
     sigma = session.scenario.noise.pose_sigma
@@ -418,7 +411,7 @@ def _observed_pose(session: NavSession, robot: RobotState) -> RobotState:
     )
 
 
-def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> _Leg:
+def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> NavResult:
     """Drive a local copy of the robot to a goal pose; the clock and log stay as they are.
 
     DWA to the position, then rotate to the heading.  On AllBlocked the
@@ -432,9 +425,9 @@ def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> _Leg:
     ticks = 0
     spins: list[int] = []
 
-    def leg(arrived: bool, reason: str) -> _Leg:
+    def leg(arrived: bool, reason: str) -> NavResult:
         end = (robot.x, robot.y, robot.heading, robot.v, robot.omega)
-        return _Leg(ticks, tuple(spins), end, NavResult(arrived, reason))
+        return NavResult(arrived, reason, ticks, tuple(spins), end)
 
     try:
         path = plan_global(costmap, (robot.x, robot.y), (gx, gy))
@@ -478,7 +471,7 @@ def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> _Leg:
 
 
 def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> NavResult:
-    """Drive to a goal pose (see ``_drive``) and replay the leg on the session.
+    """Drive to a goal pose (see ``_drive``), replay the leg on the session and return it.
 
     A noise-free leg is driven once per costmap and start state, then
     replayed: the clock advances by ``dt`` once per tick, each
@@ -499,7 +492,7 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
         session.clock.advance(dt)
     x, y, heading, v, omega = leg.end
     session.robot = replace(robot, x=x, y=y, heading=heading, v=v, omega=omega)
-    return leg.result
+    return leg
 
 
 def _localize(

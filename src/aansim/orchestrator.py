@@ -301,7 +301,6 @@ class OrchestratorState:
     refusal_count: int = 0
     roi_index: int = 0
     hint_index: int = 0
-    clock: float = 0.0
 
     @property
     def terminal(self) -> bool:
@@ -535,15 +534,9 @@ def step(
 ) -> tuple[OrchestratorState, list[Action]]:
     """Apply one event; returns the successor state and the robot actions.
 
-    Unknown or phase-inconsistent events are ignored: the state only takes
-    the event's time, and no action follows.  Event timestamps must not run
-    backward.
+    Unknown or phase-inconsistent events are ignored: the state is returned
+    as it is, and no action follows.
     """
-    if event.t < state.clock - 1e-9:
-        raise ValueError(
-            f"event at t={event.t} precedes orchestrator clock {state.clock}"
-        )
-    state = replace(state, clock=event.t)
     if state.terminal:
         return state, []
 

@@ -27,10 +27,6 @@ MIN_PIXEL_AREA = 25
 # Minimum ray parameter considered a hit, to avoid self-intersections.
 _RAY_EPS = 1e-9
 
-# Base speed limits (m/s, rad/s); step_kinematics clamps commands to them.
-V_LIMIT = 2.0
-OMEGA_LIMIT = 3.0
-
 
 class CellState(IntEnum):
     FREE = 0
@@ -560,8 +556,7 @@ def step_kinematics(
     off the map, motion stops at the last free sample, velocities drop to
     zero, and the collision flag is returned True.
     """
-    v = max(-V_LIMIT, min(V_LIMIT, cmd[0]))
-    omega = max(-OMEGA_LIMIT, min(OMEGA_LIMIT, cmd[1]))
+    v, omega = cmd
     arc_len = abs(v) * dt
     n = max(
         1,

@@ -122,7 +122,8 @@ def walks_sha256(key: str) -> str:
     """Hash the random-walk traces of one walk config over ``WALK_SEEDS``.
 
     Each step contributes one canonical JSON line: the event, its actions,
-    the described state and every counter ``describe`` leaves out.
+    the described state, every counter ``describe`` leaves out and the event
+    time.
     """
     config = harness.guided_config(**WALK_CONFIGS[key])
     digest = hashlib.sha256()
@@ -138,7 +139,7 @@ def walks_sha256(key: str) -> str:
                 after.refusal_count,
                 after.roi_index,
                 after.hint_index,
-                after.clock,
+                event.t,
             ]
             digest.update(json.dumps(row, sort_keys=True, separators=(",", ":")).encode() + b"\n")
     return digest.hexdigest()

@@ -364,6 +364,30 @@ def test_load_tlx_csv_rejects_unknown_condition(tmp_path, condition):
     assert str(exc.value) == f"{path}: row 3: condition must be one of ('A', 'B'), got {condition!r}"
 
 
+def test_load_tlx_csv_rejects_repeated_participant_and_condition(tmp_path):
+    path = tmp_path / "tlx.csv"
+    _write_csv(
+        path,
+        ["participant", "condition", *m.TLX.items],
+        [["p1", "A", 2, 2, 2, 2, 2, 2], ["p1", "B", 2, 2, 2, 2, 2, 2], ["p1", "A", 9, 9, 9, 9, 9, 9]],
+    )
+    with pytest.raises(ValueError) as exc:
+        m.TLX.load(path)
+    assert str(exc.value) == f"{path}: row 4: repeats participant 'p1' condition A of row 2"
+
+
+def test_load_usability_csv_rejects_empty_participant(tmp_path):
+    path = tmp_path / "usability.csv"
+    _write_csv(
+        path,
+        ["participant", "condition", *m.USABILITY.items],
+        [["p1", "B", 4, 2, 4, 2, 4], ["", "B", 4, 2, 4, 2, 4]],
+    )
+    with pytest.raises(ValueError) as exc:
+        m.USABILITY.load(path)
+    assert str(exc.value) == f"{path}: row 3: participant is empty"
+
+
 def test_load_tlx_csv_missing_column(tmp_path):
     path = tmp_path / "tlx.csv"
     _write_csv(path, ["participant", "condition", "mental"], [["p1", "A", 2]])

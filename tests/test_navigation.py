@@ -243,6 +243,13 @@ def test_astar_straight_line_cost_on_empty_map():
     assert len(path_cells(cm, plan)) == 10
     diag = nav.plan_global(cm, (0.05, 0.05), (0.95, 0.95))
     assert diag.cost == pytest.approx(9 * 0.1 * math.sqrt(2.0), abs=1e-12)
+    # Along the last column and the last row, the neighbours past the map's
+    # width and height are the costmap's lethal edge.
+    for start, goal in (((0.95, 0.05), (0.95, 0.95)), ((0.05, 0.95), (0.95, 0.95))):
+        edge = nav.plan_global(cm, start, goal)
+        expect = dijkstra_costs(cm, cm.world_to_cell(*start))[cm.world_to_cell(*goal)]
+        assert edge.cost == expect
+        assert len(path_cells(cm, edge)) == 10
 
 
 def test_astar_prefers_longer_low_cost_route():
@@ -573,7 +580,7 @@ def test_warm_leg_replays_cold_drive_at_a_later_clock(drive_calls, lab_scenario)
     )
     assert drive_calls == Counter()
     assert warm_outcome == cold_outcome
-    assert cold_outcome[0] == nav.NavResult(True, "arrived")
+    assert (cold_outcome[0].arrived, cold_outcome[0].reason) == (True, "arrived")
     assert len(warm.scenario.costmap.legs) == 1
 
 

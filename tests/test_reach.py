@@ -11,12 +11,14 @@ lists and no run reaches is charged to the innermost function that holds it,
 ``module.qualname`` (``module.<module>`` for module-level code).  Such a
 function must be in ``ALLOWED`` with its reason, and every entry of
 ``ALLOWED`` must still have such a line, so the list can only shrink.
+Run as a script, it prints each function's unreached lines.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from test_golden import WITNESSES, write_witness
@@ -27,7 +29,6 @@ LAB_STUDY = ROOT / "scenarios" / "lab_study.json"
 
 # Functions with lines that no traced command line reaches, and why each stays.
 _LADDER = "the L1/L2 ladder, refusals and off-script replies, which no episode reaches yet"
-_CONTRACT = "a public contract that unit tests pin"
 _LOADER = "a bad scenario value that the loader hands on to this check"
 _BAD_SCENARIO = "a scenario or map that the loader rejects; test_scenario checks it"
 _SPIN = "the AllBlocked recovery spin and tick caps: no witness blocks the robot yet"
@@ -38,7 +39,6 @@ ALLOWED: dict[str, str] = {
     "cli.<module>": "python -m aansim.cli, which test_show_to_a_closed_pipe_exits_quietly runs",
     "cli._describe_action": _MOTION + ", and a hand-edited log's unknown action kind",
     "cli.main": "a closed stdout pipe, which test_show_to_a_closed_pipe_exits_quietly closes",
-    "episode._run_passive": _LADDER,
     "geometry.CameraIntrinsics.__post_init__": _LOADER,
     "geometry.RigidTransform.apply": _MOTION + ": a single 3-vector",
     "geometry.extract_foreground": "the center fallback and an empty box: no traced frame has either",
@@ -60,7 +60,7 @@ ALLOWED: dict[str, str] = {
     "orchestrator.gesture_actions": _MOTION + ", and a target at the arm origin",
     "orchestrator.interpret": _LADDER,
     "orchestrator.prompt_for": _LADDER,
-    "orchestrator.step": _LADDER + "; and events that run backward: " + _CONTRACT,
+    "orchestrator.step": _LADDER,
     "scenario._get": "an omitted optional key: lab_study and its copies set every one",
     "scenario._section": _LOADER,
     "scenario._shape": _BAD_SCENARIO,
@@ -244,6 +244,14 @@ BAD_INPUTS = {
                     "frustration\np1,A,11,2,2,2,2,2\n"},
         ["report", "--logs", "{study}", "--tlx", "{d}/tlx.csv"],
     ),
+    "report_tlx_repeated_row": (
+        {"tlx.csv": "participant,condition,mental,physical,temporal,performance,effort,"
+                    "frustration\np1,A,2,2,2,2,2,2\np1,A,9,9,9,9,9,9\n"},
+        ["report", "--logs", "{study}", "--tlx", "{d}/tlx.csv"],
+    ),
+    "report_usability_empty_participant": (
+        {"u.csv": "participant,condition,q1,q2,q3,q4,q5\n,B,4,2,4,2,4\n"}, _USABILITY
+    ),
     "report_usability_no_header": ({"u.csv": ""}, _USABILITY),
     "report_usability_missing_columns": ({"u.csv": "participant,condition,q1\n"}, _USABILITY),
     "report_out_in_missing_dir": ({}, ["report", "--logs", "{study}", "--out", "{d}/no/r.txt"]),
@@ -270,7 +278,10 @@ USABILITY_CSV = (
 )
 
 
-def test_every_line_runs_from_a_shipped_command_line(tmp_path):
+def shipped_commands(tmp_path: Path) -> tuple[list[list[str]], int]:
+    """The command lines to trace, with the files they read written under
+    ``tmp_path``: the good ones, then one per ``BAD_INPUTS`` case; and the
+    number of good ones."""
     study, witnesses, run = tmp_path / "study", tmp_path / "witnesses", tmp_path / "run"
     witnesses.mkdir()
     (tmp_path / "tlx.csv").write_text(TLX_CSV)
@@ -299,7 +310,15 @@ def test_every_line_runs_from_a_shipped_command_line(tmp_path):
             path = directory / filename
             path.write_bytes(contents) if isinstance(contents, bytes) else path.write_text(contents)
         commands.append([a.format(d=directory, lab=LAB_STUDY, study=study) for a in argv])
+    return commands, n_good
 
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_line_runs_from_a_shipped_command_line(tmp_path):
+    commands, n_good = shipped_commands(tmp_path)
     reached, results = trace_commands(commands)
     assert [rc for rc, _ in results[:n_good]] == [0] * n_good
     one_error_line = {
@@ -307,6 +326,17 @@ def test_every_line_runs_from_a_shipped_command_line(tmp_path):
         for name, (rc, err) in zip(BAD_INPUTS, results[n_good:])
     }
     assert one_error_line == dict.fromkeys(BAD_INPUTS, True)
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    assert reach_problems(unreached(sources, reached), ALLOWED) == []
+    assert reach_problems(unreached(package_sources(), reached), ALLOWED) == []
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+if __name__ == "__main__":
+    # Print the lines of each function that no traced command line reaches,
+    # then what the test would report: PYTHONPATH=src python tests/test_reach.py
+    with tempfile.TemporaryDirectory() as tmp:
+        reached, _ = trace_commands(shipped_commands(Path(tmp))[0])
+    missed = unreached(package_sources(), reached)
+    for name, lines in missed.items():
+        print(f"{name}: {lines}")
+    for problem in reach_problems(missed, ALLOWED):
+        print(f"problem: {problem}")

@@ -569,19 +569,6 @@ def test_step_kinematics_stops_at_wall():
     assert moved.x > 5.5  # it did advance up to the wall
 
 
-def test_step_kinematics_clamps_to_limits():
-    g = _open_room()
-    robot = RobotState(x=3.0, y=3.0, heading=0.0, camera_mount=CAMERA_MOUNT)
-    moved, hit = world.step_kinematics(robot, (9.0, 0.0), 0.1, g)
-    assert not hit
-    assert moved.v == world.V_LIMIT
-    assert moved.x == pytest.approx(3.0 + world.V_LIMIT * 0.1)
-    moved, hit = world.step_kinematics(robot, (0.0, -9.0), 0.1, g)
-    assert not hit
-    assert moved.omega == -world.OMEGA_LIMIT
-    assert moved.heading == pytest.approx(-world.OMEGA_LIMIT * 0.1)
-
-
 def test_step_kinematics_free_motion_matches_arc():
     g = _open_room()
     robot = RobotState(x=3.0, y=3.0, heading=0.3, camera_mount=CAMERA_MOUNT)
