@@ -52,7 +52,7 @@ class _Engine:
     log: SessionLog
     windows: list[GazeWindow] = field(default_factory=list)
     action_times: list[float] = field(default_factory=list)
-    directed: RegionOfInterest | None = None  # the last navigate_to's ROI, not yet visited
+    directed: RegionOfInterest | None = None  # the last navigate_to's ROI until _search visits it
 
     def apply(self, event: AssistEvent) -> None:
         """Step the policy on ``event``, log the record and carry out its actions."""
@@ -123,17 +123,11 @@ def _run_passive(engine: _Engine, user_rng) -> None:
 
 
 def _search(engine: _Engine, nav_session: navigation.NavSession) -> None:
-    """Visit each location a ``navigate_to`` directs until the search ends.
-
-    A search phase with no visit pending has run past the last location,
-    so the search reports itself exhausted here.
-    """
+    """Visit each location a ``navigate_to`` directs; the policy ends the
+    search on a find, or with an abort after the last location."""
     while engine.state.phase in (Phase.NAVIGATING, Phase.SCANNING):
         roi, engine.directed = engine.directed, None
-        if roi is None:
-            engine.apply(AssistEvent.exhausted(engine.clock.t))
-        else:
-            engine.apply(navigation.visit_roi(nav_session, roi))
+        engine.apply(navigation.visit_roi(nav_session, roi))
 
 
 def _run_guided(

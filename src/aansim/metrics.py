@@ -239,8 +239,8 @@ class Questionnaire:
                 raise ValueError(f"{path}: row {i + 2}: condition must be one of {CONDITIONS}, "
                                  f"got {row['condition']!r}")
             key = (row["participant"], row["condition"])
-            if not key[0]:
-                raise ValueError(f"{path}: row {i + 2}: participant is empty")
+            if not key[0] or key[0] != key[0].strip():
+                raise ValueError(f"{path}: row {i + 2}: participant {key[0]!r} is empty or padded")
             if key in first_row:
                 raise ValueError(f"{path}: row {i + 2}: repeats participant {key[0]!r} "
                                  f"condition {key[1]} of row {first_row[key]}")

@@ -64,7 +64,6 @@ class IntentKind(Enum):
     REPEAT_REQUEST = "repeat_request"
     HELP_REQUEST = "help_request"
     REFUSAL = "refusal"
-    OFF_TOPIC = "off_topic"
     UNKNOWN = "unknown"
 
 
@@ -74,7 +73,6 @@ class UserActionKind(Enum):
     TAKES_PILLS = "takes_pills"
     DRINKS_WATER = "drinks_water"
     CONFIRMS_INTAKE = "confirms_intake"
-    WANDERS = "wanders"
 
 
 EXPECTED_ACTION = {
@@ -93,7 +91,6 @@ class EventKind(Enum):
     TIMEOUT = "timeout"
     FOUND = "found"
     MISS = "miss"
-    EXHAUSTED = "exhausted"
     ROI_UNREACHABLE = "roi_unreachable"
     USER_ACTION = "user_action"
 
@@ -133,10 +130,6 @@ class AssistEvent:
     @classmethod
     def miss(cls, t: float, roi: str) -> "AssistEvent":
         return cls(EventKind.MISS, t, roi=roi)
-
-    @classmethod
-    def exhausted(cls, t: float) -> "AssistEvent":
-        return cls(EventKind.EXHAUSTED, t)
 
     @classmethod
     def roi_unreachable(cls, t: float, roi: str) -> "AssistEvent":
@@ -358,17 +351,13 @@ _INTENT_RULES: tuple[tuple[IntentKind, tuple[str, ...]], ...] = (
             "i see", "found", "sure", "alright", "all right", "ready", "coming",
         ),
     ),
-    (
-        IntentKind.OFF_TOPIC,
-        ("weather", "hello", "hi there", "what time", "lunch", "dinner", "song", "tv"),
-    ),
 )
 
 
 def interpret(transcript: str) -> IntentKind:
     """Rule-based intent stub: keyword classes checked in precedence order
-    Refusal > RepeatRequest > HelpRequest > Deny > Confirm > OffTopic, with
-    empty or unmatched transcripts mapping to Unknown."""
+    Refusal > RepeatRequest > HelpRequest > Deny > Confirm, with empty or
+    unmatched transcripts mapping to Unknown."""
     # Punctuation must not glue to keywords ("done!" is still a confirm);
     # apostrophes stay because several keywords carry contractions.  Every
     # keyword begins and ends with a letter or digit, so a match between the
@@ -554,21 +543,16 @@ def step(
     elif phase in (Phase.NAVIGATING, Phase.SCANNING):
         if kind is EventKind.MISS or kind is EventKind.ROI_UNREACHABLE:
             next_index = state.roi_index + 1
-            nxt = replace(state, phase=Phase.SCANNING, roi_index=next_index)
             if next_index < len(config.roi_ids):
+                nxt = replace(state, phase=Phase.SCANNING, roi_index=next_index)
                 return nxt, [Action.navigate_to(config.roi_ids[next_index])]
-            return nxt, []
+            text = "I could not find your medicine. I will ask your caregiver."
+            return _abort(state, "medicine bottle not found at any known location", text)
         if kind is EventKind.FOUND:
             actions = [Action.speak("I found your medicine bottle!")]
             actions.extend(gesture_actions(event.target, config))
             nxt, prompt = _enter_step(state, GuidanceStep.LOCATE_BOTTLE)
             return nxt, actions + prompt
-        if kind is EventKind.EXHAUSTED:
-            return _abort(
-                state,
-                "medicine bottle not found at any known location",
-                "I could not find your medicine. I will ask your caregiver.",
-            )
         # Chatter while searching spends the repeat budget, then goes unanswered.
         follow = "Please follow me while I look for your medicine."
         if intent is not None and (said := _repeat(state, config, follow)):
@@ -603,8 +587,8 @@ def step(
         elif intent is IntentKind.DENY:
             return _register_failure(state, config)
         elif intent is not None:
-            # Repeat, help, off-topic and unknown replies are rephrased while
-            # repeats last; anything but a plain request is steered back first.
+            # Repeat, help and unknown replies are rephrased while repeats
+            # last; anything but a plain request is steered back first.
             text = _again(state)
             if reminding and intent is not IntentKind.REPEAT_REQUEST:
                 text = "I am here to help you take your medicine. " + text

@@ -56,6 +56,11 @@ def _say(rng, pool: str, t: float) -> orc.AssistEvent:
     return orc.AssistEvent.record_pressed(t, lines[int(rng.integers(len(lines)))])
 
 
+def _wrong_action(t: float, expected=None) -> orc.AssistEvent:
+    """The first user action that is not ``expected``."""
+    return orc.AssistEvent.user_action(t, next(a for a in orc.UserActionKind if a is not expected))
+
+
 def _pick(rng, table):
     """table: list of (probability, thunk); probabilities sum to 1."""
     r = float(rng.random())
@@ -73,7 +78,7 @@ def next_event(rng, state: orc.OrchestratorState, config: orc.OrchestratorConfig
         return _pick(rng, [
             (0.40, lambda: _say(rng, "help", t)),
             (0.10, lambda: _say(rng, "repeat", t)),
-            (0.15, lambda: orc.AssistEvent.user_action(t, orc.UserActionKind.WANDERS)),
+            (0.15, lambda: _wrong_action(t, orc.UserActionKind.OPENS_BOTTLE)),
             (0.25, lambda: orc.AssistEvent.user_action(t, orc.UserActionKind.OPENS_BOTTLE)),
             (0.10, lambda: _say(rng, "refuse", t)),
         ])
@@ -90,22 +95,17 @@ def next_event(rng, state: orc.OrchestratorState, config: orc.OrchestratorConfig
             (0.05, lambda: _say(rng, "offtopic", t)),
             (0.05, lambda: _say(rng, "unknown", t)),
             (0.05, lambda: orc.AssistEvent.start_navigation(t)),
-            (0.03, lambda: orc.AssistEvent.user_action(t, orc.UserActionKind.WANDERS)),
+            (0.03, lambda: _wrong_action(t)),
         ])
     if phase in (orc.Phase.NAVIGATING, orc.Phase.SCANNING):
-        roi = ROI_IDS[min(state.roi_index, len(ROI_IDS) - 1)]
-        if state.roi_index >= len(ROI_IDS):
-            return _pick(rng, [
-                (0.70, lambda: orc.AssistEvent.exhausted(t)),
-                (0.30, lambda: orc.AssistEvent.found(t, roi, _fake_target(rng))),
-            ])
+        roi = config.roi_ids[state.roi_index]
         return _pick(rng, [
             (0.30, lambda: orc.AssistEvent.miss(t, roi)),
             (0.10, lambda: orc.AssistEvent.roi_unreachable(t, roi)),
             (0.30, lambda: orc.AssistEvent.found(t, roi, _fake_target(rng))),
             (0.15, lambda: _say(rng, "unknown", t)),
             (0.05, lambda: _say(rng, "refuse", t)),
-            (0.10, lambda: orc.AssistEvent.user_action(t, orc.UserActionKind.WANDERS)),
+            (0.10, lambda: _wrong_action(t)),
         ])
     # Step guidance / final confirmation.
     expected = orc.EXPECTED_ACTION[state.step]
@@ -119,7 +119,7 @@ def next_event(rng, state: orc.OrchestratorState, config: orc.OrchestratorConfig
         (0.05, lambda: _say(rng, "offtopic", t)),
         (0.04, lambda: _say(rng, "unknown", t)),
         (0.05, lambda: orc.AssistEvent.user_action(t, expected)),
-        (0.05, lambda: orc.AssistEvent.user_action(t, orc.UserActionKind.WANDERS)),
+        (0.05, lambda: _wrong_action(t, expected)),
     ])
 
 

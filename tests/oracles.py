@@ -447,9 +447,7 @@ def audit_log(log, scenario) -> None:
     condition's initial state, and its actions and described state come out
     as logged.  Each ``navigating`` note names the ROI of the ``navigate_to``
     before it, and the miss, found or unreachable event that ends the visit
-    names that ROI too.  ``exhausted`` comes only once the policy's
-    ``roi_index`` has run past the last ROI, and condition A emits no motion
-    action.
+    names that ROI too, and condition A emits no motion action.
     """
     config = scenario.orchestrator_config(log.meta["condition"])
     state = initial_state(config)
@@ -467,10 +465,6 @@ def audit_log(log, scenario) -> None:
         if event.kind in _VISIT_OUTCOMES:
             assert event.roi == visiting, f"{where}: {event.roi} ends a visit of {visiting}"
             visiting = None
-        if event.kind is EventKind.EXHAUSTED:
-            assert state.roi_index >= len(scenario.rois), (
-                f"{where}: exhausted at roi_index {state.roi_index} of {len(scenario.rois)}"
-            )
         state, actions = step(state, event, config)
         assert [a.describe() for a in actions] == record["actions"], f"{where}: actions"
         assert state.describe() == record["state"], f"{where}: state"

@@ -17,7 +17,7 @@ from aansim import metrics as m
 from aansim.episode import run_episode
 from aansim.orchestrator import MOTION_ACTION_KINDS, Action, ActionKind
 from aansim.scenario import load_scenario
-from aansim.session import SessionLog, read_log, validate_log
+from aansim.session import read_log, validate_log
 from oracles import audit_log, max_offtask_gap
 
 from conftest import SCENARIO_PATH
@@ -181,27 +181,6 @@ def test_audit_log_rejects_a_visit_the_policy_did_not_direct(lab_scenario, monke
     log = run_episode(lab_scenario, "B", 1).log
     with pytest.raises(AssertionError, match="visits side_table; the policy directed kitchen_counter"):
         audit_log(log, lab_scenario)
-
-
-def test_audit_log_rejects_exhausted_before_the_last_roi(tmp_path):
-    doc = json.loads(SCENARIO_PATH.read_text())
-    doc["detector"].update(true_positive_rate=0.0, false_positive_rate=0.0)
-    shutil.copy(SCENARIO_PATH.parent / "lab.map", tmp_path / "lab.map")
-    path = tmp_path / "blind.json"
-    path.write_text(json.dumps(doc))
-    scenario = load_scenario(path)
-    log = run_episode(scenario, "B", 0).log
-    # Drop the last visit, from its navigating note to its miss, so that the
-    # exhausted event follows the next-to-last ROI's miss.
-    records = log.records
-    start = max(i for i, r in enumerate(records) if r.get("note") == "navigating")
-    end = next(
-        i for i, r in enumerate(records)
-        if i > start and r["kind"] == "event" and r["event"]["kind"] == "miss"
-    )
-    early = SessionLog(meta=log.meta, records=records[:start] + records[end + 1 :])
-    with pytest.raises(AssertionError, match="exhausted at roi_index 2 of 3"):
-        audit_log(early, scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ policy's exact outputs on random event walks.
 ``tests/golden/lab_study.json`` holds the SHA-256 of the ``write_log`` bytes
 for seeds 0-11 under conditions A and B.  ``tests/golden/witnesses.json``
 does the same for seeds 0-3 on five edited copies of lab_study (``WITNESSES``)
-that take the paths those seeds never take: an exhausted search, an
+that take the paths those seeds never take: a search that finds nothing, an
 unreachable search location, the time cap, noisy legs and a user who times
 out and denies.  Every replayed log is also read back, checked by
 ``oracles.audit_log`` against the policy that wrote it, and printed by
@@ -14,9 +14,10 @@ SHA-256 of the ``harness.random_walk`` traces for seeds 0-39.  A change that onl
 leave every hash as it is; see the README for when a behaviour change may
 regenerate the files, which
 
-    python tests/test_golden.py --write
+    PYTHONPATH=src python tests/test_golden.py --write
 
-does with the same replay code as the tests.
+does with the same replay code as the tests; it then prints, per file, the
+keys whose hash changed, or "unchanged".
 """
 
 import argparse
@@ -75,10 +76,10 @@ def _box_in_hall_shelf(doc: dict) -> None:
 # Witness copies of lab_study: each edit, and a text that some condition-B
 # log of the copy must contain, so the copy keeps taking its path.
 WITNESSES = {
-    # Nothing is ever detected, so every search ends exhausted.
+    # Nothing is ever detected, so every search aborts on its last miss.
     "blind_detector": (
         lambda doc: doc["detector"].update(true_positive_rate=0.0, false_positive_rate=0.0),
-        '"kind":"exhausted"',
+        '"reason":"medicine bottle not found at any known location"',
     ),
     # Supports box in the hall_shelf approach pose, so that search location is unreachable.
     "boxed_in_hall_shelf": (_box_in_hall_shelf, '"kind":"roi_unreachable"'),
@@ -219,19 +220,37 @@ def test_orchestrator_walks_match_golden():
     assert mismatched == []
 
 
+def _flat(sha256: dict) -> dict[str, str]:
+    """Hashes by key, with a witness copy's keys prefixed by its name."""
+    flat = {}
+    for key, value in sha256.items():
+        if isinstance(value, dict):
+            flat.update({f"{key} {k}": v for k, v in value.items()})
+        else:
+            flat[key] = value
+    return flat
+
+
+def write_json(path: Path, doc: dict) -> None:
+    """Write one golden file and print the keys whose hash it changed."""
+    old = _flat(json.loads(path.read_text())["sha256"]) if path.exists() else {}
+    new = _flat(doc["sha256"])
+    changed = [key for key in sorted(old.keys() | new.keys()) if old.get(key) != new.get(key)]
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    summary = f"{len(changed)} changed: {', '.join(changed)}" if changed else "unchanged"
+    print(f"{path.name}: {summary}")
+
+
 def write_golden() -> None:
     scenario = load_scenario(ROOT / SCENARIO)
     with tempfile.TemporaryDirectory() as tmp:
         sha256 = {key: log_sha256(scenario, key, Path(tmp) / "episode.jsonl") for key in KEYS}
-    text = json.dumps({"scenario": SCENARIO, "sha256": sha256}, indent=2) + "\n"
-    GOLDEN_PATH.write_text(text, encoding="utf-8")
+    write_json(GOLDEN_PATH, {"scenario": SCENARIO, "sha256": sha256})
     walks = {key: walks_sha256(key) for key in WALK_CONFIGS}
-    text = json.dumps({"seeds": len(WALK_SEEDS), "sha256": walks}, indent=2) + "\n"
-    WALKS_PATH.write_text(text, encoding="utf-8")
+    write_json(WALKS_PATH, {"seeds": len(WALK_SEEDS), "sha256": walks})
     with tempfile.TemporaryDirectory() as tmp:
         sha256 = {name: witness_sha256(name, Path(tmp)) for name in WITNESSES}
-    text = json.dumps({"scenario": SCENARIO, "sha256": sha256}, indent=2) + "\n"
-    WITNESS_PATH.write_text(text, encoding="utf-8")
+    write_json(WITNESS_PATH, {"scenario": SCENARIO, "sha256": sha256})
 
 
 if __name__ == "__main__":

@@ -260,7 +260,7 @@ def test_session_metrics_censored_when_never_located():
     log = _mk_log(
         events=[
             (1.0, _ev("schedule_due"), [], {"phase": "reminding", "assist_level": 1}),
-            (600.0, _ev("exhausted"), [], {"phase": "aborted", "assist_level": 3}),
+            (600.0, _ev("miss", roi="side_table"), [], {"phase": "aborted", "assist_level": 3}),
         ]
     )
     log.add_note(
@@ -377,15 +377,17 @@ def test_load_tlx_csv_rejects_repeated_participant_and_condition(tmp_path):
 
 
 def test_load_usability_csv_rejects_empty_participant(tmp_path):
+    # A padded cell is rejected too: "p1 " would count as a second respondent beside "p1".
     path = tmp_path / "usability.csv"
-    _write_csv(
-        path,
-        ["participant", "condition", *m.USABILITY.items],
-        [["p1", "B", 4, 2, 4, 2, 4], ["", "B", 4, 2, 4, 2, 4]],
-    )
-    with pytest.raises(ValueError) as exc:
-        m.USABILITY.load(path)
-    assert str(exc.value) == f"{path}: row 3: participant is empty"
+    for participant in ("", " ", "p1 "):
+        _write_csv(
+            path,
+            ["participant", "condition", *m.USABILITY.items],
+            [["p1", "B", 4, 2, 4, 2, 4], [participant, "B", 4, 2, 4, 2, 4]],
+        )
+        with pytest.raises(ValueError) as exc:
+            m.USABILITY.load(path)
+        assert str(exc.value) == f"{path}: row 3: participant {participant!r} is empty or padded"
 
 
 def test_load_tlx_csv_missing_column(tmp_path):

@@ -148,19 +148,20 @@ def test_unreachable_roi_is_skipped_like_a_miss():
 
 
 def test_exhausted_search_aborts_with_notification():
+    """A miss or an unreachable visit at the last ROI ends the search: the
+    policy hands over to the caregiver and directs no further visit."""
     config = guided_config(start_level=AssistLevel.L3)
-    state = _navigating_state(config)
-    state, _ = advance(
-        state,
+    searched = advance(
+        _navigating_state(config),
         config,
         AssistEvent.miss(30.0, "roi_a"),
         AssistEvent.miss(60.0, "roi_b"),
-        AssistEvent.miss(90.0, "roi_c"),
-    )
-    assert state.roi_index == 3
-    state, actions = orc.step(state, AssistEvent.exhausted(95.0), config)
-    assert state.phase is Phase.ABORTED
-    assert actions[-1].kind is ActionKind.NOTIFY_CAREGIVER
+    )[0]
+    for last in (AssistEvent.miss(90.0, "roi_c"), AssistEvent.roi_unreachable(90.0, "roi_c")):
+        state, actions = orc.step(searched, last, config)
+        assert state.phase is Phase.ABORTED
+        assert kinds(actions) == [ActionKind.SPEAK, ActionKind.NOTIFY_CAREGIVER]
+        assert actions[-1].payload["reason"] == "medicine bottle not found at any known location"
 
 
 def test_found_points_at_the_bottle_and_prompts():
@@ -254,11 +255,13 @@ def test_step_timeouts_spend_repeats_then_escalate():
 
 def test_wrong_user_action_counts_as_failure():
     config = guided_config(start_level=AssistLevel.L3)
-    state = _guidance_state(config)
+    state, _ = orc.step(_guidance_state(config), AssistEvent.record_pressed(45.0, "yes"), config)
+    assert state.step is GuidanceStep.OPEN_BOTTLE
     before = state.failure_count
     state, _ = orc.step(
-        state, AssistEvent.user_action(50.0, UserActionKind.WANDERS), config
+        state, AssistEvent.user_action(50.0, UserActionKind.DRINKS_WATER), config
     )
+    assert state.step is GuidanceStep.OPEN_BOTTLE
     assert state.failure_count == before + 1
 
 
@@ -277,9 +280,9 @@ def test_two_refusals_abort_the_session():
 
 
 def test_terminal_states_absorb_events():
-    config = guided_config(start_level=AssistLevel.L3)
+    config = guided_config(start_level=AssistLevel.L3, roi_ids=("roi_a",), roi_labels=("here",))
     state = _navigating_state(config)
-    state, _ = orc.step(state, AssistEvent.exhausted(50.0), config)
+    state, _ = orc.step(state, AssistEvent.miss(50.0, "roi_a"), config)
     assert state.terminal
     nxt, actions = orc.step(state, AssistEvent.schedule_due(60.0), config)
     assert nxt.phase is state.phase and actions == []
@@ -305,7 +308,7 @@ def test_terminal_states_absorb_events():
         ("help me find it", IntentKind.HELP_REQUEST),
         ("where is my medicine", IntentKind.HELP_REQUEST),
         ("leave me alone", IntentKind.REFUSAL),
-        ("nice weather today", IntentKind.OFF_TOPIC),
+        ("nice weather today", IntentKind.UNKNOWN),
         ("blorp", IntentKind.UNKNOWN),
         ("", IntentKind.UNKNOWN),
         ("   ", IntentKind.UNKNOWN),

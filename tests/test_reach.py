@@ -249,6 +249,11 @@ BAD_INPUTS = {
                     "frustration\np1,A,2,2,2,2,2,2\np1,A,9,9,9,9,9,9\n"},
         ["report", "--logs", "{study}", "--tlx", "{d}/tlx.csv"],
     ),
+    "report_tlx_padded_participant": (
+        {"tlx.csv": "participant,condition,mental,physical,temporal,performance,effort,"
+                    "frustration\np1,A,2,2,2,2,2,2\np1 ,A,9,9,9,9,9,9\n"},
+        ["report", "--logs", "{study}", "--tlx", "{d}/tlx.csv"],
+    ),
     "report_usability_empty_participant": (
         {"u.csv": "participant,condition,q1,q2,q3,q4,q5\n,B,4,2,4,2,4\n"}, _USABILITY
     ),
