@@ -64,10 +64,12 @@ class Costmap(OccupancyGrid):
     """Float cost grid over the cells and geometry of an occupancy grid.
 
     ``edged`` holds one more row and column, both LETHAL_COST, past the
-    map's last ones; ``cost`` is the map's part of it.
+    map's last ones; ``cost`` is the map's part of it.  ``costed`` is the
+    integral image of ``cost > 0``, one row and column of zeros first.
     """
 
     edged: np.ndarray = field(kw_only=True)
+    costed: np.ndarray = field(kw_only=True, repr=False)
     # navigate_to's noise-free legs, keyed by start state and goal pose.
     legs: dict = field(default_factory=dict, compare=False, repr=False, kw_only=True)
 
@@ -77,6 +79,11 @@ class Costmap(OccupancyGrid):
 
     def traversable(self, i: int, j: int) -> bool:
         return self.cost[j, i] < INSCRIBED_COST
+
+    def cost_free(self, lo: tuple[int, int], hi: tuple[int, int]) -> bool:
+        """Whether every cell (i, j) from ``lo`` to ``hi``, both on the map, costs 0."""
+        (i0, j0), (i1, j1), s = lo, hi, self.costed
+        return s[j1 + 1, i1 + 1] - s[j0, i1 + 1] - s[j1 + 1, i0] + s[j0, i0] == 0
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,9 @@ def build_costmap(grid: OccupancyGrid, params: NavParams) -> Costmap:
         band = ~lethal & (dist <= params.inflation_radius)
         inflated = 254.0 * np.exp(-params.cost_decay * (dist[band] - params.robot_radius))
         cost[band] = np.clip(inflated, 1.0, 253.0)
-    return Costmap(grid.cells, grid.resolution, edged=edged)
+    costed = np.zeros_like(edged, dtype=np.intp)
+    np.cumsum(np.cumsum(cost > 0.0, axis=0), axis=1, out=costed[1:, 1:])
+    return Costmap(grid.cells, grid.resolution, edged=edged, costed=costed)
 
 
 @dataclass
@@ -294,12 +303,15 @@ def dwa_step(
     not depend on v, so its sine and cosine are taken once on (K, n_omega).
     Floored cells are clamped to [-1, width] x [-1, height], which index
     ``Costmap.edged``'s lethal last row and column, so an off-map sample
-    costs 255.  The endpoint is the last rollout row, the same arithmetic as
-    ``world.unicycle_arc`` at the horizon.  Its bearing stays scalar libm
-    ``atan2``, which ``np.arctan2`` differs from in the last bit on some
-    inputs, and ``_wrap`` gives the IEEE remainder's bits.  Every value is
-    the same IEEE expression as the scalar rollout's, up to the order of
-    commutative operands.
+    costs 255.  Division and floor are monotone, so every sample's cell lies
+    in the box from the cell of the least x and y to that of the greatest; if
+    that box is on the map and ``Costmap.cost_free``, every worst cost is 0
+    and the gather is skipped.  The endpoint is the last rollout row, the
+    same arithmetic as ``world.unicycle_arc`` at the horizon.  Its bearing
+    stays scalar libm ``atan2``, which ``np.arctan2`` differs from in the
+    last bit on some inputs, and ``_wrap`` gives the IEEE remainder's bits.
+    Every value is the same IEEE expression as the scalar rollout's, up to
+    the order of commutative operands.
 
     Raises AllBlocked when every candidate collides.
     """
@@ -324,15 +336,21 @@ def dwa_step(
     xy[..., straight] = origin + vt * np.array([c0, s0])[:, None, None, None]
 
     end = xy[:, -1].copy()  # (2, n_v, n_omega) endpoints
-    cell = np.floor(np.divide(xy, costmap.resolution, out=xy), out=xy)
-    # Against a full bound array: numpy's max and min run several times
-    # faster on two arrays than on an array and a scalar.
-    bound = np.full(cell.shape, -1.0)
-    np.maximum(cell, bound, out=cell)
-    bound[0], bound[1] = costmap.width, costmap.height
-    np.minimum(cell, bound, out=cell)
-    flat = (cell[1] * (costmap.width + 1) + cell[0]).astype(np.intp)
-    worst = np.maximum.reduce(costmap.edged.take(flat), axis=0)
+    samples = xy.reshape(2, -1)
+    lo = costmap.world_to_cell(*samples.min(axis=1).tolist())
+    hi = costmap.world_to_cell(*samples.max(axis=1).tolist())
+    if lo is not None and hi is not None and costmap.cost_free(lo, hi):
+        worst = np.zeros(xy.shape[2:])  # every sample on a cell of cost 0
+    else:
+        cell = np.floor(np.divide(xy, costmap.resolution, out=xy), out=xy)
+        # Against a full bound array: numpy's max and min run several times
+        # faster on two arrays than on an array and a scalar.
+        bound = np.full(cell.shape, -1.0)
+        np.maximum(cell, bound, out=cell)
+        bound[0], bound[1] = costmap.width, costmap.height
+        np.minimum(cell, bound, out=cell)
+        flat = (cell[1] * (costmap.width + 1) + cell[0]).astype(np.intp)
+        worst = np.maximum.reduce(costmap.edged.take(flat), axis=0)
     admissible = worst < INSCRIBED_COST
     if not admissible.any():
         raise AllBlocked("every dynamic-window arc collides")
@@ -498,9 +516,10 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
 def _localize(
     session: NavSession, det: DetectionResult, base_from_camera: geometry.RigidTransform
 ) -> np.ndarray | None:
-    """Base-frame pointing target from the frame that produced a detection."""
+    """Base-frame pointing target from the frame that produced a detection;
+    depth noise goes only on the detection box, the pixels localization reads."""
     sc = session.scenario
-    depth = world.add_depth_noise(det.depth, sc.noise.depth_sigma, session.depth_noise_rng)
+    depth = world.add_depth_noise(det.depth, det.box, sc.noise.depth_sigma, session.depth_noise_rng)
     try:
         est = geometry.localize_target(depth, det.box, sc.intrinsics, base_from_camera)
     except geometry.GeometryError:

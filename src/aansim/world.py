@@ -176,42 +176,27 @@ def _merge_occupied_rects(grid: OccupancyGrid) -> list[tuple[np.ndarray, np.ndar
 
     Row runs of occupied cells are merged, then runs with identical column
     spans on consecutive rows are stacked, so typical wall layouts collapse
-    into a handful of boxes and rendering stays cheap.
+    into a handful of boxes and rendering stays cheap.  Boxes come in the
+    order their stacks end, by last row, then left to right.
     """
-    occupied = grid.cells == CellState.OCCUPIED
-    res, width = grid.resolution, grid.width
-    open_runs: dict[tuple[int, int], tuple[int, int]] = {}  # (i0, i1) -> (j0, j1)
+    occupied = np.pad(grid.cells == CellState.OCCUPIED, ((0, 0), (1, 1)))
+    steps = np.diff(occupied.view(np.int8), axis=1)  # 1 where a run starts, -1 past its end
+    rows, starts = np.nonzero(steps == 1)
+    row_runs: list[list[tuple[int, int]]] = [[] for _ in range(grid.height)]
+    for j, i0, i1 in zip(rows.tolist(), starts.tolist(), np.nonzero(steps == -1)[1].tolist()):
+        row_runs[j].append((i0, i1 - 1))
+    open_runs: dict[tuple[int, int], int] = {}  # (i0, i1) -> first row of its stack
     rects: list[tuple[int, int, int, int]] = []
-    for j in range(grid.height):
-        row_runs = []
-        i = 0
-        while i < width:
-            if occupied[j, i]:
-                i0 = i
-                while i < width and occupied[j, i]:
-                    i += 1
-                row_runs.append((i0, i - 1))
-            else:
-                i += 1
-        next_open: dict[tuple[int, int], tuple[int, int]] = {}
-        for run in row_runs:
-            if run in open_runs and open_runs[run][1] == j - 1:
-                next_open[run] = (open_runs[run][0], j)
-            else:
-                next_open[run] = (j, j)
-        for run, span in open_runs.items():
-            if run not in next_open:
-                rects.append((run[0], run[1], span[0], span[1]))
+    for j, runs in enumerate(row_runs):
+        next_open = {run: open_runs.get(run, j) for run in runs}
+        rects += [(*run, j0, j - 1) for run, j0 in open_runs.items() if run not in next_open]
         open_runs = next_open
-    for run, span in open_runs.items():
-        rects.append((run[0], run[1], span[0], span[1]))
+    rects += [(*run, j0, grid.height - 1) for run, j0 in open_runs.items()]
 
-    out = []
-    for i0, i1, j0, j1 in rects:
-        lo = np.array([i0 * res, j0 * res, 0.0])
-        hi = np.array([(i1 + 1) * res, (j1 + 1) * res, WALL_HEIGHT])
-        out.append((lo, hi))
-    return out
+    res = grid.resolution
+    lo = [np.array([i0 * res, j0 * res, 0.0]) for i0, _, j0, _ in rects]
+    hi = [np.array([(i1 + 1) * res, (j1 + 1) * res, WALL_HEIGHT]) for _, i1, _, j1 in rects]
+    return list(zip(lo, hi))
 
 
 @dataclass
@@ -357,9 +342,12 @@ def _camera_rays(intrinsics: CameraIntrinsics) -> np.ndarray:
     return rays
 
 
-# Corner k of an AABB takes the max bound on axis a when bit a of k is set.
+# Corner k of an AABB takes the max bound on axis a when bit a of k is set;
+# the 12 edges join the corners that differ in one bit.
 _CORNER_BITS = np.array([[(k >> a) & 1 for a in range(3)] for k in range(8)], dtype=bool)
-_CULL_MARGIN = 1e-6  # camera-Z slack (m) of the culls, far above any hit's rounding
+_EDGES = np.array([(k, k | 1 << a) for k in range(8) for a in range(3) if not k >> a & 1]).T
+_CULL_MARGIN = 1e-6  # camera-Z slack (m) of the range cull, far above any hit's rounding
+_CLIP_Z = _RAY_EPS / 2.0  # camera-Z clip plane: a hit's ray parameter, its Z, exceeds _RAY_EPS
 
 
 def _primitives(objects, wall_rects) -> tuple[np.ndarray, list[tuple]]:
@@ -395,9 +383,12 @@ def render_depth_ids(
     per pixel, so depth and ids are bit-equal to that formulation.
 
     Each of ``scene.primitives`` is cast only at the rays of the pixel
-    rectangle its AABB's corners span, widened by one pixel: at all rays if
-    the AABB straddles the camera plane, at none if it lies wholly behind the
-    camera or past ``max_range`` in camera Z.  No other ray can hit it.
+    rectangle that its AABB, clipped to camera Z >= ``_CLIP_Z``, spans: the
+    corners in front of that plane and the points where the AABB's edges
+    cross it, widened by one pixel (Sutherland & Hodgman 1974).  An AABB
+    wholly behind the plane or past ``max_range`` in camera Z is not cast at
+    all.  Every hit lies past ``_RAY_EPS`` in camera Z, so no other ray can
+    hit the primitive.
     """
     cam_pose = robot.world_from_camera()
     rot, origin = cam_pose.rotation, cam_pose.translation
@@ -406,17 +397,22 @@ def render_depth_ids(
 
     corners, casts = scene.primitives
     cam = (corners - origin) @ rot  # camera-frame corners, (P, 8, 3)
-    z_min, z_max = cam[..., 2].min(axis=1), cam[..., 2].max(axis=1)
+    a, b = cam[:, _EDGES[0]], cam[:, _EDGES[1]]  # the edges' ends, (P, 12, 3)
+    crosses = (a[..., 2] < _CLIP_Z) != (b[..., 2] < _CLIP_Z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = cam[..., :2] / cam[..., 2:]  # X/Z and Y/Z, as in the pixel rays
+        cut = a + (_CLIP_Z - a[..., 2:]) / (b[..., 2:] - a[..., 2:]) * (b - a)
+        cut[..., 2] = _CLIP_Z
+        points = np.concatenate([cam, cut], axis=1)
+        ratio = points[..., :2] / points[..., 2:]  # X/Z and Y/Z, as in the pixel rays
+    shown = np.concatenate([cam[..., 2] >= _CLIP_Z, crosses], axis=1)[..., None]
     pix = (intrinsics.cx, intrinsics.cy) + (intrinsics.fx, intrinsics.fy) * ratio
-    front = (z_min > _CULL_MARGIN)[:, None]  # else cast on the full (w, h) frame
-    lo = np.where(front, np.clip(np.ceil(pix.min(axis=1)) - 1, 0, (w, h)), 0).astype(int)
-    hi = np.where(front, np.clip(np.floor(pix.max(axis=1)) + 2, 0, (w, h)), (w, h)).astype(int)
+    lo = np.clip(np.ceil(np.where(shown, pix, np.inf).min(axis=1)) - 1, 0, (w, h)).astype(int)
+    hi = np.clip(np.floor(np.where(shown, pix, -np.inf).max(axis=1)) + 2, 0, (w, h)).astype(int)
 
     best = np.full((h, w), np.inf)
     ids = np.full((h, w), NO_HIT, dtype=np.int32)
-    for k in np.flatnonzero((z_max > 0.0) & (z_min <= max_range + _CULL_MARGIN) & (lo < hi).all(1)):
+    in_range = cam[..., 2].min(axis=1) <= max_range + _CULL_MARGIN
+    for k in np.flatnonzero(in_range & (lo < hi).all(1)):
         cast, args, hit_id = casts[k]
         window = np.s_[lo[k, 1] : hi[k, 1], lo[k, 0] : hi[k, 0]]
         best_win, ids_win = best[window], ids[window]
@@ -431,12 +427,20 @@ def render_depth_ids(
     return depth, ids
 
 
-def add_depth_noise(depth: np.ndarray, noise_sigma: float, rng: np.random.Generator) -> np.ndarray:
+def add_depth_noise(
+    depth: np.ndarray, box: BoundingBox, noise_sigma: float, rng: np.random.Generator
+) -> np.ndarray:
     """A noise-free render plus additive Gaussian noise, clamped at 1e-3 m on
-    valid pixels; invalid (0) pixels stay 0."""
+    valid pixels, inside ``box`` clipped to the frame; invalid (0) pixels and
+    those outside the box stay as rendered.  A whole frame of normals is
+    drawn, so ``rng`` moves on as for a noisy frame."""
     if noise_sigma > 0.0:
-        noisy = depth + rng.normal(0.0, noise_sigma, size=depth.shape)
-        depth = np.where(depth > 0.0, np.maximum(noisy, 1e-3), 0.0)
+        noise = rng.normal(0.0, noise_sigma, size=depth.shape)
+        c = box.clipped(depth.shape[1], depth.shape[0])
+        window = np.s_[c.v_min : c.v_max + 1, c.u_min : c.u_max + 1]
+        sub = depth[window]
+        depth = depth.copy()
+        depth[window] = np.where(sub > 0.0, np.maximum(sub + noise[window], 1e-3), 0.0)
     return depth
 
 

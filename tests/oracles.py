@@ -5,8 +5,10 @@ code: plain-Python Dijkstra for global path costs, and a scalar dynamic-window
 scorer.  They share only input data (costmaps, parameter dataclasses and the
 planner's ``DWA_*`` constants) with the library, never its planning code.
 ``render_reference`` keeps the straightforward (N, 3) ray caster that the
-library's per-axis renderer must match bit for bit, and ``project`` is the
-pinhole projection that back-projection must invert.
+library's per-axis renderer must match bit for bit, over the walls of
+``merge_occupied_rects_reference``, the cell-by-cell wall merge that the
+library's run scan must match box for box, and ``project`` is the pinhole
+projection that back-projection must invert.
 ``costmap_reference`` and ``foreground_reference`` keep the scipy.ndimage
 costmap (a Euclidean distance transform) and foreground labeling that the
 library's windowed distance and flood fill must match bit for bit; scipy is
@@ -325,6 +327,45 @@ def _ray_cylinder_reference(origins, dirs, center, radius, z0, z1) -> np.ndarray
     return best
 
 
+def merge_occupied_rects_reference(grid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Wall boxes as ``world._merge_occupied_rects`` must return them, in its
+    order: row runs found cell by cell, then stacked greedily."""
+    occupied = grid.cells == world.CellState.OCCUPIED
+    res, width = grid.resolution, grid.width
+    open_runs: dict[tuple[int, int], tuple[int, int]] = {}  # (i0, i1) -> (j0, j1)
+    rects: list[tuple[int, int, int, int]] = []
+    for j in range(grid.height):
+        row_runs = []
+        i = 0
+        while i < width:
+            if occupied[j, i]:
+                i0 = i
+                while i < width and occupied[j, i]:
+                    i += 1
+                row_runs.append((i0, i - 1))
+            else:
+                i += 1
+        next_open: dict[tuple[int, int], tuple[int, int]] = {}
+        for run in row_runs:
+            if run in open_runs and open_runs[run][1] == j - 1:
+                next_open[run] = (open_runs[run][0], j)
+            else:
+                next_open[run] = (j, j)
+        for run, span in open_runs.items():
+            if run not in next_open:
+                rects.append((run[0], run[1], span[0], span[1]))
+        open_runs = next_open
+    for run, span in open_runs.items():
+        rects.append((run[0], run[1], span[0], span[1]))
+
+    out = []
+    for i0, i1, j0, j1 in rects:
+        lo = np.array([i0 * res, j0 * res, 0.0])
+        hi = np.array([(i1 + 1) * res, (j1 + 1) * res, world.WALL_HEIGHT])
+        out.append((lo, hi))
+    return out
+
+
 def render_reference(scene, robot, intrinsics, max_range=10.0):
     """Depth and instance ids, ray-cast with one (N, 3) origin row per pixel."""
     h, w = intrinsics.height, intrinsics.width
@@ -355,7 +396,7 @@ def render_reference(scene, robot, intrinsics, max_range=10.0):
         closer = s < best
         best = np.where(closer, s, best)
         ids = np.where(closer, idx, ids)
-    for lo, hi in world._merge_occupied_rects(scene.grid):
+    for lo, hi in merge_occupied_rects_reference(scene.grid):
         s = _ray_box_reference(origins, dirs, lo, hi)
         closer = s < best
         best = np.where(closer, s, best)

@@ -368,6 +368,58 @@ def test_dwa_at_rest_on_open_floor_matches_oracle(heading, lookahead):
     assert nav.dwa_step(robot, path, cm, 0.1) == dwa_reference(robot, path, cm, dt=0.1)
 
 
+@pytest.fixture
+def free_boxes(monkeypatch):
+    """Each ``Costmap.cost_free`` call's cell box and answer, in order."""
+    calls = []
+
+    def counted(self, lo, hi, real=nav.Costmap.cost_free):
+        calls.append((lo, hi, real(self, lo, hi)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(nav.Costmap, "cost_free", counted)
+    return calls
+
+
+def test_dwa_sample_box_boundaries_match_oracle(free_boxes):
+    # The rollouts' cell box, read off an open map, places one lethal cell
+    # just clear of the box, on its far column or in its corner, and the
+    # map's last column on the box's last column or one column inside it.
+    robot = RobotState(x=1.05, y=1.05, heading=0.3, v=0.3, omega=0.4, camera_mount=CAMERA_MOUNT)
+    path = nav.GlobalPath(waypoints=np.array([[1.05, 1.05], [3.0, 2.0]]), cost=0.0)
+    params = nav.NavParams(inflation_radius=0.0)
+    nav.dwa_step(robot, path, nav.build_costmap(open_grid(60, 60), params), 0.1)
+    [((i0, j0), (i1, j1), free)] = free_boxes
+    assert free and i1 - i0 >= 3 and j1 - j0 >= 3
+
+    def case(cells, walls=()):
+        for i, j in walls:
+            cells[j, i] = CellState.OCCUPIED
+        return nav.build_costmap(OccupancyGrid(cells=cells, resolution=0.1), params)
+
+    open_cells = open_grid(60, 60).cells
+    cases = {
+        "clear": (case(open_cells.copy(), [(i1 + 1, j1), (i0 - 1, j0), (i1, j1 + 1)]), True),
+        "far column": (case(open_cells.copy(), [(i1, (j0 + j1) // 2)]), False),
+        "corner": (case(open_cells.copy(), [(i1, j1)]), False),
+        "on the edge": (case(np.zeros((60, i1 + 1), dtype=np.uint8)), True),
+        "past the edge": (case(np.zeros((60, i1), dtype=np.uint8)), None),
+    }
+    for name, (cm, skips) in cases.items():
+        free_boxes.clear()
+        try:
+            expected = dwa_reference(robot, path, cm, dt=0.1)
+        except OracleBlocked:
+            expected = None
+        if expected is None:
+            with pytest.raises(nav.AllBlocked):
+                nav.dwa_step(robot, path, cm, 0.1)
+        else:
+            assert nav.dwa_step(robot, path, cm, 0.1) == expected, name
+        # None: the box runs off the map, so the costs are gathered unasked.
+        assert [free for _, _, free in free_boxes] == ([] if skips is None else [skips]), name
+
+
 def test_dwa_open_space_drives_at_goal():
     grid = open_grid(60, 60)
     cm = nav.build_costmap(grid, nav.NavParams(inflation_radius=0.3, cost_decay=1.0))

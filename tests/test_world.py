@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aansim import world
-from aansim.geometry import CameraIntrinsics
+from aansim.geometry import BoundingBox, CameraIntrinsics
 from aansim.world import (
     BoxShape,
     CellState,
@@ -21,7 +21,7 @@ from aansim.world import (
 )
 
 from conftest import CAMERA_MOUNT
-from oracles import render_reference
+from oracles import merge_occupied_rects_reference, render_reference
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "lab_study.json"
 INTR = CameraIntrinsics(fx=130.0, fy=130.0, cx=79.5, cy=59.5, width=160, height=120)
@@ -70,6 +70,33 @@ def test_grid_cell_indexing_floor_semantics():
 def test_grid_ascii_rejects_malformed(text):
     with pytest.raises(ValueError):
         OccupancyGrid.from_ascii(text)
+
+
+def _random_cells(rng, w, h, p):
+    """A random grid of free, occupied and unknown cells, occupied with probability p."""
+    cells = np.where(rng.random((h, w)) < p, CellState.OCCUPIED, CellState.FREE)
+    cells[rng.random((h, w)) < 0.05] = CellState.UNKNOWN
+    resolution = float(rng.choice([0.05, 0.1, 0.3]))
+    return OccupancyGrid(cells=cells.astype(np.uint8), resolution=resolution)
+
+
+def _assert_same_rects(got, want):
+    assert len(got) == len(want)
+    for (lo, hi), (want_lo, want_hi) in zip(got, want):
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+
+
+def test_merge_occupied_rects_matches_the_cell_scan(lab_scenario):
+    # Same boxes in the same order: the order breaks the renderer's depth ties.
+    for grid in (lab_scenario.grid, lab_scenario.nav_grid):
+        got = world._merge_occupied_rects(grid)
+        _assert_same_rects(got, merge_occupied_rects_reference(grid))
+        assert 0 < len(got) < (grid.cells == CellState.OCCUPIED).sum()
+    rng = np.random.default_rng(32)
+    for k in range(60):
+        w, h = (int(n) for n in rng.integers(1, 30, size=2))
+        grid = _random_cells(rng, w, h, p=(0.1, 0.5, 0.9, 1.0)[k % 4])
+        _assert_same_rects(world._merge_occupied_rects(grid), merge_occupied_rects_reference(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +192,26 @@ def test_render_depth_noise_is_seeded_and_clamped():
     scene = Scene(grid=g, objects=[])
     robot = _robot_at(2.0, 3.0, 0.0)
     clean, _ = world.render_depth_ids(scene, robot, INTR, 10.0)
-    d1 = world.add_depth_noise(clean, 0.01, np.random.default_rng(5))
-    d2 = world.add_depth_noise(clean, 0.01, np.random.default_rng(5))
+    clean[50:60, 150:] = 0.0  # invalid pixels inside the box
+    box = BoundingBox(140, 40, 170, 70)  # runs off the frame's right edge
+    rng = np.random.default_rng(5)
+    d1 = world.add_depth_noise(clean, box, 0.01, rng)
+    d2 = world.add_depth_noise(clean, box, 0.01, np.random.default_rng(5))
     assert np.array_equal(d1, d2)
+    # Inside the box, the bits of a whole noisy frame; outside it, the render.
+    full_rng = np.random.default_rng(5)
+    full = np.where(clean > 0, np.maximum(clean + full_rng.normal(0.0, 0.01, clean.shape), 1e-3), 0)
+    inside = np.zeros(clean.shape, dtype=bool)
+    inside[40:71, 140:] = True
+    assert np.array_equal(d1[inside].view(np.uint64), full[inside].view(np.uint64))
+    assert np.array_equal(d1[~inside], clean[~inside])
+    assert not np.array_equal(d1[inside], clean[inside])
+    assert rng.random() == full_rng.random()  # the stream moved on a whole frame
     valid = d1 > 0
     assert valid.any()
     assert np.array_equal(valid, clean > 0)
     assert d1[valid].min() >= 1e-3
-    assert world.add_depth_noise(clean, 0.0, np.random.default_rng(5)) is clean
+    assert world.add_depth_noise(clean, box, 0.0, np.random.default_rng(5)) is clean
 
 
 def _assert_bitwise_equal(got, want):
@@ -322,14 +361,97 @@ def test_render_casts_few_rays_at_a_small_far_primitive(rays_cast):
     assert 0 < rays_cast[(5.0, 3.0)] < INTR.width * INTR.height
 
 
-def test_render_casts_a_box_straddling_the_camera_plane_on_the_full_frame(rays_cast):
+def test_render_clips_a_box_straddling_the_camera_plane(rays_cast):
     # The robot stands against a desk that reaches past the camera on both sides.
     desk = _box((1.7, 2.4, 0.0), (2.5, 3.6, 0.9))
     shelf = _box((1.9, 3.3, 0.0), (2.6, 3.5, 1.6))  # beside the camera, higher than it
     _, ids = _render_matches_reference([desk, shelf], _robot_at(2.0, 3.0, 0.0))
     assert (ids == 0).any() and (ids == 1).any()
     assert (ids[-1] == 0).any() and (ids[:, 0] == 1).any()  # both run off the image
-    assert rays_cast[tuple(desk.aabb()[0].tolist())] == INTR.width * INTR.height
+    # Clipped at the camera plane, each spans only a band of the image.
+    assert 0 < rays_cast[tuple(desk.aabb()[0].tolist())] < INTR.width * INTR.height // 2
+    assert 0 < rays_cast[tuple(shelf.aabb()[0].tolist())] < INTR.width * INTR.height // 4
+
+
+def _straddles(scene, robot):
+    """Whether some primitive's AABB has corners on both sides of the camera plane."""
+    cam = robot.world_from_camera()
+    z = ((scene.primitives[0] - cam.translation) @ cam.rotation)[..., 2]
+    return bool(((z.min(axis=1) < 0.0) & (z.max(axis=1) > 0.0)).any())
+
+
+def _backed_against(grid, objects, mount):
+    """Robots in the free cells beside walls, and beside each support's sides,
+    heading along the wall or side both ways."""
+    robots = []
+    free = grid.cells == CellState.FREE
+    occupied = grid.cells == CellState.OCCUPIED
+    for di, dj, headings in ((1, 0, (0.5, -0.5)), (0, 1, (0.0, 1.0))):
+        # Free cells whose neighbour at (+di, +dj) is a wall, every 23rd one.
+        beside = free[: free.shape[0] - dj, : free.shape[1] - di] & occupied[dj:, di:]
+        for j, i in np.argwhere(beside)[::23].tolist():
+            x, y = grid.cell_center(i, j)
+            robots += [RobotState(x, y, h * math.pi, camera_mount=mount) for h in headings]
+    for obj in objects:
+        if obj.kind is ObjectKind.SUPPORT:
+            (x0, y0, _), (x1, y1, _) = obj.aabb()
+            cx, cy = (x0 + x1) / 2.0, (y0 + y1) / 2.0
+            for x, y, h in ((x0 - 0.1, cy, 0.5), (x1 + 0.1, cy, -0.5), (cx, y0 - 0.1, 1.0),
+                            (cx, y1 + 0.1, 0.0)):
+                robots.append(RobotState(x, y, h * math.pi, camera_mount=mount))
+    return robots
+
+
+def test_render_matches_reference_backed_against_lab_walls_and_supports(lab_scenario, rays_cast):
+    scene = lab_scenario.build_scene(0)
+    robots = _backed_against(scene.grid, scene.objects, lab_scenario.robot_state().camera_mount)
+    assert len(robots) >= 30
+    for k, robot in enumerate(robots):
+        assert _straddles(scene, robot)
+        max_range = (lab_scenario.detector.max_range, 10.0)[k % 2]
+        got = world.render_depth_ids(scene, robot, INTR, max_range)
+        _assert_bitwise_equal(got, render_reference(scene, robot, INTR, max_range))
+    # Scenes cast through the patch only once built after it: count a fresh one.
+    rays_cast.clear()
+    scene = Scene(grid=scene.grid, objects=scene.objects)
+    for robot in robots:
+        world.render_depth_ids(scene, robot, INTR, 10.0)
+    assert sum(rays_cast.values()) < len(robots) * INTR.width * INTR.height
+
+
+# A level camera at (x0, 3, 1) looking along +x has camera Z = x - x0
+# exactly; pitched, Z = 0 exactly on the line x = x0, z = 1.  Dyadic bounds
+# keep each AABB's corners exact.  A face in a plane of constant Z makes
+# edges with equal end Z, whose crossing terms are x/0 or, in the clip plane
+# itself, 0/0: they must stay out of the rectangle.  Seen from its own corner,
+# or as a slab 1e-9 m thick, a box shows no hit.
+_EPS = world._CLIP_Z
+_SLAB = SceneObject(ObjectKind.SUPPORT, (2 * _EPS, 3.5, 0.75), BoxShape((2 * _EPS, 0.5, 0.5)))
+_ON_THE_PLANE = {
+    "face": (2.0, 0.0, 0.0, _box((2.0, 2.5, 0.5), (3.0, 3.5, 0.875)), True),
+    "edge below": (2.0, -0.3, 0.0, _box((2.0, 3.25, 0.5), (2.5, 3.75, 1.0)), True),
+    "edge above": (2.0, 0.3, 0.0, _box((2.0, 2.25, 1.0), (2.5, 2.75, 1.5)), True),
+    "corner at the camera": (2.0, 0.0, 2.0, _box((2.0, 3.0, 1.0), (2.5, 3.5, 1.5)), False),
+    "face in the clip plane": (0.0, 0.0, 0.0, _SLAB, False),
+}
+
+
+@pytest.mark.parametrize("where", sorted(_ON_THE_PLANE))
+def test_render_matches_reference_with_a_box_on_the_camera_plane(where):
+    x, pitch, heading, box, seen = _ON_THE_PLANE[where]
+    robot = _robot_at(x, 3.0, heading, pitch=pitch)
+    cam = robot.world_from_camera()
+    z = ((np.where(world._CORNER_BITS, *box.aabb()[::-1]) - cam.translation) @ cam.rotation)[:, 2]
+    assert np.isin(z, (0.0, _EPS)).any()
+    _, ids = _render_matches_reference([box], robot)
+    assert (ids == 0).any() == seen
+
+
+def test_render_keeps_a_box_a_hair_in_front_of_the_camera():
+    # A 1.6 cm stick end-on, 1.6 cm ahead: its near face spans most of the image.
+    stick = _box((2.015625, 2.9921875, 0.9921875), (2.125, 3.0078125, 1.0078125))
+    _, ids = _render_matches_reference([stick], _robot_at(2.0, 3.0, 0.0))
+    assert ids[60, 20] == 0 and ids[10, 80] == 0 and ids[60, 5] != 0
 
 
 def test_render_clips_a_window_at_the_image_border(rays_cast):
