@@ -251,7 +251,7 @@ def lookahead_point(path: GlobalPath, x: float, y: float, dist: float) -> tuple[
 
 _V_STEPS = np.arange(DWA_N_V, dtype=np.float64)
 _W_STEPS = np.arange(DWA_N_OMEGA, dtype=np.float64)
-_WEIGHTS = np.array([[DWA_HEADING_WEIGHT], [DWA_CLEARANCE_WEIGHT], [DWA_VELOCITY_WEIGHT]])
+_WEIGHTS = (DWA_HEADING_WEIGHT, DWA_CLEARANCE_WEIGHT, DWA_VELOCITY_WEIGHT)
 
 
 def _window(steps: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -275,8 +275,21 @@ def _wrap(err: np.ndarray) -> np.ndarray:
     two_pi = 2.0 * math.pi
     r = np.where(np.abs(err) > math.pi, err - np.copysign(two_pi, err), err)
     far = np.abs(r) >= math.pi
-    r[far] = [math.remainder(e, two_pi) for e in err[far].tolist()]
+    if far.any():
+        r[far] = [math.remainder(e, two_pi) for e in err[far].tolist()]
     return r
+
+
+def _rollout(origin, vs, radius, tau, arc, straight, heading_cs) -> np.ndarray:
+    """Positions (2, K, len(vs), n_omega) at the K times ``tau`` of the arcs
+    at speeds ``vs``, with ``radius`` = v / omega, (len(vs), n_omega), and
+    turn terms ``arc`` = (sin(theta) - sin(theta0), cos(theta0) - cos(theta)),
+    (2, K, n_omega).  ``straight`` columns run along ``heading_cs``."""
+    xy = radius * arc[:, :, None, :]
+    xy += origin
+    if straight.any():
+        xy[..., straight] = origin + (tau[:, None] * vs)[..., None] * heading_cs
+    return xy
 
 
 def dwa_step(
@@ -303,13 +316,16 @@ def dwa_step(
     not depend on v, so its sine and cosine are taken once on (K, n_omega).
     Floored cells are clamped to [-1, width] x [-1, height], which index
     ``Costmap.edged``'s lethal last row and column, so an off-map sample
-    costs 255.  Division and floor are monotone, so every sample's cell lies
-    in the box from the cell of the least x and y to that of the greatest; if
-    that box is on the map and ``Costmap.cost_free``, every worst cost is 0
-    and the gather is skipped.  The endpoint is the last rollout row, the
-    same arithmetic as ``world.unicycle_arc`` at the horizon.  Its bearing
-    stays scalar libm ``atan2``, which ``np.arctan2`` differs from in the
-    last bit on some inputs, and ``_wrap`` gives the IEEE remainder's bits.
+    costs 255.  At a fixed tau and omega, each rounded step of a sample's x
+    and y is monotone in v, and so are division and floor, so every sample's
+    cell lies in the box from the cell of the least x and y of the slowest
+    and fastest rows to that of the greatest.  If that box is on the map and
+    ``Costmap.cost_free``, every worst cost is 0 and only the endpoints are
+    rolled out.  The endpoint is the last rollout row, the same arithmetic
+    as ``world.unicycle_arc`` at the horizon.  Its bearing stays scalar libm
+    ``atan2``, which ``np.arctan2`` differs from in the last bit on some
+    inputs, and ``_wrap`` gives the IEEE remainder's bits.  The terms are
+    scored on the (n_v, n_omega) grid, normalized over its admissible cells.
     Every value is the same IEEE expression as the scalar rollout's, up to
     the order of commutative operands.
 
@@ -328,20 +344,19 @@ def dwa_step(
     theta = tau[:, None] * ws + theta0  # (K, n_omega), shared across v
     straight = np.abs(ws) < 1e-12
     radius = vs[:, None] / np.where(straight, np.inf, ws)  # (n_v, n_omega)
-    origin = np.array([robot.x, robot.y])[:, None, None, None]
-    arc = np.array([np.sin(theta) - s0, c0 - np.cos(theta)])[:, :, None, :]
-    xy = radius * arc  # (2, K, n_v, n_omega); straight columns are overwritten
-    xy += origin
-    vt = (tau[:, None] * vs)[..., None]  # (K, n_v, 1)
-    xy[..., straight] = origin + vt * np.array([c0, s0])[:, None, None, None]
-
-    end = xy[:, -1].copy()  # (2, n_v, n_omega) endpoints
-    samples = xy.reshape(2, -1)
-    lo = costmap.world_to_cell(*samples.min(axis=1).tolist())
-    hi = costmap.world_to_cell(*samples.max(axis=1).tolist())
+    arc = np.array([np.sin(theta) - s0, c0 - np.cos(theta)])
+    origin, heading_cs = np.array([[robot.x, robot.y], [c0, s0]])[:, :, None, None, None]
+    edges = _rollout(origin, vs[::DWA_N_V - 1], radius[::DWA_N_V - 1], tau, arc, straight,
+                     heading_cs).reshape(2, -1)  # the slowest and fastest rows
+    lo = costmap.world_to_cell(*edges.min(axis=1).tolist())
+    hi = costmap.world_to_cell(*edges.max(axis=1).tolist())
     if lo is not None and hi is not None and costmap.cost_free(lo, hi):
-        worst = np.zeros(xy.shape[2:])  # every sample on a cell of cost 0
+        # Every arc is admissible, with clearance 1: only the endpoints count.
+        end = _rollout(origin, vs, radius, tau[-1:], arc[:, -1:], straight, heading_cs)[:, 0]
+        admissible = clearance = None
     else:
+        xy = _rollout(origin, vs, radius, tau, arc, straight, heading_cs)
+        end = xy[:, -1].copy()  # (2, n_v, n_omega) endpoints
         cell = np.floor(np.divide(xy, costmap.resolution, out=xy), out=xy)
         # Against a full bound array: numpy's max and min run several times
         # faster on two arrays than on an array and a scalar.
@@ -351,29 +366,37 @@ def dwa_step(
         np.minimum(cell, bound, out=cell)
         flat = (cell[1] * (costmap.width + 1) + cell[0]).astype(np.intp)
         worst = np.maximum.reduce(costmap.edged.take(flat), axis=0)
-    admissible = worst < INSCRIBED_COST
-    if not admissible.any():
-        raise AllBlocked("every dynamic-window arc collides")
+        admissible = worst < INSCRIBED_COST
+        if not admissible.any():
+            raise AllBlocked("every dynamic-window arc collides")
+        # Rounding is monotone, so the worst cost gives the worst clearance exactly.
+        clearance = (254.0 - worst) / 254.0
 
-    iv, iw = np.nonzero(admissible)  # v-major, the enumeration order
     lx, ly = lookahead_point(path, robot.x, robot.y, DWA_LOOKAHEAD)
-    ex, ey = end[:, iv, iw]
-    bearing = np.fromiter(map(math.atan2, (ly - ey).tolist(), (lx - ex).tolist()), np.float64)
+    dy, dx = (ly - end[1]).ravel().tolist(), (lx - end[0]).ravel().tolist()
+    bearing = np.fromiter(map(math.atan2, dy, dx), np.float64, len(dx)).reshape(radius.shape)
     # A straight arc keeps theta0 exactly, as unicycle_arc does for tiny omega.
-    end_heading = np.where(straight, theta0, theta[-1])[iw]
-    v_adm, w_adm = vs[iv], ws[iw]
-    # Heading, clearance and velocity terms; rounding is monotone, so the
-    # worst cost gives the worst clearance exactly.
-    raw = np.array(
-        [math.pi - np.abs(_wrap(bearing - end_heading)), (254.0 - worst[iv, iw]) / 254.0, v_adm]
-    )
-    lo = np.minimum.reduce(raw, axis=1, keepdims=True)
-    span = np.maximum.reduce(raw, axis=1, keepdims=True) - lo
-    # Min-max normalized; a constant term (span 0) is all zeros.  Rows sum in order.
-    score = np.add.reduce(_WEIGHTS * ((raw - lo) / np.where(span > 0.0, span, 1.0)))
-    top = np.flatnonzero(score == np.maximum.reduce(score))
-    best = top[np.lexsort((top, v_adm[top], np.abs(w_adm[top])))[0]]
-    return (float(v_adm[best]), float(w_adm[best]))
+    end_heading = np.where(straight, theta0, theta[-1])
+    heading = math.pi - np.abs(_wrap(bearing - end_heading))
+    # Each term is min-max normalized over the admissible cells, weighted and
+    # summed in order.  A term that is constant there (span 0), such as a
+    # cost-free tick's clearance, adds only zeros, so it is left out.
+    score = np.zeros(radius.shape)
+    masked = admissible is not None and not admissible.all()
+    for weight, term in zip(_WEIGHTS, (heading, clearance, vs[:, None])):
+        if term is None:
+            continue
+        seen = np.broadcast_to(term, score.shape)[admissible] if masked else term
+        least = seen.min()
+        span = seen.max() - least
+        if span > 0.0:
+            score += weight * ((term - least) / span)
+    if masked:
+        score[~admissible] = -np.inf
+    top = np.flatnonzero(score == score.max())  # v-major, the enumeration order
+    iv, iw = np.divmod(top, DWA_N_OMEGA)
+    best = np.lexsort((top, vs[iv], np.abs(ws[iw])))[0]
+    return (float(vs[iv[best]]), float(ws[iw[best]]))
 
 
 class Clock:

@@ -34,7 +34,12 @@ class CellState(IntEnum):
     UNKNOWN = 2
 
 
-_ASCII_TO_CELL = {".": CellState.FREE, "#": CellState.OCCUPIED, "?": CellState.UNKNOWN}
+# Cell state by character code; _NO_CELL, the last entry, for every other
+# code, and a code past the table clips to it.
+_NO_CELL = 255
+_CELL_OF_CODE = np.full(_NO_CELL + 1, _NO_CELL, dtype=np.uint8)
+_CELL_OF_CODE[[ord("."), ord("#"), ord("?")]] = (CellState.FREE, CellState.OCCUPIED,
+                                                 CellState.UNKNOWN)
 
 
 @dataclass
@@ -92,14 +97,18 @@ class OccupancyGrid:
         rows = lines[1:]
         if len(rows) != height:
             raise ValueError(f"map declares {height} rows but has {len(rows)}")
-        cells = np.zeros((height, width), dtype=np.uint8)
-        for j, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"map row {j} has {len(row)} cells, expected {width}")
-            for i, ch in enumerate(row):
-                if ch not in _ASCII_TO_CELL:
-                    raise ValueError(f"map row {j} col {i}: unknown cell char {ch!r}")
-                cells[j, i] = _ASCII_TO_CELL[ch]
+        # Rows are checked in order: the first ragged row, unless a row
+        # before it holds an unknown char, whose first one is reported.
+        ragged = next((j for j, row in enumerate(rows) if len(row) != width), height)
+        text = "".join(rows[:ragged]).encode("utf-32-le", "surrogatepass")
+        codes = np.frombuffer(text, dtype="<u4").reshape(ragged, width)
+        cells = _CELL_OF_CODE[np.minimum(codes, _NO_CELL)]
+        unknown = np.flatnonzero(cells == _NO_CELL)
+        if len(unknown):
+            j, i = divmod(int(unknown[0]), width)
+            raise ValueError(f"map row {j} col {i}: unknown cell char {rows[j][i]!r}")
+        if ragged < height:
+            raise ValueError(f"map row {ragged} has {len(rows[ragged])} cells, expected {width}")
         return cls(cells=cells, resolution=resolution)
 
 
@@ -161,6 +170,9 @@ class Scene:
     objects: tuple[SceneObject, ...]
     primitives: tuple[np.ndarray, list[tuple]] = field(init=False, compare=False, repr=False)
     pill_bottle_index: int | None = field(init=False, repr=False)
+    # Mask over the primitives of the objects whose boxes the detector reads:
+    # the pill bottle and the distractors.
+    detectable: np.ndarray = field(init=False, compare=False, repr=False)
     frames: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -169,6 +181,9 @@ class Scene:
         self.pill_bottle_index = next(
             (i for i, obj in enumerate(self.objects) if obj.kind is ObjectKind.PILL_BOTTLE), None
         )
+        self.detectable = np.zeros(len(self.primitives[1]), dtype=bool)
+        for i, obj in enumerate(self.objects):
+            self.detectable[i] = i == self.pill_bottle_index or obj.kind is ObjectKind.DISTRACTOR
 
 
 def _merge_occupied_rects(grid: OccupancyGrid) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -369,6 +384,7 @@ def render_depth_ids(
     robot: RobotState,
     intrinsics: CameraIntrinsics,
     max_range: float,
+    targets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free depth plus per-pixel instance ids via analytic ray casting.
 
@@ -377,23 +393,27 @@ def render_depth_ids(
     indices, WALL_HIT for grid walls, NO_HIT otherwise.
 
     The camera-frame rays are cached per intrinsics.  Each frame rotates
-    them into the world with one (N, 3) matrix product, then casts them in
-    a per-axis (3, N) layout against the single camera origin.  Every slab
-    and cylinder term is the same IEEE expression as with one origin row
-    per pixel, so depth and ids are bit-equal to that formulation.
+    the rows it casts into the world with one (N, 3) matrix product, then
+    casts them in a per-axis (3, N) layout against the single camera origin.
+    Every slab and cylinder term is the same IEEE expression as with one
+    origin row per pixel, so depth and ids are bit-equal to that formulation.
 
-    Each of ``scene.primitives`` is cast only at the rays of the pixel
-    rectangle that its AABB, clipped to camera Z >= ``_CLIP_Z``, spans: the
-    corners in front of that plane and the points where the AABB's edges
+    Each of ``scene.primitives`` is cast only at the rays of its window, the
+    pixel rectangle that its AABB, clipped to camera Z >= ``_CLIP_Z``, spans:
+    the corners in front of that plane and the points where the AABB's edges
     cross it, widened by one pixel (Sutherland & Hodgman 1974).  An AABB
     wholly behind the plane or past ``max_range`` in camera Z is not cast at
     all.  Every hit lies past ``_RAY_EPS`` in camera Z, so no other ray can
     hit the primitive.
+
+    ``targets``, a bool mask over ``scene.primitives``, limits the cast to
+    the rectangle spanned by the cast windows of the targets; every pixel
+    outside it reads no hit, and with no target cast nothing is cast.  A
+    target's pixels lie in its own window, so they are the full frame's.
     """
     cam_pose = robot.world_from_camera()
     rot, origin = cam_pose.rotation, cam_pose.translation
     h, w = intrinsics.height, intrinsics.width
-    dirs = np.ascontiguousarray((_camera_rays(intrinsics) @ rot.T).T).reshape(3, h, w)
 
     corners, casts = scene.primitives
     cam = (corners - origin) @ rot  # camera-frame corners, (P, 8, 3)
@@ -408,11 +428,22 @@ def render_depth_ids(
     pix = (intrinsics.cx, intrinsics.cy) + (intrinsics.fx, intrinsics.fy) * ratio
     lo = np.clip(np.ceil(np.where(shown, pix, np.inf).min(axis=1)) - 1, 0, (w, h)).astype(int)
     hi = np.clip(np.floor(np.where(shown, pix, -np.inf).max(axis=1)) + 2, 0, (w, h)).astype(int)
+    cull = (cam[..., 2].min(axis=1) <= max_range + _CULL_MARGIN) & (lo < hi).all(1)
+    if targets is not None:
+        shown_targets = cull & targets
+        np.maximum(lo, lo[shown_targets].min(axis=0, initial=w + h), out=lo)
+        np.minimum(hi, hi[shown_targets].max(axis=0, initial=0), out=hi)
+        cull &= (lo < hi).all(1)
 
     best = np.full((h, w), np.inf)
     ids = np.full((h, w), NO_HIT, dtype=np.int32)
-    in_range = cam[..., 2].min(axis=1) <= max_range + _CULL_MARGIN
-    for k in np.flatnonzero(in_range & (lo < hi).all(1)):
+    order = np.flatnonzero(cull)
+    if len(order):
+        # Only the rows some window covers are rotated.
+        v0, v1 = lo[order, 1].min(), hi[order, 1].max()
+        dirs = np.empty((3, h, w))
+        dirs[:, v0:v1] = (_camera_rays(intrinsics)[v0 * w : v1 * w] @ rot.T).T.reshape(3, -1, w)
+    for k in order:
         cast, args, hit_id = casts[k]
         window = np.s_[lo[k, 1] : hi[k, 1], lo[k, 0] : hi[k, 0]]
         best_win, ids_win = best[window], ids[window]
@@ -445,10 +476,12 @@ def add_depth_noise(
 
 
 def _visible_pixel_box(ids: np.ndarray, index: int) -> tuple[int, BoundingBox | None]:
-    vs, us = np.nonzero(ids == index)
-    if len(us) == 0:
+    shown = ids == index
+    area = np.count_nonzero(shown)
+    if area == 0:
         return 0, None
-    return len(us), BoundingBox(int(us.min()), int(vs.min()), int(us.max()), int(vs.max()))
+    vs, us = np.flatnonzero(shown.any(axis=1)), np.flatnonzero(shown.any(axis=0))
+    return area, BoundingBox(int(us[0]), int(vs[0]), int(us[-1]), int(vs[-1]))
 
 
 def _perturb_box(
@@ -503,15 +536,15 @@ def detect(
 
     ``frames`` memoizes each camera pose's boxes, keyed by value on
     everything the render reads, so a pose seen before is not rendered
-    again.  A frame keeps its noise-free depth (read-only) once it has
-    fired; a kept frame that fires for the first time renders it then.
+    again.  The boxes come from a render of the detectable objects' windows
+    only (``Scene.detectable``).  The first time a frame fires, its full
+    noise-free depth is rendered and kept (read-only).
     """
     mount, view = robot.camera_mount, (scene, robot, intrinsics, model.max_range)
     pose = np.array([robot.x, robot.y, robot.heading, robot.head_pan, model.max_range])
     key = (pose.tobytes(), mount.rotation.tobytes(), mount.translation.tobytes(), intrinsics)
-    fresh = None
     if key not in frames:
-        fresh, ids = render_depth_ids(*view)
+        _, ids = render_depth_ids(*view, scene.detectable)
         frames[key] = (*_frame_boxes(scene, ids), None)
     bottle_box, distractor_box, depth = frames[key]
     if bottle_box is not None and rng.random() < model.true_positive_rate:
@@ -522,7 +555,7 @@ def detect(
         return None
     box = _perturb_box(box, model.box_noise_sigma, intrinsics.width, intrinsics.height, rng)
     if depth is None:
-        depth = fresh if fresh is not None else render_depth_ids(*view)[0]
+        depth = render_depth_ids(*view)[0]
         depth.flags.writeable = False
         frames[key] = (bottle_box, distractor_box, depth)
     return DetectionResult(box=box, true_kind=kind, depth=depth)

@@ -13,7 +13,9 @@ projection that back-projection must invert.
 costmap (a Euclidean distance transform) and foreground labeling that the
 library's windowed distance and flood fill must match bit for bit; scipy is
 a test-only dependency.
-``gaze_stream_reference`` draws the gaze stream one fixation block at a
+``grid_from_ascii_reference`` parses a map one character at a time, which
+the library's table lookup must match cell for cell and error for
+error.  ``gaze_stream_reference`` draws the gaze stream one fixation block at a
 time, two scalar draws per block, which the library's chunked draw must
 match bit for bit.  ``audit_log`` replays a session log through the pure
 policy and checks that the episode carried out what it directed.
@@ -325,6 +327,31 @@ def _ray_cylinder_reference(origins, dirs, center, radius, z0, z1) -> np.ndarray
         )
         best = np.minimum(best, np.where(cap_ok, s_cap, np.inf))
     return best
+
+
+def grid_from_ascii_reference(text: str) -> world.OccupancyGrid:
+    """The ASCII map format parsed one character at a time, with the errors
+    ``OccupancyGrid.from_ascii`` must raise, in its order."""
+    codes = {".": world.CellState.FREE, "#": world.CellState.OCCUPIED, "?": world.CellState.UNKNOWN}
+    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    if not lines:
+        raise ValueError("empty map text")
+    header = lines[0].split()
+    if len(header) != 3:
+        raise ValueError(f"map header must be 'W H RESOLUTION', got {lines[0]!r}")
+    width, height, resolution = int(header[0]), int(header[1]), float(header[2])
+    rows = lines[1:]
+    if len(rows) != height:
+        raise ValueError(f"map declares {height} rows but has {len(rows)}")
+    cells = np.zeros((height, width), dtype=np.uint8)
+    for j, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"map row {j} has {len(row)} cells, expected {width}")
+        for i, ch in enumerate(row):
+            if ch not in codes:
+                raise ValueError(f"map row {j} col {i}: unknown cell char {ch!r}")
+            cells[j, i] = codes[ch]
+    return world.OccupancyGrid(cells=cells, resolution=resolution)
 
 
 def merge_occupied_rects_reference(grid) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -416,8 +416,70 @@ def test_dwa_sample_box_boundaries_match_oracle(free_boxes):
                 nav.dwa_step(robot, path, cm, 0.1)
         else:
             assert nav.dwa_step(robot, path, cm, 0.1) == expected, name
-        # None: the box runs off the map, so the costs are gathered unasked.
+        # True: only the endpoints are rolled out.  None: the box runs off
+        # the map, so the costs are gathered unasked.
         assert [free for _, _, free in free_boxes] == ([] if skips is None else [skips]), name
+
+
+@pytest.fixture
+def rollouts(monkeypatch):
+    """Each ``navigation._rollout`` call's arguments and a copy of its result, in order."""
+    calls = []
+
+    def recorded(*args, real=nav._rollout):
+        out = real(*args)
+        calls.append((args, out.copy()))
+        return out
+
+    monkeypatch.setattr(nav, "_rollout", recorded)
+    return calls
+
+
+def test_dwa_sample_box_from_two_rows_equals_the_all_sample_box(rollouts):
+    # The first rollout is the slowest and fastest rows at every time, the
+    # second has every row; together they give every sample.
+    rng = np.random.default_rng(33)
+    straight = 0
+    for k in range(60):
+        robot, path, cm = _random_dwa_case(rng)
+        if k % 3 == 0:
+            robot = replace(robot, v=0.0, omega=0.0)  # a window with an exactly-zero omega
+        rollouts.clear()
+        try:
+            nav.dwa_step(robot, path, cm, 0.1)
+        except nav.AllBlocked:
+            pass
+        (edge_args, edges), ((origin, vs, radius, *_), _) = rollouts[:2]
+        every = nav._rollout(origin, vs, radius, *edge_args[3:]).reshape(2, -1)
+        edges = edges.reshape(2, -1)
+        assert edges.min(axis=1).tobytes() == every.min(axis=1).tobytes()
+        assert edges.max(axis=1).tobytes() == every.max(axis=1).tobytes()
+        straight += bool(edge_args[5].any())
+    assert straight >= 20
+
+
+def test_dwa_matches_oracle_on_a_cold_lab_studys_ticks(monkeypatch, free_boxes, lab_scenario):
+    # The three legs a cold lab_study batch drives: from the start pose to
+    # each search location in turn.
+    ticks, real = [], nav.dwa_step
+
+    def recorded(*args):
+        ticks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nav, "dwa_step", recorded)
+    session = _session(lab_scenario, lab_scenario.robot_state())
+    for roi in lab_scenario.rois:
+        leg = nav._drive(session, roi.pose)
+        assert leg.arrived
+        x, y, heading, v, omega = leg.end
+        session.robot = replace(session.robot, x=x, y=y, heading=heading, v=v, omega=omega)
+    assert len(ticks) > 500
+    free_boxes.clear()
+    for args in ticks[::3]:  # the scalar oracle takes about 8 ms a tick
+        assert real(*args) == dwa_reference(*args)
+    # Both the endpoint-only ticks and the ticks that gather costs.
+    assert {free for *_, free in free_boxes} == {True, False}
 
 
 def test_dwa_open_space_drives_at_goal():

@@ -1,9 +1,11 @@
 """Work guards: exact counts of the work a cold study does, with no timing.
 
 A fresh 10-seed lab_study batch renders each distinct frame and drives each
-noise-free leg once.  Clipping boxes that straddle the camera plane keeps
-the rays cast per frame near 20,300 (about 61,000 with full-frame casts),
-and the cost-free sample box lets 436 of the legs' 561 dynamic-window ticks
+noise-free leg once.  A frame casts only the rectangle where a detectable
+object can land, and the whole frame only once it fires: 75,394 rays over 24
+renders, against 427,033 when each of the 21 distinct frames is cast whole
+(with boxes that straddle the camera plane clipped, near 20,300 a frame).
+The cost-free sample box lets 436 of the legs' 561 dynamic-window ticks
 skip the cost gather.
 """
 
@@ -37,4 +39,6 @@ def test_cold_study_casts_few_rays_and_gathers_costs_on_few_ticks(tmp_path, monk
     assert rc == cli.EXIT_OK
     assert counts["frames"] > 0 and counts["ticks"] > 0
     assert counts["rays"] / counts["frames"] <= 25_000
+    assert counts["rays"] <= 100_000
+    assert counts["ticks"] == 561
     assert counts["ticks"] - counts["skips"] <= 150  # the ticks that gather costs

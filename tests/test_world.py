@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,9 +22,10 @@ from aansim.world import (
 )
 
 from conftest import CAMERA_MOUNT
-from oracles import merge_occupied_rects_reference, render_reference
+from oracles import grid_from_ascii_reference, merge_occupied_rects_reference, render_reference
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "lab_study.json"
+LAB_MAP = SCENARIO_PATH.parent / "lab.map"
 INTR = CameraIntrinsics(fx=130.0, fy=130.0, cx=79.5, cy=59.5, width=160, height=120)
 
 
@@ -70,6 +72,45 @@ def test_grid_cell_indexing_floor_semantics():
 def test_grid_ascii_rejects_malformed(text):
     with pytest.raises(ValueError):
         OccupancyGrid.from_ascii(text)
+
+
+def _parsed(parse, text):
+    """A parse's cells and resolution, or its error line."""
+    try:
+        grid = parse(text)
+    except ValueError as exc:
+        return str(exc)
+    return grid.cells.dtype, grid.cells.shape, grid.cells.tobytes(), grid.resolution
+
+
+def test_grid_ascii_parse_matches_the_char_scan():
+    texts = [LAB_MAP.read_text()]
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        w, h = (int(n) for n in rng.integers(1, 40, size=2))
+        rows = ["".join(rng.choice(list("#.?"), size=w)) for _ in range(h)]
+        texts.append(f"{w} {h} 0.1\n" + "\n".join(rows))
+    rows = ["#.?#", "....", "?##."]
+
+    def edited(j, row):
+        return "4 3 0.05\n" + "\n".join(rows[:j] + [row] + rows[j + 1 :])
+
+    bad = [edited(0, "x.?#"), edited(2, "?##\u00e9"), edited(1, "..\u2603."), edited(1, ". .."),
+           edited(2, "?#\x00."), edited(0, "#.\udcff#"), edited(1, "..."), edited(2, "?##.."),
+           edited(0, "#.x#") + "\n..", "4 4 0.1\n#.?#\n..x.\n...\n....",
+           "4 4 0.1\n#.?#\n...\n..x.\n...."]
+    for text in texts + bad:
+        want = _parsed(grid_from_ascii_reference, text)
+        assert _parsed(OccupancyGrid.from_ascii, text) == want
+    errors = [_parsed(OccupancyGrid.from_ascii, text) for text in bad]
+    assert errors[:3] == ["map row 0 col 0: unknown cell char 'x'",
+                          "map row 2 col 3: unknown cell char 'é'",
+                          "map row 1 col 2: unknown cell char '☃'"]
+    assert errors[6:] == ["map row 1 has 3 cells, expected 4",
+                          "map row 2 has 5 cells, expected 4",
+                          "map declares 3 rows but has 4",
+                          "map row 1 col 2: unknown cell char 'x'",
+                          "map row 1 has 3 cells, expected 4"]
 
 
 def _random_cells(rng, w, h, p):
@@ -419,6 +460,54 @@ def test_render_matches_reference_backed_against_lab_walls_and_supports(lab_scen
     assert sum(rays_cast.values()) < len(robots) * INTR.width * INTR.height
 
 
+def test_box_only_frames_give_the_full_frames_boxes(lab_scenario):
+    # Every lab search pose at every pan, and the wall-backed poses whose
+    # boxes straddle the camera plane, at every bottle placement.
+    sc, intr, max_range = lab_scenario, lab_scenario.intrinsics, lab_scenario.detector.max_range
+    start = sc.robot_state()
+    shown = Counter()
+    for k in range(len(sc.bottle_candidates)):
+        scene = sc.build_scene(k)
+        robots = [replace(start, x=x, y=y, heading=heading, head_pan=pan)
+                  for x, y, heading in (roi.pose for roi in sc.rois) for pan in world.PAN_SCHEDULE]
+        robots += _backed_against(scene.grid, scene.objects, start.camera_mount)
+        for robot in robots:
+            _, full = world.render_depth_ids(scene, robot, intr, max_range)
+            _, part = world.render_depth_ids(scene, robot, intr, max_range, scene.detectable)
+            for index in np.flatnonzero(scene.detectable):
+                assert np.array_equal(part == index, full == index)
+                vs, us = np.nonzero(full == index)
+                want = (0, None)
+                if len(us):
+                    want = (len(us), BoundingBox(us.min(), vs.min(), us.max(), vs.max()))
+                assert world._visible_pixel_box(part, index) == want
+            boxes = world._frame_boxes(scene, part)
+            assert boxes == world._frame_boxes(scene, full)
+            shown[tuple(box is not None for box in boxes)] += 1
+    assert shown[(True, False)] and shown[(False, True)] and shown[(False, False)]
+
+
+def test_a_frame_without_a_detectable_object_casts_no_ray(lab_scenario, rays_cast, monkeypatch):
+    formed = []
+
+    def camera_rays(intrinsics, real=world._camera_rays):
+        formed.append(intrinsics)
+        return real(intrinsics)
+
+    monkeypatch.setattr(world, "_camera_rays", camera_rays)
+    # Built after the patch, so it casts through it.  At the start pose the
+    # robot faces a wall; every detectable object is out of view or range.
+    sc = lab_scenario
+    scene = Scene(grid=sc.grid, objects=sc.build_scene(0).objects)
+    robot, frames = sc.robot_state(), {}
+    model = replace(sc.detector, true_positive_rate=1.0, false_positive_rate=1.0)
+    assert world.detect(scene, robot, model, sc.intrinsics, np.random.default_rng(0), frames) is None
+    assert list(frames.values()) == [(None, None, None)]
+    assert rays_cast == {} and formed == []
+    _, ids = world.render_depth_ids(scene, robot, sc.intrinsics, model.max_range)
+    assert (ids == world.WALL_HIT).any() and sum(rays_cast.values()) > 0 and formed
+
+
 # A level camera at (x0, 3, 1) looking along +x has camera Z = x - x0
 # exactly; pitched, Z = 0 exactly on the line x = x0, z = 1.  Dyadic bounds
 # keep each AABB's corners exact.  A face in a plane of constant Z makes
@@ -641,6 +730,24 @@ def test_warm_frame_renders_on_first_fire_then_keeps_its_depth(renders):
     assert again.depth is first.depth is list(frames.values())[0][2]
     assert not first.depth.flags.writeable
     _same_detection(first, world.detect(scene, robot, model, INTR, np.random.default_rng(0), {}))
+
+
+def test_a_fired_frame_keeps_the_reference_depth(lab_scenario, renders):
+    sc = lab_scenario
+    scene = Scene(grid=sc.grid, objects=sc.build_scene(0).objects)
+    x, y, heading = sc.rois[0].pose
+    model = replace(sc.detector, true_positive_rate=1.0)
+    frames, fired = {}, []
+    for pan in world.PAN_SCHEDULE:
+        robot = replace(sc.robot_state(), x=x, y=y, heading=heading, head_pan=pan)
+        det = world.detect(scene, robot, model, sc.intrinsics, np.random.default_rng(0), frames)
+        if det is not None:
+            fired.append((robot, det))
+    assert fired and len(renders) == len(frames) + len(fired)
+    for robot, det in fired:
+        assert det.true_kind is ObjectKind.PILL_BOTTLE
+        want, _ = render_reference(scene, robot, sc.intrinsics, model.max_range)
+        assert det.depth.tobytes() == want.tobytes()
 
 
 def test_default_pan_schedule_values():
