@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -265,6 +266,15 @@ def _window(steps: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return y
 
 
+@lru_cache(maxsize=8)
+def _horizon(dt: float) -> np.ndarray:
+    """The rollout times dt, 2 dt, ... up to DWA_HORIZON, as (K, 1), read-only."""
+    n_steps = max(1, int(round(DWA_HORIZON / dt)))
+    tau = dt * np.arange(1, n_steps + 1)[:, None]
+    tau.flags.writeable = False
+    return tau
+
+
 def _wrap(err: np.ndarray) -> np.ndarray:
     """``math.remainder(e, 2*pi)`` for each e of ``err``, bit for bit.
 
@@ -280,15 +290,19 @@ def _wrap(err: np.ndarray) -> np.ndarray:
     return r
 
 
-def _rollout(origin, vs, radius, tau, arc, straight, heading_cs) -> np.ndarray:
-    """Positions (2, K, len(vs), n_omega) at the K times ``tau`` of the arcs
-    at speeds ``vs``, with ``radius`` = v / omega, (len(vs), n_omega), and
-    turn terms ``arc`` = (sin(theta) - sin(theta0), cos(theta0) - cos(theta)),
-    (2, K, n_omega).  ``straight`` columns run along ``heading_cs``."""
+def _rollout(vs, radius, tau, arc, straight, heading, origin=None) -> np.ndarray:
+    """Positions (2, K, len(vs), n_omega) at the K times ``tau``, (K, 1), of
+    the arcs at speeds ``vs`` from ``origin`` = (x, y), or their offsets from
+    it when ``origin`` is None.  ``radius`` = v / omega is (len(vs), n_omega)
+    and the turn terms ``arc`` = (sin(theta) - sin(theta0), cos(theta0) -
+    cos(theta)) are (2, K, n_omega).  ``straight`` columns, if any (None for
+    none), run along ``heading`` = (cos(theta0), sin(theta0))."""
     xy = radius * arc[:, :, None, :]
-    xy += origin
-    if straight.any():
-        xy[..., straight] = origin + (tau[:, None] * vs)[..., None] * heading_cs
+    if straight is not None and straight.any():
+        xy[..., straight] = (tau * vs)[..., None] * np.array(heading)[:, None, None, None]
+    if origin is not None:
+        xy[0] += origin[0]
+        xy[1] += origin[1]
     return xy
 
 
@@ -312,22 +326,29 @@ def dwa_step(
 
     Rollouts are laid out K-major, (2, K, n_v, n_omega) for x and y, so one
     division and one floor find every cell and the worst cost of each arc is
-    a reduction over the leading axis.  The heading theta0 + omega * tau does
-    not depend on v, so its sine and cosine are taken once on (K, n_omega).
+    a reduction over the leading axis.  The rollout times are cached per
+    ``dt``.  The heading theta0 + omega * tau does not depend on v, so its
+    sine and cosine are taken once on (K, n_omega), into one array.  A
+    column is straight, along the start heading, where |omega| < 1e-12; a
+    window wholly past 1e-12 on either side has none, and skips the mask.
     Floored cells are clamped to [-1, width] x [-1, height], which index
     ``Costmap.edged``'s lethal last row and column, so an off-map sample
     costs 255.  At a fixed tau and omega, each rounded step of a sample's x
     and y is monotone in v, and so are division and floor, so every sample's
     cell lies in the box from the cell of the least x and y of the slowest
-    and fastest rows to that of the greatest.  If that box is on the map and
-    ``Costmap.cost_free``, every worst cost is 0 and only the endpoints are
-    rolled out.  The endpoint is the last rollout row, the same arithmetic
-    as ``world.unicycle_arc`` at the horizon.  Its bearing stays scalar libm
-    ``atan2``, which ``np.arctan2`` differs from in the last bit on some
-    inputs, and ``_wrap`` gives the IEEE remainder's bits.  The terms are
-    scored on the (n_v, n_omega) grid, normalized over its admissible cells.
-    Every value is the same IEEE expression as the scalar rollout's, up to
-    the order of commutative operands.
+    and fastest rows to that of the greatest.  Those extremes are taken on
+    the offsets from the start, before the start is added: rounded addition
+    is monotone too, so they keep the same bits.  If that box is on the map
+    and ``Costmap.cost_free``, every worst cost is 0 and only the endpoints
+    are rolled out.  The endpoint is the last rollout row, the same
+    arithmetic as ``world.unicycle_arc`` at the horizon.  Its bearing stays
+    scalar libm ``atan2``, which ``np.arctan2`` differs from in the last bit
+    on some inputs, and ``_wrap`` gives the IEEE remainder's bits.  The terms
+    are scored on the (n_v, n_omega) grid, normalized over its admissible
+    cells; the score starts from the heading term, with no zeros array, and
+    a lone top score skips the tie-break sort.  Every value is the same IEEE
+    expression as the scalar rollout's, up to the order of commutative
+    operands.
 
     Raises AllBlocked when every candidate collides.
     """
@@ -337,25 +358,29 @@ def dwa_step(
     w_hi = min(DWA_OMEGA_MAX, robot.omega + DWA_ACCEL_OMEGA * dt)
     vs = _window(_V_STEPS, v_lo, v_hi)
     ws = _window(_W_STEPS, w_lo, w_hi)
-    n_steps = max(1, int(round(DWA_HORIZON / dt)))
-    tau = dt * np.arange(1, n_steps + 1)
+    tau = _horizon(dt)
 
     theta0, c0, s0 = robot.heading, math.cos(robot.heading), math.sin(robot.heading)
-    theta = tau[:, None] * ws + theta0  # (K, n_omega), shared across v
-    straight = np.abs(ws) < 1e-12
-    radius = vs[:, None] / np.where(straight, np.inf, ws)  # (n_v, n_omega)
-    arc = np.array([np.sin(theta) - s0, c0 - np.cos(theta)])
-    origin, heading_cs = np.array([[robot.x, robot.y], [c0, s0]])[:, :, None, None, None]
-    edges = _rollout(origin, vs[::DWA_N_V - 1], radius[::DWA_N_V - 1], tau, arc, straight,
-                     heading_cs).reshape(2, -1)  # the slowest and fastest rows
-    lo = costmap.world_to_cell(*edges.min(axis=1).tolist())
-    hi = costmap.world_to_cell(*edges.max(axis=1).tolist())
+    theta = tau * ws + theta0  # (K, n_omega), shared across v
+    # The window's omegas lie between its two ends.
+    wholly_turning = min(w_lo, w_hi) >= 1e-12 or max(w_lo, w_hi) <= -1e-12
+    straight = None if wholly_turning else np.abs(ws) < 1e-12
+    radius = vs[:, None] / (ws if straight is None else np.where(straight, np.inf, ws))
+    arc = np.empty((2, *theta.shape))
+    np.subtract(np.sin(theta, out=arc[0]), s0, out=arc[0])
+    np.subtract(c0, np.cos(theta, out=arc[1]), out=arc[1])
+    reach = _rollout(vs[::DWA_N_V - 1], radius[::DWA_N_V - 1], tau, arc, straight,
+                     (c0, s0)).reshape(2, -1)  # the slowest and fastest rows' offsets
+    (x_lo, y_lo), (x_hi, y_hi) = reach.min(axis=1).tolist(), reach.max(axis=1).tolist()
+    lo = costmap.world_to_cell(robot.x + x_lo, robot.y + y_lo)
+    hi = costmap.world_to_cell(robot.x + x_hi, robot.y + y_hi)
+    origin = (robot.x, robot.y)
     if lo is not None and hi is not None and costmap.cost_free(lo, hi):
         # Every arc is admissible, with clearance 1: only the endpoints count.
-        end = _rollout(origin, vs, radius, tau[-1:], arc[:, -1:], straight, heading_cs)[:, 0]
+        end = _rollout(vs, radius, tau[-1:], arc[:, -1:], straight, (c0, s0), origin)[:, 0]
         admissible = clearance = None
     else:
-        xy = _rollout(origin, vs, radius, tau, arc, straight, heading_cs)
+        xy = _rollout(vs, radius, tau, arc, straight, (c0, s0), origin)
         end = xy[:, -1].copy()  # (2, n_v, n_omega) endpoints
         cell = np.floor(np.divide(xy, costmap.resolution, out=xy), out=xy)
         # Against a full bound array: numpy's max and min run several times
@@ -376,27 +401,35 @@ def dwa_step(
     dy, dx = (ly - end[1]).ravel().tolist(), (lx - end[0]).ravel().tolist()
     bearing = np.fromiter(map(math.atan2, dy, dx), np.float64, len(dx)).reshape(radius.shape)
     # A straight arc keeps theta0 exactly, as unicycle_arc does for tiny omega.
-    end_heading = np.where(straight, theta0, theta[-1])
+    end_heading = theta[-1] if straight is None else np.where(straight, theta0, theta[-1])
     heading = math.pi - np.abs(_wrap(bearing - end_heading))
     # Each term is min-max normalized over the admissible cells, weighted and
     # summed in order.  A term that is constant there (span 0), such as a
-    # cost-free tick's clearance, adds only zeros, so it is left out.
-    score = np.zeros(radius.shape)
+    # cost-free tick's clearance, adds only zeros, so it is left out; the
+    # heading term's own offset is then 0 on every admissible cell.
     masked = admissible is not None and not admissible.all()
+    score = None
     for weight, term in zip(_WEIGHTS, (heading, clearance, vs[:, None])):
         if term is None:
             continue
-        seen = np.broadcast_to(term, score.shape)[admissible] if masked else term
+        seen = np.broadcast_to(term, heading.shape)[admissible] if masked else term
         least = seen.min()
         span = seen.max() - least
-        if span > 0.0:
+        if score is None:  # the heading term
+            score = term - least
+            if span > 0.0:
+                score /= span
+                score *= weight
+        elif span > 0.0:
             score += weight * ((term - least) / span)
     if masked:
         score[~admissible] = -np.inf
     top = np.flatnonzero(score == score.max())  # v-major, the enumeration order
-    iv, iw = np.divmod(top, DWA_N_OMEGA)
-    best = np.lexsort((top, vs[iv], np.abs(ws[iw])))[0]
-    return (float(vs[iv[best]]), float(ws[iw[best]]))
+    if len(top) > 1:
+        iv, iw = np.divmod(top, DWA_N_OMEGA)
+        top = top[np.lexsort((top, vs[iv], np.abs(ws[iw])))]
+    iv, iw = divmod(int(top[0]), DWA_N_OMEGA)
+    return (float(vs[iv]), float(ws[iw]))
 
 
 class Clock:

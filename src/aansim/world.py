@@ -10,7 +10,7 @@ j = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
 
@@ -280,8 +280,10 @@ class DetectionResult:
     """A detector hit on what the detector takes for the pill bottle.
 
     ``true_kind`` is the ground truth, for evaluation.  ``depth`` is the
-    noise-free depth of the frame that fired, so the perception pipeline can
-    localize on it without rendering it again.
+    noise-free depth of the frame that fired, read-only, so the perception
+    pipeline can localize on it without rendering it again.  It is exact
+    inside ``box`` clipped to the frame; pixels that the detector's render
+    did not cast read NaN.
     """
 
     box: BoundingBox
@@ -408,8 +410,10 @@ def render_depth_ids(
 
     ``targets``, a bool mask over ``scene.primitives``, limits the cast to
     the rectangle spanned by the cast windows of the targets; every pixel
-    outside it reads no hit, and with no target cast nothing is cast.  A
-    target's pixels lie in its own window, so they are the full frame's.
+    outside it reads no hit with NaN depth, for not cast, and with no target
+    cast nothing is cast.  A target's pixels lie in its own window, so they
+    are the full frame's.  Every primitive is cast over its window's part of
+    the rectangle, so the depth inside it is the full frame's too.
     """
     cam_pose = robot.world_from_camera()
     rot, origin = cam_pose.rotation, cam_pose.translation
@@ -431,23 +435,26 @@ def render_depth_ids(
     cull = (cam[..., 2].min(axis=1) <= max_range + _CULL_MARGIN) & (lo < hi).all(1)
     if targets is not None:
         shown_targets = cull & targets
-        np.maximum(lo, lo[shown_targets].min(axis=0, initial=w + h), out=lo)
-        np.minimum(hi, hi[shown_targets].max(axis=0, initial=0), out=hi)
+        rect_lo = lo[shown_targets].min(axis=0, initial=w + h)
+        rect_hi = hi[shown_targets].max(axis=0, initial=0)
+        np.maximum(lo, rect_lo, out=lo)
+        np.minimum(hi, rect_hi, out=hi)
         cull &= (lo < hi).all(1)
 
     best = np.full((h, w), np.inf)
     ids = np.full((h, w), NO_HIT, dtype=np.int32)
     order = np.flatnonzero(cull)
     if len(order):
-        # Only the rows some window covers are rotated.
-        v0, v1 = lo[order, 1].min(), hi[order, 1].max()
-        dirs = np.empty((3, h, w))
-        dirs[:, v0:v1] = (_camera_rays(intrinsics)[v0 * w : v1 * w] @ rot.T).T.reshape(3, -1, w)
+        # Only the rows some window covers are rotated: row r of dirs is pixel row top + r.
+        top, bottom = lo[order, 1].min(), hi[order, 1].max()
+        rays = _camera_rays(intrinsics)[top * w : bottom * w] @ rot.T
+        dirs = np.ascontiguousarray(rays.T).reshape(3, -1, w)
     for k in order:
         cast, args, hit_id = casts[k]
-        window = np.s_[lo[k, 1] : hi[k, 1], lo[k, 0] : hi[k, 0]]
-        best_win, ids_win = best[window], ids[window]
-        s = cast(origin, dirs[(slice(None), *window)].reshape(3, -1), *args).reshape(best_win.shape)
+        (u0, v0), (u1, v1) = lo[k], hi[k]
+        best_win, ids_win = best[v0:v1, u0:u1], ids[v0:v1, u0:u1]
+        s = cast(origin, dirs[:, v0 - top : v1 - top, u0:u1].reshape(3, -1), *args)
+        s = s.reshape(best_win.shape)
         closer = s < best_win
         best_win[closer] = s[closer]
         ids_win[closer] = hit_id
@@ -455,6 +462,10 @@ def render_depth_ids(
     out_of_range = ~np.isfinite(best) | (best > max_range)
     depth = np.where(out_of_range, 0.0, best)
     ids[out_of_range] = NO_HIT
+    if targets is not None:
+        # With no target cast, v0 = w + h and v1 = 0: every row is NaN.
+        (u0, v0), (u1, v1) = rect_lo, rect_hi
+        depth[:v0] = depth[v1:] = depth[v0:v1, :u0] = depth[v0:v1, u1:] = np.nan
     return depth, ids
 
 
@@ -463,15 +474,17 @@ def add_depth_noise(
 ) -> np.ndarray:
     """A noise-free render plus additive Gaussian noise, clamped at 1e-3 m on
     valid pixels, inside ``box`` clipped to the frame; invalid (0) pixels and
-    those outside the box stay as rendered.  A whole frame of normals is
-    drawn, so ``rng`` moves on as for a noisy frame."""
+    those outside the box stay as rendered.  A whole frame of standard
+    normals is drawn, so ``rng`` moves on as for a noisy frame, and only the
+    box's are scaled by ``noise_sigma``: ``rng.normal(0, sigma)`` is
+    0 + sigma * z, the same bits."""
     if noise_sigma > 0.0:
-        noise = rng.normal(0.0, noise_sigma, size=depth.shape)
+        z = rng.standard_normal(depth.shape)
         c = box.clipped(depth.shape[1], depth.shape[0])
         window = np.s_[c.v_min : c.v_max + 1, c.u_min : c.u_max + 1]
         sub = depth[window]
         depth = depth.copy()
-        depth[window] = np.where(sub > 0.0, np.maximum(sub + noise[window], 1e-3), 0.0)
+        depth[window] = np.where(sub > 0.0, np.maximum(sub + noise_sigma * z[window], 1e-3), 0.0)
     return depth
 
 
@@ -516,6 +529,17 @@ def _frame_boxes(scene: Scene, ids: np.ndarray) -> tuple[BoundingBox | None, Bou
     return bottle_box, best_box
 
 
+def _cast_patch(depth: np.ndarray) -> tuple[tuple[slice, slice], np.ndarray]:
+    """The rectangle of a box-only render's ``depth`` that was cast (no NaN)
+    and a read-only copy of its depth."""
+    cast = ~np.isnan(depth)
+    vs, us = np.flatnonzero(cast.any(axis=1)), np.flatnonzero(cast.any(axis=0))
+    rect = np.s_[int(vs[0]) : int(vs[-1]) + 1, int(us[0]) : int(us[-1]) + 1]
+    patch = depth[rect].copy()
+    patch.flags.writeable = False
+    return rect, patch
+
+
 def detect(
     scene: Scene,
     robot: RobotState,
@@ -537,27 +561,36 @@ def detect(
     ``frames`` memoizes each camera pose's boxes, keyed by value on
     everything the render reads, so a pose seen before is not rendered
     again.  The boxes come from a render of the detectable objects' windows
-    only (``Scene.detectable``).  The first time a frame fires, its full
-    noise-free depth is rendered and kept (read-only).
+    only (``Scene.detectable``); a frame that shows a box also keeps that
+    render's cast rectangle of depth, which is the full frame's (read-only).
+    A fire returns a read-only frame of that rectangle, NaN outside it,
+    unless the detection box leaves the rectangle: then the full frame is
+    rendered, and not kept.  Either way the depth inside the
+    detection box is the full frame's, bit for bit.
     """
     mount, view = robot.camera_mount, (scene, robot, intrinsics, model.max_range)
     pose = np.array([robot.x, robot.y, robot.heading, robot.head_pan, model.max_range])
     key = (pose.tobytes(), mount.rotation.tobytes(), mount.translation.tobytes(), intrinsics)
     if key not in frames:
-        _, ids = render_depth_ids(*view, scene.detectable)
-        frames[key] = (*_frame_boxes(scene, ids), None)
-    bottle_box, distractor_box, depth = frames[key]
+        depth, ids = render_depth_ids(*view, scene.detectable)
+        boxes = _frame_boxes(scene, ids)
+        frames[key] = (*boxes, None if boxes == (None, None) else _cast_patch(depth))
+    bottle_box, distractor_box, cast = frames[key]
     if bottle_box is not None and rng.random() < model.true_positive_rate:
         kind, box = ObjectKind.PILL_BOTTLE, bottle_box
     elif distractor_box is not None and rng.random() < model.false_positive_rate:
         kind, box = ObjectKind.DISTRACTOR, distractor_box
     else:
         return None
-    box = _perturb_box(box, model.box_noise_sigma, intrinsics.width, intrinsics.height, rng)
-    if depth is None:
-        depth = render_depth_ids(*view)[0]
-        depth.flags.writeable = False
-        frames[key] = (bottle_box, distractor_box, depth)
+    h, w = intrinsics.height, intrinsics.width
+    box = _perturb_box(box, model.box_noise_sigma, w, h, rng)
+    rect, patch = cast
+    depth = np.full((h, w), np.nan)
+    depth[rect] = patch
+    # The box lies in the frame: _perturb_box clips it, and a visible box is in it.
+    if np.isnan(depth[box.v_min : box.v_max + 1, box.u_min : box.u_max + 1]).any():
+        depth = render_depth_ids(*view)[0]  # the box leaves the cast rectangle
+    depth.flags.writeable = False
     return DetectionResult(box=box, true_kind=kind, depth=depth)
 
 
@@ -605,12 +638,9 @@ def step_kinematics(
         px, py, ph = unicycle_arc(robot.x, robot.y, robot.heading, v, omega, dt * k / n)
         state = grid.state_at(px, py)
         if state is None or state is CellState.OCCUPIED:
-            collided = replace(
-                robot, x=last_free[0], y=last_free[1], heading=last_free[2], v=0.0, omega=0.0
-            )
+            collided = RobotState(*last_free, 0.0, 0.0, robot.head_pan,
+                                  camera_mount=robot.camera_mount)
             return collided, True
         last_free = (px, py, ph)
-    moved = replace(
-        robot, x=last_free[0], y=last_free[1], heading=last_free[2], v=v, omega=omega
-    )
+    moved = RobotState(*last_free, v, omega, robot.head_pan, camera_mount=robot.camera_mount)
     return moved, False

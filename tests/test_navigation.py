@@ -436,8 +436,10 @@ def rollouts(monkeypatch):
 
 
 def test_dwa_sample_box_from_two_rows_equals_the_all_sample_box(rollouts):
-    # The first rollout is the slowest and fastest rows at every time, the
-    # second has every row; together they give every sample.
+    # The first rollout is the slowest and fastest rows' offsets from the
+    # start at every time, the second has every row from the start; together
+    # they give every sample.  The start plus the offsets' extremes is the
+    # samples' extremes, bit for bit.
     rng = np.random.default_rng(33)
     straight = 0
     for k in range(60):
@@ -449,13 +451,89 @@ def test_dwa_sample_box_from_two_rows_equals_the_all_sample_box(rollouts):
             nav.dwa_step(robot, path, cm, 0.1)
         except nav.AllBlocked:
             pass
-        (edge_args, edges), ((origin, vs, radius, *_), _) = rollouts[:2]
-        every = nav._rollout(origin, vs, radius, *edge_args[3:]).reshape(2, -1)
-        edges = edges.reshape(2, -1)
-        assert edges.min(axis=1).tobytes() == every.min(axis=1).tobytes()
-        assert edges.max(axis=1).tobytes() == every.max(axis=1).tobytes()
-        straight += bool(edge_args[5].any())
+        (edge_args, offsets), ((vs, radius, *_, origin), _) = rollouts[:2]
+        assert len(edge_args) == 6 and origin == (robot.x, robot.y)
+        every = nav._rollout(vs, radius, *edge_args[2:], origin).reshape(2, -1)
+        offsets = offsets.reshape(2, -1)
+        for axis, start in enumerate(origin):
+            assert (start + offsets[axis].min()).tobytes() == every[axis].min().tobytes()
+            assert (start + offsets[axis].max()).tobytes() == every[axis].max().tobytes()
+        straight += edge_args[4] is not None and bool(edge_args[4].any())
     assert straight >= 20
+
+
+def _window_shape(robot, dt=0.1):
+    """How the robot's omega window meets |omega| < 1e-12, the straight
+    columns, and the window's straight-column mask."""
+    w_lo = max(-nav.DWA_OMEGA_MAX, robot.omega - nav.DWA_ACCEL_OMEGA * dt)
+    w_hi = min(nav.DWA_OMEGA_MAX, robot.omega + nav.DWA_ACCEL_OMEGA * dt)
+    ws = nav._window(nav._W_STEPS, w_lo, w_hi)
+    straight = np.abs(ws) < 1e-12
+    if min(w_lo, w_hi) >= 1e-12 or max(w_lo, w_hi) <= -1e-12:
+        assert not straight.any()
+        return "wholly turning", straight
+    if (ws == 0.0).any():
+        return "zero column", straight
+    if 0.0 < abs(w_lo) < 1e-12:
+        return "an end inside 1e-12", straight
+    return ("near-zero column" if straight.any() else "no straight column"), straight
+
+
+def test_dwa_matches_oracle_on_every_window_shape_bearing_and_tie(monkeypatch):
+    # Omega windows wholly past 1e-12 on either side, windows that straddle
+    # 0 with an exactly-zero column, a column inside 1e-12 but not 0, or
+    # neither, and windows with an end inside 1e-12 of 0; headings up to 3
+    # turns out, so that the bearing error passes pi and 3 pi; and, at rest
+    # on open floor with the path dead ahead or behind, mirrored arcs that
+    # tie.  Every rollout gets the window's straight columns, or None for none.
+    errors, ties, masks = [], [], []
+
+    def rollout(vs, radius, tau, arc, straight, *rest, real=nav._rollout):
+        masks.append(straight)
+        return real(vs, radius, tau, arc, straight, *rest)
+
+    def wrap(err, real=nav._wrap):
+        errors.append(float(np.abs(err).max()))
+        return real(err)
+
+    def lexsort(keys, real=np.lexsort):
+        ties.append(len(keys[0]))
+        return real(keys)
+
+    monkeypatch.setattr(nav, "_wrap", wrap)
+    monkeypatch.setattr(np, "lexsort", lexsort)
+    monkeypatch.setattr(nav, "_rollout", rollout)
+    rng = np.random.default_rng(2024)
+    shapes = Counter()
+    open_cm = nav.build_costmap(open_grid(60, 60), nav.NavParams(inflation_radius=0.3))
+    for k in range(105):
+        robot, path, cm = _random_dwa_case(rng)
+        omega = (rng.uniform(0.1, 1.0), -rng.uniform(0.1, 1.0), 0.0, rng.uniform(-0.1, 0.1),
+                 1e-13, -3e-13, 0.1 + 5e-13)[k % 7]
+        turns = 2.0 * math.pi * int(rng.integers(-3, 4))
+        robot = replace(robot, omega=float(omega), heading=robot.heading + turns)
+        if k % 5 == 4:
+            x, y = (float(c) for c in rng.uniform(1.5, 4.5, size=2))
+            ahead = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.7, 1.2))
+            robot = RobotState(x=x, y=y, heading=0.0, camera_mount=CAMERA_MOUNT)
+            path, cm = nav.GlobalPath(np.array([[x, y], [x + ahead, y]]), cost=0.0), open_cm
+        shape, straight = _window_shape(robot)
+        shapes[shape] += 1
+        masks.clear()
+        try:
+            expected = dwa_reference(robot, path, cm, dt=0.1)
+        except OracleBlocked:
+            with pytest.raises(nav.AllBlocked):
+                nav.dwa_step(robot, path, cm, 0.1)
+            continue
+        assert nav.dwa_step(robot, path, cm, 0.1) == expected, k
+        assert masks and all(np.array_equal(straight, np.zeros_like(straight) if mask is None
+                                            else mask) for mask in masks), k
+    assert set(shapes) == {"wholly turning", "zero column", "near-zero column",
+                           "no straight column", "an end inside 1e-12"}
+    assert min(shapes.values()) >= 9
+    assert max(errors) > 3 * math.pi and sum(e >= math.pi for e in errors) >= 30
+    assert len(ties) >= 5 and min(ties) >= 2, ties
 
 
 def test_dwa_matches_oracle_on_a_cold_lab_studys_ticks(monkeypatch, free_boxes, lab_scenario):
@@ -476,7 +554,7 @@ def test_dwa_matches_oracle_on_a_cold_lab_studys_ticks(monkeypatch, free_boxes, 
         session.robot = replace(session.robot, x=x, y=y, heading=heading, v=v, omega=omega)
     assert len(ticks) > 500
     free_boxes.clear()
-    for args in ticks[::3]:  # the scalar oracle takes about 8 ms a tick
+    for args in ticks:  # the scalar oracle takes about 10 ms a tick
         assert real(*args) == dwa_reference(*args)
     # Both the endpoint-only ticks and the ticks that gather costs.
     assert {free for *_, free in free_boxes} == {True, False}

@@ -47,7 +47,8 @@ ALLOWED: dict[str, str] = {
     "navigation.<module>": "the TYPE_CHECKING import of Scenario",
     "navigation._drive": _SPIN,
     "navigation._localize": _LOST,
-    "navigation.dwa_step": _SPIN,
+    "navigation.dwa_step": _SPIN + "; no traced tick has a colliding arc beside a free one "
+                                   "or an exact score tie",
     "navigation.navigate_to": _SPIN,
     "navigation.plan_global": "LethalEndpoint, NoPath and a start in the goal's cell",
     "navigation.visit_roi": _LOST,
@@ -74,7 +75,8 @@ ALLOWED: dict[str, str] = {
     "world.OccupancyGrid.state_at": _OFF_MAP,
     "world.OccupancyGrid.world_to_cell": _OFF_MAP,
     "world._perturb_box": "box_noise_sigma 0, which no witness sets",
-    "world.detect": "a false positive on a distractor, which no traced frame draws",
+    "world.detect": "a false positive on a distractor, and a detection box that leaves the "
+                    "cast rectangle of the box-only render: no traced frame draws either",
     "world.step_kinematics": "a collision, which no traced drive has",
 }
 

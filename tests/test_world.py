@@ -255,6 +255,26 @@ def test_render_depth_noise_is_seeded_and_clamped():
     assert world.add_depth_noise(clean, box, 0.0, np.random.default_rng(5)) is clean
 
 
+def test_depth_noise_draws_the_normals_of_rng_normal():
+    # rng.normal(0, sigma) is 0 + sigma * z over the same standard normals z.
+    scene = Scene(grid=_open_room(), objects=[])
+    clean, _ = world.render_depth_ids(scene, _robot_at(2.0, 3.0, 0.0), INTR, 10.0)
+    box = BoundingBox(-5, 30, 90, 200)  # clipped on the left and the bottom
+    for seed, sigma in enumerate((1e-300, 0.002, 0.01, 0.37, 3.0, 1e300)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        z, normal = rng.standard_normal(clean.shape), ref.normal(0.0, sigma, clean.shape)
+        assert (sigma * z).tobytes() == normal.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        noisy = world.add_depth_noise(clean, box, sigma, rng)
+        want = clean.copy()
+        sub = want[30:, :91]
+        sub[:] = np.where(sub > 0.0, np.maximum(sub + ref.normal(0.0, sigma, clean.shape)[30:, :91],
+                                                1e-3), 0.0)
+        assert noisy.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def _assert_bitwise_equal(got, want):
     (d_got, ids_got), (d_want, ids_want) = got, want
     assert d_got.dtype == d_want.dtype and ids_got.dtype == ids_want.dtype
@@ -465,15 +485,21 @@ def test_box_only_frames_give_the_full_frames_boxes(lab_scenario):
     # boxes straddle the camera plane, at every bottle placement.
     sc, intr, max_range = lab_scenario, lab_scenario.intrinsics, lab_scenario.detector.max_range
     start = sc.robot_state()
-    shown = Counter()
+    shown, rects = Counter(), 0
     for k in range(len(sc.bottle_candidates)):
         scene = sc.build_scene(k)
         robots = [replace(start, x=x, y=y, heading=heading, head_pan=pan)
                   for x, y, heading in (roi.pose for roi in sc.rois) for pan in world.PAN_SCHEDULE]
         robots += _backed_against(scene.grid, scene.objects, start.camera_mount)
         for robot in robots:
-            _, full = world.render_depth_ids(scene, robot, intr, max_range)
-            _, part = world.render_depth_ids(scene, robot, intr, max_range, scene.detectable)
+            depth_full, full = world.render_depth_ids(scene, robot, intr, max_range)
+            depth, part = world.render_depth_ids(scene, robot, intr, max_range, scene.detectable)
+            # The cast pixels are a rectangle, empty or not, with the full frame's depth.
+            cast = ~np.isnan(depth)
+            rows, cols = np.flatnonzero(cast.any(axis=1)), np.flatnonzero(cast.any(axis=0))
+            assert cast.sum() == len(rows) * len(cols) and (part[~cast] == world.NO_HIT).all()
+            assert depth[cast].tobytes() == depth_full[cast].tobytes()
+            rects += bool(len(rows))
             for index in np.flatnonzero(scene.detectable):
                 assert np.array_equal(part == index, full == index)
                 vs, us = np.nonzero(full == index)
@@ -485,6 +511,7 @@ def test_box_only_frames_give_the_full_frames_boxes(lab_scenario):
             assert boxes == world._frame_boxes(scene, full)
             shown[tuple(box is not None for box in boxes)] += 1
     assert shown[(True, False)] and shown[(False, True)] and shown[(False, False)]
+    assert rects >= shown[(True, False)] + shown[(False, True)]
 
 
 def test_a_frame_without_a_detectable_object_casts_no_ray(lab_scenario, rays_cast, monkeypatch):
@@ -663,11 +690,18 @@ def renders(monkeypatch):
     return calls
 
 
+def _box_depth(det, depth=None):
+    """The depth inside a detection's box clipped to the frame: ``det.depth``'s or ``depth``'s."""
+    depth = det.depth if depth is None else depth
+    c = det.box.clipped(depth.shape[1], depth.shape[0])
+    return depth[c.v_min : c.v_max + 1, c.u_min : c.u_max + 1]
+
+
 def _same_detection(a, b):
     assert (a is None) == (b is None)
     if a is not None:
         assert (a.box, a.true_kind) == (b.box, b.true_kind)
-        assert a.depth.tobytes() == b.depth.tobytes()
+        assert _box_depth(a).tobytes() == _box_depth(b).tobytes()
 
 
 def test_warm_frames_equal_cold_renders_at_every_lab_roi():
@@ -721,14 +755,19 @@ def test_warm_frame_renders_on_first_fire_then_keeps_its_depth(renders):
     model = replace(blind, true_positive_rate=1.0)
     frames = {}
     assert world.detect(scene, robot, blind, INTR, np.random.default_rng(0), frames) is None
-    [(bottle_box, _, depth)] = frames.values()
-    assert bottle_box is not None and depth is None  # a frame that never fired keeps no depth
+    # A frame that shows a box keeps the cast rectangle of its box-only render, no whole frame.
+    [(bottle_box, _, (rect, patch))] = frames.values()
+    assert bottle_box is not None and not patch.flags.writeable
+    assert patch.size < INTR.width * INTR.height and not np.isnan(patch).any()
     first = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
-    assert len(renders) == 2
     again = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
-    assert len(renders) == 2
-    assert again.depth is first.depth is list(frames.values())[0][2]
-    assert not first.depth.flags.writeable
+    assert len(renders) == 1
+    for det in (first, again):
+        assert not det.depth.flags.writeable
+        assert det.depth[rect].tobytes() == patch.tobytes()
+        assert np.isnan(det.depth).sum() == INTR.width * INTR.height - patch.size
+    want, _ = render_reference(scene, robot, INTR, model.max_range)
+    assert _box_depth(first).tobytes() == _box_depth(first, want).tobytes()
     _same_detection(first, world.detect(scene, robot, model, INTR, np.random.default_rng(0), {}))
 
 
@@ -743,11 +782,63 @@ def test_a_fired_frame_keeps_the_reference_depth(lab_scenario, renders):
         det = world.detect(scene, robot, model, sc.intrinsics, np.random.default_rng(0), frames)
         if det is not None:
             fired.append((robot, det))
-    assert fired and len(renders) == len(frames) + len(fired)
+    assert fired and len(renders) == len(frames)  # one render per frame
     for robot, det in fired:
         assert det.true_kind is ObjectKind.PILL_BOTTLE
         want, _ = render_reference(scene, robot, sc.intrinsics, model.max_range)
-        assert det.depth.tobytes() == want.tobytes()
+        assert _box_depth(det).tobytes() == _box_depth(det, want).tobytes()
+
+
+def test_a_box_that_leaves_the_cast_rectangle_renders_the_full_frame(renders):
+    scene = _bottle_scene()
+    robot = _robot_at(2.0, 3.0, 0.0)
+    # Box noise of 40 px throws the box far past the bottle's and the cup's windows.
+    model = DetectorModel(true_positive_rate=1.0, false_positive_rate=0.0,
+                          box_noise_sigma=40.0, max_range=4.0)
+    frames = {}
+    det = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
+    [(_, _, (rect, patch))] = frames.values()
+    cast = np.zeros((INTR.height, INTR.width), dtype=bool)
+    cast[rect] = True
+    assert not _box_depth(det, cast).all()  # the clipped box leaves the rectangle
+    assert len(renders) == 2 and renders[1][4:] == ()  # box-only, then the full frame
+    want, _ = render_reference(scene, robot, INTR, model.max_range)
+    assert det.depth.tobytes() == want.tobytes()
+    assert not det.depth.flags.writeable
+    # The memo still keeps the rectangle only, so a second such fire renders again.
+    assert frames[next(iter(frames))][2][1] is patch
+    again = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
+    assert len(renders) == 3 and again.depth.tobytes() == want.tobytes()
+
+
+def test_a_box_one_pixel_past_the_cast_rectangle_renders_the_full_frame(renders):
+    # The memo's rectangle is cut so that one side of the bottle's box lies
+    # one pixel past it, or just inside it; zero box noise fires that box.
+    scene = _bottle_scene()
+    robot = _robot_at(2.0, 3.0, 0.0)
+    model = DetectorModel(true_positive_rate=1.0, false_positive_rate=0.0,
+                          box_noise_sigma=0.0, max_range=4.0)
+    frames = {}
+    world.detect(scene, robot, replace(model, true_positive_rate=0.0), INTR,
+                 np.random.default_rng(0), frames)
+    [(key, (box, cup_box, ((rows, cols), patch)))] = frames.items()
+    want, _ = render_reference(scene, robot, INTR, model.max_range)
+    assert rows.start < box.v_min and box.v_max + 1 < rows.stop
+    assert cols.start < box.u_min and box.u_max + 1 < cols.stop
+    for past in (0, 1):
+        cuts = [(slice(box.v_min + past, rows.stop), cols),
+                (slice(rows.start, box.v_max + 1 - past), cols),
+                (rows, slice(box.u_min + past, cols.stop)),
+                (rows, slice(cols.start, box.u_max + 1 - past))]
+        for cut in cuts:
+            inner = tuple(slice(c.start - whole.start, c.stop - whole.start)
+                          for c, whole in zip(cut, (rows, cols)))
+            frames[key] = (box, cup_box, (cut, patch[inner]))
+            calls = len(renders)
+            det = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
+            assert det.box == box and len(renders) == calls + past
+            assert _box_depth(det).tobytes() == _box_depth(det, want).tobytes()
+            assert np.isnan(det.depth).any() != past
 
 
 def test_default_pan_schedule_values():
@@ -796,6 +887,19 @@ def test_step_kinematics_stops_at_wall():
     assert moved.v == 0.0 and moved.omega == 0.0
     assert moved.x < 5.9
     assert moved.x > 5.5  # it did advance up to the wall
+
+
+def test_step_kinematics_keeps_the_head_pan_and_mount():
+    g = _open_room()
+    robot = RobotState(x=3.0, y=3.0, heading=0.3, v=0.1, omega=0.2, head_pan=0.25,
+                       camera_mount=CAMERA_MOUNT)
+    for cmd, dt, hit in (((0.4, 0.5), 0.1, False), ((2.0, 0.0), 2.0, True)):
+        moved, collided = world.step_kinematics(robot, cmd, dt, g)
+        assert collided is hit and type(moved) is RobotState
+        assert (moved.v, moved.omega) == ((0.0, 0.0) if hit else cmd)
+        assert moved.head_pan == 0.25 and moved.camera_mount is CAMERA_MOUNT
+        if not hit:
+            assert (moved.x, moved.y, moved.heading) == world.unicycle_arc(3.0, 3.0, 0.3, *cmd, dt)
 
 
 def test_step_kinematics_free_motion_matches_arc():
