@@ -290,20 +290,33 @@ def _wrap(err: np.ndarray) -> np.ndarray:
     return r
 
 
-def _rollout(vs, radius, tau, arc, straight, heading, origin=None) -> np.ndarray:
+def _rollout(vs, radius, tau, arc, straight, heading, origin) -> np.ndarray:
     """Positions (2, K, len(vs), n_omega) at the K times ``tau``, (K, 1), of
-    the arcs at speeds ``vs`` from ``origin`` = (x, y), or their offsets from
-    it when ``origin`` is None.  ``radius`` = v / omega is (len(vs), n_omega)
-    and the turn terms ``arc`` = (sin(theta) - sin(theta0), cos(theta0) -
-    cos(theta)) are (2, K, n_omega).  ``straight`` columns, if any (None for
-    none), run along ``heading`` = (cos(theta0), sin(theta0))."""
+    the arcs at speeds ``vs`` from ``origin`` = (x, y).  ``radius`` = v / omega
+    is (len(vs), n_omega) and the turn terms ``arc`` = (sin(theta) -
+    sin(theta0), cos(theta0) - cos(theta)) are (2, K, n_omega).  ``straight``
+    columns, if any (None for none), run along ``heading`` = (cos(theta0),
+    sin(theta0))."""
     xy = radius * arc[:, :, None, :]
     if straight is not None and straight.any():
         xy[..., straight] = (tau * vs)[..., None] * np.array(heading)[:, None, None, None]
-    if origin is not None:
-        xy[0] += origin[0]
-        xy[1] += origin[1]
+    xy[0] += origin[0]
+    xy[1] += origin[1]
     return xy
+
+
+_AXES = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))  # unit vectors at k * pi/2
+_ATAN2_GAP = 1e-12  # the most np.arctan2 may differ from libm's atan2 (a test guards it)
+
+
+def _sector_box(r: float, a: float, b: float, grow: float) -> tuple[float, float, float, float]:
+    """Offsets (x_lo, y_lo, x_hi, y_hi) of the box around the sector of radius
+    ``r`` >= 0 from heading ``a`` to ``b`` >= ``a``, grown by ``grow`` on each side."""
+    quarter = math.pi / 2
+    units = [(0.0, 0.0), (math.cos(a), math.sin(a)), (math.cos(b), math.sin(b))]
+    units += [_AXES[k % 4] for k in range(math.ceil(a / quarter), math.floor(b / quarter) + 1)]
+    xs, ys = zip(*units)
+    return r * min(xs) - grow, r * min(ys) - grow, r * max(xs) + grow, r * max(ys) + grow
 
 
 def dwa_step(
@@ -324,31 +337,43 @@ def dwa_step(
     admissible set, weighted and summed.  Exact score ties fall to lower
     |omega|, then lower v, then earlier enumeration.
 
-    Rollouts are laid out K-major, (2, K, n_v, n_omega) for x and y, so one
-    division and one floor find every cell and the worst cost of each arc is
-    a reduction over the leading axis.  The rollout times are cached per
-    ``dt``.  The heading theta0 + omega * tau does not depend on v, so its
-    sine and cosine are taken once on (K, n_omega), into one array.  A
-    column is straight, along the start heading, where |omega| < 1e-12; a
-    window wholly past 1e-12 on either side has none, and skips the mask.
-    Floored cells are clamped to [-1, width] x [-1, height], which index
-    ``Costmap.edged``'s lethal last row and column, so an off-map sample
-    costs 255.  At a fixed tau and omega, each rounded step of a sample's x
-    and y is monotone in v, and so are division and floor, so every sample's
-    cell lies in the box from the cell of the least x and y of the slowest
-    and fastest rows to that of the greatest.  Those extremes are taken on
-    the offsets from the start, before the start is added: rounded addition
-    is monotone too, so they keep the same bits.  If that box is on the map
-    and ``Costmap.cost_free``, every worst cost is 0 and only the endpoints
-    are rolled out.  The endpoint is the last rollout row, the same
-    arithmetic as ``world.unicycle_arc`` at the horizon.  Its bearing stays
-    scalar libm ``atan2``, which ``np.arctan2`` differs from in the last bit
-    on some inputs, and ``_wrap`` gives the IEEE remainder's bits.  The terms
-    are scored on the (n_v, n_omega) grid, normalized over its admissible
-    cells; the score starts from the heading term, with no zeros array, and
-    a lone top score skips the tie-break sort.  Every value is the same IEEE
-    expression as the scalar rollout's, up to the order of commutative
-    operands.
+    Rollouts are laid out K-major, (2, K, n_v, n_omega): one division and
+    one floor find every cell, each arc's worst cost reduces the leading
+    axis, and sin and cos are taken once per (tau, omega).  A column is
+    straight where |omega| < 1e-12; floored cells are clamped to
+    [-1, width] x [-1, height], ``Costmap.edged``'s lethal edge.
+
+    Sample box.  At time t an arc's offset is a chord of length at most v t
+    along theta0 + omega t / 2, so every sample lies in the sector of radius
+    R = v_top T, T the horizon, between headings theta0 + min(0, w_lo) T / 2
+    and theta0 + max(0, w_hi) T / 2 (the whole disk for a negative speed).
+    Rounding moves a computed sample off its chord: with u = 2**-53, theta
+    by at most u (|theta0| + 2 w_top T), sin, cos and sin(theta0) by under an
+    ulp (2u) each, all scaled by v / omega, and the quotient, product and
+    subtraction (or a straight column's products) by up to 4 u R; so by at
+    most (v_top / w_min) u (|theta0| + 2 w_top T + 4) + 4 u R, w_min being
+    1e-12, or the nearer end of a window wholly on one side of 0.  (At
+    v = 0.5 and omega = 1.0000001e-12 the chord exceeds v T by over 1e-4 m
+    near theta0 = 10 and by 2.3 cm near theta0 = 1e3.)  The box is the
+    sector's grown by (v_top / w_min + R) ulps, ulps = 2**-52 (|theta0| +
+    2 w_top T + 8): twice that bound, with room for the box's own rounding.
+    Adding the start, dividing and flooring are monotone, so every sample's
+    cell lies in the box's.  If that is on the map and ``Costmap.cost_free``,
+    every arc is admissible with clearance 1, and only the endpoints are
+    rolled out, ``world.unicycle_arc``'s arithmetic at the horizon.
+
+    Bearing.  ``np.arctan2`` is within _ATAN2_GAP of libm's ``atan2``, so
+    each heading term is within EPS = _ATAN2_GAP + ulps of libm's after the
+    rounded subtraction of the end heading (``_wrap`` is exact and pi - |r|
+    is 1-Lipschitz).  A normalized term then moves by at most
+    4 EPS / (span - 4 EPS), so two scores part by at most twice 0.8 times
+    that, plus 1e-12 for rounding.  If the heading span exceeds 4 EPS and no
+    other admissible score lies within that margin of the best, libm's
+    bearing has the same unique best; otherwise the bearing is recomputed
+    with scalar libm ``atan2`` and scored again.  A term constant over the
+    admissible cells adds only zeros and is left out, and a lone top score
+    skips the tie-break sort.  Every value is the same IEEE expression as
+    the scalar rollout's, up to the order of commutative operands.
 
     Raises AllBlocked when every candidate collides.
     """
@@ -361,27 +386,27 @@ def dwa_step(
     tau = _horizon(dt)
 
     theta0, c0, s0 = robot.heading, math.cos(robot.heading), math.sin(robot.heading)
-    theta = tau * ws + theta0  # (K, n_omega), shared across v
-    # The window's omegas lie between its two ends.
+    # The window's omegas lie between its ends: one wholly past 1e-12 has no straight column.
     wholly_turning = min(w_lo, w_hi) >= 1e-12 or max(w_lo, w_hi) <= -1e-12
     straight = None if wholly_turning else np.abs(ws) < 1e-12
     radius = vs[:, None] / (ws if straight is None else np.where(straight, np.inf, ws))
+    t_end, v_top, w_top = float(tau[-1, 0]), max(abs(v_lo), abs(v_hi)), max(abs(w_lo), abs(w_hi))
+    w_min = max(1e-12, min(abs(w_lo), abs(w_hi)) if w_lo * w_hi > 0.0 else 0.0)
+    ulps, r = 2.0**-52 * (abs(theta0) + 2.0 * w_top * t_end + 8.0), v_top * t_end
+    a = theta0 + min(0.0, w_lo, w_hi) * (t_end / 2)
+    b = theta0 + max(0.0, w_lo, w_hi) * (t_end / 2) if v_hi >= 0.0 else a + 2 * math.pi
+    x_lo, y_lo, x_hi, y_hi = _sector_box(r, a, b, (v_top / w_min + r) * ulps)
+    lo = costmap.world_to_cell(robot.x + x_lo, robot.y + y_lo)
+    hi = costmap.world_to_cell(robot.x + x_hi, robot.y + y_hi)
+    free = lo is not None and hi is not None and costmap.cost_free(lo, hi)
+    rows = tau[-1:] if free else tau  # a cost-free box needs only the endpoints
+    theta = rows * ws + theta0  # (rows, n_omega), shared across v
     arc = np.empty((2, *theta.shape))
     np.subtract(np.sin(theta, out=arc[0]), s0, out=arc[0])
     np.subtract(c0, np.cos(theta, out=arc[1]), out=arc[1])
-    reach = _rollout(vs[::DWA_N_V - 1], radius[::DWA_N_V - 1], tau, arc, straight,
-                     (c0, s0)).reshape(2, -1)  # the slowest and fastest rows' offsets
-    (x_lo, y_lo), (x_hi, y_hi) = reach.min(axis=1).tolist(), reach.max(axis=1).tolist()
-    lo = costmap.world_to_cell(robot.x + x_lo, robot.y + y_lo)
-    hi = costmap.world_to_cell(robot.x + x_hi, robot.y + y_hi)
-    origin = (robot.x, robot.y)
-    if lo is not None and hi is not None and costmap.cost_free(lo, hi):
-        # Every arc is admissible, with clearance 1: only the endpoints count.
-        end = _rollout(vs, radius, tau[-1:], arc[:, -1:], straight, (c0, s0), origin)[:, 0]
-        admissible = clearance = None
-    else:
-        xy = _rollout(vs, radius, tau, arc, straight, (c0, s0), origin)
-        end = xy[:, -1].copy()  # (2, n_v, n_omega) endpoints
+    xy = _rollout(vs, radius, rows, arc, straight, (c0, s0), (robot.x, robot.y))
+    end, admissible, clearance = xy[:, -1].copy(), None, None  # (2, n_v, n_omega) endpoints
+    if not free:
         cell = np.floor(np.divide(xy, costmap.resolution, out=xy), out=xy)
         # Against a full bound array: numpy's max and min run several times
         # faster on two arrays than on an array and a scalar.
@@ -398,33 +423,37 @@ def dwa_step(
         clearance = (254.0 - worst) / 254.0
 
     lx, ly = lookahead_point(path, robot.x, robot.y, DWA_LOOKAHEAD)
-    dy, dx = (ly - end[1]).ravel().tolist(), (lx - end[0]).ravel().tolist()
-    bearing = np.fromiter(map(math.atan2, dy, dx), np.float64, len(dx)).reshape(radius.shape)
+    dy, dx = ly - end[1], lx - end[0]
     # A straight arc keeps theta0 exactly, as unicycle_arc does for tiny omega.
     end_heading = theta[-1] if straight is None else np.where(straight, theta0, theta[-1])
-    heading = math.pi - np.abs(_wrap(bearing - end_heading))
-    # Each term is min-max normalized over the admissible cells, weighted and
-    # summed in order.  A term that is constant there (span 0), such as a
-    # cost-free tick's clearance, adds only zeros, so it is left out; the
-    # heading term's own offset is then 0 on every admissible cell.
+    eps = _ATAN2_GAP + ulps
     masked = admissible is not None and not admissible.all()
-    score = None
-    for weight, term in zip(_WEIGHTS, (heading, clearance, vs[:, None])):
-        if term is None:
-            continue
-        seen = np.broadcast_to(term, heading.shape)[admissible] if masked else term
-        least = seen.min()
-        span = seen.max() - least
-        if score is None:  # the heading term
-            score = term - least
-            if span > 0.0:
-                score /= span
-                score *= weight
-        elif span > 0.0:
-            score += weight * ((term - least) / span)
-    if masked:
-        score[~admissible] = -np.inf
-    top = np.flatnonzero(score == score.max())  # v-major, the enumeration order
+    for bearing in (np.arctan2(dy, dx), None):
+        if bearing is None:  # uncertified: libm's bearing, as the scalar rollout takes it
+            bearing = np.reshape([*map(math.atan2, dy.flat, dx.flat)], dy.shape)
+        heading = math.pi - np.abs(_wrap(bearing - end_heading))
+        score = None
+        for weight, term in zip(_WEIGHTS, (heading, clearance, vs[:, None])):
+            if term is None:
+                continue
+            seen = np.broadcast_to(term, heading.shape)[admissible] if masked else term
+            least = seen.min()
+            span = seen.max() - least
+            if score is None:  # the heading term
+                score, heading_span = term - least, span
+                if span > 0.0:
+                    score /= span
+                    score *= weight
+            elif span > 0.0:
+                score += weight * ((term - least) / span)
+        if masked:
+            score[~admissible] = -np.inf
+        best, gap = score.max(), heading_span - 4.0 * eps
+        # Certified: no other admissible score within the margin of the best.
+        margin = 8.0 * DWA_HEADING_WEIGHT * eps / gap + 1e-12 if gap > 0.0 else math.inf
+        if np.count_nonzero(score >= best - margin) == 1:
+            break
+    top = np.flatnonzero(score == best)  # v-major, the enumeration order
     if len(top) > 1:
         iv, iw = np.divmod(top, DWA_N_OMEGA)
         top = top[np.lexsort((top, vs[iv], np.abs(ws[iw])))]

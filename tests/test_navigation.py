@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -422,44 +423,77 @@ def test_dwa_sample_box_boundaries_match_oracle(free_boxes):
 
 
 @pytest.fixture
-def rollouts(monkeypatch):
-    """Each ``navigation._rollout`` call's arguments and a copy of its result, in order."""
-    calls = []
+def gathered(monkeypatch):
+    """Each tick's sample box, the two corners dwa_step hands
+    ``world_to_cell``, and a copy of its rollout's sample positions, with
+    every box made to gather costs, so that every sample is rolled out."""
+    corners, samples = [], []
 
-    def recorded(*args, real=nav._rollout):
+    def to_cell(self, x, y, real=nav.Costmap.world_to_cell):
+        corners.append((x, y))
+        return real(self, x, y)
+
+    def rollout(*args, real=nav._rollout):
         out = real(*args)
-        calls.append((args, out.copy()))
+        samples.append(out.copy())
         return out
 
-    monkeypatch.setattr(nav, "_rollout", recorded)
-    return calls
+    monkeypatch.setattr(nav.Costmap, "world_to_cell", to_cell)
+    monkeypatch.setattr(nav.Costmap, "cost_free", lambda self, lo, hi: False)
+    monkeypatch.setattr(nav, "_rollout", rollout)
 
-
-def test_dwa_sample_box_from_two_rows_equals_the_all_sample_box(rollouts):
-    # The first rollout is the slowest and fastest rows' offsets from the
-    # start at every time, the second has every row from the start; together
-    # they give every sample.  The start plus the offsets' extremes is the
-    # samples' extremes, bit for bit.
-    rng = np.random.default_rng(33)
-    straight = 0
-    for k in range(60):
-        robot, path, cm = _random_dwa_case(rng)
-        if k % 3 == 0:
-            robot = replace(robot, v=0.0, omega=0.0)  # a window with an exactly-zero omega
-        rollouts.clear()
+    def box_and_samples(robot, path, cm, dt=0.1):
+        corners.clear()
+        samples.clear()
         try:
-            nav.dwa_step(robot, path, cm, 0.1)
+            nav.dwa_step(robot, path, cm, dt)
         except nav.AllBlocked:
             pass
-        (edge_args, offsets), ((vs, radius, *_, origin), _) = rollouts[:2]
-        assert len(edge_args) == 6 and origin == (robot.x, robot.y)
-        every = nav._rollout(vs, radius, *edge_args[2:], origin).reshape(2, -1)
-        offsets = offsets.reshape(2, -1)
-        for axis, start in enumerate(origin):
-            assert (start + offsets[axis].min()).tobytes() == every[axis].min().tobytes()
-            assert (start + offsets[axis].max()).tobytes() == every[axis].max().tobytes()
-        straight += edge_args[4] is not None and bool(edge_args[4].any())
-    assert straight >= 20
+        [xy] = samples
+        return corners, xy.reshape(2, -1)
+
+    return box_and_samples
+
+
+def _omega_with_column_at(target):
+    """A robot omega whose dt = 0.1 window has a turning column (|omega| at
+    least 1e-12) within 1e-16 of ``target``, and that column's index."""
+    for k in range(-50, 50):
+        omega = target + k * 1e-18
+        ws = nav._window(nav._W_STEPS, omega - 0.1, omega + 0.1)
+        hits = np.flatnonzero((np.abs(ws) >= 1e-12) & (np.abs(ws - target) <= 1e-16))
+        if len(hits):
+            return omega, int(hits[0])
+    raise AssertionError(target)
+
+
+def test_dwa_every_sample_lies_in_the_grown_sector_box(gathered, lab_ticks):
+    # Every rollout sample's position lies between the box's corners, so its
+    # cell lies in the box's cells at any resolution.  The widening is what
+    # holds it on a column just past 1e-12 at a large heading: there the
+    # computed chord is longer than v T by over 1e-4 m near theta0 = 10 and
+    # by over 2 cm near theta0 = 1e3.
+    rng = np.random.default_rng(35)
+    cm = nav.build_costmap(open_grid(60, 60), nav.NavParams(inflation_radius=0.3))
+    near = [_omega_with_column_at(sign * 1.0000001e-12) for sign in (1.0, -1.0)]
+    # A window wholly past 1e-12 whose near end is just past it.
+    past = next(w for w in 0.1 + 1e-12 + np.arange(-20, 20) * 2**-56
+                if 1e-12 <= float(w) - 0.1 <= 1.0001e-12)
+    cases = []
+    for k in range(240):
+        robot, path, small = _random_dwa_case(rng)
+        heading = (robot.heading, float(rng.uniform(-1e3, 1e3)),
+                   float(rng.integers(-636, 637)) * math.pi / 2)[k % 3]
+        v = (0.0, robot.v, 0.5, float(rng.uniform(0.45, 0.5)), -0.3)[k % 5]  # -0.3: reversing
+        omega = (0.0, robot.omega, float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.0)),
+                 near[0][0], near[1][0], float(past))[k % 6]
+        robot = replace(robot, heading=heading, v=v, omega=omega)
+        cases.append((robot, path, small if k % 2 else cm))
+    cases += [args[:3] for args in lab_ticks]
+    for robot, path, grid in cases:
+        ((x_lo, y_lo), (x_hi, y_hi)), (x, y) = gathered(robot, path, grid)
+        assert x_lo <= x.min() and x.max() <= x_hi and y_lo <= y.min() and y.max() <= y_hi
+    assert all(abs(k - 10) <= 1 for _, k in near)  # the columns next to the middle one
 
 
 def _window_shape(robot, dt=0.1):
@@ -486,7 +520,9 @@ def test_dwa_matches_oracle_on_every_window_shape_bearing_and_tie(monkeypatch):
     # turns out, so that the bearing error passes pi and 3 pi; and, at rest
     # on open floor with the path dead ahead or behind, mirrored arcs that
     # tie.  Every rollout gets the window's straight columns, or None for none.
-    errors, ties, masks = [], [], []
+    # np.arctan2 is made to err by up to _ATAN2_GAP, the most its guard below
+    # allows: ties it breaks must still send the tick to libm's bearing.
+    errors, ties, masks, libm_calls = [], [], [], [0]
 
     def rollout(vs, radius, tau, arc, straight, *rest, real=nav._rollout):
         masks.append(straight)
@@ -500,11 +536,22 @@ def test_dwa_matches_oracle_on_every_window_shape_bearing_and_tie(monkeypatch):
         ties.append(len(keys[0]))
         return real(keys)
 
+    def atan2(y, x, real=math.atan2):
+        libm_calls[0] += 1
+        return real(y, x)
+
+    noise = np.random.default_rng(5)
+
+    def arctan2(y, x, real=np.arctan2):
+        return real(y, x) + noise.uniform(-0.99, 0.99, np.shape(y)) * nav._ATAN2_GAP
+
     monkeypatch.setattr(nav, "_wrap", wrap)
     monkeypatch.setattr(np, "lexsort", lexsort)
+    monkeypatch.setattr(math, "atan2", atan2)
+    monkeypatch.setattr(np, "arctan2", arctan2)
     monkeypatch.setattr(nav, "_rollout", rollout)
     rng = np.random.default_rng(2024)
-    shapes = Counter()
+    shapes, libm_ties = Counter(), 0
     open_cm = nav.build_costmap(open_grid(60, 60), nav.NavParams(inflation_radius=0.3))
     for k in range(105):
         robot, path, cm = _random_dwa_case(rng)
@@ -526,7 +573,11 @@ def test_dwa_matches_oracle_on_every_window_shape_bearing_and_tie(monkeypatch):
             with pytest.raises(nav.AllBlocked):
                 nav.dwa_step(robot, path, cm, 0.1)
             continue
+        libm_calls[0], tied = 0, len(ties)
         assert nav.dwa_step(robot, path, cm, 0.1) == expected, k
+        if len(ties) > tied:  # an exact tie: every bearing came from libm
+            assert libm_calls[0] == nav.DWA_N_V * nav.DWA_N_OMEGA, k
+            libm_ties += 1
         assert masks and all(np.array_equal(straight, np.zeros_like(straight) if mask is None
                                             else mask) for mask in masks), k
     assert set(shapes) == {"wholly turning", "zero column", "near-zero column",
@@ -534,28 +585,49 @@ def test_dwa_matches_oracle_on_every_window_shape_bearing_and_tie(monkeypatch):
     assert min(shapes.values()) >= 9
     assert max(errors) > 3 * math.pi and sum(e >= math.pi for e in errors) >= 30
     assert len(ties) >= 5 and min(ties) >= 2, ties
+    assert libm_ties == len(ties)
 
 
-def test_dwa_matches_oracle_on_a_cold_lab_studys_ticks(monkeypatch, free_boxes, lab_scenario):
-    # The three legs a cold lab_study batch drives: from the start pose to
-    # each search location in turn.
+def test_np_arctan2_stays_within_the_bearing_gap_of_libm():
+    # dwa_step scores with np.arctan2's bearing and keeps the pick only where
+    # any bearing within _ATAN2_GAP of libm's atan2 gives the same one; a
+    # numpy release that parts the two by more fails here, not in a golden log.
+    rng = np.random.default_rng(1)
+    n = 500_000
+    near = rng.uniform(-8.0, 8.0, size=(2, n))  # endpoint-to-lookahead offsets
+    wide = 10.0 ** rng.uniform(-300.0, 12.0, size=(2, n)) * rng.choice([-1.0, 1.0], (2, n))
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315, 2.2250738585072014e-308,
+               1e-300, -1e-300, 1.0, -1.0, math.pi, 1e12, -1e12]
+    y, x = np.hstack([near, wide, np.array(list(itertools.product(special, repeat=2))).T])
+    libm = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), np.float64, len(y))
+    assert np.abs(np.arctan2(y, x) - libm).max() <= nav._ATAN2_GAP
+
+
+@pytest.fixture(scope="module")
+def lab_ticks(lab_scenario):
+    """The arguments of every dwa_step tick of the three legs a cold
+    lab_study batch drives: from the start pose to each search location."""
     ticks, real = [], nav.dwa_step
 
     def recorded(*args):
         ticks.append(args)
         return real(*args)
 
-    monkeypatch.setattr(nav, "dwa_step", recorded)
-    session = _session(lab_scenario, lab_scenario.robot_state())
-    for roi in lab_scenario.rois:
-        leg = nav._drive(session, roi.pose)
-        assert leg.arrived
-        x, y, heading, v, omega = leg.end
-        session.robot = replace(session.robot, x=x, y=y, heading=heading, v=v, omega=omega)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nav, "dwa_step", recorded)
+        session = _session(lab_scenario, lab_scenario.robot_state())
+        for roi in lab_scenario.rois:
+            leg = nav._drive(session, roi.pose)
+            assert leg.arrived
+            x, y, heading, v, omega = leg.end
+            session.robot = replace(session.robot, x=x, y=y, heading=heading, v=v, omega=omega)
     assert len(ticks) > 500
-    free_boxes.clear()
-    for args in ticks:  # the scalar oracle takes about 10 ms a tick
-        assert real(*args) == dwa_reference(*args)
+    return ticks
+
+
+def test_dwa_matches_oracle_on_a_cold_lab_studys_ticks(free_boxes, lab_ticks):
+    for args in lab_ticks:  # the scalar oracle takes about 10 ms a tick
+        assert nav.dwa_step(*args) == dwa_reference(*args)
     # Both the endpoint-only ticks and the ticks that gather costs.
     assert {free for *_, free in free_boxes} == {True, False}
 

@@ -47,8 +47,8 @@ ALLOWED: dict[str, str] = {
     "navigation.<module>": "the TYPE_CHECKING import of Scenario",
     "navigation._drive": _SPIN,
     "navigation._localize": _LOST,
-    "navigation.dwa_step": _SPIN + "; no traced tick has a colliding arc beside a free one "
-                                   "or an exact score tie",
+    "navigation.dwa_step": _SPIN + "; no traced tick has a colliding arc beside a free one, "
+                                   "or a near score tie, which takes libm's bearing",
     "navigation.navigate_to": _SPIN,
     "navigation.plan_global": "LethalEndpoint, NoPath and a start in the goal's cell",
     "navigation.visit_roi": _LOST,
