@@ -27,7 +27,7 @@ logger = logging.getLogger(__name__)
 # Length below which a pointing direction counts as zero.
 ZERO_DIRECTION_TOL = 1e-9
 
-# Default half-width of the depth band kept around the median box depth when
+# Half-width of the depth band kept around the median box depth when
 # extracting a foreground mask, in meters.  Chosen to span a hand-held bottle
 # while rejecting shelf/wall returns behind it.
 DEFAULT_BAND_HALFWIDTH = 0.15
@@ -176,7 +176,8 @@ def _component(left: set, seed: int, step: int) -> list[int]:
 
 
 def extract_foreground(depth: np.ndarray, box: BoundingBox) -> ForegroundMask:
-    """Segment the foreground object inside a detection box of a depth image.
+    """Segment the foreground object inside a detection box, from ``depth``,
+    the depth of the box's pixels (``depth[0, 0]`` is pixel (u_min, v_min)).
 
     Takes the (lower) median depth z_m of the valid pixels in the box, keeps
     pixels with |depth - z_m| <= DEFAULT_BAND_HALFWIDTH, and returns the
@@ -186,22 +187,20 @@ def extract_foreground(depth: np.ndarray, box: BoundingBox) -> ForegroundMask:
 
     Raises EmptyBox when the box holds no valid depth pixels.
     """
-    clipped = box.clipped(depth.shape[1], depth.shape[0])
-    sub = depth[clipped.v_min : clipped.v_max + 1, clipped.u_min : clipped.u_max + 1]
-    valid = sub > 0.0
+    valid = depth > 0.0
     if not valid.any():
         raise EmptyBox(f"no valid depth pixels inside {box}")
 
-    vals = np.sort(sub[valid], kind="stable")
+    vals = np.sort(depth[valid], kind="stable")
     z_m = float(vals[(len(vals) - 1) // 2])  # lower median, no interpolation
 
-    retained = valid & (np.abs(sub - z_m) <= DEFAULT_BAND_HALFWIDTH)
+    retained = valid & (np.abs(depth - z_m) <= DEFAULT_BAND_HALFWIDTH)
     # Flat row-major indices, so min() is the first; the median pixel is one.
     step = retained.shape[1] + 1
     vs, us = np.nonzero(retained)
     left = set((vs * step + us).tolist())
-    cu, cv = clipped.center
-    center = (cv - clipped.v_min) * step + cu - clipped.u_min
+    cu, cv = box.center
+    center = (cv - box.v_min) * step + cu - box.u_min
     center_fallback = center not in left
     if center_fallback:
         # Raster order of first pixels, as labels number them; max keeps the first tie.
@@ -220,7 +219,7 @@ def extract_foreground(depth: np.ndarray, box: BoundingBox) -> ForegroundMask:
     mask = np.zeros((retained.shape[0], step), dtype=bool)
     mask.flat[pixels] = True
     return ForegroundMask(
-        pixels=np.argwhere(mask.T) + (clipped.u_min, clipped.v_min),
+        pixels=np.argwhere(mask.T) + (box.u_min, box.v_min),
         center_fallback=center_fallback,
     )
 
@@ -266,13 +265,14 @@ def localize_target(
     intrinsics: CameraIntrinsics,
     base_from_camera: RigidTransform,
 ) -> TargetEstimate:
-    """Full pipeline from a detection box to a base-frame pointing target.
+    """Full pipeline from a detection box and the depth of its pixels, as
+    ``extract_foreground`` takes them, to a base-frame pointing target.
 
     Extracts the foreground mask, back-projects it, transforms the cloud to
     the base frame, and returns its centroid as the pointing target.
     """
     mask = extract_foreground(depth, box)
     pix = mask.pixels
-    depths = depth[pix[:, 1], pix[:, 0]]
+    depths = depth[pix[:, 1] - box.v_min, pix[:, 0] - box.u_min]
     cloud = base_from_camera.apply(backproject_pixels(pix, depths, intrinsics))
     return TargetEstimate(target_base=cloud.mean(axis=0), mask=mask)

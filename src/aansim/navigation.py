@@ -601,10 +601,11 @@ def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> N
 def _localize(
     session: NavSession, det: DetectionResult, base_from_camera: geometry.RigidTransform
 ) -> np.ndarray | None:
-    """Base-frame pointing target from the frame that produced a detection;
-    depth noise goes only on the detection box, the pixels localization reads."""
-    sc = session.scenario
-    depth = world.add_depth_noise(det.depth, det.box, sc.noise.depth_sigma, session.depth_noise_rng)
+    """Base-frame pointing target from the depth of a detection box's
+    pixels, the only ones localization reads, with depth noise added."""
+    sc, rng = session.scenario, session.depth_noise_rng
+    shape = (sc.intrinsics.height, sc.intrinsics.width)
+    depth = world.add_depth_noise(det.depth, det.box, shape, sc.noise.depth_sigma, rng)
     try:
         est = geometry.localize_target(depth, det.box, sc.intrinsics, base_from_camera)
     except geometry.GeometryError:

@@ -280,10 +280,10 @@ class DetectionResult:
     """A detector hit on what the detector takes for the pill bottle.
 
     ``true_kind`` is the ground truth, for evaluation.  ``depth`` is the
-    noise-free depth of the frame that fired, read-only, so the perception
-    pipeline can localize on it without rendering it again.  It is exact
-    inside ``box`` clipped to the frame; pixels that the detector's render
-    did not cast read NaN.
+    noise-free depth of ``box``'s pixels, of shape (v_max - v_min + 1,
+    u_max - u_min + 1) and read-only, so the perception pipeline can
+    localize on them without rendering the frame again.  ``box`` lies in
+    the frame.
     """
 
     box: BoundingBox
@@ -470,21 +470,17 @@ def render_depth_ids(
 
 
 def add_depth_noise(
-    depth: np.ndarray, box: BoundingBox, noise_sigma: float, rng: np.random.Generator
+    depth: np.ndarray, box: BoundingBox, shape: tuple, sigma: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """A noise-free render plus additive Gaussian noise, clamped at 1e-3 m on
-    valid pixels, inside ``box`` clipped to the frame; invalid (0) pixels and
-    those outside the box stay as rendered.  A whole frame of standard
-    normals is drawn, so ``rng`` moves on as for a noisy frame, and only the
-    box's are scaled by ``noise_sigma``: ``rng.normal(0, sigma)`` is
-    0 + sigma * z, the same bits."""
-    if noise_sigma > 0.0:
-        z = rng.standard_normal(depth.shape)
-        c = box.clipped(depth.shape[1], depth.shape[0])
-        window = np.s_[c.v_min : c.v_max + 1, c.u_min : c.u_max + 1]
-        sub = depth[window]
-        depth = depth.copy()
-        depth[window] = np.where(sub > 0.0, np.maximum(sub + noise_sigma * z[window], 1e-3), 0.0)
+    """``depth``, the noise-free depth of ``box``'s pixels in a frame of
+    ``shape``, plus additive Gaussian noise, clamped at 1e-3 m on valid
+    pixels; invalid (0) pixels stay 0.  A whole frame of standard normals is
+    drawn, so ``rng`` moves on as for a noisy frame, and only the box's are
+    scaled by ``sigma``: ``rng.normal(0, sigma)`` is 0 + sigma * z, the
+    same bits."""
+    if sigma > 0.0:
+        z = rng.standard_normal(shape)[box.v_min : box.v_max + 1, box.u_min : box.u_max + 1]
+        depth = np.where(depth > 0.0, np.maximum(depth + sigma * z, 1e-3), 0.0)
     return depth
 
 
@@ -563,10 +559,9 @@ def detect(
     again.  The boxes come from a render of the detectable objects' windows
     only (``Scene.detectable``); a frame that shows a box also keeps that
     render's cast rectangle of depth, which is the full frame's (read-only).
-    A fire returns a read-only frame of that rectangle, NaN outside it,
-    unless the detection box leaves the rectangle: then the full frame is
-    rendered, and not kept.  Either way the depth inside the
-    detection box is the full frame's, bit for bit.
+    A fire returns the detection box's slice of that rectangle, unless the
+    box leaves the rectangle: then the full frame is rendered, and not kept.
+    Either way the box's depth is the full frame's, bit for bit.
     """
     mount, view = robot.camera_mount, (scene, robot, intrinsics, model.max_range)
     pose = np.array([robot.x, robot.y, robot.heading, robot.head_pan, model.max_range])
@@ -582,15 +577,16 @@ def detect(
         kind, box = ObjectKind.DISTRACTOR, distractor_box
     else:
         return None
-    h, w = intrinsics.height, intrinsics.width
-    box = _perturb_box(box, model.box_noise_sigma, w, h, rng)
-    rect, patch = cast
-    depth = np.full((h, w), np.nan)
-    depth[rect] = patch
+    box = _perturb_box(box, model.box_noise_sigma, intrinsics.width, intrinsics.height, rng)
     # The box lies in the frame: _perturb_box clips it, and a visible box is in it.
-    if np.isnan(depth[box.v_min : box.v_max + 1, box.u_min : box.u_max + 1]).any():
-        depth = render_depth_ids(*view)[0]  # the box leaves the cast rectangle
-    depth.flags.writeable = False
+    (rows, cols), patch = cast
+    v0, v1 = box.v_min - rows.start, box.v_max + 1 - rows.start
+    u0, u1 = box.u_min - cols.start, box.u_max + 1 - cols.start
+    if 0 <= v0 and v1 <= patch.shape[0] and 0 <= u0 and u1 <= patch.shape[1]:
+        depth = patch[v0:v1, u0:u1]
+    else:  # the box leaves the cast rectangle
+        depth = render_depth_ids(*view)[0][box.v_min : box.v_max + 1, box.u_min : box.u_max + 1]
+        depth.flags.writeable = False
     return DetectionResult(box=box, true_kind=kind, depth=depth)
 
 

@@ -79,7 +79,7 @@ def _pixel_set(mask):
 def test_extract_foreground_band_and_component():
     depth = _depth_with_blob()
     box = BoundingBox(19, 14, 30, 25)  # blob-dominant, with a background rim
-    mask = geometry.extract_foreground(depth, box)
+    mask = geometry.extract_foreground(depth[14:26, 19:31], box)
     assert _pixel_set(mask) == {(u, v) for v in range(15, 25) for u in range(20, 30)}
     assert mask.pixels.tolist() == sorted(mask.pixels.tolist())  # by u, then v
     assert not mask.center_fallback
@@ -101,7 +101,7 @@ def test_extract_foreground_center_fallback():
     d = _depth_with_blob()
     d[19:21, 24:26] = 0.0  # punch out the box center
     box = BoundingBox(20, 15, 29, 24)  # centered on the blob
-    mask = geometry.extract_foreground(d, box)
+    mask = geometry.extract_foreground(d[15:25, 20:30], box)
     assert mask.center_fallback
     assert len(mask.pixels) == 100 - 4
 
@@ -118,7 +118,7 @@ def test_extract_foreground_center_component_wins():
 
 def test_extract_foreground_empty_box():
     with pytest.raises(EmptyBox):
-        geometry.extract_foreground(np.zeros((10, 10)), BoundingBox(2, 2, 7, 7))
+        geometry.extract_foreground(np.zeros((6, 6)), BoundingBox(2, 2, 7, 7))
 
 
 def test_foreground_connectivity_is_4_not_8():
@@ -132,7 +132,9 @@ def test_foreground_connectivity_is_4_not_8():
 
 def test_extract_foreground_matches_label_reference():
     # Random masks of 1-40 px a side, fill 0.2-0.9, in-band and out-of-band
-    # depths, and boxes that may reach past the image edge.
+    # depths, and boxes that may reach past the image edge: the reference
+    # clips the box in the whole frame, extract_foreground takes the clipped
+    # box's pixels.
     rng = np.random.default_rng(25)
     fallbacks = 0
     for _ in range(3000):
@@ -147,7 +149,7 @@ def test_extract_foreground_matches_label_reference():
         c = box.clipped(w, h)
         if not d[c.v_min : c.v_max + 1, c.u_min : c.u_max + 1].any():
             continue
-        mask = geometry.extract_foreground(d, box)
+        mask = geometry.extract_foreground(d[c.v_min : c.v_max + 1, c.u_min : c.u_max + 1], c)
         pixels, fallback = foreground_reference(d, box)
         assert (mask.pixels.tolist(), mask.center_fallback) == (pixels, fallback)
         fallbacks += fallback
@@ -269,7 +271,7 @@ def test_localize_target_synthetic_wall_patch():
         np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]),
         np.array([0.0, 0.0, 1.0]),
     )
-    est = geometry.localize_target(depth, box, INTR, base_from_cam)
+    est = geometry.localize_target(depth[40:81, 60:101], box, INTR, base_from_cam)
     # Target: straight ahead 2 m, about camera height.
     assert est.target_base[0] == pytest.approx(2.0, abs=1e-6)
     assert abs(est.target_base[1]) < 0.05

@@ -422,7 +422,7 @@ def test_passive_never_moves():
 
 def test_random_walks_satisfy_invariants():
     done = aborted = 0
-    for seed in range(200):
+    for seed in range(1000):
         final, trace = random_walk(seed, guided_config())
         assert final.terminal, f"walk {seed} did not terminate"
         check_invariants(trace, guided_config())
@@ -430,9 +430,10 @@ def test_random_walks_satisfy_invariants():
             done += 1
         else:
             aborted += 1
-    # The menu must visit both outcomes often enough to mean something.
-    assert done >= 20
-    assert aborted >= 20
+    # The menu must visit both outcomes often enough to mean something: 10%
+    # each.  The menu gives 116 done walks, so the count is off its bound.
+    assert done >= 100
+    assert aborted >= 100
 
 
 def test_random_walks_condition_b_invariants():

@@ -2,24 +2,27 @@
 
 A fresh 10-seed lab_study batch renders each distinct frame and drives each
 noise-free leg once.  A frame casts only the rectangle where a detectable
-object can land, and a fired frame localizes on that rectangle's depth, so
-no whole frame is rendered: 13,567 rays over the 21 distinct frames, against
-427,033 when each is cast whole (with boxes that straddle the camera plane
-clipped, near 20,300 a frame).  The cost-free sample box lets 431 of the
-legs' 561 dynamic-window ticks skip the cost gather; none of them needs
-libm's scalar bearing, and the guard allows five.
+object can land, and a fired frame localizes on its box's slice of that
+rectangle's depth, so no whole frame is rendered: 13,567 rays over the 21
+distinct frames, against 427,033 when each is cast whole (with boxes that
+straddle the camera plane clipped, near 20,300 a frame).  Each of the 10
+fires hands localization only its detection box's pixels, 1,302 in all,
+against 192,000 when each passes a whole 160x120 frame.  The cost-free
+sample box lets 431 of the legs' 561 dynamic-window ticks skip the cost
+gather; none of them needs libm's scalar bearing, and the guard allows five.
 """
 
 import math
 from pathlib import Path
 
-from aansim import cli, navigation, world
+from aansim import cli, geometry, navigation, world
 
 SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "lab_study.json"
 
 
 def test_cold_study_casts_few_rays_and_gathers_costs_on_few_ticks(tmp_path, monkeypatch, capsys):
-    counts = {"rays": 0, "frames": 0, "whole frames": 0, "ticks": 0, "skips": 0, "libm ticks": 0}
+    counts = {"rays": 0, "frames": 0, "whole frames": 0, "fires": 0, "box pixels": 0,
+              "localized pixels": 0, "ticks": 0, "skips": 0, "libm ticks": 0}
 
     def counter(owner, name, key, size=lambda *args: 1):
         def counted(*args, real=getattr(owner, name)):
@@ -36,6 +39,16 @@ def test_cold_study_casts_few_rays_and_gathers_costs_on_few_ticks(tmp_path, monk
     # A whole frame has no targets; the counted arguments end with the render.
     counter(world, "render_depth_ids", "whole frames",
             lambda *args: len(args) == 5 or args[4] is None)
+    # A fire hands localization its box's pixels, not a whole frame.
+    def box_area(*args):
+        det = args[-1]
+        if det is None:
+            return 0
+        return (det.box.u_max - det.box.u_min + 1) * (det.box.v_max - det.box.v_min + 1)
+
+    counter(world, "detect", "fires", lambda *args: args[-1] is not None)
+    counter(world, "detect", "box pixels", box_area)
+    counter(geometry, "localize_target", "localized pixels", lambda depth, *rest: depth.size)
     counter(navigation, "dwa_step", "ticks")
     counter(navigation.Costmap, "cost_free", "skips", lambda *args: int(args[-1]))
     # A tick that calls math.atan2 took the scalar libm bearing.
@@ -62,6 +75,7 @@ def test_cold_study_casts_few_rays_and_gathers_costs_on_few_ticks(tmp_path, monk
     assert counts["frames"] == 21 and counts["whole frames"] == 0
     assert counts["rays"] / counts["frames"] <= 1_000
     assert counts["rays"] <= 15_000
+    assert counts["fires"] == 10 and counts["localized pixels"] == counts["box pixels"]
     assert counts["ticks"] == 561
     assert counts["ticks"] - counts["skips"] <= 150  # the ticks that gather costs
     assert counts["libm ticks"] <= 5

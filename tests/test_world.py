@@ -234,43 +234,42 @@ def test_render_depth_noise_is_seeded_and_clamped():
     robot = _robot_at(2.0, 3.0, 0.0)
     clean, _ = world.render_depth_ids(scene, robot, INTR, 10.0)
     clean[50:60, 150:] = 0.0  # invalid pixels inside the box
-    box = BoundingBox(140, 40, 170, 70)  # runs off the frame's right edge
+    box = BoundingBox(140, 40, 159, 70)  # ends on the frame's right edge
+    sub, before = clean[40:71, 140:], clean.copy()
     rng = np.random.default_rng(5)
-    d1 = world.add_depth_noise(clean, box, 0.01, rng)
-    d2 = world.add_depth_noise(clean, box, 0.01, np.random.default_rng(5))
+    d1 = world.add_depth_noise(sub, box, clean.shape, 0.01, rng)
+    d2 = world.add_depth_noise(sub, box, clean.shape, 0.01, np.random.default_rng(5))
     assert np.array_equal(d1, d2)
-    # Inside the box, the bits of a whole noisy frame; outside it, the render.
+    # The bits of a whole noisy frame's box; the render itself stays as it was.
     full_rng = np.random.default_rng(5)
     full = np.where(clean > 0, np.maximum(clean + full_rng.normal(0.0, 0.01, clean.shape), 1e-3), 0)
-    inside = np.zeros(clean.shape, dtype=bool)
-    inside[40:71, 140:] = True
-    assert np.array_equal(d1[inside].view(np.uint64), full[inside].view(np.uint64))
-    assert np.array_equal(d1[~inside], clean[~inside])
-    assert not np.array_equal(d1[inside], clean[inside])
+    assert d1.shape == sub.shape
+    assert np.array_equal(d1.view(np.uint64), full[40:71, 140:].view(np.uint64))
+    assert np.array_equal(clean, before)
+    assert not np.array_equal(d1, sub)
     assert rng.random() == full_rng.random()  # the stream moved on a whole frame
     valid = d1 > 0
     assert valid.any()
-    assert np.array_equal(valid, clean > 0)
+    assert np.array_equal(valid, sub > 0)
     assert d1[valid].min() >= 1e-3
-    assert world.add_depth_noise(clean, box, 0.0, np.random.default_rng(5)) is clean
+    assert world.add_depth_noise(sub, box, clean.shape, 0.0, np.random.default_rng(5)) is sub
 
 
 def test_depth_noise_draws_the_normals_of_rng_normal():
     # rng.normal(0, sigma) is 0 + sigma * z over the same standard normals z.
     scene = Scene(grid=_open_room(), objects=[])
     clean, _ = world.render_depth_ids(scene, _robot_at(2.0, 3.0, 0.0), INTR, 10.0)
-    box = BoundingBox(-5, 30, 90, 200)  # clipped on the left and the bottom
+    box = BoundingBox(0, 30, 90, 119)  # on the left and the bottom edge
     for seed, sigma in enumerate((1e-300, 0.002, 0.01, 0.37, 3.0, 1e300)):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         z, normal = rng.standard_normal(clean.shape), ref.normal(0.0, sigma, clean.shape)
         assert (sigma * z).tobytes() == normal.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        noisy = world.add_depth_noise(clean, box, sigma, rng)
-        want = clean.copy()
-        sub = want[30:, :91]
-        sub[:] = np.where(sub > 0.0, np.maximum(sub + ref.normal(0.0, sigma, clean.shape)[30:, :91],
-                                                1e-3), 0.0)
+        sub = clean[30:, :91]
+        noisy = world.add_depth_noise(sub, box, clean.shape, sigma, rng)
+        want = np.where(sub > 0.0, np.maximum(sub + ref.normal(0.0, sigma, clean.shape)[30:, :91],
+                                              1e-3), 0.0)
         assert noisy.tobytes() == want.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -690,18 +689,20 @@ def renders(monkeypatch):
     return calls
 
 
-def _box_depth(det, depth=None):
-    """The depth inside a detection's box clipped to the frame: ``det.depth``'s or ``depth``'s."""
-    depth = det.depth if depth is None else depth
-    c = det.box.clipped(depth.shape[1], depth.shape[0])
-    return depth[c.v_min : c.v_max + 1, c.u_min : c.u_max + 1]
+def _box_depth(det, frame):
+    """A whole ``frame``'s pixels in a detection's box, which lies in the frame."""
+    box, (h, w) = det.box, frame.shape
+    assert 0 <= box.u_min <= box.u_max < w and 0 <= box.v_min <= box.v_max < h
+    return frame[box.v_min : box.v_max + 1, box.u_min : box.u_max + 1]
 
 
 def _same_detection(a, b):
     assert (a is None) == (b is None)
     if a is not None:
         assert (a.box, a.true_kind) == (b.box, b.true_kind)
-        assert _box_depth(a).tobytes() == _box_depth(b).tobytes()
+        assert a.depth.shape == b.depth.shape == (a.box.v_max - a.box.v_min + 1,
+                                                  a.box.u_max - a.box.u_min + 1)
+        assert a.depth.tobytes() == b.depth.tobytes()
 
 
 def test_warm_frames_equal_cold_renders_at_every_lab_roi():
@@ -762,12 +763,14 @@ def test_warm_frame_renders_on_first_fire_then_keeps_its_depth(renders):
     first = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
     again = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
     assert len(renders) == 1
+    kept = np.full((INTR.height, INTR.width), np.nan)
+    kept[rect] = patch
     for det in (first, again):
-        assert not det.depth.flags.writeable
-        assert det.depth[rect].tobytes() == patch.tobytes()
-        assert np.isnan(det.depth).sum() == INTR.width * INTR.height - patch.size
+        # The box's slice of the kept patch, with no copy.
+        assert not det.depth.flags.writeable and det.depth.base is patch
+        assert det.depth.tobytes() == _box_depth(det, kept).tobytes()
     want, _ = render_reference(scene, robot, INTR, model.max_range)
-    assert _box_depth(first).tobytes() == _box_depth(first, want).tobytes()
+    assert first.depth.tobytes() == _box_depth(first, want).tobytes()
     _same_detection(first, world.detect(scene, robot, model, INTR, np.random.default_rng(0), {}))
 
 
@@ -786,7 +789,8 @@ def test_a_fired_frame_keeps_the_reference_depth(lab_scenario, renders):
     for robot, det in fired:
         assert det.true_kind is ObjectKind.PILL_BOTTLE
         want, _ = render_reference(scene, robot, sc.intrinsics, model.max_range)
-        assert _box_depth(det).tobytes() == _box_depth(det, want).tobytes()
+        assert not det.depth.flags.writeable
+        assert det.depth.tobytes() == _box_depth(det, want).tobytes()
 
 
 def test_a_box_that_leaves_the_cast_rectangle_renders_the_full_frame(renders):
@@ -803,12 +807,12 @@ def test_a_box_that_leaves_the_cast_rectangle_renders_the_full_frame(renders):
     assert not _box_depth(det, cast).all()  # the clipped box leaves the rectangle
     assert len(renders) == 2 and renders[1][4:] == ()  # box-only, then the full frame
     want, _ = render_reference(scene, robot, INTR, model.max_range)
-    assert det.depth.tobytes() == want.tobytes()
+    assert det.depth.tobytes() == _box_depth(det, want).tobytes()
     assert not det.depth.flags.writeable
     # The memo still keeps the rectangle only, so a second such fire renders again.
     assert frames[next(iter(frames))][2][1] is patch
     again = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
-    assert len(renders) == 3 and again.depth.tobytes() == want.tobytes()
+    assert len(renders) == 3 and again.depth.tobytes() == _box_depth(again, want).tobytes()
 
 
 def test_a_box_one_pixel_past_the_cast_rectangle_renders_the_full_frame(renders):
@@ -837,8 +841,8 @@ def test_a_box_one_pixel_past_the_cast_rectangle_renders_the_full_frame(renders)
             calls = len(renders)
             det = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
             assert det.box == box and len(renders) == calls + past
-            assert _box_depth(det).tobytes() == _box_depth(det, want).tobytes()
-            assert np.isnan(det.depth).any() != past
+            assert det.depth.tobytes() == _box_depth(det, want).tobytes()
+            assert np.shares_memory(det.depth, patch) != past  # else a slice of the full frame
 
 
 def test_default_pan_schedule_values():
