@@ -94,6 +94,8 @@ class OccupancyGrid:
             raise ValueError(f"map header must be 'W H RESOLUTION', got {lines[0]!r}")
         width, height = int(header[0]), int(header[1])
         resolution = float(header[2])
+        if width < 1 or height < 1:
+            raise ValueError(f"map must be at least 1x1 cells, got {width}x{height}")
         rows = lines[1:]
         if len(rows) != height:
             raise ValueError(f"map declares {height} rows but has {len(rows)}")
@@ -281,9 +283,8 @@ class DetectionResult:
 
     ``true_kind`` is the ground truth, for evaluation.  ``depth`` is the
     noise-free depth of ``box``'s pixels, of shape (v_max - v_min + 1,
-    u_max - u_min + 1) and read-only, so the perception pipeline can
-    localize on them without rendering the frame again.  ``box`` lies in
-    the frame.
+    u_max - u_min + 1) and read-only; the perception pipeline localizes on
+    it, and no whole frame is rendered for it.  ``box`` lies in the frame.
     """
 
     box: BoundingBox
@@ -386,34 +387,34 @@ def render_depth_ids(
     robot: RobotState,
     intrinsics: CameraIntrinsics,
     max_range: float,
-    targets: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Noise-free depth plus per-pixel instance ids via analytic ray casting.
+    box: BoundingBox | None = None,
+) -> tuple[np.ndarray | None, np.ndarray | None, BoundingBox | None]:
+    """Noise-free depth and per-pixel instance ids of one pixel rectangle,
+    by analytic ray casting, and the rectangle.
 
-    Depth is the camera-frame Z of the nearest hit (object or 2 m tall grid
-    wall); pixels with no hit within ``max_range`` hold 0.  Ids are object
-    indices, WALL_HIT for grid walls, NO_HIT otherwise.
+    The rectangle is ``box``, a pixel box in the frame, or else the one
+    spanned by the cast windows of the detectable objects in view
+    (``Scene.detectable``); with none in view nothing is cast and all three
+    are None.  Depth and ids are read-only.  Depth is the camera-frame Z of
+    the nearest hit (object or 2 m tall grid wall); pixels with no hit
+    within ``max_range`` hold 0.  Ids are object indices, WALL_HIT for grid
+    walls, NO_HIT otherwise.
 
-    The camera-frame rays are cached per intrinsics.  Each frame rotates
+    The camera-frame rays are cached per intrinsics.  Each render rotates
     the rows it casts into the world with one (N, 3) matrix product, then
     casts them in a per-axis (3, N) layout against the single camera origin.
     Every slab and cylinder term is the same IEEE expression as with one
     origin row per pixel, so depth and ids are bit-equal to that formulation.
 
-    Each of ``scene.primitives`` is cast only at the rays of its window, the
-    pixel rectangle that its AABB, clipped to camera Z >= ``_CLIP_Z``, spans:
-    the corners in front of that plane and the points where the AABB's edges
-    cross it, widened by one pixel (Sutherland & Hodgman 1974).  An AABB
-    wholly behind the plane or past ``max_range`` in camera Z is not cast at
-    all.  Every hit lies past ``_RAY_EPS`` in camera Z, so no other ray can
-    hit the primitive.
-
-    ``targets``, a bool mask over ``scene.primitives``, limits the cast to
-    the rectangle spanned by the cast windows of the targets; every pixel
-    outside it reads no hit with NaN depth, for not cast, and with no target
-    cast nothing is cast.  A target's pixels lie in its own window, so they
-    are the full frame's.  Every primitive is cast over its window's part of
-    the rectangle, so the depth inside it is the full frame's too.
+    Each of ``scene.primitives`` is cast only at the rays of its window in
+    the rectangle.  The window is the pixel rectangle that its AABB, clipped
+    to camera Z >= ``_CLIP_Z``, spans: the corners in front of that plane
+    and the points where the AABB's edges cross it, widened by one pixel
+    (Sutherland & Hodgman 1974).  An AABB wholly behind the plane or past
+    ``max_range`` in camera Z is not cast at all.  Every hit lies past
+    ``_RAY_EPS`` in camera Z, so no other ray can hit the primitive: any
+    rectangle's depth and ids are the whole frame's, and the default one
+    holds every pixel of a detectable object.
     """
     cam_pose = robot.world_from_camera()
     rot, origin = cam_pose.rotation, cam_pose.translation
@@ -433,22 +434,27 @@ def render_depth_ids(
     lo = np.clip(np.ceil(np.where(shown, pix, np.inf).min(axis=1)) - 1, 0, (w, h)).astype(int)
     hi = np.clip(np.floor(np.where(shown, pix, -np.inf).max(axis=1)) + 2, 0, (w, h)).astype(int)
     cull = (cam[..., 2].min(axis=1) <= max_range + _CULL_MARGIN) & (lo < hi).all(1)
-    if targets is not None:
-        shown_targets = cull & targets
-        rect_lo = lo[shown_targets].min(axis=0, initial=w + h)
-        rect_hi = hi[shown_targets].max(axis=0, initial=0)
-        np.maximum(lo, rect_lo, out=lo)
-        np.minimum(hi, rect_hi, out=hi)
-        cull &= (lo < hi).all(1)
+    if box is None:
+        detectable = cull & scene.detectable
+        if not detectable.any():
+            return None, None, None
+        (u0, v0), (u1, v1) = lo[detectable].min(axis=0), hi[detectable].max(axis=0)
+        box = BoundingBox(int(u0), int(v0), int(u1) - 1, int(v1) - 1)
+    # Windows in the rectangle's pixels from here on.
+    corner = (box.u_min, box.v_min)
+    lo = np.maximum(lo, corner) - corner
+    hi = np.minimum(hi, (box.u_max + 1, box.v_max + 1)) - corner
+    cull &= (lo < hi).all(1)
 
-    best = np.full((h, w), np.inf)
-    ids = np.full((h, w), NO_HIT, dtype=np.int32)
+    best = np.full((box.v_max - box.v_min + 1, box.u_max - box.u_min + 1), np.inf)
+    ids = np.full(best.shape, NO_HIT, dtype=np.int32)
     order = np.flatnonzero(cull)
     if len(order):
-        # Only the rows some window covers are rotated: row r of dirs is pixel row top + r.
+        # Only the rows some window covers are rotated, each whole, so the bits
+        # are the full frame's: row r of dirs is rectangle row top + r.
         top, bottom = lo[order, 1].min(), hi[order, 1].max()
-        rays = _camera_rays(intrinsics)[top * w : bottom * w] @ rot.T
-        dirs = np.ascontiguousarray(rays.T).reshape(3, -1, w)
+        rays = _camera_rays(intrinsics)[(box.v_min + top) * w : (box.v_min + bottom) * w]
+        dirs = np.ascontiguousarray((rays @ rot.T).T).reshape(3, -1, w)[..., box.u_min :]
     for k in order:
         cast, args, hit_id = casts[k]
         (u0, v0), (u1, v1) = lo[k], hi[k]
@@ -462,11 +468,8 @@ def render_depth_ids(
     out_of_range = ~np.isfinite(best) | (best > max_range)
     depth = np.where(out_of_range, 0.0, best)
     ids[out_of_range] = NO_HIT
-    if targets is not None:
-        # With no target cast, v0 = w + h and v1 = 0: every row is NaN.
-        (u0, v0), (u1, v1) = rect_lo, rect_hi
-        depth[:v0] = depth[v1:] = depth[v0:v1, :u0] = depth[v0:v1, u1:] = np.nan
-    return depth, ids
+    depth.flags.writeable = ids.flags.writeable = False
+    return depth, ids, box
 
 
 def add_depth_noise(
@@ -484,13 +487,17 @@ def add_depth_noise(
     return depth
 
 
-def _visible_pixel_box(ids: np.ndarray, index: int) -> tuple[int, BoundingBox | None]:
+def _visible_pixel_box(
+    ids: np.ndarray, index: int, rect: BoundingBox
+) -> tuple[int, BoundingBox | None]:
+    """``index``'s pixel count and frame box in ``ids``, pixel rectangle ``rect``'s ids."""
     shown = ids == index
     area = np.count_nonzero(shown)
     if area == 0:
         return 0, None
     vs, us = np.flatnonzero(shown.any(axis=1)), np.flatnonzero(shown.any(axis=0))
-    return area, BoundingBox(int(us[0]), int(vs[0]), int(us[-1]), int(vs[-1]))
+    u0, v0 = rect.u_min, rect.v_min
+    return area, BoundingBox(u0 + int(us[0]), v0 + int(vs[0]), u0 + int(us[-1]), v0 + int(vs[-1]))
 
 
 def _perturb_box(
@@ -508,32 +515,24 @@ def _perturb_box(
     return BoundingBox(u0, v0, u1, v1).clipped(width, height)
 
 
-def _frame_boxes(scene: Scene, ids: np.ndarray) -> tuple[BoundingBox | None, BoundingBox | None]:
-    """The bottle's box if it shows ``MIN_PIXEL_AREA`` pixels; the largest such distractor's."""
+def _frame_boxes(
+    scene: Scene, ids: np.ndarray, rect: BoundingBox
+) -> tuple[BoundingBox | None, BoundingBox | None]:
+    """The bottle's frame box if it shows ``MIN_PIXEL_AREA`` pixels in ``ids``,
+    pixel rectangle ``rect``'s ids; the largest such distractor's."""
     bottle_box = None
     if scene.pill_bottle_index is not None:
-        area, box = _visible_pixel_box(ids, scene.pill_bottle_index)
+        area, box = _visible_pixel_box(ids, scene.pill_bottle_index, rect)
         if area >= MIN_PIXEL_AREA:
             bottle_box = box
     best_area, best_box = 0, None
     for idx, obj in enumerate(scene.objects):
         if obj.kind is not ObjectKind.DISTRACTOR:
             continue
-        area, box = _visible_pixel_box(ids, idx)
+        area, box = _visible_pixel_box(ids, idx, rect)
         if area >= MIN_PIXEL_AREA and area > best_area:
             best_area, best_box = area, box
     return bottle_box, best_box
-
-
-def _cast_patch(depth: np.ndarray) -> tuple[tuple[slice, slice], np.ndarray]:
-    """The rectangle of a box-only render's ``depth`` that was cast (no NaN)
-    and a read-only copy of its depth."""
-    cast = ~np.isnan(depth)
-    vs, us = np.flatnonzero(cast.any(axis=1)), np.flatnonzero(cast.any(axis=0))
-    rect = np.s_[int(vs[0]) : int(vs[-1]) + 1, int(us[0]) : int(us[-1]) + 1]
-    patch = depth[rect].copy()
-    patch.flags.writeable = False
-    return rect, patch
 
 
 def detect(
@@ -556,21 +555,21 @@ def detect(
 
     ``frames`` memoizes each camera pose's boxes, keyed by value on
     everything the render reads, so a pose seen before is not rendered
-    again.  The boxes come from a render of the detectable objects' windows
-    only (``Scene.detectable``); a frame that shows a box also keeps that
-    render's cast rectangle of depth, which is the full frame's (read-only).
-    A fire returns the detection box's slice of that rectangle, unless the
-    box leaves the rectangle: then the full frame is rendered, and not kept.
-    Either way the box's depth is the full frame's, bit for bit.
+    again.  The boxes come from a render of the rectangle where a
+    detectable object can land; a frame that shows a box also keeps that
+    render's rectangle and read-only depth.  A fire returns the detection
+    box's slice of that depth, unless the box leaves the rectangle: then
+    only the box is rendered, and not kept.  Either way the box's depth is
+    the full frame's, bit for bit.
     """
     mount, view = robot.camera_mount, (scene, robot, intrinsics, model.max_range)
     pose = np.array([robot.x, robot.y, robot.heading, robot.head_pan, model.max_range])
     key = (pose.tobytes(), mount.rotation.tobytes(), mount.translation.tobytes(), intrinsics)
     if key not in frames:
-        depth, ids = render_depth_ids(*view, scene.detectable)
-        boxes = _frame_boxes(scene, ids)
-        frames[key] = (*boxes, None if boxes == (None, None) else _cast_patch(depth))
-    bottle_box, distractor_box, cast = frames[key]
+        depth, ids, rect = render_depth_ids(*view)
+        boxes = (None, None) if rect is None else _frame_boxes(scene, ids, rect)
+        frames[key] = (*boxes, None if boxes == (None, None) else (rect, depth))
+    bottle_box, distractor_box, kept = frames[key]
     if bottle_box is not None and rng.random() < model.true_positive_rate:
         kind, box = ObjectKind.PILL_BOTTLE, bottle_box
     elif distractor_box is not None and rng.random() < model.false_positive_rate:
@@ -579,14 +578,12 @@ def detect(
         return None
     box = _perturb_box(box, model.box_noise_sigma, intrinsics.width, intrinsics.height, rng)
     # The box lies in the frame: _perturb_box clips it, and a visible box is in it.
-    (rows, cols), patch = cast
-    v0, v1 = box.v_min - rows.start, box.v_max + 1 - rows.start
-    u0, u1 = box.u_min - cols.start, box.u_max + 1 - cols.start
-    if 0 <= v0 and v1 <= patch.shape[0] and 0 <= u0 and u1 <= patch.shape[1]:
-        depth = patch[v0:v1, u0:u1]
-    else:  # the box leaves the cast rectangle
-        depth = render_depth_ids(*view)[0][box.v_min : box.v_max + 1, box.u_min : box.u_max + 1]
-        depth.flags.writeable = False
+    rect, depth = kept
+    if not (rect.u_min <= box.u_min and box.u_max <= rect.u_max
+            and rect.v_min <= box.v_min and box.v_max <= rect.v_max):
+        depth, _, rect = render_depth_ids(*view, box)  # the box leaves the kept rectangle
+    depth = depth[box.v_min - rect.v_min : box.v_max + 1 - rect.v_min,
+                  box.u_min - rect.u_min : box.u_max + 1 - rect.u_min]
     return DetectionResult(box=box, true_kind=kind, depth=depth)
 
 

@@ -340,6 +340,8 @@ def grid_from_ascii_reference(text: str) -> world.OccupancyGrid:
     if len(header) != 3:
         raise ValueError(f"map header must be 'W H RESOLUTION', got {lines[0]!r}")
     width, height, resolution = int(header[0]), int(header[1]), float(header[2])
+    if width < 1 or height < 1:
+        raise ValueError(f"map must be at least 1x1 cells, got {width}x{height}")
     rows = lines[1:]
     if len(rows) != height:
         raise ValueError(f"map declares {height} rows but has {len(rows)}")

@@ -76,7 +76,7 @@ ALLOWED: dict[str, str] = {
     "world.OccupancyGrid.world_to_cell": _OFF_MAP,
     "world._perturb_box": "box_noise_sigma 0, which no witness sets",
     "world.detect": "a false positive on a distractor, and a detection box that leaves the "
-                    "cast rectangle of the box-only render: no traced frame draws either",
+                    "kept rectangle, which renders only itself: no traced frame draws either",
     "world.step_kinematics": "a collision, which no traced drive has",
 }
 

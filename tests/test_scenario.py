@@ -120,6 +120,15 @@ def test_non_finite_map_resolution_reported(workdir, resolution):
     assert msg == f"$.map: resolution must be positive and finite, got {resolution}"
 
 
+def test_non_positive_map_width_reported(workdir):
+    map_path = workdir / "lab.map"
+    lines = map_path.read_text().splitlines()
+    lines[0] = "-100 80 0.1"
+    map_path.write_text("\n".join(lines) + "\n")
+    msg = load_errors(workdir, base_doc())
+    assert msg == "$.map: map must be at least 1x1 cells, got -100x80"
+
+
 REQUIRED_KEYS = ("name", "map", "profile", "robot", "intrinsics", "rois", "bottle_candidates")
 
 

@@ -1,11 +1,12 @@
 """Work guards: exact counts of the work a cold study does, with no timing.
 
 A fresh 10-seed lab_study batch renders each distinct frame and drives each
-noise-free leg once.  A frame casts only the rectangle where a detectable
-object can land, and a fired frame localizes on its box's slice of that
-rectangle's depth, so no whole frame is rendered: 13,567 rays over the 21
-distinct frames, against 427,033 when each is cast whole (with boxes that
-straddle the camera plane clipped, near 20,300 a frame).  Each of the 10
+noise-free leg once.  A render casts and returns one pixel rectangle, the
+one where a detectable object can land, and a fired frame localizes on its
+box's slice of that rectangle's depth, so no render covers the whole frame:
+the 21 rectangles hold 5,610 pixels, against 403,200 in 21 whole 160x120
+frames, and take 13,567 rays, against 427,033 when each frame is cast whole
+(with boxes that straddle the camera plane clipped, near 20,300 a frame).  Each of the 10
 fires hands localization only its detection box's pixels, 1,302 in all,
 against 192,000 when each passes a whole 160x120 frame.  The cost-free
 sample box lets 431 of the legs' 561 dynamic-window ticks skip the cost
@@ -21,8 +22,8 @@ SCENARIO_PATH = Path(__file__).resolve().parent.parent / "scenarios" / "lab_stud
 
 
 def test_cold_study_casts_few_rays_and_gathers_costs_on_few_ticks(tmp_path, monkeypatch, capsys):
-    counts = {"rays": 0, "frames": 0, "whole frames": 0, "fires": 0, "box pixels": 0,
-              "localized pixels": 0, "ticks": 0, "skips": 0, "libm ticks": 0}
+    counts = {"rays": 0, "frames": 0, "whole frames": 0, "rectangle pixels": 0, "fires": 0,
+              "box pixels": 0, "localized pixels": 0, "ticks": 0, "skips": 0, "libm ticks": 0}
 
     def counter(owner, name, key, size=lambda *args: 1):
         def counted(*args, real=getattr(owner, name)):
@@ -36,9 +37,14 @@ def test_cold_study_casts_few_rays_and_gathers_costs_on_few_ticks(tmp_path, monk
     counter(world, "_ray_box", "rays", lambda origin, dirs, *rest: dirs.shape[1])
     counter(world, "_ray_cylinder", "rays", lambda origin, dirs, *rest: dirs.shape[1])
     counter(world, "render_depth_ids", "frames")
-    # A whole frame has no targets; the counted arguments end with the render.
+    # A render returns its pixel rectangle last, or None when it cast nothing.
+    def rect_area(*args):
+        rect = args[-1][2]
+        return 0 if rect is None else (rect.u_max - rect.u_min + 1) * (rect.v_max - rect.v_min + 1)
+
     counter(world, "render_depth_ids", "whole frames",
-            lambda *args: len(args) == 5 or args[4] is None)
+            lambda *args: args[-1][2] == geometry.BoundingBox(0, 0, 159, 119))
+    counter(world, "render_depth_ids", "rectangle pixels", rect_area)
     # A fire hands localization its box's pixels, not a whole frame.
     def box_area(*args):
         det = args[-1]
@@ -73,6 +79,7 @@ def test_cold_study_casts_few_rays_and_gathers_costs_on_few_ticks(tmp_path, monk
     assert rc == cli.EXIT_OK
     assert counts["frames"] > 0 and counts["ticks"] > 0
     assert counts["frames"] == 21 and counts["whole frames"] == 0
+    assert counts["rectangle pixels"] <= 6_000
     assert counts["rays"] / counts["frames"] <= 1_000
     assert counts["rays"] <= 15_000
     assert counts["fires"] == 10 and counts["localized pixels"] == counts["box pixels"]

@@ -98,7 +98,7 @@ def test_grid_ascii_parse_matches_the_char_scan():
     bad = [edited(0, "x.?#"), edited(2, "?##\u00e9"), edited(1, "..\u2603."), edited(1, ". .."),
            edited(2, "?#\x00."), edited(0, "#.\udcff#"), edited(1, "..."), edited(2, "?##.."),
            edited(0, "#.x#") + "\n..", "4 4 0.1\n#.?#\n..x.\n...\n....",
-           "4 4 0.1\n#.?#\n...\n..x.\n...."]
+           "4 4 0.1\n#.?#\n...\n..x.\n....", "-3 2 0.1\n...\n...", "2 0 0.1", "0 0 0.1"]
     for text in texts + bad:
         want = _parsed(grid_from_ascii_reference, text)
         assert _parsed(OccupancyGrid.from_ascii, text) == want
@@ -110,7 +110,10 @@ def test_grid_ascii_parse_matches_the_char_scan():
                           "map row 2 has 5 cells, expected 4",
                           "map declares 3 rows but has 4",
                           "map row 1 col 2: unknown cell char 'x'",
-                          "map row 1 has 3 cells, expected 4"]
+                          "map row 1 has 3 cells, expected 4",
+                          "map must be at least 1x1 cells, got -3x2",
+                          "map must be at least 1x1 cells, got 2x0",
+                          "map must be at least 1x1 cells, got 0x0"]
 
 
 def _random_cells(rng, w, h, p):
@@ -159,13 +162,24 @@ def _robot_at(x, y, heading, pitch=0.0, height=1.0):
     )
 
 
+def _frame(scene, robot, intr, max_range):
+    """A whole frame's depth and ids: the render of the full pixel box."""
+    depth, ids, rect = world.render_depth_ids(scene, robot, intr, max_range, _whole(intr))
+    assert rect == _whole(intr)
+    return depth, ids
+
+
+def _whole(intr):
+    return BoundingBox(0, 0, intr.width - 1, intr.height - 1)
+
+
 def test_render_wall_depth_equals_axis_distance():
     # Robot looks straight at the east wall; for a wall perpendicular to the
     # optical axis every wall pixel has the same axial depth.
     g = _open_room()
     scene = Scene(grid=g, objects=[])
     robot = _robot_at(2.0, 3.0, 0.0)
-    depth, ids = world.render_depth_ids(scene, robot, INTR, max_range=10.0)
+    depth, ids = _frame(scene, robot, INTR, max_range=10.0)
     # Wall inner face at x = 5.9; camera at x = 2.0.
     wall_pixels = ids == world.WALL_HIT
     assert wall_pixels.any()
@@ -182,7 +196,7 @@ def test_render_cylinder_center_pixel_depth():
     )
     scene = Scene(grid=g, objects=[bottle])
     robot = _robot_at(2.0, 3.0, 0.0, height=1.0)
-    depth, ids = world.render_depth_ids(scene, robot, INTR, max_range=10.0)
+    depth, ids = _frame(scene, robot, INTR, max_range=10.0)
     # Near-principal pixel; the lateral surface sits at z in [0.8, 1.2].
     u, v = 79, 59
     assert ids[v, u] == 0
@@ -212,7 +226,7 @@ def test_render_box_depth_and_occlusion():
     )
     scene = Scene(grid=g, objects=[slab, behind])
     robot = _robot_at(2.0, 3.0, 0.0)
-    depth, ids = world.render_depth_ids(scene, robot, INTR, max_range=10.0)
+    depth, ids = _frame(scene, robot, INTR, max_range=10.0)
     u, v = 79, 59
     assert ids[v, u] == 0  # slab, not the cylinder behind it
     assert depth[v, u] == pytest.approx(1.3, abs=1e-6)
@@ -223,7 +237,7 @@ def test_render_respects_max_range():
     g = _open_room()
     scene = Scene(grid=g, objects=[])
     robot = _robot_at(2.0, 3.0, 0.0)
-    depth, ids = world.render_depth_ids(scene, robot, INTR, max_range=2.0)
+    depth, ids = _frame(scene, robot, INTR, max_range=2.0)
     assert (ids == world.NO_HIT).all()
     assert (depth == 0.0).all()
 
@@ -232,7 +246,7 @@ def test_render_depth_noise_is_seeded_and_clamped():
     g = _open_room()
     scene = Scene(grid=g, objects=[])
     robot = _robot_at(2.0, 3.0, 0.0)
-    clean, _ = world.render_depth_ids(scene, robot, INTR, 10.0)
+    clean = _frame(scene, robot, INTR, 10.0)[0].copy()
     clean[50:60, 150:] = 0.0  # invalid pixels inside the box
     box = BoundingBox(140, 40, 159, 70)  # ends on the frame's right edge
     sub, before = clean[40:71, 140:], clean.copy()
@@ -258,7 +272,7 @@ def test_render_depth_noise_is_seeded_and_clamped():
 def test_depth_noise_draws_the_normals_of_rng_normal():
     # rng.normal(0, sigma) is 0 + sigma * z over the same standard normals z.
     scene = Scene(grid=_open_room(), objects=[])
-    clean, _ = world.render_depth_ids(scene, _robot_at(2.0, 3.0, 0.0), INTR, 10.0)
+    clean, _ = _frame(scene, _robot_at(2.0, 3.0, 0.0), INTR, 10.0)
     box = BoundingBox(0, 30, 90, 119)  # on the left and the bottom edge
     for seed, sigma in enumerate((1e-300, 0.002, 0.01, 0.37, 3.0, 1e300)):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -288,6 +302,7 @@ def test_render_matches_reference_on_random_lab_poses(lab_scenario):
     grid = lab_scenario.grid
     free = np.argwhere(grid.cells == CellState.FREE)
     scenes = [lab_scenario.build_scene(k) for k in range(len(lab_scenario.bottle_candidates))]
+    boxes = np.random.default_rng(37)
     hits = set()
     for k in range(200):
         j, i = free[rng.integers(len(free))]
@@ -300,10 +315,18 @@ def test_render_matches_reference_on_random_lab_poses(lab_scenario):
             head_pan=float(rng.uniform(-0.6, 0.6)),
         )
         scene = scenes[k % len(scenes)]
+        # Any pixel box renders the whole frame's slice, bit for bit.
+        u0, u1 = sorted(int(u) for u in boxes.integers(0, intr.width, size=2))
+        v0, v1 = sorted(int(v) for v in boxes.integers(0, intr.height, size=2))
+        box = BoundingBox(u0, v0, u1, v1)
         for max_range in (3.5, 10.0):
-            got = world.render_depth_ids(scene, robot, intr, max_range)
-            _assert_bitwise_equal(got, render_reference(scene, robot, intr, max_range))
+            got = _frame(scene, robot, intr, max_range)
+            want = render_reference(scene, robot, intr, max_range)
+            _assert_bitwise_equal(got, want)
             hits.update(np.unique(got[1]).tolist())
+            depth, ids, rect = world.render_depth_ids(scene, robot, intr, max_range, box)
+            assert rect == box
+            _assert_bitwise_equal((depth, ids), tuple(_box_pixels(box, a) for a in want))
     # The poses see objects, walls, and empty range alike.
     assert {world.NO_HIT, world.WALL_HIT, 0} <= hits
 
@@ -326,9 +349,9 @@ def test_render_zero_direction_on_slab_plane_matches_reference():
     assert ray[1] == 0.0 and ray[2] == 0.0
     assert cam.translation[1] == lo[1] and cam.translation[2] == lo[2]
     for max_range in (1.0, 10.0):
-        got = world.render_depth_ids(scene, robot, intr, max_range)
+        got = _frame(scene, robot, intr, max_range)
         _assert_bitwise_equal(got, render_reference(scene, robot, intr, max_range))
-    depth, ids = world.render_depth_ids(scene, robot, intr, 10.0)
+    depth, ids = _frame(scene, robot, intr, 10.0)
     assert ids[60, 80] == 0
     assert depth[60, 80] == 1.75
 
@@ -344,7 +367,7 @@ def _box(lo, hi, kind=ObjectKind.SUPPORT):
 
 def _render_matches_reference(objects, robot, max_range=10.0):
     scene = Scene(grid=_open_room(), objects=objects)
-    got = world.render_depth_ids(scene, robot, INTR, max_range)
+    got = _frame(scene, robot, INTR, max_range)
     _assert_bitwise_equal(got, render_reference(scene, robot, INTR, max_range))
     return got
 
@@ -469,13 +492,13 @@ def test_render_matches_reference_backed_against_lab_walls_and_supports(lab_scen
     for k, robot in enumerate(robots):
         assert _straddles(scene, robot)
         max_range = (lab_scenario.detector.max_range, 10.0)[k % 2]
-        got = world.render_depth_ids(scene, robot, INTR, max_range)
+        got = _frame(scene, robot, INTR, max_range)
         _assert_bitwise_equal(got, render_reference(scene, robot, INTR, max_range))
     # Scenes cast through the patch only once built after it: count a fresh one.
     rays_cast.clear()
     scene = Scene(grid=scene.grid, objects=scene.objects)
     for robot in robots:
-        world.render_depth_ids(scene, robot, INTR, 10.0)
+        _frame(scene, robot, INTR, 10.0)
     assert sum(rays_cast.values()) < len(robots) * INTR.width * INTR.height
 
 
@@ -491,23 +514,27 @@ def test_box_only_frames_give_the_full_frames_boxes(lab_scenario):
                   for x, y, heading in (roi.pose for roi in sc.rois) for pan in world.PAN_SCHEDULE]
         robots += _backed_against(scene.grid, scene.objects, start.camera_mount)
         for robot in robots:
-            depth_full, full = world.render_depth_ids(scene, robot, intr, max_range)
-            depth, part = world.render_depth_ids(scene, robot, intr, max_range, scene.detectable)
-            # The cast pixels are a rectangle, empty or not, with the full frame's depth.
-            cast = ~np.isnan(depth)
-            rows, cols = np.flatnonzero(cast.any(axis=1)), np.flatnonzero(cast.any(axis=0))
-            assert cast.sum() == len(rows) * len(cols) and (part[~cast] == world.NO_HIT).all()
-            assert depth[cast].tobytes() == depth_full[cast].tobytes()
-            rects += bool(len(rows))
-            for index in np.flatnonzero(scene.detectable):
-                assert np.array_equal(part == index, full == index)
+            depth_full, full = _frame(scene, robot, intr, max_range)
+            depth, part, rect = world.render_depth_ids(scene, robot, intr, max_range)
+            detectable = np.flatnonzero(scene.detectable)
+            if rect is None:  # nothing cast: no detectable object shows a pixel
+                assert depth is part is None and not np.isin(full, detectable).any()
+                shown[(False, False)] += 1
+                continue
+            # The rectangle lies in the frame, with the full frame's depth and ids.
+            assert 0 <= rect.u_min <= rect.u_max < intr.width
+            assert 0 <= rect.v_min <= rect.v_max < intr.height
+            assert depth.tobytes() == _box_pixels(rect, depth_full).tobytes()
+            assert np.array_equal(part, _box_pixels(rect, full))
+            rects += 1
+            for index in detectable:
                 vs, us = np.nonzero(full == index)
                 want = (0, None)
                 if len(us):
                     want = (len(us), BoundingBox(us.min(), vs.min(), us.max(), vs.max()))
-                assert world._visible_pixel_box(part, index) == want
-            boxes = world._frame_boxes(scene, part)
-            assert boxes == world._frame_boxes(scene, full)
+                assert world._visible_pixel_box(part, index, rect) == want
+            boxes = world._frame_boxes(scene, part, rect)
+            assert boxes == world._frame_boxes(scene, full, _whole(intr))
             shown[tuple(box is not None for box in boxes)] += 1
     assert shown[(True, False)] and shown[(False, True)] and shown[(False, False)]
     assert rects >= shown[(True, False)] + shown[(False, True)]
@@ -530,7 +557,9 @@ def test_a_frame_without_a_detectable_object_casts_no_ray(lab_scenario, rays_cas
     assert world.detect(scene, robot, model, sc.intrinsics, np.random.default_rng(0), frames) is None
     assert list(frames.values()) == [(None, None, None)]
     assert rays_cast == {} and formed == []
-    _, ids = world.render_depth_ids(scene, robot, sc.intrinsics, model.max_range)
+    assert world.render_depth_ids(scene, robot, sc.intrinsics, model.max_range) == (None,) * 3
+    assert rays_cast == {} and formed == []
+    _, ids = _frame(scene, robot, sc.intrinsics, model.max_range)
     assert (ids == world.WALL_HIT).any() and sum(rays_cast.values()) > 0 and formed
 
 
@@ -689,9 +718,9 @@ def renders(monkeypatch):
     return calls
 
 
-def _box_depth(det, frame):
-    """A whole ``frame``'s pixels in a detection's box, which lies in the frame."""
-    box, (h, w) = det.box, frame.shape
+def _box_pixels(box, frame):
+    """A whole ``frame``'s pixels in ``box``, which lies in the frame."""
+    h, w = frame.shape
     assert 0 <= box.u_min <= box.u_max < w and 0 <= box.v_min <= box.v_max < h
     return frame[box.v_min : box.v_max + 1, box.u_min : box.u_max + 1]
 
@@ -756,21 +785,22 @@ def test_warm_frame_renders_on_first_fire_then_keeps_its_depth(renders):
     model = replace(blind, true_positive_rate=1.0)
     frames = {}
     assert world.detect(scene, robot, blind, INTR, np.random.default_rng(0), frames) is None
-    # A frame that shows a box keeps the cast rectangle of its box-only render, no whole frame.
+    # A frame that shows a box keeps the depth of its render's rectangle, no whole frame.
     [(bottle_box, _, (rect, patch))] = frames.values()
     assert bottle_box is not None and not patch.flags.writeable
-    assert patch.size < INTR.width * INTR.height and not np.isnan(patch).any()
+    assert patch.shape == (rect.v_max - rect.v_min + 1, rect.u_max - rect.u_min + 1)
+    assert patch.size < INTR.width * INTR.height
     first = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
     again = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
     assert len(renders) == 1
     kept = np.full((INTR.height, INTR.width), np.nan)
-    kept[rect] = patch
+    kept[rect.v_min : rect.v_max + 1, rect.u_min : rect.u_max + 1] = patch
     for det in (first, again):
         # The box's slice of the kept patch, with no copy.
         assert not det.depth.flags.writeable and det.depth.base is patch
-        assert det.depth.tobytes() == _box_depth(det, kept).tobytes()
+        assert det.depth.tobytes() == _box_pixels(det.box, kept).tobytes()
     want, _ = render_reference(scene, robot, INTR, model.max_range)
-    assert first.depth.tobytes() == _box_depth(first, want).tobytes()
+    assert first.depth.tobytes() == _box_pixels(first.box, want).tobytes()
     _same_detection(first, world.detect(scene, robot, model, INTR, np.random.default_rng(0), {}))
 
 
@@ -790,10 +820,10 @@ def test_a_fired_frame_keeps_the_reference_depth(lab_scenario, renders):
         assert det.true_kind is ObjectKind.PILL_BOTTLE
         want, _ = render_reference(scene, robot, sc.intrinsics, model.max_range)
         assert not det.depth.flags.writeable
-        assert det.depth.tobytes() == _box_depth(det, want).tobytes()
+        assert det.depth.tobytes() == _box_pixels(det.box, want).tobytes()
 
 
-def test_a_box_that_leaves_the_cast_rectangle_renders_the_full_frame(renders):
+def test_a_box_that_leaves_the_cast_rectangle_renders_only_the_box(renders):
     scene = _bottle_scene()
     robot = _robot_at(2.0, 3.0, 0.0)
     # Box noise of 40 px throws the box far past the bottle's and the cup's windows.
@@ -803,19 +833,21 @@ def test_a_box_that_leaves_the_cast_rectangle_renders_the_full_frame(renders):
     det = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
     [(_, _, (rect, patch))] = frames.values()
     cast = np.zeros((INTR.height, INTR.width), dtype=bool)
-    cast[rect] = True
-    assert not _box_depth(det, cast).all()  # the clipped box leaves the rectangle
-    assert len(renders) == 2 and renders[1][4:] == ()  # box-only, then the full frame
+    cast[rect.v_min : rect.v_max + 1, rect.u_min : rect.u_max + 1] = True
+    assert not _box_pixels(det.box, cast).all()  # the clipped box leaves the rectangle
+    assert len(renders) == 2 and renders[1][4:] == (det.box,)  # the rectangle, then the box
     want, _ = render_reference(scene, robot, INTR, model.max_range)
-    assert det.depth.tobytes() == _box_depth(det, want).tobytes()
+    assert det.depth.shape == _box_pixels(det.box, want).shape
+    assert det.depth.tobytes() == _box_pixels(det.box, want).tobytes()
     assert not det.depth.flags.writeable
     # The memo still keeps the rectangle only, so a second such fire renders again.
     assert frames[next(iter(frames))][2][1] is patch
     again = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
-    assert len(renders) == 3 and again.depth.tobytes() == _box_depth(again, want).tobytes()
+    assert len(renders) == 3 and renders[2][4:] == (again.box,)
+    assert again.depth.tobytes() == _box_pixels(again.box, want).tobytes()
 
 
-def test_a_box_one_pixel_past_the_cast_rectangle_renders_the_full_frame(renders):
+def test_a_box_one_pixel_past_the_cast_rectangle_renders_only_the_box(renders):
     # The memo's rectangle is cut so that one side of the bottle's box lies
     # one pixel past it, or just inside it; zero box noise fires that box.
     scene = _bottle_scene()
@@ -825,24 +857,24 @@ def test_a_box_one_pixel_past_the_cast_rectangle_renders_the_full_frame(renders)
     frames = {}
     world.detect(scene, robot, replace(model, true_positive_rate=0.0), INTR,
                  np.random.default_rng(0), frames)
-    [(key, (box, cup_box, ((rows, cols), patch)))] = frames.items()
+    [(key, (box, cup_box, (rect, patch)))] = frames.items()
     want, _ = render_reference(scene, robot, INTR, model.max_range)
-    assert rows.start < box.v_min and box.v_max + 1 < rows.stop
-    assert cols.start < box.u_min and box.u_max + 1 < cols.stop
+    assert rect.v_min < box.v_min and box.v_max < rect.v_max
+    assert rect.u_min < box.u_min and box.u_max < rect.u_max
     for past in (0, 1):
-        cuts = [(slice(box.v_min + past, rows.stop), cols),
-                (slice(rows.start, box.v_max + 1 - past), cols),
-                (rows, slice(box.u_min + past, cols.stop)),
-                (rows, slice(cols.start, box.u_max + 1 - past))]
+        cuts = [replace(rect, v_min=box.v_min + past), replace(rect, v_max=box.v_max - past),
+                replace(rect, u_min=box.u_min + past), replace(rect, u_max=box.u_max - past)]
         for cut in cuts:
-            inner = tuple(slice(c.start - whole.start, c.stop - whole.start)
-                          for c, whole in zip(cut, (rows, cols)))
-            frames[key] = (box, cup_box, (cut, patch[inner]))
+            inner = patch[cut.v_min - rect.v_min : cut.v_max + 1 - rect.v_min,
+                          cut.u_min - rect.u_min : cut.u_max + 1 - rect.u_min]
+            frames[key] = (box, cup_box, (cut, inner))
             calls = len(renders)
             det = world.detect(scene, robot, model, INTR, np.random.default_rng(0), frames)
             assert det.box == box and len(renders) == calls + past
-            assert det.depth.tobytes() == _box_depth(det, want).tobytes()
-            assert np.shares_memory(det.depth, patch) != past  # else a slice of the full frame
+            assert [args[4:] for args in renders[calls:]] == [(box,)] * past
+            assert det.depth.tobytes() == _box_pixels(det.box, want).tobytes()
+            assert not det.depth.flags.writeable
+            assert np.shares_memory(det.depth, patch) != past  # else the box's own render
 
 
 def test_default_pan_schedule_values():
