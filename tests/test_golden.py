@@ -2,11 +2,12 @@
 policy's exact outputs on random event walks.
 
 ``tests/golden/lab_study.json`` holds the SHA-256 of the ``write_log`` bytes
-for seeds 0-11 under conditions A and B.  ``tests/golden/witnesses.json``
-does the same for seeds 0-3 on five edited copies of lab_study (``WITNESSES``)
+for seeds 0-11 under conditions A and B, and under ``STUDY_KEY`` one SHA-256
+of the bytes of seeds 0-299 under A, then B.  ``tests/golden/witnesses.json``
+does the same for seeds 0-3 on six edited copies of lab_study (``WITNESSES``)
 that take the paths those seeds never take: a search that finds nothing, an
-unreachable search location, the time cap, noisy legs and a user who times
-out and denies.  Every replayed log is also read back, checked by
+unreachable search location, the time cap, noisy legs, a recovery spin and a
+user who times out and denies.  Every replayed log is also read back, checked by
 ``oracles.audit_log`` against the policy that wrote it, and printed by
 ``aansim show``.
 ``tests/golden/orchestrator_walks.json`` holds, per orchestrator config, the
@@ -46,6 +47,7 @@ WALKS_PATH = ROOT / "tests" / "golden" / "orchestrator_walks.json"
 WITNESS_PATH = ROOT / "tests" / "golden" / "witnesses.json"
 SCENARIO = "scenarios/lab_study.json"
 KEYS = [f"{cond}/{seed}" for cond in ("A", "B") for seed in range(12)]
+STUDY_KEY, STUDY_SEEDS = "A+B/0-299", range(300)
 WITNESS_KEYS = [f"{cond}/{seed}" for cond in ("A", "B") for seed in range(4)]
 # Bottle at kitchen_counter, hall_shelf and side_table under B, plus one A key.
 FRESH_KEYS = ["B/0", "B/1", "B/4", "A/0"]
@@ -87,6 +89,8 @@ WITNESSES = {
     "time_cap_60": (lambda doc: doc["session"].update(time_cap_s=60.0), '"note":"time_cap_reached"'),
     # Pose noise, so every leg is driven rather than replayed.
     "pose_noise": (lambda doc: doc["noise"].update(pose_sigma=0.02), '"kind":"found"'),
+    # Pose noise large enough that some dynamic window is all blocked, so the robot spins.
+    "recovery_spin": (lambda doc: doc["noise"].update(pose_sigma=0.1), '"note":"recovery_spin"'),
     # A user who times out, denies and needs prompts repeated.
     "needs_step_by_step": (
         lambda doc: doc.update(profile="needs_step_by_step"),
@@ -117,6 +121,17 @@ def log_sha256(scenario, key: str, path: Path) -> str:
         assert cli.main(["show", str(path)]) == cli.EXIT_OK
     assert shown.getvalue().splitlines()[0].endswith(f" | bottle at {log.meta['bottle_roi']}")
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def study_sha256(scenario, path: Path) -> str:
+    """Hash the log bytes of ``STUDY_SEEDS`` under A, then under B, each
+    written to ``path`` in turn."""
+    digest = hashlib.sha256()
+    for cond in ("A", "B"):
+        for seed in STUDY_SEEDS:
+            write_log(run_episode(scenario, cond, seed).log, path)
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def walks_sha256(key: str) -> str:
@@ -153,12 +168,17 @@ def golden() -> dict:
 
 def test_golden_covers_both_conditions_on_twelve_seeds(golden):
     assert golden["scenario"] == SCENARIO
-    assert sorted(golden["sha256"]) == sorted(KEYS)
+    assert sorted(golden["sha256"]) == sorted([*KEYS, STUDY_KEY])
 
 
 @pytest.mark.parametrize("key", sorted(KEYS))
 def test_log_bytes_match_golden(lab_scenario, tmp_path, golden, key):
     assert log_sha256(lab_scenario, key, tmp_path / "episode.jsonl") == golden["sha256"][key]
+
+
+def test_study_log_bytes_match_golden(lab_scenario, tmp_path, golden):
+    """Seeds past the twelve replayed above, where a change may first show."""
+    assert study_sha256(lab_scenario, tmp_path / "episode.jsonl") == golden["sha256"][STUDY_KEY]
 
 
 def test_log_bytes_do_not_depend_on_episode_order(tmp_path, golden):
@@ -170,7 +190,7 @@ def test_log_bytes_do_not_depend_on_episode_order(tmp_path, golden):
     path = tmp_path / "episode.jsonl"
     scenario = load_scenario(ROOT / SCENARIO)
     reverse = {key: log_sha256(scenario, key, path) for key in reversed(KEYS)}
-    assert reverse == golden["sha256"]
+    assert reverse == {key: golden["sha256"][key] for key in KEYS}
     alone = {key: log_sha256(load_scenario(ROOT / SCENARIO), key, path) for key in FRESH_KEYS}
     assert alone == {key: golden["sha256"][key] for key in FRESH_KEYS}
 
@@ -245,6 +265,7 @@ def write_golden() -> None:
     scenario = load_scenario(ROOT / SCENARIO)
     with tempfile.TemporaryDirectory() as tmp:
         sha256 = {key: log_sha256(scenario, key, Path(tmp) / "episode.jsonl") for key in KEYS}
+        sha256[STUDY_KEY] = study_sha256(scenario, Path(tmp) / "episode.jsonl")
     write_json(GOLDEN_PATH, {"scenario": SCENARIO, "sha256": sha256})
     walks = {key: walks_sha256(key) for key in WALK_CONFIGS}
     write_json(WALKS_PATH, {"seeds": len(WALK_SEEDS), "sha256": walks})

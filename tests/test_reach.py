@@ -49,7 +49,6 @@ ALLOWED: dict[str, str] = {
     "navigation._localize": _LOST,
     "navigation.dwa_step": _SPIN + "; no traced tick has a colliding arc beside a free one, "
                                    "or a near score tie, which takes libm's bearing",
-    "navigation.navigate_to": _SPIN,
     "navigation.plan_global": "LethalEndpoint, NoPath and a start in the goal's cell",
     "navigation.visit_roi": _LOST,
     "orchestrator.Action.reposition": _MOTION,
