@@ -1,6 +1,6 @@
 """Navigation stack: layered costmap, A* global planning over an inflated
 grid, a dynamic-window local planner whose settings are the ``DWA_*``
-constants, and the visit to one search location.
+constants, and ``navigate_to``, which drives a leg to a goal pose and keeps it.
 
 Costs live in [0, 255] with 255 for lethal (Occupied or Unknown) cells.
 Inflated cells carry 254 * exp(-decay * (d - robot_radius)) clipped to
@@ -20,16 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import geometry, world
-from .orchestrator import AssistEvent
-from .session import SessionLog
-from .world import (
-    CellState,
-    DetectionResult,
-    OccupancyGrid,
-    RegionOfInterest,
-    RobotState,
-    Scene,
-)
+from .world import CellState, OccupancyGrid, RobotState
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -461,16 +452,6 @@ def dwa_step(
     return (float(vs[iv]), float(ws[iw]))
 
 
-class Clock:
-    """Simulated time accumulator shared by the navigation and episode loops."""
-
-    def __init__(self, t: float = 0.0) -> None:
-        self.t = float(t)
-
-    def advance(self, dt: float) -> None:
-        self.t += dt
-
-
 @dataclass(frozen=True)
 class NavResult:
     """One drive: whether it arrived and why it stopped, its clock ticks,
@@ -483,39 +464,21 @@ class NavResult:
     end: tuple[float, float, float, float, float]
 
 
-@dataclass
-class NavSession:
-    """One episode's navigation state; every setting is read from ``scenario``."""
-
-    scenario: Scenario  # its costmap is also the collision grid
-    scene: Scene
-    robot: RobotState
-    clock: Clock
-    detector_rng: np.random.Generator
-    depth_noise_rng: np.random.Generator
-    pose_noise_rng: np.random.Generator
-    log: SessionLog  # the episode's log; progress notes go here
-
-    def note(self, kind: str, **payload) -> None:
-        self.log.add_note(self.clock.t, kind, **payload)
-
-
-def _observed_pose(session: NavSession, robot: RobotState) -> RobotState:
+def _observed_pose(robot: RobotState, sigma: float, rng: np.random.Generator) -> RobotState:
     """Robot state as the planner sees it (optionally noise-injected)."""
-    sigma = session.scenario.noise.pose_sigma
     if sigma <= 0.0:
         return robot
-    noise = session.pose_noise_rng.normal(0.0, sigma, size=3)
-    return replace(
-        robot,
-        x=robot.x + noise[0],
-        y=robot.y + noise[1],
-        heading=robot.heading + noise[2],
-    )
+    dx, dy, dheading = rng.normal(0.0, sigma, size=3)
+    return replace(robot, x=robot.x + dx, y=robot.y + dy, heading=robot.heading + dheading)
 
 
-def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> NavResult:
-    """Drive a local copy of the robot to a goal pose; the clock and log stay as they are.
+def _drive(
+    scenario: Scenario,
+    robot: RobotState,
+    goal_pose: tuple[float, float, float],
+    pose_noise_rng: np.random.Generator,
+) -> NavResult:
+    """Drive a copy of ``robot`` to a goal pose and return the leg.
 
     DWA to the position, then rotate to the heading.  On AllBlocked the
     robot spins in place for the recovery time and replans once; a second
@@ -523,8 +486,7 @@ def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> NavRes
     scenario ``dt`` of simulated time.
     """
     gx, gy, gh = goal_pose
-    dt, costmap = session.scenario.session.dt, session.scenario.costmap
-    robot = session.robot
+    dt, costmap, sigma = scenario.session.dt, scenario.costmap, scenario.noise.pose_sigma
     ticks = 0
     spins: list[int] = []
 
@@ -544,7 +506,7 @@ def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> NavRes
         if math.hypot(robot.x - gx, robot.y - gy) <= ARRIVAL_POS_TOL:
             break
         try:
-            cmd = dwa_step(_observed_pose(session, robot), path, costmap, dt)
+            cmd = dwa_step(_observed_pose(robot, sigma, pose_noise_rng), path, costmap, dt)
         except AllBlocked:
             if spins:
                 return leg(False, "all_blocked")
@@ -573,74 +535,19 @@ def _drive(session: NavSession, goal_pose: tuple[float, float, float]) -> NavRes
     return leg(False, "tick_cap")
 
 
-def navigate_to(session: NavSession, goal_pose: tuple[float, float, float]) -> NavResult:
-    """Drive to a goal pose (see ``_drive``), replay the leg on the session and return it.
+def navigate_to(
+    scenario: Scenario,
+    robot: RobotState,
+    goal_pose: tuple[float, float, float],
+    pose_noise_rng: np.random.Generator,
+) -> NavResult:
+    """The leg from ``robot`` to a goal pose (see ``_drive``).
 
-    A noise-free leg is driven once per costmap and start state, then
-    replayed: the clock advances by ``dt`` once per tick, each
-    ``recovery_spin`` note lands at the tick it was recorded at, and the
-    robot takes the leg's end pose and velocities.  A noisy leg draws from
-    ``pose_noise_rng``, so it is driven every time.
+    A noise-free leg is driven once per costmap and start state, then looked
+    up.  A noisy leg draws from ``pose_noise_rng``, so it is driven every time.
     """
-    sc, robot = session.scenario, session.robot
     key = (robot.x, robot.y, robot.heading, robot.v, robot.omega, goal_pose)
-    legs = sc.costmap.legs if sc.noise.pose_sigma <= 0.0 else {}
+    legs = scenario.costmap.legs if scenario.noise.pose_sigma <= 0.0 else {}
     if key not in legs:
-        legs[key] = _drive(session, goal_pose)
-    leg = legs[key]
-    dt = sc.session.dt
-    for tick in range(leg.ticks):
-        if tick in leg.spins:
-            session.note("recovery_spin")
-        session.clock.advance(dt)
-    x, y, heading, v, omega = leg.end
-    session.robot = replace(robot, x=x, y=y, heading=heading, v=v, omega=omega)
-    return leg
-
-
-def _localize(
-    session: NavSession, det: DetectionResult, base_from_camera: geometry.RigidTransform
-) -> np.ndarray | None:
-    """Base-frame pointing target from the depth of a detection box's
-    pixels, the only ones localization reads, with depth noise added."""
-    sc, rng = session.scenario, session.depth_noise_rng
-    shape = (sc.intrinsics.height, sc.intrinsics.width)
-    depth = world.add_depth_noise(det.depth, det.box, shape, sc.noise.depth_sigma, rng)
-    try:
-        est = geometry.localize_target(depth, det.box, sc.intrinsics, base_from_camera)
-    except geometry.GeometryError:
-        return None
-    return est.target_base
-
-
-def visit_roi(session: NavSession, roi: RegionOfInterest) -> AssistEvent:
-    """Drive to one search location, sweep the head, and report the outcome.
-
-    The head visits each ``world.PAN_SCHEDULE`` angle at most once, on a
-    copy of the robot (whose own pan stays as it is), until the detector
-    fires; each frame first advances the shared clock by ``frame_time_s``.
-    Returns a roi_unreachable, miss or found event at the clock's time; a
-    found event carries the bottle as a base-frame (3,) point.
-    """
-    session.note("navigating", roi=roi.id)
-    nav = navigate_to(session, roi.pose)
-    if not nav.arrived:
-        session.note("unreachable", roi=roi.id, reason=nav.reason)
-        return AssistEvent.roi_unreachable(session.clock.t, roi.id)
-    session.note("scanning", roi=roi.id)
-    sc = session.scenario
-    # Noise-free poses repeat across episodes; noisy ones almost never do.
-    frames = session.scene.frames if sc.noise.pose_sigma <= 0.0 else {}
-    for pan in world.PAN_SCHEDULE:
-        session.clock.advance(sc.session.frame_time_s)
-        view = replace(session.robot, head_pan=pan)
-        det = world.detect(
-            session.scene, view, sc.detector, sc.intrinsics, session.detector_rng, frames
-        )
-        if det is not None:
-            # A failed localization on the detection frame counts as a miss.
-            target = _localize(session, det, view.base_from_camera())
-            if target is not None:
-                return AssistEvent.found(session.clock.t, roi.id, target)
-            break
-    return AssistEvent.miss(session.clock.t, roi.id)
+        legs[key] = _drive(scenario, robot, goal_pose, pose_noise_rng)
+    return legs[key]

@@ -166,7 +166,7 @@ class SceneObject:
 @dataclass
 class Scene:
     """Static episode world: a grid plus the objects standing in it, and
-    ``frames``, the detector-frame memo that ``visit_roi`` hands ``detect``."""
+    ``frames``, the detector-frame memo that ``episode._Engine.visit`` hands ``detect``."""
 
     grid: OccupancyGrid
     objects: tuple[SceneObject, ...]
@@ -587,7 +587,7 @@ def detect(
     return DetectionResult(box=box, true_kind=kind, depth=depth)
 
 
-# navigation.visit_roi's head sweep, low to high: -30..30 deg in 15 deg steps.
+# episode._Engine.visit's head sweep, low to high: -30..30 deg in 15 deg steps.
 PAN_SCHEDULE = tuple(math.radians(-30.0) + k * math.radians(15.0) for k in range(5))
 
 

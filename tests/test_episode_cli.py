@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aansim import cli, episode, navigation, usersim
+from aansim import cli, episode, usersim
 from aansim import metrics as m
 from aansim.episode import run_episode
 from aansim.orchestrator import MOTION_ACTION_KINDS, Action, ActionKind
@@ -173,10 +173,10 @@ def test_engine_visits_the_roi_each_navigate_to_names(lab_scenario, monkeypatch)
 
 
 def test_audit_log_rejects_a_visit_the_policy_did_not_direct(lab_scenario, monkeypatch):
-    real_visit = navigation.visit_roi
+    real_visit = episode._Engine.visit
     rois = lab_scenario.rois
     monkeypatch.setattr(
-        navigation, "visit_roi", lambda session, roi: real_visit(session, rois[-1 - rois.index(roi)])
+        episode._Engine, "visit", lambda engine, roi: real_visit(engine, rois[-1 - rois.index(roi)])
     )
     log = run_episode(lab_scenario, "B", 1).log
     with pytest.raises(AssertionError, match="visits side_table; the policy directed kitchen_counter"):

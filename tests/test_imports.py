@@ -203,6 +203,40 @@ def test_every_dataclass_field_has_a_production_reader():
     assert sorted(unread_fields(files)) == sorted(UNREAD_FIELDS_ALLOWED)
 
 
+def runtime_imports(source: str) -> set[str]:
+    """The modules ``source`` imports outside ``if TYPE_CHECKING:`` blocks,
+    package modules by their name within ``aansim``."""
+    found, stack = set(), list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("aansim").lstrip(".")
+            found.update([module] if module else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("aansim.") for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_runtime_import_is_caught():
+    source = (
+        "from typing import TYPE_CHECKING\nfrom . import geometry\nfrom .session import Log\n"
+        "if TYPE_CHECKING:\n    from .episode import E\n\n"
+        "def f():\n    import aansim.orchestrator\n"
+    )
+    assert runtime_imports(source) == {"typing", "geometry", "session", "orchestrator"}
+
+
+def test_navigation_imports_no_policy_log_or_engine():
+    # The planner only plans and drives; the episode engine owns the clock,
+    # the log and the policy's state, and calls it.
+    source = (ROOT / "src" / "aansim" / "navigation.py").read_text(encoding="utf-8")
+    assert runtime_imports(source) & {"orchestrator", "session", "episode"} == set()
+
+
 # Loaded scipy modules after each stage of a fresh process: the package, the
 # scenario and ten condition-A episodes, then one condition-B episode (costmap
 # and foreground), then a report on all eleven sessions (ten A sessions reach

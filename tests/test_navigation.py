@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aansim import geometry
+from aansim import episode, geometry
 from aansim import navigation as nav
 from aansim import world
 from aansim.geometry import CameraIntrinsics
-from aansim.orchestrator import AssistEvent, EventKind
+from aansim.orchestrator import AssistEvent, EventKind, initial_state
 from aansim.scenario import NoiseParams
 from aansim.session import SessionLog
 from aansim.world import CellState, OccupancyGrid, RobotState
@@ -615,12 +615,12 @@ def lab_ticks(lab_scenario):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(nav, "dwa_step", recorded)
-        session = _session(lab_scenario, lab_scenario.robot_state())
+        robot = lab_scenario.robot_state()
         for roi in lab_scenario.rois:
-            leg = nav._drive(session, roi.pose)
+            leg = nav._drive(lab_scenario, robot, roi.pose, np.random.default_rng(2))
             assert leg.arrived
             x, y, heading, v, omega = leg.end
-            session.robot = replace(session.robot, x=x, y=y, heading=heading, v=v, omega=omega)
+            robot = replace(robot, x=x, y=y, heading=heading, v=v, omega=omega)
     assert len(ticks) > 500
     return ticks
 
@@ -721,19 +721,24 @@ def _scenario(lab_scenario, grid, inflation=0.3, pose_sigma=0.0, **over):
     )
 
 
-def _session(scenario, robot, **over):
+def _engine(scenario, robot, t=0.0, **over):
+    """A condition-B episode engine on ``scenario`` at clock ``t``, with an
+    empty scene unless ``over`` gives one."""
+    config = scenario.orchestrator_config("B")
     defaults = dict(
-        scenario=scenario,
         scene=world.Scene(grid=scenario.grid, objects=[]),
         robot=robot,
-        clock=nav.Clock(),
         detector_rng=np.random.default_rng(0),
         depth_noise_rng=np.random.default_rng(1),
         pose_noise_rng=np.random.default_rng(2),
-        log=SessionLog(meta={}),
     )
     defaults.update(over)
-    return nav.NavSession(**defaults)
+    engine = episode._Engine(
+        scenario=scenario, config=config, state=initial_state(config), log=SessionLog(meta={}),
+        **defaults,
+    )
+    engine.advance(t)
+    return engine
 
 
 def test_navigate_to_arrives_within_tolerances(monkeypatch, lab_scenario):
@@ -748,17 +753,18 @@ def test_navigate_to_arrives_within_tolerances(monkeypatch, lab_scenario):
     monkeypatch.setattr(world, "step_kinematics", step_kinematics)
     grid = open_grid(80, 60)  # 8 x 6 m room
     robot = RobotState(x=1.0, y=1.0, heading=0.0, camera_mount=CAMERA_MOUNT)
-    session = _session(_scenario(lab_scenario, grid), robot)
+    engine = _engine(_scenario(lab_scenario, grid), robot)
     goal = (5.0, 4.0, math.pi / 2)
-    res = nav.navigate_to(session, goal)
+    res = engine.drive(goal)
     assert res.arrived, res.reason
-    assert math.hypot(session.robot.x - 5.0, session.robot.y - 4.0) <= 0.3
+    assert math.hypot(engine.robot.x - 5.0, engine.robot.y - 4.0) <= 0.3
     from aansim.geometry import normalize_angle
 
-    assert abs(normalize_angle(math.pi / 2 - session.robot.heading)) <= math.radians(15.0) + 1e-9
+    assert abs(normalize_angle(math.pi / 2 - engine.robot.heading)) <= math.radians(15.0) + 1e-9
     assert hits and not any(hits)
     # The clock advances one dt per kinematics step.
-    assert session.clock.t == pytest.approx(len(hits) * 0.1)
+    assert res.ticks == len(hits)
+    assert engine.t == pytest.approx(len(hits) * 0.1)
 
 
 def test_navigate_to_reports_unreachable_goal(lab_scenario):
@@ -771,11 +777,11 @@ def test_navigate_to_reports_unreachable_goal(lab_scenario):
     ]
     grid = grid_from(rows, resolution=0.5)
     robot = RobotState(x=1.0, y=1.25, heading=0.0, camera_mount=CAMERA_MOUNT)
-    session = _session(_scenario(lab_scenario, grid, inflation=0.0), robot)
-    res = nav.navigate_to(session, (3.75, 1.25, 0.0))
+    engine = _engine(_scenario(lab_scenario, grid, inflation=0.0), robot)
+    res = engine.drive((3.75, 1.25, 0.0))
     assert not res.arrived
     assert res.reason.startswith("no_path")
-    assert session.clock.t == 0.0
+    assert engine.t == 0.0
 
 
 def test_navigate_to_is_deterministic(lab_scenario):
@@ -783,17 +789,17 @@ def test_navigate_to_is_deterministic(lab_scenario):
 
     def run():
         robot = RobotState(x=1.0, y=1.0, heading=0.0, camera_mount=CAMERA_MOUNT)
-        session = _session(_scenario(lab_scenario, grid), robot)
-        res = nav.navigate_to(session, (6.0, 4.5, 0.0))
-        return (res.arrived, session.clock.t, session.robot.x, session.robot.y, session.robot.heading)
+        engine = _engine(_scenario(lab_scenario, grid), robot)
+        res = engine.drive((6.0, 4.5, 0.0))
+        return (res.arrived, engine.t, engine.robot.x, engine.robot.y, engine.robot.heading)
 
     assert run() == run()
 
 
 # ---------------------------------------------------------------------------
-# navigate_to's leg memo: a warm call replays a leg driven on the same
-# scenario's costmap; its effect must equal a cold drive on a fresh scenario
-# bit for bit.
+# navigate_to's leg memo: a warm call looks up a leg driven on the same
+# scenario's costmap; the engine's replay of it must equal a cold drive on a
+# fresh scenario bit for bit.
 
 
 @pytest.fixture
@@ -810,31 +816,31 @@ def drive_calls(monkeypatch):
     return calls
 
 
-def _outcome(session, result):
-    """Everything navigate_to leaves behind, with floats as exact hex strings."""
-    r = session.robot
-    floats = (session.clock.t, r.x, r.y, r.heading, r.v, r.omega, r.head_pan)
-    return result, [f.hex() for f in floats], session.log.records
+def _outcome(engine, result):
+    """Everything a drive leaves behind, with floats as exact hex strings."""
+    r = engine.robot
+    floats = (engine.t, r.x, r.y, r.heading, r.v, r.omega, r.head_pan)
+    return result, [f.hex() for f in floats], engine.log.records
 
 
 def _cold_and_warm(drive_calls, lab_scenario, grid, robot, goal, inflation=0.3, pose_sigma=0.0):
-    """A cold drive at clock 7.3, and a warm call at 7.3 whose leg was driven
-    at clock 0: ``(cold, cold_outcome, warm, warm_outcome)``.  Each session
+    """A cold drive at clock 7.3, and a warm one at 7.3 whose leg was driven
+    at clock 0: ``(cold, cold_outcome, warm, warm_outcome)``.  Each engine
     gets a fresh scenario (the warm one shares the first drive's) and a fresh
     ``pose_noise_rng`` with seed 5; ``drive_calls`` ends holding the warm
-    call's counts."""
+    drive's counts."""
 
-    def session(scenario=None, **more):
+    def engine(scenario=None, t=0.0):
         scenario = scenario or _scenario(lab_scenario, grid, inflation, pose_sigma=pose_sigma)
-        return _session(scenario, robot, pose_noise_rng=np.random.default_rng(5), **more)
+        return _engine(scenario, robot, t, pose_noise_rng=np.random.default_rng(5))
 
-    cold = session(clock=nav.Clock(7.3))
-    cold_outcome = _outcome(cold, nav.navigate_to(cold, goal))
-    primer = session()
-    nav.navigate_to(primer, goal)
-    warm = session(scenario=primer.scenario, clock=nav.Clock(7.3))
+    cold = engine(t=7.3)
+    cold_outcome = _outcome(cold, cold.drive(goal))
+    primer = engine()
+    primer.drive(goal)
+    warm = engine(primer.scenario, 7.3)
     drive_calls.clear()
-    return cold, cold_outcome, warm, _outcome(warm, nav.navigate_to(warm, goal))
+    return cold, cold_outcome, warm, _outcome(warm, warm.drive(goal))
 
 
 def test_warm_leg_replays_cold_drive_at_a_later_clock(drive_calls, lab_scenario):
@@ -858,8 +864,8 @@ def test_legs_are_keyed_by_goal_and_start_velocity(lab_scenario):
     ]
     shared = _scenario(lab_scenario, grid)
     for robot, goal in cases:
-        cold, warm = _session(_scenario(lab_scenario, grid), robot), _session(shared, robot)
-        assert _outcome(warm, nav.navigate_to(warm, goal)) == _outcome(cold, nav.navigate_to(cold, goal))
+        cold, warm = _engine(_scenario(lab_scenario, grid), robot), _engine(shared, robot)
+        assert _outcome(warm, warm.drive(goal)) == _outcome(cold, cold.drive(goal))
     assert len(shared.costmap.legs) == 3
 
 
@@ -902,7 +908,7 @@ def test_noisy_legs_are_driven_every_time(drive_calls, lab_scenario):
 
 
 # ---------------------------------------------------------------------------
-# visit_roi
+# The engine's visit to one search location
 
 BOTTLE = (7.0, 3.0, 0.9)
 SEARCH_ROIS = [
@@ -912,7 +918,7 @@ SEARCH_ROIS = [
 ]
 
 
-def _search_session(lab_scenario, with_bottle, pose_sigma=0.0):
+def _search_engine(lab_scenario, with_bottle, pose_sigma=0.0):
     objects = []
     if with_bottle:
         objects.append(
@@ -933,23 +939,23 @@ def _search_session(lab_scenario, with_bottle, pose_sigma=0.0):
             true_positive_rate=1.0, false_positive_rate=0.0, box_noise_sigma=0.0, max_range=4.0
         ),
     )
-    return _session(scenario, robot, scene=world.Scene(grid=grid, objects=objects))
+    return _engine(scenario, robot, scene=world.Scene(grid=grid, objects=objects))
 
 
-def _visit_all(session):
+def _visit_all(engine):
     """The event of a visit to each search location in turn, each checked against the clock."""
     events = []
     for roi in SEARCH_ROIS:
-        event = nav.visit_roi(session, roi)
+        event = engine.visit(roi)
         assert isinstance(event, AssistEvent)
-        assert event.t == session.clock.t
+        assert event.t == engine.t
         events.append(event)
     return events
 
 
 def test_visit_roi_misses_then_finds_the_bottle(lab_scenario):
-    session = _search_session(lab_scenario, with_bottle=True)
-    miss, found = _visit_all(session)
+    engine = _search_engine(lab_scenario, with_bottle=True)
+    miss, found = _visit_all(engine)
     assert miss == AssistEvent.miss(miss.t, "roi_a")
     assert (found.kind, found.roi) == (EventKind.FOUND, "roi_b")
     assert found.t > miss.t
@@ -957,10 +963,10 @@ def test_visit_roi_misses_then_finds_the_bottle(lab_scenario):
     assert isinstance(target, np.ndarray)
     assert target.dtype == np.float64 and target.shape == (3,)
     # The base-frame point lies on the bottle, seen from where the robot stopped.
-    x, y, _ = session.robot.world_from_base().apply(target)
+    x, y, _ = engine.robot.world_from_base().apply(target)
     assert math.hypot(x - BOTTLE[0], y - BOTTLE[1]) < 0.1
-    # Progress notes go to the session log, stamped with the clock.
-    notes = [(r["t"], r["note"], r["data"]["roi"]) for r in session.log.records]
+    # Progress notes go to the episode log, stamped with the clock.
+    notes = [(r["t"], r["note"], r["data"]["roi"]) for r in engine.log.records]
     assert [n[1:] for n in notes] == [
         ("navigating", "roi_a"), ("scanning", "roi_a"), ("navigating", "roi_b"), ("scanning", "roi_b"),
     ]
@@ -968,63 +974,63 @@ def test_visit_roi_misses_then_finds_the_bottle(lab_scenario):
 
 
 def test_visit_roi_misses_without_a_bottle(lab_scenario):
-    session = _search_session(lab_scenario, with_bottle=False)
-    events = _visit_all(session)
+    engine = _search_engine(lab_scenario, with_bottle=False)
+    events = _visit_all(engine)
     assert [(e.kind, e.roi) for e in events] == [(EventKind.MISS, "roi_a"), (EventKind.MISS, "roi_b")]
     # The scans sweep a copy of the robot; its own head pan is never moved.
-    assert session.robot.head_pan == 0.0
+    assert engine.robot.head_pan == 0.0
 
 
 def test_noisy_scans_leave_the_frame_memo_empty(lab_scenario):
-    noisy = _search_session(lab_scenario, with_bottle=True, pose_sigma=0.02)
+    noisy = _search_engine(lab_scenario, with_bottle=True, pose_sigma=0.02)
     _visit_all(noisy)
     assert noisy.scene.frames == {}
     # The same visits without pose noise fill it, one entry per rendered frame.
-    clean = _search_session(lab_scenario, with_bottle=True)
+    clean = _search_engine(lab_scenario, with_bottle=True)
     _visit_all(clean)
     assert len(clean.scene.frames) == 6  # five pans at roi_a, then a hit on the first pan at roi_b
 
 
 
 def test_visit_roi_blind_sweep_takes_five_frames_and_leaves_the_pan(monkeypatch, lab_scenario):
-    session = _search_session(lab_scenario, with_bottle=True)
-    sc = session.scenario
-    session.scenario = replace(sc, detector=replace(sc.detector, true_positive_rate=0.0))
-    session.robot.head_pan = 0.123
+    engine = _search_engine(lab_scenario, with_bottle=True)
+    sc = engine.scenario
+    engine.scenario = replace(sc, detector=replace(sc.detector, true_positive_rate=0.0))
+    engine.robot.head_pan = 0.123
     views = []
     real = world.detect
 
     def seen(scene, robot, *rest):
-        views.append((robot.head_pan, session.robot.head_pan, session.clock.t))
+        views.append((robot.head_pan, engine.robot.head_pan, engine.t))
         return real(scene, robot, *rest)
 
     monkeypatch.setattr(world, "detect", seen)
-    event = nav.visit_roi(session, SEARCH_ROIS[1])
+    event = engine.visit(SEARCH_ROIS[1])
     assert event == AssistEvent.miss(event.t, "roi_b")
-    (t_scan,) = [r["t"] for r in session.log.records if r["note"] == "scanning"]
+    (t_scan,) = [r["t"] for r in engine.log.records if r["note"] == "scanning"]
     # Each frame advances the clock by one frame_time before it is taken.
     t = t_scan
     for pan, robot_pan, t_frame in views:
-        t += session.scenario.session.frame_time_s
+        t += engine.scenario.session.frame_time_s
         assert t_frame == t
     assert event.t == t
     # -30..30 deg in 15 deg steps, each from a copy: the robot's pan never moves.
     assert [pan for pan, _, _ in views] == list(world.PAN_SCHEDULE)
     assert [robot_pan for _, robot_pan, _ in views] == [0.123] * 5
-    assert session.robot.head_pan == 0.123
+    assert engine.robot.head_pan == 0.123
 
 
 def test_visit_roi_localizes_a_first_pan_hit_from_that_view(lab_scenario):
-    session = _search_session(lab_scenario, with_bottle=True)
-    sc = session.scenario
-    found = nav.visit_roi(session, SEARCH_ROIS[1])
+    engine = _search_engine(lab_scenario, with_bottle=True)
+    sc = engine.scenario
+    found = engine.visit(SEARCH_ROIS[1])
     assert found.kind is EventKind.FOUND
-    (t_scan,) = [r["t"] for r in session.log.records if r["note"] == "scanning"]
+    (t_scan,) = [r["t"] for r in engine.log.records if r["note"] == "scanning"]
     assert found.t == t_scan + sc.session.frame_time_s  # one frame: the first pan fired
     # The same frame, detected and localized again from the -30 deg view.
-    view = replace(session.robot, head_pan=world.PAN_SCHEDULE[0])
-    det = world.detect(session.scene, view, sc.detector, sc.intrinsics, np.random.default_rng(0), {})
+    view = replace(engine.robot, head_pan=world.PAN_SCHEDULE[0])
+    det = world.detect(engine.scene, view, sc.detector, sc.intrinsics, np.random.default_rng(0), {})
     assert det is not None and det.true_kind is world.ObjectKind.PILL_BOTTLE
     est = geometry.localize_target(det.depth, det.box, sc.intrinsics, view.base_from_camera())
     assert np.array_equal(found.target, est.target_base)
-    assert session.robot.head_pan == 0.0
+    assert engine.robot.head_pan == 0.0

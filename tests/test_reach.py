@@ -31,7 +31,7 @@ LAB_STUDY = ROOT / "scenarios" / "lab_study.json"
 _LADDER = "the L1/L2 ladder, refusals and off-script replies, which no episode reaches yet"
 _LOADER = "a bad scenario value that the loader hands on to this check"
 _BAD_SCENARIO = "a scenario or map that the loader rejects; test_scenario checks it"
-_SPIN = "the AllBlocked recovery spin and tick caps: no witness blocks the robot yet"
+_SPIN = "a failed replan after the recovery spin, and tick caps: no witness drive has either"
 _MOTION = "reposition and rotate_base, which a large min_standoff and a reversed camera reach"
 _LOST = "a detection whose frame does not localize: no witness frame fails"
 _OFF_MAP = "a point off the map: a rejected start or approach pose, or a drive off the map edge"
@@ -39,6 +39,7 @@ ALLOWED: dict[str, str] = {
     "cli.<module>": "python -m aansim.cli, which test_show_to_a_closed_pipe_exits_quietly runs",
     "cli._describe_action": _MOTION + ", and a hand-edited log's unknown action kind",
     "cli.main": "a closed stdout pipe, which test_show_to_a_closed_pipe_exits_quietly closes",
+    "episode._Engine.visit": _LOST,
     "geometry.CameraIntrinsics.__post_init__": _LOADER,
     "geometry.RigidTransform.apply": _MOTION + ": a single 3-vector",
     "geometry.extract_foreground": "the center fallback and an empty box: no traced frame has either",
@@ -46,11 +47,9 @@ ALLOWED: dict[str, str] = {
     "geometry.pointing_angles": "a target at the arm origin",
     "navigation.<module>": "the TYPE_CHECKING import of Scenario",
     "navigation._drive": _SPIN,
-    "navigation._localize": _LOST,
-    "navigation.dwa_step": _SPIN + "; no traced tick has a colliding arc beside a free one, "
-                                   "or a near score tie, which takes libm's bearing",
+    "navigation.dwa_step": "a near score tie, which takes libm's bearing, and an exact one, "
+                           "which the tie-break sort settles: no traced tick has either",
     "navigation.plan_global": "LethalEndpoint, NoPath and a start in the goal's cell",
-    "navigation.visit_roi": _LOST,
     "orchestrator.Action.reposition": _MOTION,
     "orchestrator.Action.rotate_base": _MOTION,
     "orchestrator._escalate_or_abort": _LADDER,
